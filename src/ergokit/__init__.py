@@ -13,6 +13,7 @@ from .motion import (
     JointAngleSeries,
     JointChannel,
     KeypointFrame,
+    KeypointRecording,
     Landmark,
     Side,
     channel_side,

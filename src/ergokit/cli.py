@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -35,9 +36,9 @@ def _load_series(path: str, kind: str, args) -> "ingest.JointAngleSeries":
         return ingest.parse_imu_joint_csv(data, spec)
     if kind == "keypoints":
         stream_spec = ingest.KeypointStreamSpec(frame_rate=args.fps)
-        frames = ingest.parse_keypoint_stream(data, stream_spec)
+        recording = ingest.parse_keypoint_stream(data, stream_spec)
         defs = geometry.load_angle_definitions(args.angle_defs)
-        return geometry.compute_angle_series(frames, defs)
+        return geometry.compute_angle_series(recording, defs)
     raise ValueError(f"unknown input kind {kind!r}")
 
 
@@ -230,12 +231,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for name in ("rate", "imu_rate", "fps"):
+        value = getattr(args, name, None)
+        if value is not None and not (math.isfinite(value) and value > 0):
+            print(f"{PROG}: error: --{name.replace('_', '-')} must be a positive "
+                  f"finite rate, got {value}", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
-    except ErgokitError as exc:
-        print(f"{PROG}: error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ErgokitError, OSError) as exc:
         print(f"{PROG}: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

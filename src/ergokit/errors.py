@@ -49,6 +49,10 @@ class NonMonotonicTimestamps(ErgokitError):
     pass
 
 
+class IrregularTimestamps(ErgokitError):
+    pass
+
+
 class OverlappingIntervals(ErgokitError):
     pass
 

@@ -15,6 +15,10 @@ definition may instead rotate about its own first vector (``axis_a``),
 measuring vector b around that axis against a body-axis reference; this is
 how forearm pronation/supination is extracted.
 
+Each definition is computed over a whole (N, L, 3) recording at once; a
+single frame is the N=1 case. A missing landmark, or a vector or in-plane
+projection no longer than EPSILON, makes the sample NaN.
+
 Angles are pure functions of difference vectors, so a rigid motion or a
 uniform scaling of an entire recording leaves every output unchanged.
 
@@ -39,11 +43,14 @@ from .errors import (
     NoCompleteFrames,
 )
 from .motion import (
+    LANDMARK_INDEX,
     JointAngleSeries,
     JointChannel,
     KeypointFrame,
+    KeypointRecording,
     Landmark,
     Vec3,
+    uniform_grid,
 )
 
 log = logging.getLogger(__name__)
@@ -64,6 +71,36 @@ _PLANE_AXES = {
     "frontal": ("forward", "backward"),
     "transverse": ("up", "down"),
 }
+_OPPOSITE_AXES = {"down": "up", "left": "right", "backward": "forward"}
+
+
+# --- vector kernels ---------------------------------------------------------------
+# Over (..., 3) arrays, giving (...): NaN where the scalar forms below raise.
+
+
+def _dot(a, b):
+    return np.einsum("...i,...i->...", a, b)
+
+
+def _norm(a):
+    return np.sqrt(_dot(a, a))
+
+
+def _vector_angles(a, b):
+    angle = np.degrees(np.arctan2(_norm(np.cross(a, b)), _dot(a, b)))
+    return np.where((_norm(a) > EPSILON) & (_norm(b) > EPSILON), angle, np.nan)
+
+
+@np.errstate(invalid="ignore", divide="ignore")
+def _plane_angles(u, v, plane_normal):
+    nn = _norm(plane_normal)
+    n = plane_normal / nn[..., None]
+    up = u - _dot(u, n)[..., None] * n
+    vp = v - _dot(v, n)[..., None] * n
+    angle = np.degrees(np.arctan2(_dot(n, np.cross(up, vp)), _dot(up, vp)))
+    angle = np.where(angle <= -180.0, 180.0, angle)
+    ok = (nn > EPSILON) & (_norm(up) > EPSILON) & (_norm(vp) > EPSILON)
+    return np.where(ok, angle, np.nan)
 
 
 def vector_angle(a: Vec3, b: Vec3) -> float:
@@ -74,13 +111,10 @@ def vector_angle(a: Vec3, b: Vec3) -> float:
     the arccos form amplifies rounding into microdegrees. Raises
     DegenerateVector when either norm <= EPSILON.
     """
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na <= EPSILON or nb <= EPSILON:
-        raise DegenerateVector(f"vector norms {na:g}, {nb:g}")
-    return math.degrees(
-        math.atan2(float(np.linalg.norm(np.cross(a, b))), float(np.dot(a, b)))
-    )
+    angle = float(_vector_angles(np.asarray(a, float), np.asarray(b, float)))
+    if math.isnan(angle):
+        raise DegenerateVector(f"vector norms {_norm(a):g}, {_norm(b):g}")
+    return angle
 
 
 def signed_plane_angle(u: Vec3, v: Vec3, plane_normal: Vec3) -> float:
@@ -88,21 +122,16 @@ def signed_plane_angle(u: Vec3, v: Vec3, plane_normal: Vec3) -> float:
     orthogonal to plane_normal, degrees in (-180, 180].
 
     Positive when the rotation from u to v follows the right-hand rule
-    about plane_normal. Raises DegenerateProjection when a projection is
-    shorter than EPSILON.
+    about plane_normal. Raises DegenerateVector for a plane normal and
+    DegenerateProjection for a projection no longer than EPSILON.
     """
-    nn = float(np.linalg.norm(plane_normal))
+    nn = float(_norm(plane_normal))
     if nn <= EPSILON:
         raise DegenerateVector(f"plane normal norm {nn:g}")
-    n = plane_normal / nn
-    up = u - np.dot(u, n) * n
-    vp = v - np.dot(v, n) * n
-    if float(np.linalg.norm(up)) <= EPSILON or float(np.linalg.norm(vp)) <= EPSILON:
+    angle = float(_plane_angles(np.asarray(u, float), np.asarray(v, float),
+                                np.asarray(plane_normal, float)))
+    if math.isnan(angle):
         raise DegenerateProjection("projection onto plane is degenerate")
-    angle = math.degrees(math.atan2(float(np.dot(n, np.cross(up, vp))),
-                                    float(np.dot(up, vp))))
-    if angle <= -180.0:
-        angle = 180.0
     return angle
 
 
@@ -111,44 +140,49 @@ def signed_plane_angle(u: Vec3, v: Vec3, plane_normal: Vec3) -> float:
 
 @dataclass(frozen=True)
 class BodyAxes:
+    """Anatomical axes: (3,) vectors for one frame or the baseline, (N, 3)
+    arrays with NaN rows over a recording."""
+
     up: Vec3
     right: Vec3
     forward: Vec3
 
     def named(self, name: str) -> Vec3:
-        if name == "up":
-            return self.up
-        if name == "down":
-            return -self.up
-        if name == "right":
-            return self.right
-        if name == "left":
-            return -self.right
-        if name == "forward":
-            return self.forward
-        if name == "backward":
-            return -self.forward
-        raise ValueError(f"unknown body axis {name!r}")
+        if name in _OPPOSITE_AXES:
+            return -self.named(_OPPOSITE_AXES[name])
+        if name not in ("up", "right", "forward"):
+            raise ValueError(f"unknown body axis {name!r}")
+        return getattr(self, name)
+
+
+@np.errstate(invalid="ignore", divide="ignore")
+def _orthonormal(up, lateral) -> BodyAxes:
+    """Axes from an upward and a rightward vector, ``lateral`` made
+    orthogonal to ``up``; NaN where either is no longer than EPSILON."""
+    nu = _norm(up)
+    up = up / nu[..., None]
+    lateral = lateral - _dot(lateral, up)[..., None] * up
+    nl = _norm(lateral)
+    bad = ~((nu > EPSILON) & (nl > EPSILON))[..., None]
+    up = np.where(bad, np.nan, up)
+    right = np.where(bad, np.nan, lateral / nl[..., None])
+    return BodyAxes(up=up, right=right, forward=np.cross(up, right))
+
+
+def _axes(positions: np.ndarray) -> BodyAxes:
+    """Axes of every frame of an (N, L, 3) array."""
+    p = {lm: positions[:, LANDMARK_INDEX[lm]] for lm in AXES_LANDMARKS}
+    return _orthonormal(p[Landmark.torso] - p[Landmark.pelvis],
+                        p[Landmark.hip_r] - p[Landmark.hip_l])
 
 
 def body_axes(frame: KeypointFrame) -> BodyAxes | None:
     """Orthonormal anatomical axes for a frame, or None when the trunk/hip
     landmarks are missing or degenerate."""
-    if not frame.has(*AXES_LANDMARKS):
+    axes = _axes(KeypointRecording.from_frames([frame]).positions)
+    if np.isnan(axes.forward).any():
         return None
-    pos = frame.positions
-    up = pos[Landmark.torso] - pos[Landmark.pelvis]
-    nu = float(np.linalg.norm(up))
-    if nu <= EPSILON:
-        return None
-    up = up / nu
-    lat = pos[Landmark.hip_r] - pos[Landmark.hip_l]
-    lat = lat - np.dot(lat, up) * up
-    nl = float(np.linalg.norm(lat))
-    if nl <= EPSILON:
-        return None
-    right = lat / nl
-    return BodyAxes(up=up, right=right, forward=np.cross(up, right))
+    return BodyAxes(up=axes.up[0], right=axes.right[0], forward=axes.forward[0])
 
 
 # --- angle definitions ----------------------------------------------------------
@@ -225,31 +259,20 @@ def parse_angle_definitions(raw: dict) -> list[AngleDefinition]:
             raise ValueError(f"{channel.value}: vector b must be a point pair")
         plane = entry.get("plane", "none")
         sign_axis = entry.get("sign_axis")
-        if plane == "axis_a":
-            defn = AngleDefinition(
-                channel=channel,
-                vector_a=vec_a,
-                vector_b=vec_b,
-                plane=plane,
-                signed=bool(entry.get("signed", False)),
-                sign_axis=None,
-                axis_a_ref=sign_axis,
-                baseline=entry.get("baseline", "none"),
-            )
-        else:
-            # A body-axis reference vector ('a': {'axis': ...}) keeps
-            # vector_a empty; the axis name rides along in axis_a_ref.
-            defn = AngleDefinition(
-                channel=channel,
-                vector_a=vec_a,
-                vector_b=vec_b,
-                plane=plane,
-                signed=bool(entry.get("signed", False)),
-                sign_axis=sign_axis,
-                axis_a_ref=axis_a,
-                baseline=entry.get("baseline", "none"),
-            )
-        defs.append(defn)
+        axis_a_plane = plane == "axis_a"
+        # For 'axis_a' the sign axis names the in-plane reference. Otherwise
+        # a body-axis reference vector ('a': {'axis': ...}) keeps vector_a
+        # empty; the axis name rides along in axis_a_ref.
+        defs.append(AngleDefinition(
+            channel=channel,
+            vector_a=vec_a,
+            vector_b=vec_b,
+            plane=plane,
+            signed=bool(entry.get("signed", False)),
+            sign_axis=None if axis_a_plane else sign_axis,
+            axis_a_ref=sign_axis if axis_a_plane else axis_a,
+            baseline=entry.get("baseline", "none"),
+        ))
     return defs
 
 
@@ -275,17 +298,6 @@ def default_angle_definitions() -> list[AngleDefinition]:
     return _DEFAULT_DEFS
 
 
-def landmarks_required(defs) -> frozenset[Landmark]:
-    out: set[Landmark] = set()
-    for d in defs:
-        out.update(d.landmarks())
-    return frozenset(out)
-
-
-def default_required_landmarks() -> frozenset[Landmark]:
-    return landmarks_required(default_angle_definitions())
-
-
 # --- baseline -------------------------------------------------------------------
 
 
@@ -304,71 +316,57 @@ class Baseline:
     directions: dict[JointChannel, Vec3]
 
 
-def _point_vec(frame: KeypointFrame, point: PointRef) -> Vec3 | None:
-    acc = np.zeros(3)
-    for lm in point:
-        if lm not in frame.positions:
-            return None
-        acc = acc + frame.positions[lm]
-    return acc / len(point)
-
-
-def _segment(frame: KeypointFrame, vec: tuple[PointRef, PointRef]) -> Vec3 | None:
-    p0 = _point_vec(frame, vec[0])
-    p1 = _point_vec(frame, vec[1])
-    if p0 is None or p1 is None:
-        return None
+def _segment(positions: np.ndarray, vec: tuple[PointRef, PointRef]) -> np.ndarray:
+    """(N, 3) vectors between two points, each a landmark or a midpoint."""
+    p0, p1 = (sum(positions[:, LANDMARK_INDEX[lm]] for lm in point) / len(point)
+              for point in vec)
     return p1 - p0
 
 
-def _raw_angle(defn: AngleDefinition, frame: KeypointFrame,
-               axes: BodyAxes | None, baseline: Baseline | None) -> float:
-    """One channel for one frame; raises Degenerate* or KeyError-like
-    ValueError when inputs are unavailable."""
-    b = _segment(frame, defn.vector_b)
-    if b is None:
-        raise DegenerateVector(f"{defn.channel.value}: landmarks missing")
-
+def _channel(defn: AngleDefinition, positions: np.ndarray, axes: BodyAxes,
+             baseline: Baseline | None) -> np.ndarray:
+    """One definition over every frame, (N,) degrees."""
+    missing = np.full(len(positions), np.nan)
+    b = _segment(positions, defn.vector_b)
     if defn.baseline in ("initial_self", "initial_axes"):
         if baseline is None:
-            raise DegenerateVector(f"{defn.channel.value}: baseline required")
-        ref_axes = baseline.axes
+            return missing
+        axes = baseline.axes
+
+    if defn.plane == "none" or defn.plane == "axis_a":
+        if defn.vector_a is None:
+            return missing
+        a = _segment(positions, defn.vector_a)
+        if defn.plane == "none":
+            return _vector_angles(a, b)
+        angle = _plane_angles(axes.named(defn.axis_a_ref), b, a)
     else:
-        ref_axes = axes
+        if defn.baseline == "initial_self":
+            a = baseline.directions.get(defn.channel)
+            if a is None:
+                return missing
+        elif defn.vector_a is not None:
+            a = _segment(positions, defn.vector_a)
+        elif defn.axis_a_ref is not None:
+            a = axes.named(defn.axis_a_ref)
+        else:
+            return missing
+        angle = _plane_angles(a, b, axes.named(defn.sign_axis))
+    return angle if defn.signed else np.abs(angle)
 
-    if defn.plane == "none":
-        a = _segment(frame, defn.vector_a) if defn.vector_a else None
-        if a is None:
-            raise DegenerateVector(f"{defn.channel.value}: landmarks missing")
-        return vector_angle(a, b)
 
-    if ref_axes is None:
-        raise DegenerateVector(f"{defn.channel.value}: anatomical axes unavailable")
-
-    if defn.plane == "axis_a":
-        axis = _segment(frame, defn.vector_a) if defn.vector_a else None
-        if axis is None:
-            raise DegenerateVector(f"{defn.channel.value}: landmarks missing")
-        reference = ref_axes.named(defn.axis_a_ref)
-        angle = signed_plane_angle(reference, b, axis)
-        return angle if defn.signed else abs(angle)
-
-    normal = ref_axes.named(defn.sign_axis)
-    if defn.baseline == "initial_self":
-        a = baseline.directions.get(defn.channel)
-        if a is None:
-            raise DegenerateVector(f"{defn.channel.value}: baseline direction missing")
-    elif defn.vector_a is not None:
-        a = _segment(frame, defn.vector_a)
-        if a is None:
-            raise DegenerateVector(f"{defn.channel.value}: landmarks missing")
-    elif defn.axis_a_ref is not None:
-        a = ref_axes.named(defn.axis_a_ref)
-    else:
-        raise DegenerateVector(f"{defn.channel.value}: no reference vector")
-
-    angle = signed_plane_angle(a, b, normal)
-    return angle if defn.signed else abs(angle)
+def _angles(positions: np.ndarray, defs,
+            baseline: Baseline | None) -> dict[JointChannel, np.ndarray]:
+    """Every definition over every frame of an (N, L, 3) array, less the
+    baseline inclination for ``subtract_initial`` channels."""
+    axes = _axes(positions)
+    out = {}
+    for d in defs:
+        values = _channel(d, positions, axes, baseline)
+        if d.baseline == "subtract_initial" and baseline is not None:
+            values = values - baseline.inclinations.get(d.channel, 0.0)
+        out[d.channel] = values
+    return out
 
 
 #: Default number of complete frames used to capture the baseline
@@ -377,60 +375,53 @@ DEFAULT_BASELINE_WINDOW = 15
 
 
 def neck_baseline(frames, defs=None, window: int = DEFAULT_BASELINE_WINDOW) -> Baseline:
-    """Capture the start-of-task baseline from the first complete frames.
+    """Capture the start-of-task baseline from the first complete frames
+    of a KeypointRecording or an iterable of KeypointFrame.
 
     A frame is complete here when it carries the axes landmarks and every
     landmark used by a baseline-dependent definition. Up to ``window``
-    leading frames are scanned; raises NoCompleteFrames when none qualify.
+    leading frames are scanned; raises NoCompleteFrames when none qualify
+    and DegenerateVector when a baseline channel is degenerate in one.
     """
     if defs is None:
         defs = default_angle_definitions()
     baseline_defs = [d for d in defs if d.baseline != "none"]
-    needed: set[Landmark] = set(AXES_LANDMARKS)
-    for d in baseline_defs:
-        needed.update(d.landmarks())
+    needed = AXES_LANDMARKS.union(*(d.landmarks() for d in baseline_defs))
 
-    window_frames = list(frames)[: max(window, 1)]
-    complete = [f for f in window_frames if f.has(*needed)]
-    complete = [f for f in complete if body_axes(f) is not None]
-    if not complete:
-        raise NoCompleteFrames(
-            f"no complete frame in the first {len(window_frames)} frames"
-        )
+    window_pos = KeypointRecording.from_frames(frames).positions[: max(window, 1)]
+    axes = _axes(window_pos)
+    complete = ~np.isnan(window_pos[:, [LANDMARK_INDEX[lm] for lm in needed]]).any(axis=(1, 2))
+    complete &= ~np.isnan(axes.forward).any(axis=1)
+    if not complete.any():
+        raise NoCompleteFrames(f"no complete frame in the first {len(window_pos)} frames")
+    positions = window_pos[complete]
+    axes = _axes(positions)
 
-    axes_list = [body_axes(f) for f in complete]
-    up = _mean_direction([ax.up for ax in axes_list])
-    right = _mean_direction([ax.right for ax in axes_list])
-    right = right - np.dot(right, up) * up
-    right = right / np.linalg.norm(right)
-    axes = BodyAxes(up=up, right=right, forward=np.cross(up, right))
+    mean_axes = _orthonormal(_mean_direction(axes.up), _mean_direction(axes.right))
 
     inclinations: dict[JointChannel, float] = {}
     directions: dict[JointChannel, Vec3] = {}
     for d in baseline_defs:
         if d.baseline == "subtract_initial":
-            values = []
-            for f, ax in zip(complete, axes_list):
-                values.append(_raw_angle(d, f, ax, None))
+            values = _channel(d, positions, axes, None)
+            if np.isnan(values).any():
+                raise DegenerateVector(f"{d.channel.value}: degenerate in a baseline frame")
             inclinations[d.channel] = float(np.mean(values))
         elif d.baseline == "initial_self":
-            segs = []
-            for f in complete:
-                seg = _segment(f, d.vector_b)
-                segs.append(seg / np.linalg.norm(seg))
-            directions[d.channel] = _mean_direction(segs)
+            seg = _segment(positions, d.vector_b)
+            directions[d.channel] = _mean_direction(seg / _norm(seg)[:, None])
 
     neck_incl = inclinations.get(JointChannel.T1_head_neck_FE, 0.0)
     return Baseline(
         inclination=neck_incl,
-        axes=axes,
+        axes=mean_axes,
         inclinations=inclinations,
         directions=directions,
     )
 
 
-def _mean_direction(vectors) -> Vec3:
-    m = np.mean(np.stack(vectors), axis=0)
+def _mean_direction(vectors: np.ndarray) -> Vec3:
+    m = np.mean(vectors, axis=0)
     return m / np.linalg.norm(m)
 
 
@@ -447,60 +438,39 @@ def compute_joint_angles(frame: KeypointFrame, defs=None,
     """
     if defs is None:
         defs = default_angle_definitions()
-    axes = body_axes(frame)
-    out: dict[JointChannel, float] = {}
-    for d in defs:
-        try:
-            value = _raw_angle(d, frame, axes, baseline)
-        except (DegenerateVector, DegenerateProjection) as exc:
-            log.debug("frame %.3f: %s", frame.timestamp, exc)
-            continue
-        if d.baseline == "subtract_initial" and baseline is not None:
-            value -= baseline.inclinations.get(d.channel, 0.0)
-        out[d.channel] = value
-    return out
+    values = _angles(KeypointRecording.from_frames([frame]).positions, defs, baseline)
+    return {ch: float(v[0]) for ch, v in values.items() if not math.isnan(v[0])}
 
 
 def compute_angle_series(frames, defs=None,
                          baseline_window: int = DEFAULT_BASELINE_WINDOW,
                          sample_rate: float | None = None) -> JointAngleSeries:
-    """Apply compute_joint_angles across a recording.
+    """Every channel over every frame of a KeypointRecording, or of an
+    iterable of KeypointFrame stacked into one.
 
-    The sample rate is inferred from the median frame spacing unless given.
-    Channels a frame cannot produce become NaN samples for that frame.
+    Unless given, the sample rate comes from ``uniform_grid`` on the frame
+    times. Channels a frame cannot produce become NaN samples for that frame.
     """
-    frames = list(frames)
-    if not frames:
+    recording = KeypointRecording.from_frames(frames)
+    n = len(recording)
+    if not n:
         raise NoCompleteFrames("empty recording")
     if defs is None:
         defs = default_angle_definitions()
-    baseline = neck_baseline(frames, defs, window=baseline_window)
-
+    start_time = float(recording.times[0])
     if sample_rate is None:
-        if len(frames) < 2:
-            raise ValueError("cannot infer sample rate from a single frame")
-        spacing = float(np.median(np.diff([f.timestamp for f in frames])))
-        if spacing <= 0:
-            raise ValueError("frame timestamps do not advance")
-        sample_rate = 1.0 / spacing
+        sample_rate, start_time = uniform_grid(recording.times)
+    baseline = neck_baseline(recording, defs, window=baseline_window)
 
-    n = len(frames)
-    channels = {d.channel: np.full(n, np.nan) for d in defs}
-    dropped = {d.channel: 0 for d in defs}
-    for i, frame in enumerate(frames):
-        values = compute_joint_angles(frame, defs, baseline)
-        for d in defs:
-            if d.channel in values:
-                channels[d.channel][i] = values[d.channel]
-            else:
-                dropped[d.channel] += 1
-    for ch, count in dropped.items():
+    channels = _angles(recording.positions, defs, baseline)
+    for ch, values in channels.items():
+        count = int(np.isnan(values).sum())
         if count:
             log.info("channel %s: %d of %d frames missing", ch.value, count, n)
 
     return JointAngleSeries(
         sample_rate=sample_rate,
-        start_time=frames[0].timestamp,
+        start_time=start_time,
         channels=channels,
         meta={"source": "keypoints", "frames": n},
     )

@@ -15,9 +15,12 @@ Keypoint stream (JSON lines)
          "confidence": {"nose": 0.97, ...}}
 
     ``frame`` is the frame index; ``time`` (seconds) is optional and is
-    synthesized as ``frame / frame_rate`` when absent. ``confidence`` is
-    optional. Unmapped point labels are ignored. A landmark with a
-    non-finite triplet is treated as absent for that frame.
+    synthesized as ``frame / frame_rate`` when absent. The stream parses
+    into one KeypointRecording. Unmapped point labels are ignored. An
+    absent landmark, or one with a non-finite triplet, is a NaN row; there
+    is no "incomplete" flag. ``confidence`` is optional, range-checked to
+    [0, 1] and unused. Irregular timestamps (a skipped frame, a stall) are
+    rejected with IrregularTimestamps when the sample rate is inferred.
 
 Annotation CSV
     Header ``t0,t1,arm_muscle,arm_force,neck_muscle,neck_force,legs``,
@@ -48,9 +51,11 @@ from .motion import (
     JointAngleSeries,
     JointChannel,
     KeypointFrame,
+    KeypointRecording,
     Landmark,
     CHANNEL_ORDER,
-    vec3,
+    LANDMARK_INDEX,
+    uniform_grid,
 )
 
 log = logging.getLogger(__name__)
@@ -104,6 +109,8 @@ def parse_imu_joint_csv(data: bytes | str, spec: ImuCsvSpec = DEFAULT_IMU_SPEC) 
 
     Raises EmptyFile, MalformedHeader, or MissingColumn; unparseable
     numeric cells become NaN and are counted in ``meta['unparseable_cells']``.
+    A time column that is not on a uniform grid (a gap, a non-finite or
+    missing time) raises IrregularTimestamps rather than being re-timed.
     """
     text = _as_text(data)
     if not text.strip():
@@ -159,12 +166,7 @@ def parse_imu_joint_csv(data: bytes | str, spec: ImuCsvSpec = DEFAULT_IMU_SPEC) 
     rate = spec.declared_rate
     start = 0.0
     if time_idx is not None and len(times) >= 2:
-        t = np.asarray(times)
-        if np.all(np.isfinite(t)):
-            dt = float(np.median(np.diff(t)))
-            if dt > 0:
-                rate = 1.0 / dt
-                start = float(t[0])
+        rate, start = uniform_grid(times)
 
     return JointAngleSeries(
         sample_rate=rate,
@@ -201,43 +203,34 @@ def _default_landmark_map() -> dict[str, Landmark]:
 
 @dataclass(frozen=True)
 class KeypointStreamSpec:
-    """Layout of a keypoint stream: frame rate plus tracker-label mapping.
-
-    ``required_landmarks`` drives the per-frame incomplete flag; when None
-    the landmarks needed by the default angle definitions are used.
-    """
+    """Layout of a keypoint stream: frame rate plus tracker-label mapping."""
 
     frame_rate: float = 30.0
     landmark_map: dict[str, Landmark] = field(default_factory=_default_landmark_map)
-    required_landmarks: frozenset[Landmark] | None = None
 
     def __post_init__(self):
         if not (self.frame_rate > 0):
             raise ValueError("frame_rate must be > 0")
-
-    def required(self) -> frozenset[Landmark]:
-        if self.required_landmarks is not None:
-            return self.required_landmarks
-        from .geometry import default_required_landmarks
-
-        return default_required_landmarks()
 
 
 DEFAULT_STREAM_SPEC = KeypointStreamSpec()
 
 
 def parse_keypoint_stream(data: bytes | str,
-                          spec: KeypointStreamSpec = DEFAULT_STREAM_SPEC) -> list[KeypointFrame]:
-    """Parse a JSON-lines keypoint stream into KeypointFrames.
+                          spec: KeypointStreamSpec = DEFAULT_STREAM_SPEC) -> KeypointRecording:
+    """Parse a JSON-lines keypoint stream into one KeypointRecording.
 
-    Frames must arrive in nondecreasing timestamp order. Records missing
-    required landmarks are flagged incomplete, not rejected.
+    Frames must arrive in nondecreasing timestamp order. A landmark that is
+    absent, or has a non-finite coordinate, is a NaN row of its frame.
     """
     text = _as_text(data)
     if not text.strip():
         raise EmptyFile("no content")
-    required = spec.required()
-    frames: list[KeypointFrame] = []
+    # Offset of each mapped label's triplet in a frame's flat row.
+    column = {label: 3 * LANDMARK_INDEX[lm] for label, lm in spec.landmark_map.items()}
+    empty_row = [math.nan] * (3 * len(LANDMARK_INDEX))
+    times: list[float] = []
+    rows: list[list[float]] = []
     prev_t = -math.inf
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -268,45 +261,35 @@ def parse_keypoint_stream(data: bytes | str,
         points = record["points"]
         if not isinstance(points, dict):
             raise MalformedRecord("'points' must be a label -> [x, y, z] object", line_no)
-        positions: dict[Landmark, np.ndarray] = {}
+        row = empty_row.copy()
         for label, xyz in points.items():
-            lm = spec.landmark_map.get(label)
-            if lm is None:
+            j = column.get(label)
+            if j is None:
                 continue
             if not (isinstance(xyz, (list, tuple)) and len(xyz) == 3):
                 raise MalformedRecord(f"point {label!r} is not an [x, y, z] triplet", line_no)
             try:
-                p = vec3(float(xyz[0]), float(xyz[1]), float(xyz[2]))
+                row[j:j + 3] = float(xyz[0]), float(xyz[1]), float(xyz[2])
             except (TypeError, ValueError):
                 raise MalformedRecord(f"point {label!r} has non-numeric coordinates", line_no)
-            if not np.all(np.isfinite(p)):
-                continue  # tracker lost this landmark; treat as absent
-            positions[lm] = p
 
-        confidence = None
-        if "confidence" in record and isinstance(record["confidence"], dict):
-            confidence = {}
-            for label, c in record["confidence"].items():
-                lm = spec.landmark_map.get(label)
-                if lm is None:
-                    continue
-                c = float(c)
-                if not (0.0 <= c <= 1.0):
+        confidence = record.get("confidence")
+        if isinstance(confidence, dict):
+            for label, c in confidence.items():
+                try:
+                    ok = label not in column or 0.0 <= float(c) <= 1.0
+                except (TypeError, ValueError):
+                    ok = False
+                if not ok:
                     raise MalformedRecord(
-                        f"confidence {c} for {label!r} outside [0, 1]", line_no
-                    )
-                confidence[lm] = c
+                        f"confidence {c!r} for {label!r} is not a number in [0, 1]", line_no)
+        times.append(t)
+        rows.append(row)
 
-        incomplete = any(lm not in positions for lm in required)
-        frames.append(
-            KeypointFrame(
-                timestamp=t,
-                positions=positions,
-                confidence=confidence,
-                incomplete=incomplete,
-            )
-        )
-    return frames
+    positions = np.array(rows).reshape(len(rows), len(LANDMARK_INDEX), 3)
+    # The tracker lost a landmark with a non-finite coordinate: absent.
+    positions[~np.isfinite(positions).all(axis=2)] = np.nan
+    return KeypointRecording(times=np.array(times), positions=positions)
 
 
 def format_keypoint_stream(frames: list[KeypointFrame]) -> str:
@@ -320,10 +303,6 @@ def format_keypoint_stream(frames: list[KeypointFrame]) -> str:
                 lm.value: [float(v) for v in p] for lm, p in frame.positions.items()
             },
         }
-        if frame.confidence:
-            record["confidence"] = {
-                lm.value: float(c) for lm, c in frame.confidence.items()
-            }
         lines.append(json.dumps(record))
     return "\n".join(lines) + "\n"
 

@@ -5,7 +5,7 @@ Conventions used throughout the package:
 
 * 3D points and vectors are numpy float arrays of shape (3,) in the source
   capture volume's units; angles are scale-invariant so the unit never
-  matters.
+  matters. A recording stacks them into one (N, L, 3) array.
 * Angle samples are degrees stored as float64; a missing sample is NaN.
   No operation silently zero-fills a gap.
 * All containers are value data: construct once, never mutate.
@@ -23,7 +23,9 @@ from .errors import (
     EmptyChannel,
     InvalidForceValue,
     InvertedInterval,
+    IrregularTimestamps,
     OverlappingIntervals,
+    TooShort,
     UnknownChannel,
 )
 
@@ -112,17 +114,11 @@ def channel_side(channel: JointChannel) -> Side | None:
 
 @dataclass(frozen=True)
 class KeypointFrame:
-    """One timestamped frame of 3D anatomical landmark positions.
-
-    ``incomplete`` is set by the parser when a landmark required by the
-    requested channels is absent; such frames still participate in the
-    pipeline, producing missing samples for the affected channels.
-    """
+    """One timestamped frame of 3D anatomical landmark positions; a landmark
+    the tracker did not report is simply absent from ``positions``."""
 
     timestamp: float
     positions: Mapping[Landmark, Vec3]
-    confidence: Mapping[Landmark, float] | None = None
-    incomplete: bool = False
 
     def __post_init__(self):
         if not math.isfinite(self.timestamp) or self.timestamp < 0:
@@ -133,6 +129,60 @@ class KeypointFrame:
 
     def has(self, *landmarks: Landmark) -> bool:
         return all(lm in self.positions for lm in landmarks)
+
+
+#: Row of each landmark in ``KeypointRecording.positions``.
+LANDMARK_INDEX: dict[Landmark, int] = {lm: i for i, lm in enumerate(Landmark)}
+
+
+@dataclass(frozen=True)
+class KeypointRecording:
+    """A whole keypoint recording as columns: ``times`` (N,) and
+    ``positions`` (N, L, 3), rows in ``LANDMARK_INDEX`` order. A landmark
+    absent from a frame, or with a non-finite coordinate, is a NaN row."""
+
+    times: np.ndarray
+    positions: np.ndarray
+
+    def __post_init__(self):
+        if self.positions.shape != (len(self.times), len(LANDMARK_INDEX), 3):
+            raise ValueError(f"positions {self.positions.shape} != (len(times), L, 3)")
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    @classmethod
+    def from_frames(cls, frames) -> "KeypointRecording":
+        """Stack an iterable of KeypointFrame; a recording is returned as is."""
+        if isinstance(frames, cls):
+            return frames
+        frames = list(frames)
+        positions = np.full((len(frames), len(LANDMARK_INDEX), 3), np.nan)
+        for i, frame in enumerate(frames):
+            for lm, p in frame.positions.items():
+                positions[i, LANDMARK_INDEX[lm]] = p
+        return cls(times=np.array([f.timestamp for f in frames], dtype=float),
+                   positions=positions)
+
+
+def uniform_grid(times) -> tuple[float, float]:
+    """Sample rate and start time of timestamps on a uniform grid of the
+    median step. Raises TooShort for fewer than two times, and, naming the
+    first offending sample, IrregularTimestamps for a non-finite time or a
+    step outside 0.5-1.5x the median (a gap, a dropped frame, a stall)."""
+    t = np.asarray(times, dtype=float)
+    if t.size < 2:
+        raise TooShort(f"cannot infer a sample rate from {t.size} timestamp(s)")
+    steps = np.diff(t)
+    dt = float(np.median(steps))
+    bad = ~np.isfinite(t)
+    if not bad.any():
+        bad[1:] = ~((steps >= 0.5 * dt) & (steps <= 1.5 * dt) & (dt > 0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise IrregularTimestamps(f"sample {i}: time {float(t[i])!r} is off the "
+                                  f"uniform grid of the {dt:g} s median step")
+    return 1.0 / dt, float(t[0])
 
 
 @dataclass

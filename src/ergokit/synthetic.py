@@ -209,19 +209,11 @@ def transform_frames(frames, rotation: np.ndarray | None = None,
     """Apply one rigid motion (plus uniform scale) to a whole recording."""
     R = np.eye(3) if rotation is None else np.asarray(rotation, dtype=float)
     t = np.zeros(3) if translation is None else np.asarray(translation, dtype=float)
-    out = []
-    for frame in frames:
-        out.append(
-            KeypointFrame(
-                timestamp=frame.timestamp,
-                positions={
-                    lm: scale * (R @ p) + t for lm, p in frame.positions.items()
-                },
-                confidence=frame.confidence,
-                incomplete=frame.incomplete,
-            )
-        )
-    return out
+    return [
+        KeypointFrame(timestamp=frame.timestamp,
+                      positions={lm: scale * (R @ p) + t for lm, p in frame.positions.items()})
+        for frame in frames
+    ]
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

@@ -236,3 +236,47 @@ def test_strict_mode_fails_on_missing_channel(tmp_path, capsys):
     code = main(["score", str(path), "--strict", "--out", str(tmp_path / "o2")])
     assert code == 1
     assert "IncompleteFrame" in capsys.readouterr().err
+
+
+def _error_lines(capsys) -> list[str]:
+    return capsys.readouterr().err.splitlines()
+
+
+def _imu_csv(times) -> str:
+    header = ",".join(["time"] + [ch.value for ch in JointChannel])
+    zeros = ",".join("0.0" for _ in JointChannel)
+    return "\n".join([header] + [f"{t!r},{zeros}" for t in times]) + "\n"
+
+
+def _skipped_frame_stream() -> str:
+    frames, _ = elbow_flexion_recording(n_frames=40)
+    del frames[25]
+    return format_keypoint_stream(frames)
+
+
+@pytest.mark.parametrize("kind, content, error", [
+    ("keypoints", json.dumps({"frame": 0, "points": {"nose": [0.0, 0.0, 1.7]},
+                              "confidence": {"nose": "x"}}) + "\n", "MalformedRecord"),
+    ("imu-csv", _imu_csv([0.0, 0.01, 5.0, 5.01]), "IrregularTimestamps"),
+    ("keypoints", _skipped_frame_stream(), "IrregularTimestamps"),
+], ids=["confidence-not-a-number", "imu-time-gap", "skipped-frame"])
+def test_score_bad_input_is_one_error_line(tmp_path, capsys, kind, content, error):
+    path = tmp_path / "input"
+    path.write_text(content)
+    code = main(["score", str(path), "--kind", kind, "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = _error_lines(capsys)
+    assert len(err) == 1
+    assert err[0].startswith(f"ergokit: error: {error}")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--rate", "0"), ("--imu-rate", "0"), ("--fps", "0"), ("--rate", "nan"),
+])
+def test_bad_rate_rejected_before_any_work(tmp_path, neutral_csv, capsys, flag, value):
+    out = tmp_path / "out"
+    assert main(["score", str(neutral_csv), flag, value, "--out", str(out)]) != 0
+    err = _error_lines(capsys)
+    assert len(err) == 1
+    assert err[0].startswith("ergokit: error:") and flag in err[0]
+    assert not out.exists()

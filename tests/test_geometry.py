@@ -3,13 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from ergokit.errors import DegenerateProjection, DegenerateVector, NoCompleteFrames
+from ergokit.errors import (
+    DegenerateProjection,
+    DegenerateVector,
+    IrregularTimestamps,
+    NoCompleteFrames,
+)
 from ergokit.geometry import (
     body_axes,
     compute_angle_series,
     compute_joint_angles,
     default_angle_definitions,
-    default_required_landmarks,
     neck_baseline,
     signed_plane_angle,
     vector_angle,
@@ -221,6 +225,20 @@ def test_series_sample_rate_from_frame_spacing():
     assert math.isclose(series.sample_rate, 30.0, rel_tol=1e-9)
 
 
+def test_series_jittered_frame_times_accepted(rng):
+    steps = (1 / 30) * rng.uniform(0.8, 1.2, size=59)
+    times = np.concatenate([[0.0], np.cumsum(steps)])
+    series = compute_angle_series([neutral_frame(float(t)) for t in times])
+    assert math.isclose(series.sample_rate, 1 / np.median(steps), rel_tol=1e-12)
+
+
+def test_series_skipped_frame_rejected():
+    frames = [neutral_frame(i / 30) for i in range(20) if i != 12]
+    with pytest.raises(IrregularTimestamps) as err:
+        compute_angle_series(frames)
+    assert "sample 12" in str(err.value)
+
+
 def test_missing_wrist_mid_series():
     frames = []
     for i in range(10):
@@ -253,7 +271,7 @@ def test_rigid_motion_and_scale_invariance(rng):
 
 
 def test_default_required_landmarks_exclude_knees():
-    required = default_required_landmarks()
+    required = frozenset().union(*(d.landmarks() for d in default_angle_definitions()))
     assert Landmark.knee_l not in required
     assert Landmark.pelvis in required
     assert Landmark.pinky_knuckle_r in required

@@ -7,6 +7,7 @@ import pytest
 from ergokit.errors import (
     EmptyFile,
     InvalidForceValue,
+    IrregularTimestamps,
     MalformedRecord,
     MissingColumn,
     NonMonotonicTimestamps,
@@ -24,6 +25,7 @@ from ergokit.ingest import (
     resample,
 )
 from ergokit.motion import (
+    LANDMARK_INDEX,
     AnnotationInterval,
     AnnotationTrack,
     JointAngleSeries,
@@ -90,6 +92,19 @@ def test_parse_imu_csv_time_column_wins():
     assert math.isclose(series.sample_rate, 50.0, rel_tol=1e-9)
 
 
+@pytest.mark.parametrize("times, needle", [
+    (["0", "0.01", "5.0", "5.01"], "sample 2: time 5.0"),
+    (["0", "0.01", "", "0.03"], "sample 2: time nan"),
+])
+def test_parse_imu_csv_irregular_time_column_rejected(times, needle):
+    text = "time,arm_flex_r,elbow_flex_r,lumbar_flexion\n" + "\n".join(
+        f"{t},1,2,3" for t in times
+    ) + "\n"
+    with pytest.raises(IrregularTimestamps) as err:
+        parse_imu_joint_csv(text, _three_channel_spec())
+    assert needle in str(err.value)
+
+
 def test_imu_csv_round_trip(rng):
     channels = {}
     for ch in JointChannel:
@@ -121,12 +136,12 @@ def _record(frame, points, time=None):
 def test_parse_keypoint_stream_timestamps():
     full = {lm.value: list(map(float, p)) for lm, p in neutral_frame().positions.items()}
     text = "\n".join(_record(i, full) for i in range(3))
-    frames = parse_keypoint_stream(text)
-    assert len(frames) == 3
-    assert frames[0].timestamp == 0.0
-    assert math.isclose(frames[1].timestamp, 1 / 30)
-    assert math.isclose(frames[2].timestamp, 2 / 30)
-    assert not frames[0].incomplete
+    rec = parse_keypoint_stream(text)
+    assert len(rec) == 3
+    assert rec.times[0] == 0.0
+    assert math.isclose(rec.times[1], 1 / 30)
+    assert math.isclose(rec.times[2], 2 / 30)
+    assert np.isfinite(rec.positions[0]).all()
 
 
 def test_parse_keypoint_stream_incomplete_frame():
@@ -134,10 +149,11 @@ def test_parse_keypoint_stream_incomplete_frame():
     partial = dict(full)
     del partial["nose"]
     text = "\n".join([_record(0, full), _record(1, partial)])
-    frames = parse_keypoint_stream(text)
-    assert not frames[0].incomplete
-    assert frames[1].incomplete
-    assert Landmark.nose not in frames[1].positions
+    rec = parse_keypoint_stream(text)
+    nose = LANDMARK_INDEX[Landmark.nose]
+    assert np.isfinite(rec.positions[0]).all()
+    assert np.isnan(rec.positions[1, nose]).all()
+    assert np.isfinite(np.delete(rec.positions[1], nose, axis=0)).all()
 
 
 def test_parse_keypoint_stream_non_monotonic():
@@ -159,11 +175,21 @@ def test_parse_keypoint_stream_malformed_record_has_line_number():
     assert "line 2" in str(err.value)
 
 
+@pytest.mark.parametrize("value", ["x", None, "nan"])
+def test_parse_keypoint_stream_bad_confidence(value):
+    full = {lm.value: list(map(float, p)) for lm, p in neutral_frame().positions.items()}
+    bad = json.dumps({"frame": 1, "points": full, "confidence": {"nose": value}})
+    with pytest.raises(MalformedRecord) as err:
+        parse_keypoint_stream("\n".join([_record(0, full), bad]))
+    assert "line 2" in str(err.value)
+
+
 def test_parse_keypoint_stream_ignores_unknown_labels():
     full = {lm.value: list(map(float, p)) for lm, p in neutral_frame().positions.items()}
     full["left_ear"] = [0.0, 0.1, 1.7]
-    frames = parse_keypoint_stream(_record(0, full))
-    assert len(frames[0].positions) == len(Landmark)
+    rec = parse_keypoint_stream(_record(0, full))
+    assert rec.positions.shape == (1, len(Landmark), 3)
+    assert np.isfinite(rec.positions).all()
 
 
 def test_keypoint_stream_round_trip():
@@ -171,9 +197,11 @@ def test_keypoint_stream_round_trip():
     text = format_keypoint_stream(frames)
     parsed = parse_keypoint_stream(text)
     assert len(parsed) == 2
-    for original, back in zip(frames, parsed):
+    for i, original in enumerate(frames):
+        assert parsed.times[i] == original.timestamp
         for lm in original.positions:
-            assert np.array_equal(original.positions[lm], back.positions[lm])
+            assert np.array_equal(original.positions[lm],
+                                  parsed.positions[i, LANDMARK_INDEX[lm]])
 
 
 # --- annotations ----------------------------------------------------------------
