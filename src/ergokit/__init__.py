@@ -44,7 +44,6 @@ from .rula import (
     RulaConfig,
     RulaFrameScore,
     RulaTimeline,
-    apply_position_adjustments,
     band_percentages,
     default_config,
     load_rula_config,

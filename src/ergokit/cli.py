@@ -165,8 +165,25 @@ def cmd_check_config(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Raise instead of printing usage and exiting; ``main`` reports it."""
+        raise argparse.ArgumentError(None, message)
+
+
+def _rate(text: str) -> float:
+    """argparse type for a rate in Hz: a positive finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite rate, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog=PROG,
         description="Ergonomic scoring and two-system comparison for "
                     "motion-capture joint angles.",
@@ -177,11 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None,
                        help="scoring config JSON (default: shipped tables)")
         p.add_argument("--out", default="ergokit-out", help="output directory")
-        p.add_argument("--rate", type=float, default=None,
+        p.add_argument("--rate", type=_rate, default=None,
                        help="resample to this rate (Hz) before processing")
-        p.add_argument("--imu-rate", type=float, default=100.0,
+        p.add_argument("--imu-rate", type=_rate, default=100.0,
                        help="declared IMU sample rate when the CSV has no time column")
-        p.add_argument("--fps", type=float, default=30.0,
+        p.add_argument("--fps", type=_rate, default=30.0,
                        help="keypoint stream frame rate")
         p.add_argument("--angle-defs", default=None,
                        help="angle definition JSON (default: shipped definitions)")
@@ -230,13 +247,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    for name in ("rate", "imu_rate", "fps"):
-        value = getattr(args, name, None)
-        if value is not None and not (math.isfinite(value) and value > 0):
-            print(f"{PROG}: error: --{name.replace('_', '-')} must be a positive "
-                  f"finite rate, got {value}", file=sys.stderr)
-            return 2
+    try:
+        args = build_parser().parse_args(argv)
+    except argparse.ArgumentError as exc:
+        print(f"{PROG}: error: {exc}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (ErgokitError, OSError) as exc:

@@ -262,7 +262,8 @@ _LEGS_RANGE = (1, 2)
 
 @dataclass(frozen=True)
 class AnnotationFlags:
-    """Muscle/force/legs inputs active at one instant.
+    """Muscle/force/legs inputs active at one instant (or, as returned by
+    ``AnnotationTrack.flags_for``, at N instants, one (N,) array per field).
 
     Defaults are the neutral values used outside any annotated interval.
     """
@@ -275,6 +276,7 @@ class AnnotationFlags:
 
 
 NEUTRAL_FLAGS = AnnotationFlags()
+_FLAG_FIELDS = tuple(vars(NEUTRAL_FLAGS))
 
 
 @dataclass(frozen=True)
@@ -303,38 +305,40 @@ class AnnotationInterval:
                     f"{name}={v!r} outside allowed range {rng[0]}..{rng[1]}"
                 )
 
-    def flags(self) -> AnnotationFlags:
-        return AnnotationFlags(
-            arm_muscle=self.arm_muscle,
-            arm_force=self.arm_force,
-            neck_muscle=self.neck_muscle,
-            neck_force=self.neck_force,
-            legs=self.legs,
-        )
-
 
 @dataclass(frozen=True)
 class AnnotationTrack:
-    """Sorted, validated, non-overlapping annotation intervals."""
+    """Non-overlapping annotation intervals sorted by t0 (``from_intervals`` sorts)."""
 
     intervals: tuple[AnnotationInterval, ...] = ()
 
-    @classmethod
-    def from_intervals(cls, intervals) -> "AnnotationTrack":
-        ordered = tuple(sorted(intervals, key=lambda iv: iv.t0))
-        for prev, nxt in zip(ordered, ordered[1:]):
+    def __post_init__(self):
+        for prev, nxt in zip(self.intervals, self.intervals[1:]):
             if nxt.t0 < prev.t1:
                 raise OverlappingIntervals(
                     f"intervals [{prev.t0}, {prev.t1}] and [{nxt.t0}, {nxt.t1}] overlap"
                 )
-        return cls(intervals=ordered)
+
+    @classmethod
+    def from_intervals(cls, intervals) -> "AnnotationTrack":
+        return cls(intervals=tuple(sorted(intervals, key=lambda iv: iv.t0)))
+
+    def flags_for(self, times) -> AnnotationFlags:
+        """Flags for every timestamp at once, each field an (N,) int array:
+        those of the last interval starting at or before t if t < its t1
+        (each interval covers [t0, t1)), else the neutral flags."""
+        t = np.asarray(times, dtype=float)
+        # Row k of ``rows`` and ``ends`` is interval k - 1; row 0 is neutral.
+        rows = np.array([[getattr(row, name) for name in _FLAG_FIELDS]
+                         for row in (NEUTRAL_FLAGS,) + self.intervals])
+        k = np.searchsorted([iv.t0 for iv in self.intervals], t, side="right")
+        ends = np.array([-math.inf] + [iv.t1 for iv in self.intervals])
+        return AnnotationFlags(*rows[np.where(t < ends[k], k, 0)].T)
 
     def flags_at(self, t: float) -> AnnotationFlags:
-        """Flags for timestamp t; each interval covers [t0, t1)."""
-        for iv in self.intervals:
-            if iv.t0 <= t < iv.t1:
-                return iv.flags()
-        return NEUTRAL_FLAGS
+        """Flags for timestamp t; the N=1 case of ``flags_for``."""
+        flags = self.flags_for([t])
+        return AnnotationFlags(**{name: int(getattr(flags, name)[0]) for name in _FLAG_FIELDS})
 
 
 EMPTY_ANNOTATIONS = AnnotationTrack()

@@ -24,7 +24,6 @@ from .motion import (
     ChannelSummary,
     JointAngleSeries,
     JointChannel,
-    Side,
     channel_summary,
 )
 from .compare import ComparisonReport, ComparisonSummary, summarize_runs
@@ -90,12 +89,12 @@ def build_session_report(timeline: RulaTimeline,
         duration=(timeline.length - 1) / timeline.sample_rate,
         samples=timeline.length,
         config_checksum=config.checksum if config is not None else "",
-        degraded_frames=timeline.degraded_count(),
+        degraded_frames=int(np.count_nonzero(timeline.degraded)),
         band_percentages=band_percentages(timeline),
         times=timeline.times,
-        left=timeline.finals_for(Side.left),
-        right=timeline.finals_for(Side.right),
-        combined=timeline.finals(),
+        left=timeline.left.final,
+        right=timeline.right.final,
+        combined=timeline.final,
         channel_summaries=summaries,
         flags=dict(flags or {}),
     )
@@ -107,6 +106,12 @@ def emit_session_report(report: SessionReport, format: str = "structured") -> st
     if format == "delimited":
         return _session_csv(report)
     raise ValueError(f"unknown format {format!r}")
+
+
+def _score_rows(times, left, right, combined) -> list[str]:
+    """The ``time,left,right,combined`` header and one row per sample."""
+    rows = zip(times.tolist(), left.tolist(), right.tolist(), combined.tolist())
+    return ["time,left,right,combined"] + [f"{t:.3f},{l},{r},{c}" for t, l, r, c in rows]
 
 
 def _session_json(report: SessionReport) -> str:
@@ -159,12 +164,7 @@ def _session_csv(report: SessionReport) -> str:
     for band in RiskBand:
         lines.append(f"{band.value},{format_percent(report.band_percentages[band])}")
     lines.append("")
-    lines.append("time,left,right,combined")
-    for i in range(report.samples):
-        lines.append(
-            f"{report.times[i]:.3f},{int(report.left[i])},"
-            f"{int(report.right[i])},{int(report.combined[i])}"
-        )
+    lines.extend(_score_rows(report.times, report.left, report.right, report.combined))
     if report.channel_summaries:
         lines.append("")
         lines.append("channel,mean,std_dev,min,max")
@@ -262,15 +262,7 @@ def emit_plot_series(obj) -> dict[str, str]:
     if isinstance(obj, RulaTimeline):
         if obj.length == 0:
             raise EmptyInput("empty timeline")
-        times = obj.times
-        left = obj.finals_for(Side.left)
-        right = obj.finals_for(Side.right)
-        combined = obj.finals()
-        score_lines = ["time,left,right,combined"]
-        for i in range(obj.length):
-            score_lines.append(
-                f"{times[i]:.3f},{int(left[i])},{int(right[i])},{int(combined[i])}"
-            )
+        score_lines = _score_rows(obj.times, obj.left.final, obj.right.final, obj.final)
         percentages = band_percentages(obj)
         band_lines = ["band,percent"]
         for band in RiskBand:

@@ -6,13 +6,19 @@ ranges with their primary scores under the ``range`` key, posture
 adjustments under ``position``, the three lookup tables, and the risk-band
 cut points. Changing a threshold is a config edit.
 
-Scoring order per frame and side: range score per joint, position
+Scoring order per sample and side: range score per joint, position
 adjustments (clamped to each joint's table-input range), Table A, then
 score C = table A + arm muscle + arm force. Shared: neck/trunk range
 scores, adjustments, Table B with the annotated legs score, then
 score D = table B + neck muscle + neck force. Scores C and D are clamped
-to 1..9 before the final Table C lookup. The combined frame score is the
-worse (max) of the two sides.
+to 1..9 before the final Table C lookup. The combined score is the worse
+(max) of the two sides.
+
+There is one scoring path, over all samples at once: ``score_timeline``
+returns a ``RulaTimeline`` of (N,) arrays, and ``score_frame`` is its N=1
+case, returning a per-frame view. A missing channel (absent or NaN) scores
+its joint's minimum and marks the sample degraded; with ``strict=True`` it
+raises IncompleteFrame naming the channel and the first sample lacking it.
 
 Range intervals are half-open [lo, hi); the first interval is open below
 and the last closed above, so every finite angle scores exactly once.
@@ -74,10 +80,9 @@ _PREDICATES = ("above", "below", "outside")
 class RangeRule:
     joint: str
     channels: dict[str, JointChannel]  # keys: "left"/"right" or "axial"
-    intervals: tuple[tuple[float, float, int], ...]  # (lo, hi, score)
-
-    def min_score(self) -> int:
-        return min(score for _, _, score in self.intervals)
+    intervals: tuple[tuple[float, float, int], ...]  # (lo, hi, score), sorted
+    edges: np.ndarray = field(repr=False, compare=False)  # starts after the first
+    scores: np.ndarray = field(repr=False, compare=False)  # one per interval
 
 
 @dataclass(frozen=True)
@@ -90,13 +95,6 @@ class PositionRule:
     side: Side | None = None
     reason: str = ""
 
-    def triggered(self, angle: float) -> bool:
-        if self.predicate == "above":
-            return angle > self.threshold
-        if self.predicate == "below":
-            return angle < self.threshold
-        return abs(angle) > self.threshold  # outside
-
 
 @dataclass(frozen=True)
 class RulaConfig:
@@ -105,7 +103,7 @@ class RulaConfig:
     table_a_values: np.ndarray  # shape (6, 3, 4, 2)
     table_b_values: np.ndarray  # shape (6, 6, 2)
     table_c_values: np.ndarray  # shape (9, 9)
-    bands: dict[RiskBand, tuple[int, int]]
+    band_codes: np.ndarray  # final score -> index of its band in RiskBand order
     checksum: str
     raw: dict = field(repr=False, default_factory=dict)
 
@@ -154,6 +152,13 @@ def _validate_table(raw: dict, name: str, shape: tuple[int, ...],
     walk(table, list(shape), ())
 
 
+def _interval(entry) -> tuple[float, float, int]:
+    """A config ``[lo, hi, score]`` entry, ``null`` bounds as -inf/+inf."""
+    lo, hi, score = entry
+    return (-math.inf if lo is None else float(lo),
+            math.inf if hi is None else float(hi), int(score))
+
+
 def _validate_range_section(raw: dict, problems: list[str]) -> None:
     section = raw.get("range")
     if not isinstance(section, dict):
@@ -187,8 +192,7 @@ def _validate_range_section(raw: dict, problems: list[str]) -> None:
                     or not isinstance(entry[2], int) or entry[2] < 1):
                 problems.append(f"range[{joint}]: bad interval {entry!r}")
                 continue
-            lo = -math.inf if entry[0] is None else float(entry[0])
-            hi = math.inf if entry[1] is None else float(entry[1])
+            lo, hi, _ = _interval(entry)
             if not lo < hi:
                 problems.append(f"range[{joint}]: empty interval [{entry[0]}, {entry[1]}]")
                 continue
@@ -293,16 +297,13 @@ def config_from_dict(raw: dict) -> RulaConfig:
 
     range_rules = {}
     for joint, rule in raw["range"].items():
-        intervals = tuple(
-            (-math.inf if lo is None else float(lo),
-             math.inf if hi is None else float(hi),
-             int(score))
-            for lo, hi, score in rule["intervals"]
-        )
+        intervals = tuple(sorted(map(_interval, rule["intervals"]), key=lambda iv: iv[0]))
         range_rules[joint] = RangeRule(
             joint=joint,
             channels={k: JointChannel(v) for k, v in rule["channels"].items()},
-            intervals=tuple(sorted(intervals, key=lambda iv: iv[0])),
+            intervals=intervals,
+            edges=np.array([lo for lo, _, _ in intervals[1:]]),
+            scores=np.array([score for _, _, score in intervals]),
         )
 
     position_rules = tuple(
@@ -318,10 +319,10 @@ def config_from_dict(raw: dict) -> RulaConfig:
         for r in raw["position"]
     )
 
-    bands = {
-        RiskBand(name): (int(rng[0]), int(rng[1]))
-        for name, rng in raw["bands"].items()
-    }
+    band_codes = np.zeros(8, dtype=np.int8)
+    for code, band in enumerate(RiskBand):
+        lo, hi = raw["bands"][band.value]
+        band_codes[lo:hi + 1] = code
 
     return RulaConfig(
         range_rules=range_rules,
@@ -329,7 +330,7 @@ def config_from_dict(raw: dict) -> RulaConfig:
         table_a_values=np.asarray(raw["table_a"], dtype=int),
         table_b_values=np.asarray(raw["table_b"], dtype=int),
         table_c_values=np.asarray(raw["table_c"], dtype=int),
-        bands=bands,
+        band_codes=band_codes,
         checksum=config_checksum(raw),
         raw=raw,
     )
@@ -383,12 +384,23 @@ def table_b(neck: int, trunk: int, legs: int,
 def table_c(score_c: int, score_d: int, config: RulaConfig | None = None) -> int:
     """Final lookup; inputs are clamped to 1..9, so it is total."""
     config = config or default_config()
-    c = min(9, max(1, int(score_c)))
-    d = min(9, max(1, int(score_d)))
-    return int(config.table_c_values[c - 1, d - 1])
+    return int(config.table_c_values[_clamp(int(score_c), 1, 9) - 1,
+                                     _clamp(int(score_d), 1, 9) - 1])
 
 
-# --- per-joint scoring ------------------------------------------------------------
+# --- scoring ------------------------------------------------------------------------
+
+_BANDS = tuple(RiskBand)
+
+
+def _clamp(scores, lo: int, hi: int):
+    return np.minimum(np.maximum(scores, lo), hi)
+
+
+def _range_scores(rule: RangeRule, angles):
+    """Primary score of the interval holding each angle: the number of
+    interval starts at or below it, so +inf lands in the last interval."""
+    return rule.scores[rule.edges.searchsorted(angles, side="right")]
 
 
 def score_range(joint: str, angle: float, config: RulaConfig | None = None) -> int:
@@ -399,45 +411,7 @@ def score_range(joint: str, angle: float, config: RulaConfig | None = None) -> i
         raise UnknownJoint(f"no range rule for joint {joint!r}")
     if math.isnan(angle):
         raise ValueError(f"angle for {joint} is NaN; resolve missing data first")
-    for lo, hi, score in rule.intervals:
-        if lo <= angle < hi:
-            return score
-    # Only +inf can fall through the half-open chain.
-    return rule.intervals[-1][2]
-
-
-def _clamp_joint(joint: str, score: int) -> int:
-    lo, hi = JOINT_SCORE_RANGE[joint]
-    return min(hi, max(lo, score))
-
-
-def apply_position_adjustments(base_scores: dict[str, int],
-                               angles: Mapping[JointChannel, float],
-                               config: RulaConfig | None = None,
-                               side: Side | None = None) -> dict[str, int]:
-    """Add each triggered position adjustment once and clamp to the joint's
-    table-input range.
-
-    ``side`` selects which sided rules apply; axial rules apply whenever
-    their joint is present in ``base_scores``. Rules whose trigger channel
-    is missing simply do not fire.
-    """
-    config = config or default_config()
-    adjusted = dict(base_scores)
-    for rule in config.position_rules:
-        if rule.joint not in adjusted:
-            continue
-        if rule.side is not None and rule.side != side:
-            continue
-        angle = angles.get(rule.channel)
-        if angle is None or (isinstance(angle, float) and math.isnan(angle)):
-            continue
-        if rule.triggered(float(angle)):
-            adjusted[rule.joint] += rule.adjust
-    return {joint: _clamp_joint(joint, score) for joint, score in adjusted.items()}
-
-
-# --- frame and timeline scoring ------------------------------------------------------
+    return int(_range_scores(rule, angle))
 
 
 @dataclass(frozen=True)
@@ -453,6 +427,8 @@ class SideScores:
 
 @dataclass(frozen=True)
 class RulaFrameScore:
+    """The scores of one sample: a view of one row of a RulaTimeline."""
+
     left: SideScores
     right: SideScores
     neck: int
@@ -464,23 +440,115 @@ class RulaFrameScore:
     band: RiskBand
     degraded: bool = False
 
-    def side(self, side: Side) -> SideScores:
-        return self.left if side == Side.left else self.right
+
+@dataclass(frozen=True, eq=False)
+class SideTimeline:
+    """One side's scores for every sample: (N,) arrays named as in SideScores."""
+
+    arm: np.ndarray
+    forearm: np.ndarray
+    wrist: np.ndarray
+    wrist_twist: np.ndarray
+    table_a_score: np.ndarray
+    score_c: np.ndarray
+    final: np.ndarray
 
 
-def _local_score(joint: str, side_key: str, angles, config, strict: bool):
-    """Range score for one joint, honouring the missing-channel policy."""
-    rule = config.range_rules[joint]
-    channel = rule.channels[side_key]
-    angle = angles.get(channel)
-    missing = angle is None or (isinstance(angle, float) and math.isnan(angle))
-    if missing:
-        if strict:
-            raise IncompleteFrame(
-                f"channel {channel.value} required for {joint} is missing"
-            )
-        return rule.min_score(), True
-    return score_range(joint, float(angle), config), False
+@dataclass(frozen=True, eq=False)
+class RulaTimeline:
+    """Scores of every sample as (N,) arrays: per side in ``left`` and
+    ``right``, shared ones here. ``final`` is the combined score, ``band``
+    the index of its band in ``RiskBand`` order, ``degraded`` marks samples
+    that lacked a channel."""
+
+    sample_rate: float
+    start_time: float
+    left: SideTimeline
+    right: SideTimeline
+    neck: np.ndarray
+    trunk: np.ndarray
+    legs: np.ndarray
+    table_b_score: np.ndarray
+    score_d: np.ndarray
+    final: np.ndarray
+    band: np.ndarray
+    degraded: np.ndarray
+
+    @property
+    def length(self) -> int:
+        return len(self.final)
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.start_time + np.arange(self.length) / self.sample_rate
+
+    def frame(self, i: int) -> RulaFrameScore:
+        """The scores of sample ``i`` as a per-frame view."""
+        def row(arrays, names) -> dict[str, int]:
+            return {name: int(getattr(arrays, name)[i]) for name in names}
+
+        return RulaFrameScore(
+            left=SideScores(**row(self.left, vars(self.left))),
+            right=SideScores(**row(self.right, vars(self.right))),
+            **row(self, ("neck", "trunk", "legs", "table_b_score", "score_d", "final")),
+            band=_BANDS[self.band[i]], degraded=bool(self.degraded[i]),
+        )
+
+
+#: The scored joints in scoring order, as (side key, joint): the axial
+#: joints, then the left side's, then the right side's.
+_SLOTS = tuple(("axial", joint) for joint in AXIAL_JOINTS) + tuple(
+    (key, joint) for key in ("left", "right") for joint in SIDED_JOINTS)
+_SLOT_LO, _SLOT_HI = np.array([JOINT_SCORE_RANGE[joint] for _, joint in _SLOTS]).T[..., None]
+
+
+def _score(channels: Mapping[JointChannel, np.ndarray], n: int, flags: AnnotationFlags,
+           config: RulaConfig, strict: bool) -> dict:
+    """The RulaTimeline fields of ``n`` samples. ``channels`` maps each
+    channel present to its ``n`` angles; each field of ``flags`` is one
+    value or ``n`` values. Joint scores are the rows of one (10, n) array
+    in ``_SLOTS`` order."""
+    rules = [config.range_rules[joint] for _, joint in _SLOTS]
+    slot_channels = [rule.channels[key] for rule, (key, _) in zip(rules, _SLOTS)]
+    absent = np.full(n, np.nan)
+    angles = np.array([channels.get(ch, absent) for ch in slot_channels], dtype=float)
+    missing = np.isnan(angles)
+    degraded = missing.any(axis=0)
+    if strict and degraded.any():
+        i = int(np.argmax(degraded))
+        slot = int(np.argmax(missing[:, i]))
+        raise IncompleteFrame(f"channel {slot_channels[slot].value} required for "
+                              f"{_SLOTS[slot][1]} is missing at sample {i}")
+    lowest = [[min(score for _, _, score in rule.intervals)] for rule in rules]
+    scores = np.where(missing, lowest,
+                      [_range_scores(rule, values) for rule, values in zip(rules, angles)])
+
+    for rule in config.position_rules:
+        values = channels.get(rule.channel)
+        if values is None:
+            continue
+        if rule.predicate == "outside":
+            values = np.abs(values)
+        fired = values < rule.threshold if rule.predicate == "below" else values > rule.threshold
+        key = rule.side.value if rule.side else "axial"
+        scores[_SLOTS.index((key, rule.joint))] += rule.adjust * fired
+    scores = _clamp(scores, _SLOT_LO, _SLOT_HI)
+
+    neck, trunk = scores[:2]
+    legs = np.full(n, _clamp(flags.legs, 1, 2))
+    table_b_score = config.table_b_values[neck - 1, trunk - 1, legs - 1]
+    score_d = table_b_score + flags.neck_muscle + flags.neck_force
+    sides = []
+    for side_scores in (scores[2:6], scores[6:]):
+        a = config.table_a_values[tuple(side_scores - 1)]
+        score_c = a + flags.arm_muscle + flags.arm_force
+        final = config.table_c_values[_clamp(score_c, 1, 9) - 1, _clamp(score_d, 1, 9) - 1]
+        sides.append(SideTimeline(*side_scores, a, score_c, final))
+    left, right = sides
+    final = np.maximum(left.final, right.final)
+    return dict(left=left, right=right, neck=neck, trunk=trunk, legs=legs,
+                table_b_score=table_b_score, score_d=score_d, final=final,
+                band=config.band_codes[final], degraded=degraded)
 
 
 def score_frame(angles: Mapping[JointChannel, float],
@@ -494,78 +562,9 @@ def score_frame(angles: Mapping[JointChannel, float],
     IncompleteFrame instead.
     """
     config = config or default_config()
-    degraded = False
-
-    sides: dict[Side, SideScores] = {}
-    shared_base: dict[str, int] = {}
-    for joint in AXIAL_JOINTS:
-        score, miss = _local_score(joint, "axial", angles, config, strict)
-        shared_base[joint] = score
-        degraded = degraded or miss
-    shared = apply_position_adjustments(shared_base, angles, config, side=None)
-
-    legs = min(2, max(1, int(flags.legs)))
-    b_score = table_b(shared["neck"], shared["trunk"], legs, config)
-    score_d = b_score + flags.neck_muscle + flags.neck_force
-
-    for side, key in ((Side.left, "left"), (Side.right, "right")):
-        base: dict[str, int] = {}
-        for joint in SIDED_JOINTS:
-            score, miss = _local_score(joint, key, angles, config, strict)
-            base[joint] = score
-            degraded = degraded or miss
-        adjusted = apply_position_adjustments(base, angles, config, side=side)
-        a_score = table_a(adjusted["arm"], adjusted["forearm"],
-                          adjusted["wrist"], adjusted["wrist_twist"], config)
-        score_c = a_score + flags.arm_muscle + flags.arm_force
-        final = table_c(score_c, score_d, config)
-        sides[side] = SideScores(
-            arm=adjusted["arm"],
-            forearm=adjusted["forearm"],
-            wrist=adjusted["wrist"],
-            wrist_twist=adjusted["wrist_twist"],
-            table_a_score=a_score,
-            score_c=score_c,
-            final=final,
-        )
-
-    combined = max(sides[Side.left].final, sides[Side.right].final)
-    return RulaFrameScore(
-        left=sides[Side.left],
-        right=sides[Side.right],
-        neck=shared["neck"],
-        trunk=shared["trunk"],
-        legs=legs,
-        table_b_score=b_score,
-        score_d=score_d,
-        final=combined,
-        band=risk_band(combined, config),
-        degraded=degraded,
-    )
-
-
-@dataclass(frozen=True)
-class RulaTimeline:
-    sample_rate: float
-    start_time: float
-    frames: tuple[RulaFrameScore, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.frames)
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.start_time + np.arange(self.length) / self.sample_rate
-
-    def finals(self) -> np.ndarray:
-        return np.array([f.final for f in self.frames], dtype=int)
-
-    def finals_for(self, side: Side) -> np.ndarray:
-        return np.array([f.side(side).final for f in self.frames], dtype=int)
-
-    def degraded_count(self) -> int:
-        return sum(1 for f in self.frames if f.degraded)
+    values = np.array(list(angles.values()), dtype=float).reshape(-1, 1)
+    fields = _score(dict(zip(angles, values)), 1, flags, config, strict)
+    return RulaTimeline(sample_rate=1.0, start_time=0.0, **fields).frame(0)
 
 
 def score_timeline(series: JointAngleSeries,
@@ -577,34 +576,22 @@ def score_timeline(series: JointAngleSeries,
     config = config or default_config()
     if series.length == 0:
         raise EmptyTimeline("series has no samples")
-    times = series.times
-    frames = []
-    for i in range(series.length):
-        angles = {ch: float(values[i]) for ch, values in series.channels.items()}
-        frames.append(
-            score_frame(angles, annotations.flags_at(float(times[i])), config, strict)
-        )
-    return RulaTimeline(
-        sample_rate=series.sample_rate,
-        start_time=series.start_time,
-        frames=tuple(frames),
-    )
+    fields = _score(series.channels, series.length,
+                    annotations.flags_for(series.times), config, strict)
+    return RulaTimeline(sample_rate=series.sample_rate,
+                        start_time=series.start_time, **fields)
 
 
 def risk_band(final: int, config: RulaConfig | None = None) -> RiskBand:
     config = config or default_config()
-    for band, (lo, hi) in config.bands.items():
-        if lo <= final <= hi:
-            return band
-    raise ValueError(f"final score {final} not covered by the band mapping")
+    if not 1 <= final <= 7:
+        raise ValueError(f"final score {final} not covered by the band mapping")
+    return _BANDS[config.band_codes[final]]
 
 
 def band_percentages(timeline: RulaTimeline) -> dict[RiskBand, float]:
     """Percent of samples per risk band; sums to 100 within 1e-9."""
     if timeline.length == 0:
         raise EmptyTimeline("timeline has no frames")
-    counts = {band: 0 for band in RiskBand}
-    for frame in timeline.frames:
-        counts[frame.band] += 1
-    n = timeline.length
-    return {band: 100.0 * count / n for band, count in counts.items()}
+    counts = np.bincount(timeline.band, minlength=len(_BANDS)).tolist()
+    return {band: 100.0 * count / timeline.length for band, count in zip(_BANDS, counts)}

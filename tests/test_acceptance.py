@@ -19,6 +19,8 @@ from ergokit.geometry import (
 from ergokit.ingest import resample
 from ergokit.motion import (
     AnnotationFlags,
+    AnnotationInterval,
+    AnnotationTrack,
     JointAngleSeries,
     JointChannel,
     KeypointFrame,
@@ -31,10 +33,10 @@ from ergokit.reporting import (
 )
 from ergokit.rula import (
     RiskBand,
-    RulaTimeline,
     band_percentages,
     default_config,
     score_frame,
+    score_timeline,
     table_a,
     table_b,
     table_c,
@@ -262,16 +264,29 @@ def test_criterion_08_reporting_formatting():
     contorted[JointChannel.wrist_dev_r] = 20.0
     contorted[JointChannel.pro_sup_r] = 90.0
     contorted[JointChannel.lumbar_flexion] = 70.0
-    low = score_frame(zero, AnnotationFlags(arm_force=2, neck_force=2))
-    medium = score_frame(zero, AnnotationFlags(arm_muscle=1, arm_force=3,
-                                               neck_muscle=1, neck_force=3))
-    very_high = score_frame(contorted, AnnotationFlags(arm_muscle=1, arm_force=3,
-                                                       neck_muscle=1, neck_force=3,
-                                                       legs=2))
+    low_flags = AnnotationFlags(arm_force=2, neck_force=2)
+    medium_flags = AnnotationFlags(arm_muscle=1, arm_force=3, neck_muscle=1, neck_force=3)
+    very_high_flags = AnnotationFlags(arm_muscle=1, arm_force=3, neck_muscle=1,
+                                      neck_force=3, legs=2)
+    low = score_frame(zero, low_flags)
+    medium = score_frame(zero, medium_flags)
+    very_high = score_frame(contorted, very_high_flags)
     ok = (low.band == RiskBand.low and medium.band == RiskBand.medium
           and very_high.band == RiskBand.very_high)
-    frames = (low,) * 787 + (medium,) * 134 + (very_high,) * 79
-    timeline = RulaTimeline(sample_rate=30.0, start_time=0.0, frames=frames)
+    # 787 low, 134 medium and 79 very high samples at 30 Hz; the interval
+    # bounds fall halfway between samples.
+    postures = [zero] * 921 + [contorted] * 79
+    series = JointAngleSeries(
+        sample_rate=30.0, start_time=0.0,
+        channels={ch: [p[ch] for p in postures] for ch in JointChannel},
+    )
+    track = AnnotationTrack.from_intervals([
+        AnnotationInterval(t0=-0.5 / 30, t1=786.5 / 30, **vars(low_flags)),
+        AnnotationInterval(t0=786.5 / 30, t1=920.5 / 30, **vars(medium_flags)),
+        AnnotationInterval(t0=920.5 / 30, t1=999.5 / 30, **vars(very_high_flags)),
+    ])
+    timeline = score_timeline(series, track)
+    ok &= timeline.length == 1000
 
     percentages = band_percentages(timeline)
     ok &= abs(sum(percentages.values()) - 100.0) < 1e-9

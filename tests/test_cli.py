@@ -272,11 +272,23 @@ def test_score_bad_input_is_one_error_line(tmp_path, capsys, kind, content, erro
 
 @pytest.mark.parametrize("flag, value", [
     ("--rate", "0"), ("--imu-rate", "0"), ("--fps", "0"), ("--rate", "nan"),
+    ("--rate", "abc"),
 ])
 def test_bad_rate_rejected_before_any_work(tmp_path, neutral_csv, capsys, flag, value):
     out = tmp_path / "out"
-    assert main(["score", str(neutral_csv), flag, value, "--out", str(out)]) != 0
+    assert main(["score", str(neutral_csv), flag, value, "--out", str(out)]) == 2
     err = _error_lines(capsys)
     assert len(err) == 1
     assert err[0].startswith("ergokit: error:") and flag in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["bogus"], [], ["score"], ["score", "x.csv", "--bogus"]],
+                         ids=["unknown-subcommand", "no-subcommand", "no-input",
+                              "unknown-option"])
+def test_usage_error_is_one_line(capsys, argv):
+    assert main(argv) == 2  # returns instead of raising SystemExit
+    captured = capsys.readouterr()
+    err = [line for line in captured.err.splitlines() if line.strip()]
+    assert len(err) == 1 and err[0].startswith("ergokit: error:")
+    assert captured.out == ""

@@ -152,3 +152,15 @@ def test_touching_intervals_allowed():
     ])
     assert [iv.t0 for iv in track.intervals] == [0.0, 5.0]
     assert track.flags_at(5.0).neck_force == 1
+
+
+def test_track_constructor_rejects_unsorted_or_overlapping():
+    # The lookup searches the interval starts, so every track must hold
+    # sorted, disjoint intervals, not just those built by from_intervals.
+    early = AnnotationInterval(t0=0.0, t1=5.0, arm_force=1)
+    late = AnnotationInterval(t0=5.0, t1=8.0, neck_force=1)
+    assert AnnotationTrack((early, late)).flags_at(5.0).neck_force == 1
+    with pytest.raises(OverlappingIntervals):
+        AnnotationTrack((late, early))
+    with pytest.raises(OverlappingIntervals):
+        AnnotationTrack((early, AnnotationInterval(t0=4.0, t1=6.0)))

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from ergokit.compare import (
 from ergokit.errors import EmptyInput, EmptyTimeline
 from ergokit.motion import (
     AnnotationFlags,
+    AnnotationInterval,
+    AnnotationTrack,
     JointAngleSeries,
     JointChannel,
 )
@@ -29,7 +32,6 @@ from ergokit.rula import (
     RulaTimeline,
     band_percentages,
     default_config,
-    score_frame,
     score_timeline,
 )
 
@@ -43,7 +45,8 @@ def _neutral_series(n, rate=10.0):
 
 def _timeline_with_finals(finals, rate=10.0) -> RulaTimeline:
     """A timeline whose combined finals take the requested values, built by
-    driving score_frame with annotation presets."""
+    scoring a series of preset postures under one annotation interval per
+    sample."""
     zero = {ch: 0.0 for ch in JointChannel}
     contorted = dict(zero)
     contorted[JointChannel.arm_flex_r] = 100.0
@@ -61,13 +64,28 @@ def _timeline_with_finals(finals, rate=10.0) -> RulaTimeline:
         7: (contorted, AnnotationFlags(arm_muscle=1, arm_force=3,
                                        neck_muscle=1, neck_force=3, legs=2)),
     }
-    frames = []
-    for final in finals:
-        angles, flags = presets[final]
-        frame = score_frame(angles, flags)
-        assert frame.final == final
-        frames.append(frame)
-    return RulaTimeline(sample_rate=rate, start_time=0.0, frames=tuple(frames))
+    series = JointAngleSeries(
+        sample_rate=rate, start_time=0.0,
+        channels={ch: [presets[final][0][ch] for final in finals] for ch in JointChannel},
+    )
+    track = AnnotationTrack.from_intervals(
+        AnnotationInterval(t0=(i - 0.5) / rate, t1=(i + 0.5) / rate,
+                           **vars(presets[final][1]))
+        for i, final in enumerate(finals)
+    )
+    timeline = score_timeline(series, track)
+    assert timeline.final.tolist() == list(finals)
+    return timeline
+
+
+def _empty_timeline() -> RulaTimeline:
+    """A one-sample timeline with every score array cut to length 0."""
+    def cut(obj):
+        return replace(obj, **{f.name: getattr(obj, f.name)[:0] for f in fields(obj)
+                               if isinstance(getattr(obj, f.name), np.ndarray)})
+
+    timeline = cut(score_timeline(_neutral_series(1)))
+    return replace(timeline, left=cut(timeline.left), right=cut(timeline.right))
 
 
 def test_format_percent():
@@ -133,7 +151,7 @@ def test_structured_and_delimited_values_agree():
 def test_empty_timeline_rejected():
     with pytest.raises(EmptyTimeline):
         build_session_report(
-            RulaTimeline(sample_rate=10.0, start_time=0.0, frames=()),
+            _empty_timeline(),
             None, "imu-csv", default_config())
 
 

@@ -2,6 +2,7 @@ import copy
 import itertools
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,11 +20,10 @@ from ergokit.motion import (
     AnnotationTrack,
     JointAngleSeries,
     JointChannel,
-    Side,
 )
 from ergokit.rula import (
     RiskBand,
-    apply_position_adjustments,
+    RulaTimeline,
     band_percentages,
     config_checksum,
     config_from_dict,
@@ -125,30 +125,37 @@ def test_score_range_every_finite_angle_scores_once(rng):
 
 def test_adjustment_abduction_adds_one():
     angles = zero_angles()
+    angles[JointChannel.arm_flex_r] = 30.0  # range score 2
     angles[JointChannel.arm_add_r] = 60.0
-    adjusted = apply_position_adjustments({"arm": 2}, angles, side=Side.right)
-    assert adjusted["arm"] == 3
+    assert score_frame(angles).right.arm == 3
 
 
 def test_adjustment_untriggered_is_identity():
-    adjusted = apply_position_adjustments(
-        {"arm": 2, "forearm": 1}, zero_angles(), side=Side.right)
-    assert adjusted == {"arm": 2, "forearm": 1}
+    angles = zero_angles()
+    angles[JointChannel.arm_flex_r] = 30.0  # range score 2
+    angles[JointChannel.elbow_flex_r] = 80.0  # range score 1
+    fs = score_frame(angles)
+    assert (fs.right.arm, fs.right.forearm) == (2, 1)
 
 
 def test_adjustment_clamps_to_table_range():
+    raw = copy.deepcopy(default_config().raw)
+    for rule in raw["position"]:
+        if rule["channel"] == "T1_head_neck_AR":
+            rule["adjust"] = 3
+    config = config_from_dict(raw)
     angles = zero_angles()
+    angles[JointChannel.T1_head_neck_FE] = -5.0  # range score 4
     angles[JointChannel.T1_head_neck_AR] = 50.0
     angles[JointChannel.T1_head_neck_LB] = 50.0
-    adjusted = apply_position_adjustments({"neck": 6}, angles)
-    assert adjusted["neck"] == 6  # 6 + 1 + 1 clamped back to the table max
+    assert score_frame(angles, config=config).neck == 6  # 4 + 3 + 1 clamped to the table max
 
 
 def test_adjustment_wrong_side_does_not_fire():
     angles = zero_angles()
+    angles[JointChannel.arm_flex_l] = 30.0  # range score 2
     angles[JointChannel.arm_add_r] = 60.0
-    adjusted = apply_position_adjustments({"arm": 2}, angles, side=Side.left)
-    assert adjusted["arm"] == 2
+    assert score_frame(angles).left.arm == 2
 
 
 # --- frame scoring ----------------------------------------------------------------
@@ -265,7 +272,7 @@ def _neutral_series(n, rate=10.0):
 def test_constant_series_constant_scores():
     timeline = score_timeline(_neutral_series(25))
     assert timeline.length == 25
-    assert all(f.final == 1 for f in timeline.frames)
+    assert (timeline.final == 1).all()
 
 
 def test_annotation_applies_to_samples_in_interval():
@@ -274,15 +281,26 @@ def test_annotation_applies_to_samples_in_interval():
         [AnnotationInterval(t0=0.0, t1=5.0, arm_force=3, neck_force=3)]
     )
     timeline = score_timeline(series, track)
-    finals = timeline.finals().tolist()
+    finals = timeline.final.tolist()
     assert finals == [4] * 5 + [1] * 5
+
+
+def _assert_same_timeline(a: RulaTimeline, b: RulaTimeline) -> None:
+    """Every field equal, every score array element for element."""
+    for obj_a, obj_b in ((a, b), (a.left, b.left), (a.right, b.right)):
+        for f in fields(obj_a):
+            value_a, value_b = getattr(obj_a, f.name), getattr(obj_b, f.name)
+            if isinstance(value_a, np.ndarray):
+                np.testing.assert_array_equal(value_a, value_b, err_msg=f.name)
+            elif f.name not in ("left", "right"):
+                assert value_a == value_b, f.name
 
 
 def test_empty_annotations_is_neutral_element():
     series = _neutral_series(8)
     a = score_timeline(series)
     b = score_timeline(series, AnnotationTrack())
-    assert a == b
+    _assert_same_timeline(a, b)
 
 
 def test_empty_series_rejected():
@@ -296,7 +314,7 @@ def test_timeline_determinism():
     series = _neutral_series(20)
     track = AnnotationTrack.from_intervals(
         [AnnotationInterval(t0=0.5, t1=1.2, arm_force=2)])
-    assert score_timeline(series, track) == score_timeline(series, track)
+    _assert_same_timeline(score_timeline(series, track), score_timeline(series, track))
 
 
 # --- bands ---------------------------------------------------------------------
