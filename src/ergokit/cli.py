@@ -92,10 +92,8 @@ def cmd_compare(args) -> int:
         series_a = _load_series(path_a, args.kind_a, args)
         series_b = _load_series(path_b, args.kind_b, args)
         rate = args.rate or min(series_a.sample_rate, series_b.sample_rate)
-        if series_a.sample_rate != rate:
-            series_a = ingest.resample(series_a, rate)
-        if series_b.sample_rate != rate:
-            series_b = ingest.resample(series_b, rate)
+        series_a = ingest.resample(series_a, rate)
+        series_b = ingest.resample(series_b, rate)
         reports.append(
             compare_mod.compare_recordings(
                 series_a, series_b,
@@ -171,15 +169,18 @@ class _Parser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
-def _rate(text: str) -> float:
-    """argparse type for a rate in Hz: a positive finite number."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a positive finite rate, got {text!r}")
-    return value
+def _number(positive: bool):
+    """argparse type for a finite number, > 0 if ``positive`` else >= 0."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and (value > 0 or value == 0 and not positive)):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number {'>' if positive else '>='} 0, got {text!r}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,11 +195,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None,
                        help="scoring config JSON (default: shipped tables)")
         p.add_argument("--out", default="ergokit-out", help="output directory")
-        p.add_argument("--rate", type=_rate, default=None,
+        p.add_argument("--rate", type=_number(positive=True), default=None,
                        help="resample to this rate (Hz) before processing")
-        p.add_argument("--imu-rate", type=_rate, default=100.0,
+        p.add_argument("--imu-rate", type=_number(positive=True), default=100.0,
                        help="declared IMU sample rate when the CSV has no time column")
-        p.add_argument("--fps", type=_rate, default=30.0,
+        p.add_argument("--fps", type=_number(positive=True), default=30.0,
                        help="keypoint stream frame rate")
         p.add_argument("--angle-defs", default=None,
                        help="angle definition JSON (default: shipped definitions)")
@@ -221,9 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
                        default="imu-csv")
     p_cmp.add_argument("--kind-b", choices=("imu-csv", "keypoints"),
                        default="imu-csv")
-    p_cmp.add_argument("--max-lag", type=float, default=10.0,
+    p_cmp.add_argument("--max-lag", type=_number(positive=False), default=10.0,
                        help="alignment search half-window, seconds")
-    p_cmp.add_argument("--min-overlap", type=float, default=5.0,
+    p_cmp.add_argument("--min-overlap", type=_number(positive=False), default=5.0,
                        help="minimum aligned overlap, seconds")
     p_cmp.add_argument("--reference", default=JointChannel.arm_flex_r.value,
                        choices=[ch.value for ch in JointChannel],

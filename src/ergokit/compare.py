@@ -6,8 +6,10 @@ lower rate so nothing is invented for the sparser signal). One global lag
 is estimated on a designated reference channel and applied to every
 channel: per-channel lags would let timing error masquerade as tracking
 error. Lag is positive when the second recording is delayed relative to
-the first.
+the first. The lag searches take every lag's curve from one set of FFTs,
+in O(N log N), and rescore exactly the lags that rounding could make best.
 
+A sample is valid when it is finite: NaN and +/-inf are both missing.
 Missing samples are excluded pairwise per channel; a channel with less
 than half of its overlap valid is reported unavailable rather than
 silently dropped.
@@ -38,14 +40,18 @@ DEFAULT_MAX_LAG_SECONDS = 10.0
 DEFAULT_MIN_OVERLAP_SECONDS = 5.0
 DEFAULT_REFERENCE_CHANNEL = JointChannel.arm_flex_r
 
+#: A series whose standard deviation (deg) is below this has no correlation:
+#: it is constant up to rounding noise. Same as the geometry tests' tolerance.
+ZERO_VARIANCE_STD = 1e-9
+
 
 def rmse(a, b) -> float:
-    """Root mean square difference over pairs where both samples are valid."""
+    """Root mean square difference over pairs where both samples are finite."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise LengthMismatch(f"lengths {a.shape} vs {b.shape}")
-    valid = ~(np.isnan(a) | np.isnan(b))
+    valid = np.isfinite(a) & np.isfinite(b)
     if not np.any(valid):
         raise NoValidPairs("no pair has both samples valid")
     d = a[valid] - b[valid]
@@ -53,20 +59,22 @@ def rmse(a, b) -> float:
 
 
 def pearson_correlation(a, b) -> float:
-    """Pearson coefficient over valid pairs, in [-1, 1]."""
+    """Pearson coefficient over pairs where both samples are finite, in
+    [-1, 1]."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise LengthMismatch(f"lengths {a.shape} vs {b.shape}")
-    valid = ~(np.isnan(a) | np.isnan(b))
-    if int(np.sum(valid)) < 2:
+    valid = np.isfinite(a) & np.isfinite(b)
+    n = int(np.sum(valid))
+    if n < 2:
         raise NoValidPairs("need at least 2 valid pairs")
     da = a[valid] - np.mean(a[valid])
     db = b[valid] - np.mean(b[valid])
     ssa = float(np.dot(da, da))
     ssb = float(np.dot(db, db))
-    if ssa == 0.0 or ssb == 0.0:
-        raise ZeroVariance("a constant series has no correlation")
+    if math.sqrt(min(ssa, ssb) / n) < ZERO_VARIANCE_STD:
+        raise ZeroVariance(f"standard deviation below {ZERO_VARIANCE_STD} deg")
     r = float(np.dot(da, db)) / math.sqrt(ssa * ssb)
     return min(1.0, max(-1.0, r))
 
@@ -84,57 +92,110 @@ def _overlap_slices(len_a: int, len_b: int, lag: int):
     return i0, i1
 
 
+def _lag_sums(a: np.ndarray, b: np.ndarray, max_lag: int):
+    """Masked sums over the overlap of ``a[i]`` and ``b[i + lag]`` at every
+    lag in [-max_lag, max_lag], ``max_lag`` clamped to the lags that overlap:
+    ``(lags, overlap, sums, err, k)``.
+
+    The rows of ``sums`` (count of finite pairs, Σa, Σb, Σa², Σb², Σab) are
+    masked cross-correlations (Padfield, IEEE TIP 2012) from one set of real
+    FFTs of the validity masks and of the series less one shared offset (the
+    mean of both series' finite samples), which keeps differences and
+    shrinks rounding; non-finite samples are zeroed. No lag wraps around. Row i's rounding is at most ``err[i]``:
+    ``k = 16 eps (1 + log2 nfft)`` times its two factors' 2-norms.
+    """
+    max_lag = min(max_lag, max(len(a), len(b)) - 1)
+    lags = np.arange(-max_lag, max_lag + 1)
+    overlap = np.minimum(len(a), len(b) - lags) - np.maximum(0, -lags)
+    ma, mb = np.isfinite(a), np.isfinite(b)
+    finite = np.concatenate((a[ma], b[mb]))
+    offset = finite.mean() if finite.size else 0.0
+    a0, b0 = np.where(ma, a - offset, 0.0), np.where(mb, b - offset, 0.0)
+    xa, xb = np.stack((ma, a0, a0 * a0)), np.stack((mb, b0, b0 * b0))
+    # The shortest p * 2**j covering both series plus max_lag: fast FFT lengths.
+    need = max(len(a), len(b)) + max_lag
+    nfft = min(p << ((need - 1) // p).bit_length() for p in (1, 3, 5, 9, 15, 25, 27))
+    fa, fb = np.fft.rfft(xa, nfft).conj(), np.fft.rfft(xb, nfft)
+    pairs = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1))
+    sums = np.stack([np.fft.irfft(fa[i] * fb[j], nfft)[lags % nfft] for i, j in pairs])
+    sums[0] = np.rint(sums[0])
+    k = 16 * math.ulp(1.0) * (1 + math.log2(nfft))
+    norm_a, norm_b = np.linalg.norm(xa, axis=1), np.linalg.norm(xb, axis=1)
+    return lags, overlap, sums, k * np.array([norm_a[i] * norm_b[j] for i, j in pairs]), k
+
+
+def _best_lag(a, b, max_lag, min_overlap, least, curve, exact):
+    """Smallest ``(exact(x, y), |lag|, lag)`` over the lags that leave
+    ``max(min_overlap, least)`` samples of overlap and ``least`` valid pairs.
+    ``curve(sums, err, k)`` gives every lag's estimate of ``exact`` and a
+    bound on the rounding of both; only lags whose estimate less bound is
+    not above the lowest estimate plus bound are rescored with ``exact``.
+    """
+    lags, overlap, sums, err, k = _lag_sums(a, b, max_lag)
+    ok = (overlap >= max(min_overlap, least)) & (sums[0] >= least)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cost, tol = curve(sums, err, k)
+        keep = ok & ~(cost - tol > np.min(cost[ok] + tol[ok], initial=np.inf))
+    keys = []
+    for lag in lags[keep].tolist():
+        i0, i1 = _overlap_slices(len(a), len(b), lag)
+        try:
+            keys.append((exact(a[i0:i1], b[i0 + lag:i1 + lag]), abs(lag), lag))
+        except (NoValidPairs, ZeroVariance):
+            continue
+    if not keys:
+        raise InsufficientOverlap(
+            f"no lag within +/-{max_lag} leaves {min_overlap} overlapping samples"
+        )
+    return min(keys)
+
+
 def align_min_rmse(reference, other, max_lag: int, min_overlap: int = 1) -> AlignmentResult:
     """Integer lag in [-max_lag, max_lag] minimizing RMSE on the overlap.
 
     Ties break toward the smallest absolute lag, then toward the negative
     one. Raises InsufficientOverlap when no candidate lag leaves at least
-    ``min_overlap`` samples of overlap with a valid pair.
+    ``min_overlap`` samples of overlap with a valid pair. The curve is the
+    mean squared difference (Σa² + Σb² - 2Σab) / count.
     """
+    def curve(sums, err, k):
+        n, _, _, saa, sbb, sab = sums
+        # FFT rounding, plus rmse's own: it sums d² <= 2 (a² + b²).
+        tol = err[3] + err[4] + 2 * err[5] + 2 * k * (saa + sbb + err[3] + err[4])
+        return (saa + sbb - 2 * sab) / n, tol / n
+
     reference = np.asarray(reference, dtype=float)
     other = np.asarray(other, dtype=float)
-    best = None
-    for lag in range(-max_lag, max_lag + 1):
-        i0, i1 = _overlap_slices(len(reference), len(other), lag)
-        if i1 - i0 < max(min_overlap, 1):
-            continue
-        try:
-            value = rmse(reference[i0:i1], other[i0 + lag:i1 + lag])
-        except NoValidPairs:
-            continue
-        key = (value, abs(lag), lag)
-        if best is None or key < best[0]:
-            best = (key, AlignmentResult(lag=lag, overlap=i1 - i0, rmse=value))
-    if best is None:
-        raise InsufficientOverlap(
-            f"no lag within +/-{max_lag} leaves {min_overlap} overlapping samples"
-        )
-    return best[1]
+    value, _, lag = _best_lag(reference, other, max_lag, min_overlap, 1, curve, rmse)
+    i0, i1 = _overlap_slices(len(reference), len(other), lag)
+    return AlignmentResult(lag=lag, overlap=i1 - i0, rmse=value)
 
 
 def cross_correlation_peak(reference, other, max_lag: int,
                            min_overlap: int = 2) -> tuple[int, float]:
     """Lag maximizing the Pearson coefficient, for sensitivity analysis
-    against the min-RMSE alignment."""
+    against the min-RMSE alignment; ties and errors as ``align_min_rmse``."""
+    def curve(sums, err, k):
+        n, sa, sb, saa, sbb, sab = sums
+        _, ea, eb, eaa, ebb, eab = err
+        # One bound on the error of the covariance and of both variances:
+        # the FFT sums', and pearson_correlation's own (its means are off by
+        # at most d, its np.dot sums by n eps).
+        d = k * max(np.max(np.abs(x[np.isfinite(x)]), initial=0.0) for x in (reference, other))
+        e = (eaa + ebb + eab + ((np.abs(sa) + np.abs(sb)) * (ea + eb) + (ea + eb) ** 2) / n
+             + n * d * d + 3 * (k + n * math.ulp(1.0)) * (saa + sbb))
+        va, vb = saa - sa * sa / n, sbb - sb * sb / n
+        r = (sab - sa * sb / n) / np.sqrt(va * vb)
+        tol = 2 * e / np.sqrt((va - 2 * e) * (vb - 2 * e)) + 3 * e * (1 / (va - e) + 1 / (vb - e))
+        # A lag whose variance may be near its error or the floor is always rescored.
+        certain = np.minimum(va, vb) - 3 * e > 2 * n * ZERO_VARIANCE_STD ** 2
+        return np.where(certain, -r, 0.0), np.where(certain, tol, np.inf)
+
     reference = np.asarray(reference, dtype=float)
     other = np.asarray(other, dtype=float)
-    best = None
-    for lag in range(-max_lag, max_lag + 1):
-        i0, i1 = _overlap_slices(len(reference), len(other), lag)
-        if i1 - i0 < max(min_overlap, 2):
-            continue
-        try:
-            r = pearson_correlation(reference[i0:i1], other[i0 + lag:i1 + lag])
-        except (NoValidPairs, ZeroVariance):
-            continue
-        key = (-r, abs(lag), lag)
-        if best is None or key < best[0]:
-            best = (key, (lag, r))
-    if best is None:
-        raise InsufficientOverlap(
-            f"no lag within +/-{max_lag} leaves {min_overlap} overlapping samples"
-        )
-    return best[1]
+    value, _, lag = _best_lag(reference, other, max_lag, min_overlap, 2, curve,
+                              lambda x, y: -pearson_correlation(x, y))
+    return lag, -value
 
 
 @dataclass(frozen=True)
@@ -212,7 +273,7 @@ def compare_recordings(a: JointAngleSeries, b: JointAngleSeries,
         xa = a.channels[ch][i0:i1]
         xb = b.channels[ch][i0 + lag:i1 + lag]
         overlap = i1 - i0
-        valid = ~(np.isnan(xa) | np.isnan(xb))
+        valid = np.isfinite(xa) & np.isfinite(xb)
         fraction = float(np.sum(valid)) / overlap if overlap else 0.0
         if fraction < MIN_VALID_FRACTION:
             results[ch] = ChannelComparison(

@@ -5,8 +5,9 @@ File formats
 IMU joint-angle CSV
     UTF-8, first row header, one row per sample, decimal point ``.``,
     configurable delimiter (default ``,``). One column per channel; an
-    optional time column. Empty cells are missing samples; non-numeric
-    cells become missing samples and are counted as warnings.
+    optional time column. Empty cells are missing samples; non-numeric and
+    non-finite cells (``inf``, ``nan``, ``1e999``) become missing samples
+    and are counted as warnings.
 
 Keypoint stream (JSON lines)
     One frame per line, e.g.::
@@ -107,8 +108,9 @@ DEFAULT_IMU_SPEC = ImuCsvSpec()
 def parse_imu_joint_csv(data: bytes | str, spec: ImuCsvSpec = DEFAULT_IMU_SPEC) -> JointAngleSeries:
     """Parse a joint-angle CSV export into a JointAngleSeries.
 
-    Raises EmptyFile, MalformedHeader, or MissingColumn; unparseable
-    numeric cells become NaN and are counted in ``meta['unparseable_cells']``.
+    Raises EmptyFile, MalformedHeader, or MissingColumn; unparseable or
+    non-finite numeric cells become NaN and are counted in
+    ``meta['unparseable_cells']``.
     A time column that is not on a uniform grid (a gap, a non-finite or
     missing time) raises IrregularTimestamps rather than being re-timed.
     """
@@ -138,7 +140,7 @@ def parse_imu_joint_csv(data: bytes | str, spec: ImuCsvSpec = DEFAULT_IMU_SPEC) 
 
     columns: dict[JointChannel, list[float]] = {ch: [] for ch in channel_idx}
     times: list[float] = []
-    warnings = 0
+    warnings = empty = 0
     for row in reader:
         if not row or all(not c.strip() for c in row):
             continue
@@ -146,12 +148,12 @@ def parse_imu_joint_csv(data: bytes | str, spec: ImuCsvSpec = DEFAULT_IMU_SPEC) 
             cell = row[idx].strip() if idx < len(row) else ""
             if cell == "":
                 columns[ch].append(math.nan)
+                empty += 1
                 continue
             try:
                 columns[ch].append(float(cell))
             except ValueError:
                 columns[ch].append(math.nan)
-                warnings += 1
         if time_idx is not None:
             cell = row[time_idx].strip() if time_idx < len(row) else ""
             try:
@@ -160,18 +162,24 @@ def parse_imu_joint_csv(data: bytes | str, spec: ImuCsvSpec = DEFAULT_IMU_SPEC) 
                 times.append(math.nan)
                 warnings += 1
 
-    if warnings:
-        log.warning("IMU CSV: %d unparseable cells became missing samples", warnings)
-
     rate = spec.declared_rate
     start = 0.0
     if time_idx is not None and len(times) >= 2:
         rate, start = uniform_grid(times)
 
+    channels = {ch: np.asarray(v) for ch, v in columns.items()}
+    # Every non-empty cell without a finite value ("x", "nan", "inf", "1e999")
+    # is a missing sample and counts as unparseable.
+    for x in channels.values():
+        x[np.isinf(x)] = math.nan
+    warnings += sum(int(np.isnan(x).sum()) for x in channels.values()) - empty
+    if warnings:
+        log.warning("IMU CSV: %d unparseable cells became missing samples", warnings)
+
     return JointAngleSeries(
         sample_rate=rate,
         start_time=start,
-        channels={ch: np.asarray(v) for ch, v in columns.items()},
+        channels=channels,
         meta={"source": "imu-csv", "unparseable_cells": warnings},
     )
 
@@ -370,13 +378,16 @@ def resample(series: JointAngleSeries, target_rate: float) -> JointAngleSeries:
 
     Output length is floor(duration * target_rate) + 1, covering the
     original time span. A missing input sample propagates NaN to every
-    output sample whose interpolation stencil touches it.
+    output sample whose interpolation stencil touches it. At the series'
+    own rate the input is returned as it is.
     """
     if not (target_rate > 0):
         raise ValueError("target_rate must be > 0")
     n_in = series.length
     if n_in < 2:
         raise TooShort(f"resample needs at least 2 samples, got {n_in}")
+    if target_rate == series.sample_rate:
+        return series
 
     duration = series.duration
     n_out = int(math.floor(duration * target_rate + _SNAP)) + 1

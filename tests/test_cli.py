@@ -292,3 +292,42 @@ def test_usage_error_is_one_line(capsys, argv):
     err = [line for line in captured.err.splitlines() if line.strip()]
     assert len(err) == 1 and err[0].startswith("ergokit: error:")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag", ["--max-lag", "--min-overlap"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-3", "abc"])
+def test_bad_seconds_rejected_before_any_work(tmp_path, neutral_csv, capsys, flag, value):
+    out = tmp_path / "out"
+    argv = ["compare", str(neutral_csv), str(neutral_csv), flag, value, "--out", str(out)]
+    assert main(argv) == 2
+    err = _error_lines(capsys)
+    assert len(err) == 1
+    assert err[0].startswith("ergokit: error:") and flag in err[0]
+    assert not out.exists()
+
+
+def _strict_json(text: str):
+    """Parse JSON, refusing the NaN and Infinity that json.dumps may emit."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_non_finite_cells_never_reach_the_reports(tmp_path):
+    series = neutral_angle_series(400, 100.0)
+    series.channels[JointChannel.arm_flex_r] = np.sin(np.arange(400) * 0.05) * 30.0
+    text = format_imu_joint_csv(series).splitlines()
+    header = text[0].split(",")
+    for row, cell in ((5, "inf"), (9, "-inf"), (12, "nan"), (20, "1e999")):
+        cells = text[row].split(",")
+        cells[header.index("arm_flex_r")] = cell
+        text[row] = ",".join(cells)
+    path = tmp_path / "rec.csv"
+    path.write_text("\n".join(text) + "\n")
+    assert main(["score", str(path), "--out", str(tmp_path / "s")]) == 0
+    doc = _strict_json((tmp_path / "s" / "session.json").read_text())
+    assert doc["channel_summaries"]["arm_flex_r"]["max"] <= 30.0
+    assert main(["compare", str(path), str(path),
+                 "--max-lag", "0.5", "--min-overlap", "1", "--out", str(tmp_path / "c")]) == 0
+    doc = _strict_json((tmp_path / "c" / "comparison.json").read_text())
+    assert doc["channels"]["arm_flex_r"]["rmse"]["mean"] == 0.0

@@ -68,6 +68,18 @@ def test_parse_imu_csv_empty_file():
         parse_imu_joint_csv("", _three_channel_spec())
 
 
+def test_parse_imu_csv_non_finite_cells_become_missing():
+    text = ("arm_flex_r,elbow_flex_r,lumbar_flexion\n"
+            "inf,nan,-inf\n1e999,5.0,-1e999\n7.0,8.0,9.0\n")
+    series = parse_imu_joint_csv(text, _three_channel_spec())
+    assert series.meta["unparseable_cells"] == 5
+    arm, elbow, lumbar = (series.channels[ch] for ch in (
+        JointChannel.arm_flex_r, JointChannel.elbow_flex_r, JointChannel.lumbar_flexion))
+    assert np.isnan(arm[:2]).all() and np.isnan(lumbar[:2]).all()
+    assert math.isnan(elbow[0]) and elbow[1] == 5.0
+    assert list(arm[2:]) + list(elbow[2:]) + list(lumbar[2:]) == [7.0, 8.0, 9.0]
+
+
 def test_parse_imu_csv_300_rows_duration():
     rows = "\n".join("0.0,0.0,0.0" for _ in range(300))
     text = "arm_flex_r,elbow_flex_r,lumbar_flexion\n" + rows + "\n"
@@ -281,8 +293,7 @@ def test_resample_identity_at_source_rate():
     out = resample(series, 100.0)
     assert out.length == 300
     a, b = series.channels[JointChannel.arm_flex_r], out.channels[JointChannel.arm_flex_r]
-    valid = ~np.isnan(a)
-    assert np.max(np.abs(a[valid] - b[valid])) < 1e-12
+    assert np.array_equal(a, b, equal_nan=True)
     assert np.array_equal(np.isnan(a), np.isnan(b))
 
 
