@@ -9,7 +9,6 @@ rename).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -144,12 +143,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_check_config(args) -> int:
-    try:
-        with open(args.config_path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        print(f"{PROG}: error: ConfigError: not valid JSON: {exc}", file=sys.stderr)
-        return 1
+    raw = rula.read_config_json(args.config_path)
     problems = rula.validate_rula_config(raw)
     if problems:
         for problem in problems:

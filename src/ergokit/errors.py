@@ -30,6 +30,10 @@ class EmptyFile(ErgokitError):
     pass
 
 
+class EncodingError(ErgokitError):
+    """The input is not UTF-8 text."""
+
+
 class MalformedHeader(ErgokitError):
     pass
 
@@ -98,7 +102,8 @@ class EmptyTimeline(ErgokitError):
 
 
 class ConfigError(ErgokitError):
-    """Invalid scoring configuration; carries the full violation listing."""
+    """Invalid scoring configuration or angle definitions; carries the full
+    violation listing."""
 
     def __init__(self, violations):
         self.violations = list(violations)

@@ -38,6 +38,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateProjection,
     DegenerateVector,
     NoCompleteFrames,
@@ -52,6 +53,7 @@ from .motion import (
     Vec3,
     uniform_grid,
 )
+from .rula import read_config_json
 
 log = logging.getLogger(__name__)
 
@@ -250,29 +252,33 @@ def _parse_vector(raw):
 
 
 def parse_angle_definitions(raw: dict) -> list[AngleDefinition]:
+    """Angle definitions from a raw document; ConfigError when malformed."""
     defs = []
-    for entry in raw["definitions"]:
-        channel = JointChannel(entry["channel"])
-        vec_a, axis_a = _parse_vector(entry.get("a"))
-        vec_b, axis_b = _parse_vector(entry["b"])
-        if vec_b is None:
-            raise ValueError(f"{channel.value}: vector b must be a point pair")
-        plane = entry.get("plane", "none")
-        sign_axis = entry.get("sign_axis")
-        axis_a_plane = plane == "axis_a"
-        # For 'axis_a' the sign axis names the in-plane reference. Otherwise
-        # a body-axis reference vector ('a': {'axis': ...}) keeps vector_a
-        # empty; the axis name rides along in axis_a_ref.
-        defs.append(AngleDefinition(
-            channel=channel,
-            vector_a=vec_a,
-            vector_b=vec_b,
-            plane=plane,
-            signed=bool(entry.get("signed", False)),
-            sign_axis=None if axis_a_plane else sign_axis,
-            axis_a_ref=sign_axis if axis_a_plane else axis_a,
-            baseline=entry.get("baseline", "none"),
-        ))
+    try:
+        for entry in raw["definitions"]:
+            channel = JointChannel(entry["channel"])
+            vec_a, axis_a = _parse_vector(entry.get("a"))
+            vec_b, axis_b = _parse_vector(entry["b"])
+            if vec_b is None:
+                raise ValueError(f"{channel.value}: vector b must be a point pair")
+            plane = entry.get("plane", "none")
+            sign_axis = entry.get("sign_axis")
+            axis_a_plane = plane == "axis_a"
+            # For 'axis_a' the sign axis names the in-plane reference. Otherwise
+            # a body-axis reference vector ('a': {'axis': ...}) keeps vector_a
+            # empty; the axis name rides along in axis_a_ref.
+            defs.append(AngleDefinition(
+                channel=channel,
+                vector_a=vec_a,
+                vector_b=vec_b,
+                plane=plane,
+                signed=bool(entry.get("signed", False)),
+                sign_axis=None if axis_a_plane else sign_axis,
+                axis_a_ref=sign_axis if axis_a_plane else axis_a,
+                baseline=entry.get("baseline", "none"),
+            ))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError([f"angle definitions: {type(exc).__name__}: {exc}"]) from None
     return defs
 
 
@@ -283,8 +289,7 @@ def load_angle_definitions(path: str | None = None) -> list[AngleDefinition]:
             resources.files("ergokit.data").joinpath("angle_definitions.json").read_text()
         )
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = read_config_json(path)
     return parse_angle_definitions(raw)
 
 

@@ -7,7 +7,14 @@ IMU joint-angle CSV
     configurable delimiter (default ``,``). One column per channel; an
     optional time column. Empty cells are missing samples; non-numeric and
     non-finite cells (``inf``, ``nan``, ``1e999``) become missing samples
-    and are counted as warnings.
+    and are counted as warnings. Only the mapped channel columns and the
+    time column are read: other (text) columns are never converted or
+    counted. A cell in quotes (``"``) is unquoted and may hold the
+    delimiter or a line break. A short row is padded with missing samples;
+    a blank row (every cell whitespace) is skipped. Lines end in LF or
+    CRLF; any other carriage return, or a quote never closed, is a
+    MalformedRecord. The body is read in chunks of whole rows, each by one
+    ``np.loadtxt`` call.
 
 Keypoint stream (JSON lines)
     One frame per line, e.g.::
@@ -30,16 +37,19 @@ Annotation CSV
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import logging
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
     EmptyFile,
+    EncodingError,
     MalformedHeader,
     MalformedRecord,
     MissingColumn,
@@ -64,7 +74,10 @@ log = logging.getLogger(__name__)
 
 def _as_text(data: bytes | str) -> str:
     if isinstance(data, bytes):
-        return data.decode("utf-8")
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise EncodingError(f"not UTF-8 text: {exc.reason}") from None
     return data
 
 
@@ -95,6 +108,8 @@ class ImuCsvSpec:
     def __post_init__(self):
         if not (self.declared_rate > 0):
             raise ValueError("declared_rate must be > 0")
+        if len(self.delimiter) != 1 or self.delimiter in '"\r\n':
+            raise ValueError("delimiter must be one character, not a quote or line break")
         seen: set[JointChannel] = set()
         for col, ch in self.channel_columns.items():
             if ch in seen:
@@ -108,20 +123,20 @@ DEFAULT_IMU_SPEC = ImuCsvSpec()
 def parse_imu_joint_csv(data: bytes | str, spec: ImuCsvSpec = DEFAULT_IMU_SPEC) -> JointAngleSeries:
     """Parse a joint-angle CSV export into a JointAngleSeries.
 
-    Raises EmptyFile, MalformedHeader, or MissingColumn; unparseable or
-    non-finite numeric cells become NaN and are counted in
-    ``meta['unparseable_cells']``.
+    Raises EmptyFile, EncodingError, MalformedHeader, MissingColumn or
+    MalformedRecord; unparseable or non-finite numeric cells become NaN and
+    are counted in ``meta['unparseable_cells']``.
     A time column that is not on a uniform grid (a gap, a non-finite or
     missing time) raises IrregularTimestamps rather than being re-timed.
     """
-    text = _as_text(data)
-    if not text.strip():
-        raise EmptyFile("no content")
-    reader = csv.reader(io.StringIO(text), delimiter=spec.delimiter)
+    rows = io.BytesIO(data) if isinstance(data, bytes) else io.StringIO(data)
+    reader = csv.reader(map(_as_text, rows), delimiter=spec.delimiter)
     try:
-        header = next(reader)
-    except StopIteration:  # pragma: no cover - guarded by the strip() check
-        raise EmptyFile("no header row")
+        header = next(reader, [])
+    except csv.Error as exc:
+        raise MalformedRecord(str(exc), reader.line_num) from None
+    if not any(h.strip() for h in header) and not _as_text(data).strip():
+        raise EmptyFile("no content")
     header = [h.strip() for h in header]
     if any(not h for h in header):
         raise MalformedHeader("empty column name in header")
@@ -138,41 +153,29 @@ def parse_imu_joint_csv(data: bytes | str, spec: ImuCsvSpec = DEFAULT_IMU_SPEC) 
     if spec.time_column is not None and spec.time_column in col_index:
         time_idx = col_index[spec.time_column]
 
-    columns: dict[JointChannel, list[float]] = {ch: [] for ch in channel_idx}
-    times: list[float] = []
-    warnings = empty = 0
-    for row in reader:
-        if not row or all(not c.strip() for c in row):
-            continue
-        for ch, idx in channel_idx.items():
-            cell = row[idx].strip() if idx < len(row) else ""
-            if cell == "":
-                columns[ch].append(math.nan)
-                empty += 1
-                continue
-            try:
-                columns[ch].append(float(cell))
-            except ValueError:
-                columns[ch].append(math.nan)
-        if time_idx is not None:
-            cell = row[time_idx].strip() if time_idx < len(row) else ""
-            try:
-                times.append(float(cell))
-            except ValueError:
-                times.append(math.nan)
-                warnings += 1
+    # The used columns, and per used column its empty cells and the
+    # non-empty cells that float() rejects.
+    cols = sorted(set(channel_idx.values()) | {time_idx} - {None})
+    counts = np.zeros((2, len(cols)), dtype=np.int64)
+    blocks = [_read_rows(text, quoted, spec.delimiter, cols, counts)
+              for text, quoted in _row_chunks(rows, spec.delimiter) if cols]
+    column = dict(zip(cols, np.concatenate([np.empty((len(cols), 0))]
+                                           + [block.T for block in blocks], axis=1)))
 
     rate = spec.declared_rate
     start = 0.0
-    if time_idx is not None and len(times) >= 2:
-        rate, start = uniform_grid(times)
+    if time_idx is not None and len(column[time_idx]) >= 2:
+        rate, start = uniform_grid(column[time_idx])
 
-    channels = {ch: np.asarray(v) for ch, v in columns.items()}
+    channels = {ch: column[i] for ch, i in channel_idx.items()}
     # Every non-empty cell without a finite value ("x", "nan", "inf", "1e999")
     # is a missing sample and counts as unparseable.
     for x in channels.values():
         x[np.isinf(x)] = math.nan
-    warnings += sum(int(np.isnan(x).sum()) for x in channels.values()) - empty
+    warnings = sum(int(np.isnan(x).sum()) for x in channels.values())
+    warnings -= sum(int(counts[0, cols.index(i)]) for i in channel_idx.values())
+    if time_idx is not None:
+        warnings += int(counts[:, cols.index(time_idx)].sum())
     if warnings:
         log.warning("IMU CSV: %d unparseable cells became missing samples", warnings)
 
@@ -184,6 +187,133 @@ def parse_imu_joint_csv(data: bytes | str, spec: ImuCsvSpec = DEFAULT_IMU_SPEC) 
     )
 
 
+# Body chunks are whole rows, about this many bytes (characters) each.
+_CHUNK = 1 << 20
+# The code points past ASCII that str.strip() removes.
+_WIDE_WHITESPACE = [0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F,
+                    0x205F, 0x3000]
+
+
+def _row_chunks(rows, delimiter: str):
+    """The rest of ``rows`` in chunks of whole rows: each chunk's text with
+    CRLF made LF, and the spans of its quoted cells, from the quote that
+    opens one to the quote that closes it. A quoted cell may hold line
+    breaks, so a chunk grows by rows until its last quote closes."""
+    opens = re.compile(rf'(?<![^{re.escape(delimiter)}\n])"(?:[^"]|"")*(")?')
+    while chunk := rows.read(_CHUNK):
+        chunk += rows.readline()
+        while True:
+            text = _as_text(chunk)
+            if "\r" in text:
+                text = text.replace("\r\n", "\n")
+                if "\r" in text:
+                    raise MalformedRecord("carriage return without a line feed")
+            found = list(opens.finditer(text)) if '"' in text else []
+            if not found or found[-1].group(1):
+                break
+            if not (more := rows.readline()):
+                raise MalformedRecord("a quoted cell is never closed")
+            chunk += more
+        yield text, [m.span() for m in found]
+
+
+def _read_rows(text: str, quoted: list[tuple[int, int]], delimiter: str,
+               cols: list[int], counts: np.ndarray) -> np.ndarray:
+    """The used columns ``cols`` of a chunk of whole rows, one row each.
+
+    Blank rows (every cell whitespace) are dropped, short rows padded, and
+    empty used cells filled with ``nan`` and counted in ``counts[0]``; one
+    ``np.loadtxt`` call reads the rest. When its C float parse rejects a
+    cell, the same call reads the chunk again with the cell rule as
+    converter: ``float(cell)``, else NaN, counted in ``counts[1]``.
+    """
+    text = _filled(text if text.endswith("\n") else text + "\n", quoted, delimiter,
+                   cols, counts[0])
+    args = dict(delimiter=delimiter, quotechar='"', comments=None, usecols=cols, ndmin=2)
+    if not text:
+        return np.empty((0, len(cols)))
+    try:
+        return np.loadtxt(io.StringIO(text), **args)
+    except ValueError:
+        pass
+
+    def cell(j: int, cell: str) -> float:
+        try:
+            return float(cell)
+        except ValueError:
+            counts[1, j] += 1
+            return math.nan
+
+    try:
+        return np.loadtxt(io.StringIO(text), **args, converters={
+            c: functools.partial(cell, j) for j, c in enumerate(cols)})
+    except ValueError as exc:
+        raise MalformedRecord(str(exc)) from None
+
+
+def _filled(text: str, quoted: list[tuple[int, int]], delimiter: str,
+            cols: list[int], empty: np.ndarray) -> str:
+    """``text`` with its blank rows emptied, its short rows padded and its
+    empty used cells filled, each with ``nan``; counted into ``empty``.
+    Empty when every row is blank."""
+    # The code points of ``text``, one byte each when they fit.
+    wide = not text.isascii()
+    u = np.frombuffer(text.encode("utf-32-le", "surrogatepass") if wide
+                      else text.encode("ascii"), dtype=np.uint32 if wide else np.uint8)
+    sep = (u == ord(delimiter)) | (u == ord("\n"))
+    if quoted:  # separators inside quotes are text
+        a, b = np.array(quoted).T
+        inside = np.zeros(len(u) + 1, dtype=np.int8)
+        inside[a], inside[b] = 1, -1
+        sep &= np.cumsum(inside[:-1], dtype=np.int8) == 0
+    ends = np.flatnonzero(sep)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    # A cell is empty when it holds only whitespace and the quotes around
+    # it, so only a cell that starts with either can be empty and not bare.
+    is_empty = starts == ends
+    if (~is_empty & (_is_space(u[starts]) | (u[starts] == ord('"')))).any():
+        content = ~_is_space(u) & ~sep
+        if quoted:
+            content[a] = content[b - 1] = False
+        is_empty = ~np.logical_or.reduceat(content, starts)
+    # First and last cell of each row; the row and column of every cell.
+    first = np.flatnonzero(np.concatenate(([True], u[ends[:-1]] == ord("\n"))))
+    ncells = np.diff(np.append(first, len(ends)))
+    last = first + ncells - 1
+    row = np.repeat(np.arange(len(first)), ncells)
+    col = np.arange(len(ends)) - first[row]
+    blank = ~np.logical_or.reduceat(~is_empty, first)
+    if blank.all():
+        return ""
+
+    width = max(cols) + 1
+    fill = np.flatnonzero(is_empty & ~blank[row])
+    fill = fill[np.isin(col[fill], cols)]
+    short = np.flatnonzero(~blank & (ncells < width))
+    # Filled cells, and the cells that padding short rows adds, per column.
+    added = np.bincount(col[fill], minlength=width)
+    added += np.searchsorted(np.sort(ncells[short]), np.arange(width), side="right")
+    empty += added[cols]
+
+    edits = sorted(
+        [(starts[k], ends[k], "nan") for k in fill]
+        + [(ends[last[r]], ends[last[r]], (delimiter + "nan") * (width - ncells[r]))
+           for r in short]
+        + [(starts[first[r]], ends[last[r]], "") for r in np.flatnonzero(blank)],
+        key=lambda edit: edit[0])
+    pieces, prev = [], 0
+    for a, b, new in edits:
+        pieces += [text[prev:a], new]
+        prev = b
+    return "".join(pieces + [text[prev:]])
+
+
+def _is_space(u: np.ndarray) -> np.ndarray:
+    """Where the code points ``u`` are whitespace, as str.strip() sees it."""
+    space = ((u >= 9) & (u <= 13)) | ((u >= 28) & (u <= 32))
+    return space | np.isin(u, _WIDE_WHITESPACE) if u.dtype == np.uint32 else space
+
+
 def format_imu_joint_csv(series: JointAngleSeries, delimiter: str = ",",
                          time_column: str = "time") -> str:
     """Serialize a series in the IMU CSV layout.
@@ -193,13 +323,9 @@ def format_imu_joint_csv(series: JointAngleSeries, delimiter: str = ",",
     """
     channels = [ch for ch in CHANNEL_ORDER if ch in series.channels]
     lines = [delimiter.join([time_column] + [ch.value for ch in channels])]
-    times = series.times
-    for i in range(series.length):
-        cells = [repr(float(times[i]))]
-        for ch in channels:
-            v = series.channels[ch][i]
-            cells.append("" if math.isnan(v) else repr(float(v)))
-        lines.append(delimiter.join(cells))
+    columns = [map(repr, series.times.tolist())] + [
+        ["" if v != v else repr(v) for v in series.channels[ch].tolist()] for ch in channels]
+    lines += map(delimiter.join, zip(*columns))
     return "\n".join(lines) + "\n"
 
 
@@ -327,13 +453,17 @@ def parse_annotations(data: bytes | str) -> AnnotationTrack:
     if not text.strip():
         raise EmptyFile("no content")
     reader = csv.reader(io.StringIO(text))
-    header = [h.strip() for h in next(reader)]
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise MalformedRecord(str(exc), reader.line_num) from None
+    header = [h.strip() for h in rows[0]]
     if header != list(_ANNOTATION_FIELDS):
         raise MalformedHeader(
             f"expected header {','.join(_ANNOTATION_FIELDS)}, got {','.join(header)}"
         )
     intervals = []
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in enumerate(rows[1:], start=2):
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != len(_ANNOTATION_FIELDS):
@@ -403,14 +533,13 @@ def resample(series: JointAngleSeries, target_rate: float) -> JointAngleSeries:
     lo = np.minimum(lo, n_in - 2)
     w = pos - lo
 
+    # An output sample snapped onto a grid point copies that input sample.
+    snap = np.flatnonzero(exact)
+    src = lo[snap] + (w[snap] > 0.5)
     out: dict[JointChannel, np.ndarray] = {}
     for ch, x in series.channels.items():
-        a, b = x[lo], x[lo + 1]
-        y = (1.0 - w) * a + w * b
-        hit = exact & (w <= 0.5)  # snapped onto the lower grid point
-        hit_hi = exact & (w > 0.5)
-        y = np.where(hit, a, y)
-        y = np.where(hit_hi, b, y)
+        y = (1.0 - w) * x[lo] + w * x[lo + 1]
+        y[snap] = x[src]
         out[ch] = y
 
     return JointAngleSeries(

@@ -108,10 +108,20 @@ def emit_session_report(report: SessionReport, format: str = "structured") -> st
     raise ValueError(f"unknown format {format!r}")
 
 
-def _score_rows(times, left, right, combined) -> list[str]:
-    """The ``time,left,right,combined`` header and one row per sample."""
-    rows = zip(times.tolist(), left.tolist(), right.tolist(), combined.tolist())
-    return ["time,left,right,combined"] + [f"{t:.3f},{l},{r},{c}" for t, l, r, c in rows]
+def _score_rows(times, left, right, combined) -> str:
+    """The ``time,left,right,combined`` header and one line per sample."""
+    cells = [None] * (4 * len(times))
+    cells[0::4], cells[1::4] = times.tolist(), left.tolist()
+    cells[2::4], cells[3::4] = right.tolist(), combined.tolist()
+    return "time,left,right,combined" + "\n%.3f,%s,%s,%s" * len(times) % tuple(cells)
+
+
+def _number_list(values: list, pad: str) -> str:
+    """A list of numbers laid out as by json.dumps(..., indent=2) at the
+    indentation ``pad``, rendered by json's C encoder."""
+    if not values:
+        return "[]"
+    return "[" + pad + "  " + json.dumps(values)[1:-1].replace(", ", "," + pad + "  ") + pad + "]"
 
 
 def _session_json(report: SessionReport) -> str:
@@ -129,10 +139,10 @@ def _session_json(report: SessionReport) -> str:
         },
         "band_shares": format_band_shares(report.band_percentages),
         "scores": {
-            "time": [round(float(t), 3) for t in report.times],
-            "left": [int(v) for v in report.left],
-            "right": [int(v) for v in report.right],
-            "combined": [int(v) for v in report.combined],
+            "time": [round(t, 3) for t in report.times.tolist()],
+            "left": report.left.astype(int).tolist(),
+            "right": report.right.astype(int).tolist(),
+            "combined": report.combined.astype(int).tolist(),
         },
         "channel_summaries": {
             ch.value: {
@@ -144,7 +154,18 @@ def _session_json(report: SessionReport) -> str:
             for ch, s in report.channel_summaries.items()
         },
     }
-    return json.dumps(doc, indent=2) + "\n"
+    # The text of json.dumps(doc, indent=2). With ``indent`` set, json runs
+    # its pure-Python encoder, so the per-sample lists are rendered apart.
+    items = []
+    for key, value in doc.items():
+        if key == "scores":
+            pad = "\n    "
+            lists = (f"{json.dumps(k)}: {_number_list(v, pad)}" for k, v in value.items())
+            text = "{" + pad + ("," + pad).join(lists) + "\n  }"
+        else:
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        items.append(f"{json.dumps(key)}: {text}")
+    return "{\n  " + ",\n  ".join(items) + "\n}\n"
 
 
 def _session_csv(report: SessionReport) -> str:
@@ -164,7 +185,7 @@ def _session_csv(report: SessionReport) -> str:
     for band in RiskBand:
         lines.append(f"{band.value},{format_percent(report.band_percentages[band])}")
     lines.append("")
-    lines.extend(_score_rows(report.times, report.left, report.right, report.combined))
+    lines.append(_score_rows(report.times, report.left, report.right, report.combined))
     if report.channel_summaries:
         lines.append("")
         lines.append("channel,mean,std_dev,min,max")
@@ -262,13 +283,13 @@ def emit_plot_series(obj) -> dict[str, str]:
     if isinstance(obj, RulaTimeline):
         if obj.length == 0:
             raise EmptyInput("empty timeline")
-        score_lines = _score_rows(obj.times, obj.left.final, obj.right.final, obj.final)
+        scores = _score_rows(obj.times, obj.left.final, obj.right.final, obj.final)
         percentages = band_percentages(obj)
         band_lines = ["band,percent"]
         for band in RiskBand:
             band_lines.append(f"{band.value},{percentages[band]:.1f}")
         return {
-            "rula_scores.csv": "\n".join(score_lines) + "\n",
+            "rula_scores.csv": scores + "\n",
             "rula_bands.csv": "\n".join(band_lines) + "\n",
         }
 

@@ -276,6 +276,8 @@ def _validate_bands(raw: dict, problems: list[str]) -> None:
 
 def validate_rula_config(raw: dict) -> list[str]:
     """All invariant violations in a raw config dict; empty means valid."""
+    if not isinstance(raw, dict):
+        return ["config must be a JSON object"]
     problems: list[str] = []
     _validate_table(raw, "table_a", (6, 3, 4, 2), (1, 9),
                     ("arm", "forearm", "wrist", "twist"), problems)
@@ -336,6 +338,15 @@ def config_from_dict(raw: dict) -> RulaConfig:
     )
 
 
+def read_config_json(path: str):
+    """The JSON document in ``path``; ConfigError when it is not UTF-8 JSON."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ConfigError([f"not valid JSON: {exc}"]) from None
+
+
 def load_rula_config(path: str | None = None) -> RulaConfig:
     """Load a scoring config from a JSON file, or the shipped default."""
     if path is None:
@@ -343,8 +354,7 @@ def load_rula_config(path: str | None = None) -> RulaConfig:
             resources.files("ergokit.data").joinpath("rula_default.json").read_text()
         )
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = read_config_json(path)
     return config_from_dict(raw)
 
 

@@ -331,3 +331,30 @@ def test_non_finite_cells_never_reach_the_reports(tmp_path):
                  "--max-lag", "0.5", "--min-overlap", "1", "--out", str(tmp_path / "c")]) == 0
     doc = _strict_json((tmp_path / "c" / "comparison.json").read_text())
     assert doc["channels"]["arm_flex_r"]["rmse"]["mean"] == 0.0
+
+
+@pytest.mark.parametrize("argv, name, content", [
+    (["score", "{}"], "rec.csv", b"time,arm_flex_r\n0.0,\xff\n"),
+    (["score", "{}", "--kind", "keypoints"], "task.jsonl", b'{"frame": 0, "points": {}}\xff\n'),
+    (["score", "{kp}", "--kind", "keypoints", "--angle-defs", "{}"], "defs.json", b'{"a": 1}'),
+    (["score", "{kp}", "--kind", "keypoints", "--angle-defs", "{}"], "defs.json", b"[1, 2]"),
+    (["score", "{kp}", "--kind", "keypoints", "--angle-defs", "{}"], "defs.json", b"{not json"),
+    (["score", "{kp}", "--kind", "keypoints", "--angle-defs", "{}"], "defs.json", b"\xff"),
+    (["score", "{kp}", "--kind", "keypoints", "--config", "{}"], "config.json", b"[1, 2]"),
+    (["check-config", "{}"], "config.json", b"\xff"),
+], ids=["imu-csv-not-utf8", "stream-not-utf8", "defs-no-definitions", "defs-a-list",
+        "defs-not-json", "defs-not-utf8", "config-a-list", "check-config-not-utf8"])
+def test_bad_input_file_is_one_error_line(tmp_path, capsys, keypoints_file, argv, name, content):
+    path = tmp_path / name
+    path.write_bytes(content)
+    argv = [arg.format(path, kp=keypoints_file) for arg in argv]
+    assert main(argv + (["--out", str(tmp_path / "out")] if argv[0] == "score" else [])) == 1
+    err = _error_lines(capsys)
+    assert len(err) == 1 and err[0].startswith("ergokit: error:")
+
+
+def test_check_config_on_a_list_lists_the_problem(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text("[1, 2]")
+    assert main(["check-config", str(path)]) == 1
+    assert "invalid: config must be a JSON object" in capsys.readouterr().out

@@ -261,3 +261,58 @@ def test_empty_input_rejected():
                               channels={})
     with pytest.raises(EmptyInput):
         emit_comparison_report(report)
+
+
+def _session_doc(report) -> dict:
+    """The structured session report as a plain dict, built element by
+    element; ``json.dumps(doc, indent=2)`` of it is the reference text."""
+    return {
+        "kind": "session",
+        "source_kind": report.source_kind,
+        "sample_rate": round(report.sample_rate, 3),
+        "duration": round(report.duration, 3),
+        "samples": report.samples,
+        "config_checksum": report.config_checksum,
+        "degraded_frames": report.degraded_frames,
+        "flags": report.flags,
+        "band_percentages": {
+            band.value: round(report.band_percentages[band], 1) for band in RiskBand
+        },
+        "band_shares": format_band_shares(report.band_percentages),
+        "scores": {
+            "time": [round(float(t), 3) for t in report.times],
+            "left": [int(v) for v in report.left],
+            "right": [int(v) for v in report.right],
+            "combined": [int(v) for v in report.combined],
+        },
+        "channel_summaries": {
+            ch.value: {key: round(getattr(s, key), 3)
+                       for key in ("mean", "std_dev", "min", "max")}
+            for ch, s in report.channel_summaries.items()
+        },
+    }
+
+
+@pytest.mark.parametrize("finals", [[6], [1, 3, 6, 7, 7, 3, 1]], ids=["one", "seven"])
+@pytest.mark.parametrize("flags", [{}, {"kind": "imu-csv", "rate": None, "strict": False,
+                                        "scores": [1, "a, b"], "\xe9": {"x": [0.5]}}],
+                         ids=["no-flags", "odd-flags"])
+def test_session_json_is_json_dumps_indent_2(finals, flags):
+    timeline = _timeline_with_finals(finals, rate=30.0)
+    series = _neutral_series(len(finals), rate=30.0)
+    series.channels[JointChannel.arm_flex_r] = np.linspace(-1.0 / 3, 7.0, len(finals))
+    report = build_session_report(timeline, series, source_kind="imu-csv",
+                                  config=default_config(), flags=flags)
+    assert emit_session_report(report, "structured") == \
+        json.dumps(_session_doc(report), indent=2) + "\n"
+
+
+def test_score_rows_are_formatted_per_sample():
+    timeline = _timeline_with_finals([1, 3, 6, 7], rate=3.0)
+    expected = ["time,left,right,combined"] + [
+        f"{t:.3f},{l},{r},{c}" for t, l, r, c in zip(
+            timeline.times.tolist(), timeline.left.final.tolist(),
+            timeline.right.final.tolist(), timeline.final.tolist())]
+    assert emit_plot_series(timeline)["rula_scores.csv"] == "\n".join(expected) + "\n"
+    report = emit_session_report(build_session_report(timeline), "delimited")
+    assert "\n".join(expected) in report
