@@ -10,11 +10,11 @@ IMU joint-angle CSV
     and are counted as warnings. Only the mapped channel columns and the
     time column are read: other (text) columns are never converted or
     counted. A cell in quotes (``"``) is unquoted and may hold the
-    delimiter or a line break. A short row is padded with missing samples;
-    a blank row (every cell whitespace) is skipped. Lines end in LF or
-    CRLF; any other carriage return, or a quote never closed, is a
-    MalformedRecord. The body is read in chunks of whole rows, each by one
-    ``np.loadtxt`` call.
+    delimiter, a line break or a carriage return. A short row is padded
+    with missing samples; a blank row (every cell whitespace) is skipped.
+    Lines end in LF or CRLF; a carriage return outside quotes that does
+    not end a line, or a quote never closed, is a MalformedRecord. The
+    body is read in chunks of whole rows, each by one ``np.loadtxt`` call.
 
 Keypoint stream (JSON lines)
     One frame per line, e.g.::
@@ -198,23 +198,37 @@ def _row_chunks(rows, delimiter: str):
     """The rest of ``rows`` in chunks of whole rows: each chunk's text with
     CRLF made LF, and the spans of its quoted cells, from the quote that
     opens one to the quote that closes it. A quoted cell may hold line
-    breaks, so a chunk grows by rows until its last quote closes."""
+    breaks, so a chunk grows by lines until its last quote closes; each
+    line is decoded and scanned once."""
     opens = re.compile(rf'(?<![^{re.escape(delimiter)}\n])"(?:[^"]|"")*(")?')
-    while chunk := rows.read(_CHUNK):
-        chunk += rows.readline()
+    closes = re.compile(r'(?:[^"]|"")*(")?')
+    while piece := rows.read(_CHUNK):
+        piece += rows.readline()
+        pieces, spans, size, open_at = [], [], 0, None
         while True:
-            text = _as_text(chunk)
-            if "\r" in text:
-                text = text.replace("\r\n", "\n")
-                if "\r" in text:
-                    raise MalformedRecord("carriage return without a line feed")
-            found = list(opens.finditer(text)) if '"' in text else []
-            if not found or found[-1].group(1):
+            text = _as_text(piece).replace("\r\n", "\n")
+            at = 0
+            if open_at is not None and (m := closes.match(text)).group(1):
+                spans.append((open_at, size + m.end()))
+                open_at, at = None, m.end()
+            if open_at is None and '"' in text:
+                for m in opens.finditer(text, at):
+                    if m.group(1):
+                        spans.append((size + m.start(), size + m.end()))
+                    else:  # open to the end of this piece
+                        open_at = size + m.start()
+            pieces.append(text)
+            size += len(text)
+            if open_at is None:
                 break
-            if not (more := rows.readline()):
+            if not (piece := rows.readline()):
                 raise MalformedRecord("a quoted cell is never closed")
-            chunk += more
-        yield text, [m.span() for m in found]
+        text = "".join(pieces)
+        if "\r" in text:  # one left by CRLF -> LF is text only inside quotes
+            bare = zip([0] + [b for _, b in spans], [a for a, _ in spans] + [len(text)])
+            if any("\r" in text[a:b] for a, b in bare):
+                raise MalformedRecord("carriage return without a line feed")
+        yield text, spans
 
 
 def _read_rows(text: str, quoted: list[tuple[int, int]], delimiter: str,
@@ -229,7 +243,9 @@ def _read_rows(text: str, quoted: list[tuple[int, int]], delimiter: str,
     """
     text = _filled(text if text.endswith("\n") else text + "\n", quoted, delimiter,
                    cols, counts[0])
-    args = dict(delimiter=delimiter, quotechar='"', comments=None, usecols=cols, ndmin=2)
+    # encoding=None hands converters str cells on numpy 1.x too.
+    args = dict(delimiter=delimiter, quotechar='"', comments=None, usecols=cols, ndmin=2,
+                encoding=None)
     if not text:
         return np.empty((0, len(cols)))
     try:
@@ -533,13 +549,15 @@ def resample(series: JointAngleSeries, target_rate: float) -> JointAngleSeries:
     lo = np.minimum(lo, n_in - 2)
     w = pos - lo
 
-    # An output sample snapped onto a grid point copies that input sample.
-    snap = np.flatnonzero(exact)
-    src = lo[snap] + (w[snap] > 0.5)
+    hit = exact & (w <= 0.5)  # snapped onto the lower grid point
+    hit_hi = exact & (w > 0.5)
     out: dict[JointChannel, np.ndarray] = {}
     for ch, x in series.channels.items():
-        y = (1.0 - w) * x[lo] + w * x[lo + 1]
-        y[snap] = x[src]
+        a, b = x[lo], x[lo + 1]
+        y = (1.0 - w) * a
+        y += w * b
+        np.copyto(y, a, where=hit)
+        np.copyto(y, b, where=hit_hi)
         out[ch] = y
 
     return JointAngleSeries(

@@ -119,12 +119,17 @@ def _score_rows(times, left, right, combined) -> str:
 def _number_list(values: list, pad: str) -> str:
     """A list of numbers laid out as by json.dumps(..., indent=2) at the
     indentation ``pad``, rendered by json's C encoder."""
-    if not values:
-        return "[]"
-    return "[" + pad + "  " + json.dumps(values)[1:-1].replace(", ", "," + pad + "  ") + pad + "]"
+    items = json.dumps(values)[1:-1].replace(", ", "," + pad + "  ")
+    return f"[{pad}  {items}{pad}]" if values else "[]"
 
 
 def _session_json(report: SessionReport) -> str:
+    scores = {
+        "time": [round(t, 3) for t in report.times.tolist()],
+        "left": report.left.astype(int).tolist(),
+        "right": report.right.astype(int).tolist(),
+        "combined": report.combined.astype(int).tolist(),
+    }
     doc = {
         "kind": "session",
         "source_kind": report.source_kind,
@@ -138,12 +143,7 @@ def _session_json(report: SessionReport) -> str:
             band.value: round(report.band_percentages[band], 1) for band in RiskBand
         },
         "band_shares": format_band_shares(report.band_percentages),
-        "scores": {
-            "time": [round(t, 3) for t in report.times.tolist()],
-            "left": report.left.astype(int).tolist(),
-            "right": report.right.astype(int).tolist(),
-            "combined": report.combined.astype(int).tolist(),
-        },
+        "scores": None,
         "channel_summaries": {
             ch.value: {
                 "mean": _stat(s.mean),
@@ -155,17 +155,12 @@ def _session_json(report: SessionReport) -> str:
         },
     }
     # The text of json.dumps(doc, indent=2). With ``indent`` set, json runs
-    # its pure-Python encoder, so the per-sample lists are rendered apart.
-    items = []
-    for key, value in doc.items():
-        if key == "scores":
-            pad = "\n    "
-            lists = (f"{json.dumps(k)}: {_number_list(v, pad)}" for k, v in value.items())
-            text = "{" + pad + ("," + pad).join(lists) + "\n  }"
-        else:
-            text = json.dumps(value, indent=2).replace("\n", "\n  ")
-        items.append(f"{json.dumps(key)}: {text}")
-    return "{\n  " + ",\n  ".join(items) + "\n}\n"
+    # its pure-Python encoder, so the per-sample lists are rendered apart
+    # and spliced in for the one top-level ``"scores": null``.
+    pad = "\n    "
+    lists = ("," + pad).join(f'"{k}": {_number_list(v, pad)}' for k, v in scores.items())
+    return json.dumps(doc, indent=2).replace(
+        '\n  "scores": null', '\n  "scores": {' + pad + lists + "\n  }") + "\n"
 
 
 def _session_csv(report: SessionReport) -> str:

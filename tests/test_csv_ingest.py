@@ -5,14 +5,16 @@ parsers' error contract on arbitrary bytes.
 on every generated CSV: the same channel arrays bit for bit (NaN positions
 included), rate, start time and ``unparseable_cells``, or the same
 exception type. The CSVs mix empty, whitespace, non-numeric, non-finite and
-non-ASCII cells, quoted cells (some holding the delimiter or a line break),
-unmapped text columns, short, long and blank rows, CRLF line endings, custom
-delimiters and column names, and missing or bad time columns. They are
-parsed with the shipped chunk size and with chunks of a few bytes.
+non-ASCII cells, quoted cells (some holding the delimiter, a line break or a
+carriage return), unmapped text columns, short, long and blank rows, CRLF
+line endings, custom delimiters and column names, and missing or bad time
+columns. They are parsed with the shipped chunk size and with chunks of a
+few bytes.
 """
 from __future__ import annotations
 
 import sys
+import time
 from collections import Counter
 from unittest import mock
 
@@ -32,8 +34,8 @@ NUMBERS = ["1.5", "-2", "0", ".5", "5.", "1e5", "-0.0", "12.345678901234567", " 
            "\t2", "+3", "1e-300"]
 ODD = ["", " ", "\t", "　", "\xa0", "x", "inf", "-inf", "nan", "+nan", "-nan", "NaN",
        "1e999", "-1e999", "1_0", "١٢", "１", "Infinity", "1e", "- 1", "0x10",
-       "#1", "'1'", "1.5.1", "nan(1)"]
-TEXT = ["abc", "a b", "\xe9", "", " ", 'x"y', "#c", "x{d}y", "l1\nl2", "1.5"]
+       "#1", "'1'", "1.5.1", "nan(1)", "\r1\r"]
+TEXT = ["abc", "a b", "\xe9", "", " ", 'x"y', "#c", "x{d}y", "l1\nl2", "l1\rl2", "1.5"]
 BLANK_ROWS = ["", " ", "{d}{d}", " {d}\t", "　", '""', '""{d}" "']
 
 
@@ -43,7 +45,8 @@ def _quote(cell: str) -> str:
 
 def _cell(draw, pool, d: str) -> str:
     cell = draw(st.sampled_from(pool)).replace("{d}", d)
-    if d in cell or "\n" in cell or cell.startswith('"') or draw(st.integers(0, 9)) == 0:
+    if d in cell or "\n" in cell or "\r" in cell or cell.startswith('"') \
+            or draw(st.integers(0, 9)) == 0:
         return _quote(cell)
     return cell
 
@@ -141,6 +144,44 @@ def test_quoted_line_break_across_a_chunk_boundary():
             assert _outcome(parse_imu_joint_csv, text, spec) == \
                 _outcome(parse_imu_joint_csv_oracle, text, spec)
     assert parse_imu_joint_csv(text, spec).length == 40
+
+
+def test_carriage_return_inside_quotes_is_text():
+    text = 'time,arm_flex_r,note\r\n0.0,"1\r","a\rb"\r\n0.01,2,"c\r\r\nd"\r\n'
+    spec = ImuCsvSpec(channel_columns={"arm_flex_r": JointChannel.arm_flex_r})
+    assert _outcome(parse_imu_joint_csv, text, spec) == \
+        _outcome(parse_imu_joint_csv_oracle, text, spec)
+    assert parse_imu_joint_csv(text, spec).channels[JointChannel.arm_flex_r].tolist() == [1, 2]
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_a_long_open_quote_decodes_each_line_once(closed):
+    """A quote opened near the top and closed many rows later, or never:
+    the chunk grows line by line without rescanning what it holds."""
+    rows = [f"{i}.5,n" for i in range(3000)]
+    rows[2] = rows[2][:-1] + '"approx 5'
+    if closed:
+        rows[2500] += '"'
+    data = ("arm_flex_r,note\n" + "\n".join(rows) + "\n").encode()
+    spec = ImuCsvSpec(channel_columns={"arm_flex_r": JointChannel.arm_flex_r})
+    decoded = []
+    as_text = ingest._as_text
+
+    def counted(chunk):
+        decoded.append(len(chunk))
+        return as_text(chunk)
+
+    start = time.perf_counter()
+    with mock.patch.object(ingest, "_CHUNK", 256), \
+            mock.patch.object(ingest, "_as_text", counted):
+        outcome = _outcome(parse_imu_joint_csv, data, spec)
+    assert time.perf_counter() - start < 10
+    assert sum(decoded) <= len(data)
+    if closed:
+        assert outcome == _outcome(parse_imu_joint_csv_oracle, data, spec)
+        assert parse_imu_joint_csv(data, spec).length == 3 + 499  # rows 2-2500 are one
+    else:
+        assert outcome == "MalformedRecord"
 
 
 @pytest.mark.parametrize("text, needle", [
