@@ -45,38 +45,50 @@ DEFAULT_REFERENCE_CHANNEL = JointChannel.arm_flex_r
 ZERO_VARIANCE_STD = 1e-9
 
 
-def rmse(a, b) -> float:
-    """Root mean square difference over pairs where both samples are finite."""
+def _valid_pairs(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` and ``b`` as flat float arrays of the pairs where both samples
+    are finite: the inputs themselves, flattened, when every pair is."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise LengthMismatch(f"lengths {a.shape} vs {b.shape}")
     valid = np.isfinite(a) & np.isfinite(b)
-    if not np.any(valid):
+    if valid.all():
+        return a.ravel(), b.ravel()
+    return a[valid], b[valid]
+
+
+def _rmse(a: np.ndarray, b: np.ndarray) -> float:
+    if not a.size:
         raise NoValidPairs("no pair has both samples valid")
-    d = a[valid] - b[valid]
-    return float(np.sqrt(np.mean(d * d)))
+    d = a - b
+    d *= d
+    return float(np.sqrt(np.mean(d)))
 
 
-def pearson_correlation(a, b) -> float:
-    """Pearson coefficient over pairs where both samples are finite, in
-    [-1, 1]."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise LengthMismatch(f"lengths {a.shape} vs {b.shape}")
-    valid = np.isfinite(a) & np.isfinite(b)
-    n = int(np.sum(valid))
+def _pearson(a: np.ndarray, b: np.ndarray) -> float:
+    n = a.size
     if n < 2:
         raise NoValidPairs("need at least 2 valid pairs")
-    da = a[valid] - np.mean(a[valid])
-    db = b[valid] - np.mean(b[valid])
+    da = a - np.mean(a)
+    db = b - np.mean(b)
     ssa = float(np.dot(da, da))
     ssb = float(np.dot(db, db))
     if math.sqrt(min(ssa, ssb) / n) < ZERO_VARIANCE_STD:
         raise ZeroVariance(f"standard deviation below {ZERO_VARIANCE_STD} deg")
     r = float(np.dot(da, db)) / math.sqrt(ssa * ssb)
     return min(1.0, max(-1.0, r))
+
+
+def rmse(a, b) -> float:
+    """Root mean square difference over pairs where both samples are finite."""
+    return _rmse(*_valid_pairs(a, b))
+
+
+def pearson_correlation(a, b) -> float:
+    """Pearson coefficient over pairs where both samples are finite, in
+    [-1, 1]."""
+    return _pearson(*_valid_pairs(a, b))
 
 
 @dataclass(frozen=True)
@@ -260,6 +272,8 @@ def compare_recordings(a: JointAngleSeries, b: JointAngleSeries,
     )
     lag = alignment.lag
 
+    i0, i1 = _overlap_slices(a.length, b.length, lag)
+    overlap = i1 - i0
     results: dict[JointChannel, ChannelComparison] = {}
     for ch in _ordered_channels(set(a.channels) | set(b.channels)):
         if ch not in a.channels or ch not in b.channels:
@@ -269,21 +283,17 @@ def compare_recordings(a: JointAngleSeries, b: JointAngleSeries,
                 note=f"missing in {which} recording",
             )
             continue
-        i0, i1 = _overlap_slices(a.length, b.length, lag)
-        xa = a.channels[ch][i0:i1]
-        xb = b.channels[ch][i0 + lag:i1 + lag]
-        overlap = i1 - i0
-        valid = np.isfinite(xa) & np.isfinite(xb)
-        fraction = float(np.sum(valid)) / overlap if overlap else 0.0
+        xa, xb = _valid_pairs(a.channels[ch][i0:i1], b.channels[ch][i0 + lag:i1 + lag])
+        fraction = xa.size / overlap if overlap else 0.0
         if fraction < MIN_VALID_FRACTION:
             results[ch] = ChannelComparison(
                 rmse=None, correlation=None, valid_fraction=fraction,
                 note=f"only {fraction:.2f} of the overlap valid",
             )
             continue
-        value = rmse(xa, xb)
+        value = _rmse(xa, xb)
         try:
-            corr = pearson_correlation(xa, xb)
+            corr = _pearson(xa, xb)
             note = ""
         except ZeroVariance:
             corr = None

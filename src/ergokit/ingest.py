@@ -387,19 +387,17 @@ def parse_keypoint_stream(data: bytes | str,
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedRecord(f"invalid JSON ({exc.msg})", line_no)
+        except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
+            raise MalformedRecord(f"invalid JSON ({getattr(exc, 'msg', exc)})", line_no)
         if not isinstance(record, dict) or "points" not in record:
             raise MalformedRecord("record must be an object with a 'points' field", line_no)
-        if "time" in record:
-            try:
-                t = float(record["time"])
-            except (TypeError, ValueError):
-                raise MalformedRecord("'time' must be a number", line_no)
-        elif "frame" in record:
-            t = float(record["frame"]) / spec.frame_rate
-        else:
+        key = "time" if "time" in record else "frame"
+        if key not in record:
             raise MalformedRecord("record carries neither 'time' nor 'frame'", line_no)
+        try:
+            t = float(record[key]) / (1.0 if key == "time" else spec.frame_rate)
+        except (TypeError, ValueError, OverflowError):  # a huge integer overflows float
+            raise MalformedRecord(f"{key!r} must be a number", line_no)
         if not math.isfinite(t) or t < 0:
             raise MalformedRecord(f"timestamp {t} not finite and non-negative", line_no)
         if t < prev_t:
@@ -420,7 +418,7 @@ def parse_keypoint_stream(data: bytes | str,
                 raise MalformedRecord(f"point {label!r} is not an [x, y, z] triplet", line_no)
             try:
                 row[j:j + 3] = float(xyz[0]), float(xyz[1]), float(xyz[2])
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise MalformedRecord(f"point {label!r} has non-numeric coordinates", line_no)
 
         confidence = record.get("confidence")
@@ -428,7 +426,7 @@ def parse_keypoint_stream(data: bytes | str,
             for label, c in confidence.items():
                 try:
                     ok = label not in column or 0.0 <= float(c) <= 1.0
-                except (TypeError, ValueError):
+                except (TypeError, ValueError, OverflowError):
                     ok = False
                 if not ok:
                     raise MalformedRecord(
@@ -523,9 +521,11 @@ def resample(series: JointAngleSeries, target_rate: float) -> JointAngleSeries:
     """Linearly interpolate a series onto a uniform grid at ``target_rate``.
 
     Output length is floor(duration * target_rate) + 1, covering the
-    original time span. A missing input sample propagates NaN to every
-    output sample whose interpolation stencil touches it. At the series'
-    own rate the input is returned as it is.
+    original time span. An output sample that lands on an input sample
+    (within ``_SNAP``) copies it, so a missing neighbour does not reach it;
+    any other output sample is missing when either input sample of its
+    interpolation stencil is. At the series' own rate the input is returned
+    as it is.
     """
     if not (target_rate > 0):
         raise ValueError("target_rate must be > 0")
@@ -544,20 +544,18 @@ def resample(series: JointAngleSeries, target_rate: float) -> JointAngleSeries:
     nearest = np.rint(pos)
     exact = np.abs(pos - nearest) <= _SNAP
     pos = np.where(exact, nearest, pos)
+    hit = np.flatnonzero(exact)  # output samples that copy an input sample
+    src = nearest[hit].astype(int)
 
     lo = np.floor(pos).astype(int)
     lo = np.minimum(lo, n_in - 2)
     w = pos - lo
-
-    hit = exact & (w <= 0.5)  # snapped onto the lower grid point
-    hit_hi = exact & (w > 0.5)
+    hi, w_lo = lo + 1, 1.0 - w
     out: dict[JointChannel, np.ndarray] = {}
     for ch, x in series.channels.items():
-        a, b = x[lo], x[lo + 1]
-        y = (1.0 - w) * a
-        y += w * b
-        np.copyto(y, a, where=hit)
-        np.copyto(y, b, where=hit_hi)
+        y = x[lo] * w_lo
+        y += x[hi] * w
+        y[hit] = x[src]
         out[ch] = y
 
     return JointAngleSeries(

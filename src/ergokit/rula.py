@@ -171,6 +171,9 @@ def _validate_range_section(raw: dict, problems: list[str]) -> None:
         if joint not in JOINT_SCORE_RANGE or joint == "legs":
             problems.append(f"range[{joint}]: unknown joint")
             continue
+        if not isinstance(rule, dict):
+            problems.append(f"range[{joint}]: rule must be an object")
+            continue
         channels = rule.get("channels", {})
         expected = {"left", "right"} if joint in SIDED_JOINTS else {"axial"}
         if set(channels) != expected:
@@ -222,6 +225,9 @@ def _validate_position_section(raw: dict, problems: list[str]) -> None:
         return
     for i, rule in enumerate(section):
         where = f"position[{i}]"
+        if not isinstance(rule, dict):
+            problems.append(f"{where}: rule must be an object")
+            continue
         joint = rule.get("joint")
         if joint not in JOINT_SCORE_RANGE or joint == "legs":
             problems.append(f"{where}: unknown joint {joint!r}")

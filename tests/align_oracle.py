@@ -3,16 +3,18 @@
 These are the loops ``ergokit.compare`` used before it computed every lag's
 sums at once with FFTs, kept unchanged as an independent oracle: one
 ``rmse`` or ``pearson_correlation`` call on the whole overlap per lag, and
-the key ``(value, |lag|, lag)``. Tests compare ``align_min_rmse`` and
-``cross_correlation_peak`` in ``ergokit.compare`` against the functions
-here, the same way ``rula_oracle`` serves the scorer.
+the key ``(value, |lag|, lag)``, both statistics from ``stats_oracle``.
+Tests compare ``align_min_rmse`` and ``cross_correlation_peak`` in
+``ergokit.compare`` against the functions here, the same way
+``rula_oracle`` serves the scorer.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from ergokit.compare import AlignmentResult, pearson_correlation, rmse
+from ergokit.compare import AlignmentResult
 from ergokit.errors import InsufficientOverlap, NoValidPairs, ZeroVariance
+from stats_oracle import pearson_correlation, rmse
 
 
 def _overlap_slices(len_a: int, len_b: int, lag: int):

@@ -257,9 +257,13 @@ def _skipped_frame_stream() -> str:
 @pytest.mark.parametrize("kind, content, error", [
     ("keypoints", json.dumps({"frame": 0, "points": {"nose": [0.0, 0.0, 1.7]},
                               "confidence": {"nose": "x"}}) + "\n", "MalformedRecord"),
+    ("keypoints", '{"frame": "abc", "points": {}}\n', "MalformedRecord"),
+    ("keypoints", '{"frame": 1' + "0" * 400 + ', "points": {}}\n', "MalformedRecord"),
+    ("keypoints", '{"time": 1' + "0" * 400 + ', "points": {}}\n', "MalformedRecord"),
     ("imu-csv", _imu_csv([0.0, 0.01, 5.0, 5.01]), "IrregularTimestamps"),
     ("keypoints", _skipped_frame_stream(), "IrregularTimestamps"),
-], ids=["confidence-not-a-number", "imu-time-gap", "skipped-frame"])
+], ids=["confidence-not-a-number", "frame-not-a-number", "huge-frame", "huge-time",
+        "imu-time-gap", "skipped-frame"])
 def test_score_bad_input_is_one_error_line(tmp_path, capsys, kind, content, error):
     path = tmp_path / "input"
     path.write_text(content)
@@ -351,6 +355,25 @@ def test_bad_input_file_is_one_error_line(tmp_path, capsys, keypoints_file, argv
     assert main(argv + (["--out", str(tmp_path / "out")] if argv[0] == "score" else [])) == 1
     err = _error_lines(capsys)
     assert len(err) == 1 and err[0].startswith("ergokit: error:")
+
+
+@pytest.mark.parametrize("section, key, problem", [
+    ("position", 0, "position[0]: rule must be an object"),
+    ("range", "arm", "range[arm]: rule must be an object"),
+])
+def test_config_entry_not_an_object(tmp_path, capsys, keypoints_file, section, key, problem):
+    from ergokit.rula import default_config
+
+    raw = json.loads(json.dumps(default_config().raw))
+    raw[section][key] = 1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["check-config", str(path)]) == 1
+    assert problem in capsys.readouterr().out
+    assert main(["score", str(keypoints_file), "--kind", "keypoints", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = _error_lines(capsys)
+    assert len(err) == 1 and err[0].startswith("ergokit: error:") and problem in err[0]
 
 
 def test_check_config_on_a_list_lists_the_problem(tmp_path, capsys):

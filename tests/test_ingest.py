@@ -187,6 +187,26 @@ def test_parse_keypoint_stream_malformed_record_has_line_number():
     assert "line 2" in str(err.value)
 
 
+HUGE = "1" + "0" * 400  # a JSON integer beyond float's range
+
+
+@pytest.mark.parametrize("record", [
+    '{"frame": "abc", "points": {}}',
+    '{"frame": [1], "points": {}}',
+    f'{{"frame": {HUGE}, "points": {{}}}}',
+    f'{{"time": {HUGE}, "points": {{}}}}',
+    f'{{"frame": 1, "points": {{"nose": [0, {HUGE}, 1]}}}}',
+    f'{{"frame": 1, "points": {{}}, "confidence": {{"nose": {HUGE}}}}}',
+    '{"frame": ' + "1" * 5000 + ', "points": {}}',  # past int's digit limit
+], ids=["frame-text", "frame-list", "huge-frame", "huge-time", "huge-coordinate",
+        "huge-confidence", "over-4300-digits"])
+def test_parse_keypoint_stream_bad_number_has_line_number(record):
+    full = {lm.value: list(map(float, p)) for lm, p in neutral_frame().positions.items()}
+    with pytest.raises(MalformedRecord) as err:
+        parse_keypoint_stream("\n".join([_record(0, full), record]))
+    assert "line 2" in str(err.value)
+
+
 @pytest.mark.parametrize("value", ["x", None, "nan"])
 def test_parse_keypoint_stream_bad_confidence(value):
     full = {lm.value: list(map(float, p)) for lm, p in neutral_frame().positions.items()}

@@ -380,6 +380,19 @@ def test_config_out_of_bounds_score_detected():
     assert any("table_c" in p and "12" in p for p in problems)
 
 
+@pytest.mark.parametrize("section, key, problem", [
+    ("position", 0, "position[0]: rule must be an object"),
+    ("range", "arm", "range[arm]: rule must be an object"),
+])
+@pytest.mark.parametrize("entry", [1, [1], "x", None])
+def test_config_entry_not_an_object_is_a_problem(section, key, problem, entry):
+    raw = copy.deepcopy(default_config().raw)
+    raw[section][key] = entry
+    assert problem in validate_rula_config(raw)
+    with pytest.raises(ConfigError):
+        config_from_dict(raw)
+
+
 def test_config_band_gap_detected():
     raw = copy.deepcopy(default_config().raw)
     raw["bands"]["low"] = [3, 3]
