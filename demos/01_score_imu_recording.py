@@ -26,8 +26,7 @@ out_dir = Path("demo-output")
 out_dir.mkdir(exist_ok=True)
 
 # --- 1. fabricate an "IMU export": 60 s work cycle resampled to 100 Hz ------
-frames = work_cycle_recording(n_frames=1800, fps=30.0)
-series_30 = compute_angle_series(frames)
+series_30 = compute_angle_series(work_cycle_recording(n_frames=1800, fps=30.0))
 series_100 = resample(series_30, 100.0)
 csv_path = out_dir / "imu_export.csv"
 csv_path.write_text(format_imu_joint_csv(series_100))

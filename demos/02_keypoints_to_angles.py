@@ -20,16 +20,16 @@ from ergokit import (
 )
 from ergokit.ingest import format_keypoint_stream
 from ergokit.motion import JointChannel
-from ergokit.synthetic import neutral_frame, work_cycle_recording
+from ergokit.synthetic import posed_recording, work_cycle_recording
 
 out_dir = Path("demo-output")
 out_dir.mkdir(exist_ok=True)
 
 # --- 1. a keypoint stream, one JSON record per frame --------------------------
-frames = work_cycle_recording(n_frames=900, fps=30.0)
+recording = work_cycle_recording(n_frames=900, fps=30.0)
 stream_path = out_dir / "tracker_stream.jsonl"
-stream_path.write_text(format_keypoint_stream(frames))
-print(f"wrote tracker stream: {stream_path} ({len(frames)} frames at 30 fps)")
+stream_path.write_text(format_keypoint_stream(recording))
+print(f"wrote tracker stream: {stream_path} ({len(recording)} frames at 30 fps)")
 print("first record:", stream_path.read_text().splitlines()[0][:96], "...")
 
 # --- 2. the neck baseline ------------------------------------------------------
@@ -38,8 +38,9 @@ baseline = neck_baseline(parsed)
 print(f"\nstart-of-task head inclination: {baseline.inclination:.2f} deg "
       "(subtracted from neck flexion/extension)")
 
-raw = compute_joint_angles(neutral_frame(), baseline=None)
-corrected = compute_joint_angles(neutral_frame(), baseline=baseline)
+neutral = posed_recording([0.0])
+raw = compute_joint_angles(neutral, baseline=None)
+corrected = compute_joint_angles(neutral, baseline=baseline)
 print(f"neutral stance, raw nose inclination:            "
       f"{raw[JointChannel.T1_head_neck_FE]:7.2f} deg")
 print(f"neutral stance, relative to the task's start:    "

@@ -31,8 +31,7 @@ def simulate_run(head_start_s: float) -> tuple[JointAngleSeries, JointAngleSerie
     The camera starts ``head_start_s`` seconds after the reference, so its
     first sample corresponds to a later moment of the task.
     """
-    frames = work_cycle_recording(n_frames=2400, fps=30.0)
-    truth = compute_angle_series(frames)
+    truth = compute_angle_series(work_cycle_recording(n_frames=2400, fps=30.0))
     reference = resample(truth, 100.0)
 
     skip = int(round(head_start_s * 30.0))

@@ -12,7 +12,6 @@ from .motion import (
     ChannelSummary,
     JointAngleSeries,
     JointChannel,
-    KeypointFrame,
     KeypointRecording,
     Landmark,
     Side,

@@ -25,7 +25,7 @@ uniform scaling of an entire recording leaves every output unchanged.
 Baseline handling: channels whose zero is only meaningful relative to the
 start of the task (head inclination against the nose landmark, pelvis
 orientation) are corrected against a baseline captured from the first
-complete frames of the recording.
+usable frames of the recording.
 """
 from __future__ import annotations
 
@@ -47,7 +47,6 @@ from .motion import (
     LANDMARK_INDEX,
     JointAngleSeries,
     JointChannel,
-    KeypointFrame,
     KeypointRecording,
     Landmark,
     Vec3,
@@ -178,15 +177,6 @@ def _axes(positions: np.ndarray) -> BodyAxes:
                         p[Landmark.hip_r] - p[Landmark.hip_l])
 
 
-def body_axes(frame: KeypointFrame) -> BodyAxes | None:
-    """Orthonormal anatomical axes for a frame, or None when the trunk/hip
-    landmarks are missing or degenerate."""
-    axes = _axes(KeypointRecording.from_frames([frame]).positions)
-    if np.isnan(axes.forward).any():
-        return None
-    return BodyAxes(up=axes.up[0], right=axes.right[0], forward=axes.forward[0])
-
-
 # --- angle definitions ----------------------------------------------------------
 
 # A point reference is a landmark, or a pair of landmarks meaning their
@@ -308,7 +298,7 @@ def default_angle_definitions() -> list[AngleDefinition]:
 
 @dataclass(frozen=True)
 class Baseline:
-    """Start-of-task references captured from the first complete frames.
+    """Start-of-task references captured from the first usable frames.
 
     ``inclination`` is the mean raw head inclination subtracted from neck
     flexion/extension; ``axes`` and ``directions`` serve the channels
@@ -374,54 +364,50 @@ def _angles(positions: np.ndarray, defs,
     return out
 
 
-#: Default number of complete frames used to capture the baseline
-#: (0.5 s at 30 fps).
+#: Default number of leading frames scanned for the baseline (0.5 s at
+#: 30 fps).
 DEFAULT_BASELINE_WINDOW = 15
 
 
-def neck_baseline(frames, defs=None, window: int = DEFAULT_BASELINE_WINDOW) -> Baseline:
-    """Capture the start-of-task baseline from the first complete frames
-    of a KeypointRecording or an iterable of KeypointFrame.
+def neck_baseline(recording: KeypointRecording, defs=None,
+                  window: int = DEFAULT_BASELINE_WINDOW) -> Baseline:
+    """Capture the start-of-task baseline from the usable frames among the
+    first ``window`` frames of a recording.
 
-    A frame is complete here when it carries the axes landmarks and every
-    landmark used by a baseline-dependent definition. Up to ``window``
-    leading frames are scanned; raises NoCompleteFrames when none qualify
-    and DegenerateVector when a baseline channel is degenerate in one.
+    A frame is usable when it carries the axes landmarks and every landmark
+    used by a baseline-dependent definition, and is not degenerate there:
+    its axes, each ``subtract_initial`` channel and each ``initial_self``
+    segment are defined. Raises NoCompleteFrames when no frame is usable.
     """
     if defs is None:
         defs = default_angle_definitions()
     baseline_defs = [d for d in defs if d.baseline != "none"]
     needed = AXES_LANDMARKS.union(*(d.landmarks() for d in baseline_defs))
 
-    window_pos = KeypointRecording.from_frames(frames).positions[: max(window, 1)]
-    axes = _axes(window_pos)
-    complete = ~np.isnan(window_pos[:, [LANDMARK_INDEX[lm] for lm in needed]]).any(axis=(1, 2))
-    complete &= ~np.isnan(axes.forward).any(axis=1)
-    if not complete.any():
-        raise NoCompleteFrames(f"no complete frame in the first {len(window_pos)} frames")
-    positions = window_pos[complete]
+    positions = recording.positions[: max(window, 1)]
     axes = _axes(positions)
+    usable = ~np.isnan(positions[:, [LANDMARK_INDEX[lm] for lm in needed]]).any(axis=(1, 2))
+    usable &= ~np.isnan(axes.forward).any(axis=1)
+    values = {d.channel: _channel(d, positions, axes, None)
+              for d in baseline_defs if d.baseline == "subtract_initial"}
+    segments = {d.channel: _segment(positions, d.vector_b)
+                for d in baseline_defs if d.baseline == "initial_self"}
+    for v in values.values():
+        usable &= ~np.isnan(v)
+    for seg in segments.values():
+        usable &= _norm(seg) > EPSILON
+    if not usable.any():
+        raise NoCompleteFrames(f"no usable frame in the first {len(positions)} frames")
 
-    mean_axes = _orthonormal(_mean_direction(axes.up), _mean_direction(axes.right))
-
-    inclinations: dict[JointChannel, float] = {}
-    directions: dict[JointChannel, Vec3] = {}
-    for d in baseline_defs:
-        if d.baseline == "subtract_initial":
-            values = _channel(d, positions, axes, None)
-            if np.isnan(values).any():
-                raise DegenerateVector(f"{d.channel.value}: degenerate in a baseline frame")
-            inclinations[d.channel] = float(np.mean(values))
-        elif d.baseline == "initial_self":
-            seg = _segment(positions, d.vector_b)
-            directions[d.channel] = _mean_direction(seg / _norm(seg)[:, None])
-
-    neck_incl = inclinations.get(JointChannel.T1_head_neck_FE, 0.0)
+    inclinations = {ch: float(np.mean(v[usable])) for ch, v in values.items()}
+    segments = {ch: seg[usable] for ch, seg in segments.items()}
     return Baseline(
-        inclination=neck_incl,
-        axes=mean_axes,
+        inclination=inclinations.get(JointChannel.T1_head_neck_FE, 0.0),
+        axes=_orthonormal(_mean_direction(axes.up[usable]),
+                          _mean_direction(axes.right[usable])),
         inclinations=inclinations,
-        directions=directions,
+        directions={ch: _mean_direction(seg / _norm(seg)[:, None])
+                    for ch, seg in segments.items()},
     )
 
 
@@ -433,9 +419,9 @@ def _mean_direction(vectors: np.ndarray) -> Vec3:
 # --- per-frame and per-series computation -----------------------------------------
 
 
-def compute_joint_angles(frame: KeypointFrame, defs=None,
+def compute_joint_angles(frame: KeypointRecording, defs=None,
                          baseline: Baseline | None = None) -> dict[JointChannel, float]:
-    """All computable channels for one frame.
+    """All computable channels for a one-frame recording.
 
     Channels whose landmarks are missing or whose geometry is degenerate are
     absent from the result, never zeroed. Neck flexion/extension has the
@@ -443,20 +429,20 @@ def compute_joint_angles(frame: KeypointFrame, defs=None,
     """
     if defs is None:
         defs = default_angle_definitions()
-    values = _angles(KeypointRecording.from_frames([frame]).positions, defs, baseline)
+    if len(frame) != 1:
+        raise ValueError(f"expected a one-frame recording, got {len(frame)} frames")
+    values = _angles(frame.positions, defs, baseline)
     return {ch: float(v[0]) for ch, v in values.items() if not math.isnan(v[0])}
 
 
-def compute_angle_series(frames, defs=None,
+def compute_angle_series(recording: KeypointRecording, defs=None,
                          baseline_window: int = DEFAULT_BASELINE_WINDOW,
                          sample_rate: float | None = None) -> JointAngleSeries:
-    """Every channel over every frame of a KeypointRecording, or of an
-    iterable of KeypointFrame stacked into one.
+    """Every channel over every frame of a recording.
 
     Unless given, the sample rate comes from ``uniform_grid`` on the frame
     times. Channels a frame cannot produce become NaN samples for that frame.
     """
-    recording = KeypointRecording.from_frames(frames)
     n = len(recording)
     if not n:
         raise NoCompleteFrames("empty recording")

@@ -61,7 +61,6 @@ from .motion import (
     AnnotationTrack,
     JointAngleSeries,
     JointChannel,
-    KeypointFrame,
     KeypointRecording,
     Landmark,
     CHANNEL_ORDER,
@@ -440,18 +439,16 @@ def parse_keypoint_stream(data: bytes | str,
     return KeypointRecording(times=np.array(times), positions=positions)
 
 
-def format_keypoint_stream(frames: list[KeypointFrame]) -> str:
-    """Serialize frames back to the JSON-lines layout."""
+def format_keypoint_stream(recording: KeypointRecording) -> str:
+    """Serialize a recording to the JSON-lines layout, one record per frame
+    with its points in ``Landmark`` order; a NaN row is left out."""
+    labels = [lm.value for lm in LANDMARK_INDEX]
+    absent = np.isnan(recording.positions).any(axis=2).tolist()
     lines = []
-    for i, frame in enumerate(frames):
-        record = {
-            "frame": i,
-            "time": frame.timestamp,
-            "points": {
-                lm.value: [float(v) for v in p] for lm, p in frame.positions.items()
-            },
-        }
-        lines.append(json.dumps(record))
+    for i, (t, rows, gaps) in enumerate(zip(recording.times.tolist(),
+                                            recording.positions.tolist(), absent)):
+        points = {label: xyz for label, xyz, gap in zip(labels, rows, gaps) if not gap}
+        lines.append(json.dumps({"frame": i, "time": t, "points": points}))
     return "\n".join(lines) + "\n"
 
 
@@ -553,8 +550,11 @@ def resample(series: JointAngleSeries, target_rate: float) -> JointAngleSeries:
     hi, w_lo = lo + 1, 1.0 - w
     out: dict[JointChannel, np.ndarray] = {}
     for ch, x in series.channels.items():
-        y = x[lo] * w_lo
-        y += x[hi] * w
+        # An infinite sample blends as 0 * inf at an exact hit; the scatter
+        # below overwrites that NaN.
+        with np.errstate(invalid="ignore"):
+            y = x[lo] * w_lo
+            y += x[hi] * w
         y[hit] = x[src]
         out[ch] = y
 

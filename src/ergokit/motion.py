@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
-
 import numpy as np
 
 from .errors import (
@@ -112,25 +110,6 @@ def channel_side(channel: JointChannel) -> Side | None:
     return None
 
 
-@dataclass(frozen=True)
-class KeypointFrame:
-    """One timestamped frame of 3D anatomical landmark positions; a landmark
-    the tracker did not report is simply absent from ``positions``."""
-
-    timestamp: float
-    positions: Mapping[Landmark, Vec3]
-
-    def __post_init__(self):
-        if not math.isfinite(self.timestamp) or self.timestamp < 0:
-            raise ValueError(f"timestamp must be finite and >= 0, got {self.timestamp}")
-        for lm, p in self.positions.items():
-            if not np.all(np.isfinite(p)):
-                raise ValueError(f"non-finite position for landmark {lm.value}")
-
-    def has(self, *landmarks: Landmark) -> bool:
-        return all(lm in self.positions for lm in landmarks)
-
-
 #: Row of each landmark in ``KeypointRecording.positions``.
 LANDMARK_INDEX: dict[Landmark, int] = {lm: i for i, lm in enumerate(Landmark)}
 
@@ -150,19 +129,6 @@ class KeypointRecording:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    @classmethod
-    def from_frames(cls, frames) -> "KeypointRecording":
-        """Stack an iterable of KeypointFrame; a recording is returned as is."""
-        if isinstance(frames, cls):
-            return frames
-        frames = list(frames)
-        positions = np.full((len(frames), len(LANDMARK_INDEX), 3), np.nan)
-        for i, frame in enumerate(frames):
-            for lm, p in frame.positions.items():
-                positions[i, LANDMARK_INDEX[lm]] = p
-        return cls(times=np.array([f.timestamp for f in frames], dtype=float),
-                   positions=positions)
 
 
 def uniform_grid(times) -> tuple[float, float]:

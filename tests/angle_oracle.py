@@ -6,12 +6,14 @@ frame and one definition at a time, with np.cross and np.linalg.norm on
 single 3-vectors and Degenerate* exceptions where the batched path yields
 NaN. Tests compare ``ergokit.geometry.compute_angle_series`` against
 ``compute_angle_series`` here, the same way ``worksheet_scorer`` serves the
-RULA scorer.
+RULA scorer. Its input is a list of ``Frame``, a dict of the landmarks
+present per frame; ``frames_of`` converts a recording.
 """
 from __future__ import annotations
 
 import logging
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,9 +28,35 @@ from ergokit.geometry import (
     PointRef,
     default_angle_definitions,
 )
-from ergokit.motion import JointAngleSeries, JointChannel, KeypointFrame, Landmark, Vec3
+from ergokit.motion import (
+    LANDMARK_INDEX,
+    JointAngleSeries,
+    JointChannel,
+    KeypointRecording,
+    Landmark,
+    Vec3,
+)
 
 log = logging.getLogger(__name__)
+
+
+@dataclass(frozen=True)
+class Frame:
+    """One timestamped frame; a landmark absent from it has no entry."""
+
+    timestamp: float
+    positions: dict[Landmark, Vec3]
+
+    def has(self, *landmarks: Landmark) -> bool:
+        return all(lm in self.positions for lm in landmarks)
+
+
+def frames_of(recording: KeypointRecording) -> list[Frame]:
+    """One Frame per recording row, without its NaN rows."""
+    return [Frame(timestamp=float(t),
+                  positions={lm: p[i] for lm, i in LANDMARK_INDEX.items()
+                             if not np.isnan(p[i]).any()})
+            for t, p in zip(recording.times, recording.positions)]
 
 
 def vector_angle(a: Vec3, b: Vec3) -> float:
@@ -71,7 +99,7 @@ def signed_plane_angle(u: Vec3, v: Vec3, plane_normal: Vec3) -> float:
     return angle
 
 
-def body_axes(frame: KeypointFrame) -> BodyAxes | None:
+def body_axes(frame: Frame) -> BodyAxes | None:
     """Orthonormal anatomical axes for a frame, or None when the trunk/hip
     landmarks are missing or degenerate."""
     if not frame.has(*AXES_LANDMARKS):
@@ -91,7 +119,7 @@ def body_axes(frame: KeypointFrame) -> BodyAxes | None:
     return BodyAxes(up=up, right=right, forward=np.cross(up, right))
 
 
-def _point_vec(frame: KeypointFrame, point: PointRef) -> Vec3 | None:
+def _point_vec(frame: Frame, point: PointRef) -> Vec3 | None:
     acc = np.zeros(3)
     for lm in point:
         if lm not in frame.positions:
@@ -100,7 +128,7 @@ def _point_vec(frame: KeypointFrame, point: PointRef) -> Vec3 | None:
     return acc / len(point)
 
 
-def _segment(frame: KeypointFrame, vec: tuple[PointRef, PointRef]) -> Vec3 | None:
+def _segment(frame: Frame, vec: tuple[PointRef, PointRef]) -> Vec3 | None:
     p0 = _point_vec(frame, vec[0])
     p1 = _point_vec(frame, vec[1])
     if p0 is None or p1 is None:
@@ -108,7 +136,7 @@ def _segment(frame: KeypointFrame, vec: tuple[PointRef, PointRef]) -> Vec3 | Non
     return p1 - p0
 
 
-def _raw_angle(defn: AngleDefinition, frame: KeypointFrame,
+def _raw_angle(defn: AngleDefinition, frame: Frame,
                axes: BodyAxes | None, baseline: Baseline | None) -> float:
     """One channel for one frame; raises Degenerate* or KeyError-like
     ValueError when inputs are unavailable."""
@@ -216,7 +244,7 @@ def _mean_direction(vectors) -> Vec3:
     return m / np.linalg.norm(m)
 
 
-def compute_joint_angles(frame: KeypointFrame, defs=None,
+def compute_joint_angles(frame: Frame, defs=None,
                          baseline: Baseline | None = None) -> dict[JointChannel, float]:
     """All computable channels for one frame.
 

@@ -22,8 +22,9 @@ from ergokit.motion import (
     AnnotationInterval,
     AnnotationTrack,
     JointAngleSeries,
+    LANDMARK_INDEX,
     JointChannel,
-    KeypointFrame,
+    KeypointRecording,
     vec3,
 )
 from ergokit.reporting import (
@@ -46,7 +47,7 @@ from ergokit.synthetic import (
     NEUTRAL_POSITIONS,
     elbow_flexion_recording,
     random_rotation,
-    transform_frames,
+    transform_recording,
 )
 
 from worksheet_scorer import worksheet_score
@@ -129,12 +130,12 @@ def test_criterion_02_scoring_oracle():
     _verdict(2, f"scoring oracle (10000 inputs, {elapsed:.1f} s)", ok)
 
 
-def _jittered_frame(rng, timestamp: float) -> KeypointFrame:
-    positions = {
-        lm: p + rng.uniform(-0.03, 0.03, size=3)
-        for lm, p in NEUTRAL_POSITIONS.items()
-    }
-    return KeypointFrame(timestamp=timestamp, positions=positions)
+def _jittered(rng, times) -> KeypointRecording:
+    positions = np.empty((len(times), len(LANDMARK_INDEX), 3))
+    for i in range(len(times)):
+        for lm, p in NEUTRAL_POSITIONS.items():
+            positions[i, LANDMARK_INDEX[lm]] = p + rng.uniform(-0.03, 0.03, size=3)
+    return KeypointRecording(times=np.asarray(times, dtype=float), positions=positions)
 
 
 def test_criterion_03_geometry_properties():
@@ -151,11 +152,11 @@ def test_criterion_03_geometry_properties():
     defs = [d for d in default_angle_definitions() if d.baseline == "none"]
     worst = 0.0
     for i in range(1000):
-        frame = _jittered_frame(rng, i / 30.0)
-        moved = transform_frames(
-            [frame], random_rotation(rng), rng.normal(scale=10.0, size=3),
+        frame = _jittered(rng, [i / 30.0])
+        moved = transform_recording(
+            frame, random_rotation(rng), rng.normal(scale=10.0, size=3),
             float(rng.uniform(0.1, 10.0)),
-        )[0]
+        )
         a = compute_joint_angles(frame, defs)
         b = compute_joint_angles(moved, defs)
         ok &= set(a) == set(b)
@@ -164,12 +165,12 @@ def test_criterion_03_geometry_properties():
     ok &= worst <= 1e-9
 
     # Whole-recording transforms cover the baseline-referenced channels.
-    frames = [_jittered_frame(rng, i / 30.0) for i in range(120)]
-    series = compute_angle_series(frames)
+    recording = _jittered(rng, np.arange(120) / 30.0)
+    series = compute_angle_series(recording)
     worst_series = 0.0
     for _ in range(2):
-        moved = transform_frames(
-            frames, random_rotation(rng), rng.normal(scale=5.0, size=3),
+        moved = transform_recording(
+            recording, random_rotation(rng), rng.normal(scale=5.0, size=3),
             float(rng.uniform(0.2, 5.0)),
         )
         series2 = compute_angle_series(moved)
@@ -184,8 +185,8 @@ def test_criterion_03_geometry_properties():
 
 
 def test_criterion_04_synthetic_round_trip():
-    frames, true_angles = elbow_flexion_recording(n_frames=300)
-    series = compute_angle_series(frames)
+    recording, true_angles = elbow_flexion_recording(n_frames=300)
+    series = compute_angle_series(recording)
     recovered = series.channels[JointChannel.elbow_flex_r]
     worst = float(np.max(np.abs(recovered - true_angles)))
     first_fe = float(series.channels[JointChannel.T1_head_neck_FE][0])

@@ -5,7 +5,7 @@ import pytest
 
 from ergokit.cli import main
 from ergokit.ingest import format_imu_joint_csv, format_keypoint_stream
-from ergokit.motion import JointAngleSeries, JointChannel
+from ergokit.motion import JointAngleSeries, JointChannel, KeypointRecording
 from ergokit.synthetic import (
     elbow_flexion_recording,
     neutral_angle_series,
@@ -22,9 +22,9 @@ def neutral_csv(tmp_path):
 
 @pytest.fixture
 def keypoints_file(tmp_path):
-    frames, _ = elbow_flexion_recording(n_frames=90)
+    recording, _ = elbow_flexion_recording(n_frames=90)
     path = tmp_path / "task.jsonl"
-    path.write_text(format_keypoint_stream(frames))
+    path.write_text(format_keypoint_stream(recording))
     return path
 
 
@@ -110,9 +110,8 @@ def test_convert_empty_file(tmp_path, capsys):
 
 
 def test_compare_self_all_zero(tmp_path, capsys):
-    frames = work_cycle_recording(450)
     path = tmp_path / "cycle.jsonl"
-    path.write_text(format_keypoint_stream(frames))
+    path.write_text(format_keypoint_stream(work_cycle_recording(450)))
     out = tmp_path / "cmp"
     code = main(["compare", str(path), str(path),
                  "--kind-a", "keypoints", "--kind-b", "keypoints",
@@ -127,9 +126,8 @@ def test_compare_self_all_zero(tmp_path, capsys):
 
 
 def test_compare_batch_two_runs(tmp_path):
-    frames = work_cycle_recording(450)
     path = tmp_path / "cycle.jsonl"
-    path.write_text(format_keypoint_stream(frames))
+    path.write_text(format_keypoint_stream(work_cycle_recording(450)))
     out = tmp_path / "cmp"
     code = main(["compare", str(path), str(path), str(path), str(path),
                  "--kind-a", "keypoints", "--kind-b", "keypoints",
@@ -167,9 +165,8 @@ def test_compare_reference_channel_missing(tmp_path, keypoints_file, capsys):
 
 
 def test_compare_imu_vs_keypoints_downsamples(tmp_path, capsys):
-    frames = work_cycle_recording(360)
     kp = tmp_path / "cycle.jsonl"
-    kp.write_text(format_keypoint_stream(frames))
+    kp.write_text(format_keypoint_stream(work_cycle_recording(360)))
     # Build a 100 Hz CSV of the same motion by scoring the keypoints route.
     conv = tmp_path / "conv"
     assert main(["convert", str(kp), "--out", str(conv), "--rate", "100"]) == 0
@@ -249,9 +246,9 @@ def _imu_csv(times) -> str:
 
 
 def _skipped_frame_stream() -> str:
-    frames, _ = elbow_flexion_recording(n_frames=40)
-    del frames[25]
-    return format_keypoint_stream(frames)
+    recording, _ = elbow_flexion_recording(n_frames=40)
+    return format_keypoint_stream(KeypointRecording(
+        times=np.delete(recording.times, 25), positions=np.delete(recording.positions, 25, 0)))
 
 
 @pytest.mark.parametrize("kind, content, error", [

@@ -10,7 +10,6 @@ from ergokit.errors import (
     NoCompleteFrames,
 )
 from ergokit.geometry import (
-    body_axes,
     compute_angle_series,
     compute_joint_angles,
     default_angle_definitions,
@@ -18,15 +17,27 @@ from ergokit.geometry import (
     signed_plane_angle,
     vector_angle,
 )
-from ergokit.motion import JointChannel, KeypointFrame, Landmark, vec3
+from ergokit.motion import LANDMARK_INDEX, JointChannel, KeypointRecording, Landmark, vec3
 from ergokit.synthetic import (
     NEUTRAL_POSITIONS,
     elbow_flexion_recording,
-    frame_with_elbow_flexion,
-    neutral_frame,
+    posed_recording,
     random_rotation,
-    transform_frames,
+    transform_recording,
 )
+
+
+def _neutral(n_frames: int = 1) -> KeypointRecording:
+    return posed_recording(np.arange(n_frames) / 30)
+
+
+def _with(points: dict, t: float = 0.0) -> KeypointRecording:
+    """The neutral posture at time t, each given landmark moved to its
+    point, or absent (a NaN row) for None."""
+    recording = posed_recording([t])
+    for lm, p in points.items():
+        recording.positions[0, LANDMARK_INDEX[lm]] = np.nan if p is None else p
+    return recording
 
 
 def test_vector_angle_known_cases():
@@ -78,7 +89,7 @@ def test_signed_plane_angle_degenerate_projection():
 
 
 def test_body_axes_neutral():
-    axes = body_axes(neutral_frame())
+    axes = neck_baseline(_neutral()).axes
     assert np.allclose(axes.up, [0, 0, 1])
     assert np.allclose(axes.right, [0, -1, 0])
     assert np.allclose(axes.forward, [1, 0, 0])
@@ -88,60 +99,50 @@ def test_body_axes_neutral():
 
 
 def test_neck_baseline_constant_posture():
-    frames = [neutral_frame(i / 30) for i in range(5)]
-    baseline = neck_baseline(frames, window=5)
+    baseline = neck_baseline(_neutral(5), window=5)
     raw = math.degrees(math.atan2(0.10, 0.15))  # nose offset in the neutral pose
     assert math.isclose(baseline.inclination, raw, abs_tol=1e-9)
 
 
 def test_neck_baseline_mean_of_inclinations():
-    def tilted(t, extra_deg):
-        positions = {lm: p.copy() for lm, p in NEUTRAL_POSITIONS.items()}
-        base = math.atan2(0.10, 0.15)
-        r = math.hypot(0.10, 0.15)
+    recording = _neutral(2)
+    base = math.atan2(0.10, 0.15)
+    r = math.hypot(0.10, 0.15)
+    for i, extra_deg in enumerate((-2.0, 2.0)):
         a = base + math.radians(extra_deg)
-        positions[Landmark.nose] = positions[Landmark.neck] + vec3(
-            r * math.sin(a), 0.0, r * math.cos(a))
-        return KeypointFrame(timestamp=t, positions=positions)
-
-    frames = [tilted(0.0, -2.0), tilted(0.1, 2.0)]
-    baseline = neck_baseline(frames, window=2)
+        recording.positions[i, LANDMARK_INDEX[Landmark.nose]] = (
+            NEUTRAL_POSITIONS[Landmark.neck] + vec3(r * math.sin(a), 0.0, r * math.cos(a)))
+    baseline = neck_baseline(recording, window=2)
     raw = math.degrees(math.atan2(0.10, 0.15))
     assert math.isclose(baseline.inclination, raw, abs_tol=1e-6)
 
 
 def test_neck_baseline_no_complete_frames():
-    positions = {lm: p.copy() for lm, p in NEUTRAL_POSITIONS.items()}
-    del positions[Landmark.nose]
-    frames = [KeypointFrame(timestamp=0.0, positions=positions)]
     with pytest.raises(NoCompleteFrames):
-        neck_baseline(frames, window=5)
+        neck_baseline(_with({Landmark.nose: None}), window=5)
 
 
 # --- per-frame angles -------------------------------------------------------------
 
 
 def test_straight_arm_gives_zero_elbow_flexion():
-    frame = neutral_frame()
-    angles = compute_joint_angles(frame)
+    angles = compute_joint_angles(_neutral())
     assert abs(angles[JointChannel.elbow_flex_r]) < 1e-9
     assert abs(angles[JointChannel.elbow_flex_l]) < 1e-9
 
 
 def test_constructed_right_angle_elbow():
-    frame = frame_with_elbow_flexion(0.0, 90.0)
-    angles = compute_joint_angles(frame)
+    angles = compute_joint_angles(posed_recording([0.0], elbow_r=90.0))
     assert abs(angles[JointChannel.elbow_flex_r] - 90.0) < 1e-9
 
 
 def test_first_frame_neck_flexion_zero_by_baseline():
-    frames = [neutral_frame(i / 30) for i in range(20)]
-    series = compute_angle_series(frames)
+    series = compute_angle_series(_neutral(20))
     assert abs(series.channels[JointChannel.T1_head_neck_FE][0]) < 1e-9
 
 
 def test_collinear_same_direction_flexion_channels_zero():
-    angles = compute_joint_angles(neutral_frame())
+    angles = compute_joint_angles(_neutral())
     for ch in (JointChannel.elbow_flex_l, JointChannel.elbow_flex_r,
                JointChannel.arm_flex_l, JointChannel.arm_flex_r,
                JointChannel.wrist_flex_l, JointChannel.wrist_flex_r,
@@ -150,51 +151,41 @@ def test_collinear_same_direction_flexion_channels_zero():
 
 
 def test_missing_landmarks_channel_absent_not_zeroed():
-    positions = {lm: p.copy() for lm, p in NEUTRAL_POSITIONS.items()}
-    del positions[Landmark.wrist_r]
-    frame = KeypointFrame(timestamp=0.0, positions=positions)
-    angles = compute_joint_angles(frame)
+    angles = compute_joint_angles(_with({Landmark.wrist_r: None}))
     assert JointChannel.elbow_flex_r not in angles
     assert JointChannel.wrist_flex_r not in angles
     assert JointChannel.elbow_flex_l in angles
 
 
 def test_sign_conventions():
-    frames = [neutral_frame(0.0)]
-    baseline = neck_baseline(frames, window=1)
+    baseline = neck_baseline(_neutral(), window=1)
+    neck, shoulder_r = NEUTRAL_POSITIONS[Landmark.neck], NEUTRAL_POSITIONS[Landmark.shoulder_r]
 
     # Forward head tilt -> positive neck flexion.
-    positions = {lm: p.copy() for lm, p in NEUTRAL_POSITIONS.items()}
-    positions[Landmark.nose] = positions[Landmark.neck] + vec3(0.16, 0.0, 0.05)
-    tilted = KeypointFrame(timestamp=1.0, positions=positions)
+    tilted = _with({Landmark.nose: neck + vec3(0.16, 0.0, 0.05)}, t=1.0)
     assert compute_joint_angles(tilted, baseline=baseline)[JointChannel.T1_head_neck_FE] > 0
 
     # 60 degree forward arm raise -> arm_flex_r = +60.
-    positions = {lm: p.copy() for lm, p in NEUTRAL_POSITIONS.items()}
     s, c = math.sin(math.radians(60)), math.cos(math.radians(60))
-    positions[Landmark.elbow_r] = positions[Landmark.shoulder_r] + vec3(0.30 * s, 0, -0.30 * c)
-    positions[Landmark.wrist_r] = positions[Landmark.elbow_r] + vec3(0.25 * s, 0, -0.25 * c)
-    raised = KeypointFrame(timestamp=1.0, positions=positions)
+    elbow = shoulder_r + vec3(0.30 * s, 0, -0.30 * c)
+    raised = _with({Landmark.elbow_r: elbow,
+                    Landmark.wrist_r: elbow + vec3(0.25 * s, 0, -0.25 * c)}, t=1.0)
     assert math.isclose(
         compute_joint_angles(raised, baseline=baseline)[JointChannel.arm_flex_r],
         60.0, abs_tol=1e-9,
     )
 
     # 50 degree lateral abduction -> arm_add_r = +50.
-    positions = {lm: p.copy() for lm, p in NEUTRAL_POSITIONS.items()}
     s, c = math.sin(math.radians(50)), math.cos(math.radians(50))
-    positions[Landmark.elbow_r] = positions[Landmark.shoulder_r] + vec3(0, -0.30 * s, -0.30 * c)
-    abducted = KeypointFrame(timestamp=1.0, positions=positions)
+    abducted = _with({Landmark.elbow_r: shoulder_r + vec3(0, -0.30 * s, -0.30 * c)}, t=1.0)
     assert math.isclose(
         compute_joint_angles(abducted, baseline=baseline)[JointChannel.arm_add_r],
         50.0, abs_tol=1e-9,
     )
 
     # 30 degree head turn -> neck rotation magnitude 30.
-    positions = {lm: p.copy() for lm, p in NEUTRAL_POSITIONS.items()}
     s, c = math.sin(math.radians(30)), math.cos(math.radians(30))
-    positions[Landmark.nose] = positions[Landmark.neck] + vec3(0.10 * c, 0.10 * s, 0.15)
-    turned = KeypointFrame(timestamp=1.0, positions=positions)
+    turned = _with({Landmark.nose: neck + vec3(0.10 * c, 0.10 * s, 0.15)}, t=1.0)
     assert math.isclose(
         compute_joint_angles(turned, baseline=baseline)[JointChannel.T1_head_neck_AR],
         30.0, abs_tol=1e-9,
@@ -205,48 +196,42 @@ def test_sign_conventions():
 
 
 def test_identical_frames_constant_channels():
-    frames = [neutral_frame(i / 30) for i in range(10)]
-    series = compute_angle_series(frames)
+    series = compute_angle_series(_neutral(10))
     for ch, values in series.channels.items():
         assert np.all(np.isfinite(values)), ch
         assert np.max(values) - np.min(values) < 1e-9, ch
 
 
 def test_elbow_sinusoid_round_trip():
-    frames, true_angles = elbow_flexion_recording(n_frames=150)
-    series = compute_angle_series(frames)
+    recording, true_angles = elbow_flexion_recording(n_frames=150)
+    series = compute_angle_series(recording)
     recovered = series.channels[JointChannel.elbow_flex_r]
     assert np.max(np.abs(recovered - true_angles)) < 1e-6
 
 
 def test_series_sample_rate_from_frame_spacing():
-    frames = [neutral_frame(i / 30) for i in range(20)]
-    series = compute_angle_series(frames)
+    series = compute_angle_series(_neutral(20))
     assert math.isclose(series.sample_rate, 30.0, rel_tol=1e-9)
 
 
 def test_series_jittered_frame_times_accepted(rng):
     steps = (1 / 30) * rng.uniform(0.8, 1.2, size=59)
     times = np.concatenate([[0.0], np.cumsum(steps)])
-    series = compute_angle_series([neutral_frame(float(t)) for t in times])
+    series = compute_angle_series(posed_recording(times))
     assert math.isclose(series.sample_rate, 1 / np.median(steps), rel_tol=1e-12)
 
 
 def test_series_skipped_frame_rejected():
-    frames = [neutral_frame(i / 30) for i in range(20) if i != 12]
+    times = np.delete(np.arange(20) / 30, 12)
     with pytest.raises(IrregularTimestamps) as err:
-        compute_angle_series(frames)
+        compute_angle_series(posed_recording(times))
     assert "sample 12" in str(err.value)
 
 
 def test_missing_wrist_mid_series():
-    frames = []
-    for i in range(10):
-        positions = {lm: p.copy() for lm, p in NEUTRAL_POSITIONS.items()}
-        if i == 5:
-            del positions[Landmark.wrist_r]
-        frames.append(KeypointFrame(timestamp=i / 30, positions=positions))
-    series = compute_angle_series(frames)
+    recording = _neutral(10)
+    recording.positions[5, LANDMARK_INDEX[Landmark.wrist_r]] = np.nan
+    series = compute_angle_series(recording)
     wrist = series.channels[JointChannel.wrist_flex_r]
     elbow = series.channels[JointChannel.elbow_flex_r]
     assert np.isnan(wrist[5]) and np.isnan(elbow[5])
@@ -255,13 +240,13 @@ def test_missing_wrist_mid_series():
 
 
 def test_rigid_motion_and_scale_invariance(rng):
-    frames, _ = elbow_flexion_recording(n_frames=40)
-    series = compute_angle_series(frames)
+    recording, _ = elbow_flexion_recording(n_frames=40)
+    series = compute_angle_series(recording)
     for _ in range(3):
         R = random_rotation(rng)
         t = rng.normal(scale=10.0, size=3)
         s = float(rng.uniform(0.2, 8.0))
-        moved = transform_frames(frames, R, t, s)
+        moved = transform_recording(recording, R, t, s)
         series2 = compute_angle_series(moved)
         for ch in series.channels:
             a, b = series.channels[ch], series2.channels[ch]

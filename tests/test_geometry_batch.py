@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 import angle_oracle
-from ergokit.errors import DegenerateProjection, DegenerateVector
+from ergokit.errors import DegenerateProjection, DegenerateVector, NoCompleteFrames
 from ergokit.geometry import compute_angle_series, compute_joint_angles, neck_baseline
-from ergokit.motion import JointChannel, KeypointFrame, KeypointRecording, Landmark
-from ergokit.synthetic import NEUTRAL_POSITIONS, random_rotation
+from ergokit.motion import LANDMARK_INDEX, JointChannel, KeypointRecording, Landmark
+from ergokit.synthetic import NEUTRAL_POSITIONS, posed_recording, random_rotation
 
 TOL_DEG = 1e-9
 FPS = 30.0
@@ -60,7 +60,7 @@ def _posture(rng, kind: str, along: int | None = None) -> dict:
         if along is None:
             along = rng.integers(len(_ALONG_NORMAL))
         moved, anchor, axis, _ = _ALONG_NORMAL[along]
-        axes = angle_oracle.body_axes(KeypointFrame(timestamp=0.0, positions=positions))
+        axes = angle_oracle.body_axes(angle_oracle.Frame(timestamp=0.0, positions=positions))
         positions[moved] = positions[anchor] + 0.3 * axes.named(axis)
     return positions
 
@@ -72,17 +72,30 @@ def _moved(rng, positions: dict) -> dict:
     return {lm: s * (R @ p) + t for lm, p in positions.items()}
 
 
-def _recording(rng, n_frames: int) -> list[KeypointFrame]:
+def _stacked(postures: list[dict]) -> KeypointRecording:
+    """A recording at FPS of postures, each landmark it lacks a NaN row."""
+    positions = np.full((len(postures), len(LANDMARK_INDEX), 3), np.nan)
+    for i, posture in enumerate(postures):
+        for lm, p in posture.items():
+            positions[i, LANDMARK_INDEX[lm]] = p
+    return KeypointRecording(times=np.arange(len(postures)) / FPS, positions=positions)
+
+
+def _recording(rng, n_frames: int) -> KeypointRecording:
     """Degenerate geometry stays out of the baseline window, where the
     oracle raises; dropped landmarks and coincident hips only make a
     window frame incomplete."""
-    frames = []
+    postures = []
     for i in range(n_frames):
         kinds = _KINDS[:3] if i < WINDOW else _KINDS
         kind = kinds[rng.integers(len(kinds))]
-        frames.append(KeypointFrame(timestamp=i / FPS,
-                                    positions=_moved(rng, _posture(rng, kind))))
-    return frames
+        postures.append(_moved(rng, _posture(rng, kind)))
+    return _stacked(postures)
+
+
+def _frame(recording: KeypointRecording, i: int) -> KeypointRecording:
+    return KeypointRecording(times=recording.times[i:i + 1],
+                             positions=recording.positions[i:i + 1])
 
 
 def _assert_same(ours: dict, oracle: dict):
@@ -98,13 +111,12 @@ def _assert_same(ours: dict, oracle: dict):
 @pytest.mark.parametrize("seed", range(5))
 def test_batched_series_equals_per_frame_oracle(seed):
     rng = np.random.default_rng(1000 + seed)
-    frames = _recording(rng, 120)
-    expected = angle_oracle.compute_angle_series(frames)
-    for source in (frames, KeypointRecording.from_frames(frames)):
-        series = compute_angle_series(source)
-        assert series.sample_rate == expected.sample_rate
-        assert series.start_time == expected.start_time
-        _assert_same(series.channels, expected.channels)
+    recording = _recording(rng, 120)
+    expected = angle_oracle.compute_angle_series(angle_oracle.frames_of(recording))
+    series = compute_angle_series(recording)
+    assert series.sample_rate == expected.sample_rate
+    assert series.start_time == expected.start_time
+    _assert_same(series.channels, expected.channels)
     # Every kind of degenerate frame does occur, and blanks some channel.
     missing = np.stack([np.isnan(v) for v in expected.channels.values()])
     assert missing.any() and not missing.all()
@@ -113,10 +125,9 @@ def test_batched_series_equals_per_frame_oracle(seed):
 @pytest.mark.parametrize("along", range(len(_ALONG_NORMAL)))
 def test_vanishing_projection_is_missing_like_oracle(along):
     rng = np.random.default_rng(along)
-    frame = KeypointFrame(timestamp=0.0,
-                          positions=_moved(rng, _posture(rng, "normal", along)))
+    frame = _stacked([_moved(rng, _posture(rng, "normal", along))])
     ours = compute_joint_angles(frame)
-    expected = angle_oracle.compute_joint_angles(frame)
+    expected = angle_oracle.compute_joint_angles(angle_oracle.frames_of(frame)[0])
     channel = _ALONG_NORMAL[along][3]
     assert channel not in expected and channel not in ours
     assert set(ours) == set(expected)
@@ -124,9 +135,9 @@ def test_vanishing_projection_is_missing_like_oracle(along):
 
 def test_baseline_equals_oracle():
     rng = np.random.default_rng(7)
-    frames = _recording(rng, WINDOW)
-    ours = neck_baseline(frames, window=WINDOW)
-    expected = angle_oracle.neck_baseline(frames, window=WINDOW)
+    recording = _recording(rng, WINDOW)
+    ours = neck_baseline(recording, window=WINDOW)
+    expected = angle_oracle.neck_baseline(angle_oracle.frames_of(recording), window=WINDOW)
     assert abs(ours.inclination - expected.inclination) <= TOL_DEG
     for name in ("up", "right", "forward"):
         assert np.max(np.abs(getattr(ours.axes, name) - getattr(expected.axes, name))) < 1e-12
@@ -137,22 +148,43 @@ def test_baseline_equals_oracle():
 
 def test_single_frames_equal_oracle():
     rng = np.random.default_rng(8)
-    frames = _recording(rng, 60)
+    recording = _recording(rng, 60)
+    frames = angle_oracle.frames_of(recording)
     baseline = angle_oracle.neck_baseline(frames)
-    for frame in frames:
+    for i, frame in enumerate(frames):
         for b in (None, baseline):
-            ours = compute_joint_angles(frame, baseline=b)
+            ours = compute_joint_angles(_frame(recording, i), baseline=b)
             expected = angle_oracle.compute_joint_angles(frame, baseline=b)
             assert set(ours) == set(expected)
             for ch, value in expected.items():
                 assert abs(ours[ch] - value) <= TOL_DEG, ch
 
 
-def test_degenerate_baseline_frame_raises_like_oracle():
-    positions = {lm: p.copy() for lm, p in NEUTRAL_POSITIONS.items()}
-    positions[Landmark.nose] = positions[Landmark.neck].copy()
-    frames = [KeypointFrame(timestamp=0.0, positions=positions)]
+def _nose_on_neck(recording: KeypointRecording, frames) -> KeypointRecording:
+    nose, neck = LANDMARK_INDEX[Landmark.nose], LANDMARK_INDEX[Landmark.neck]
+    recording.positions[frames, nose] = recording.positions[frames, neck]
+    return recording
+
+
+def test_all_degenerate_baseline_window_raises():
+    recording = _nose_on_neck(posed_recording(np.arange(20) / FPS), slice(0, WINDOW))
     with pytest.raises((DegenerateVector, DegenerateProjection)):
-        angle_oracle.neck_baseline(frames)
-    with pytest.raises(DegenerateVector):
-        neck_baseline(frames)
+        angle_oracle.neck_baseline(angle_oracle.frames_of(recording))
+    with pytest.raises(NoCompleteFrames):
+        neck_baseline(recording)
+
+
+def test_degenerate_baseline_frame_is_skipped():
+    rng = np.random.default_rng(9)
+    recording = _stacked([_moved(rng, _posture(rng, "clean")) for _ in range(WINDOW)])
+    expected = neck_baseline(KeypointRecording(times=np.delete(recording.times, 4),
+                                               positions=np.delete(recording.positions, 4, 0)),
+                             window=WINDOW - 1)
+    ours = neck_baseline(_nose_on_neck(recording, 4), window=WINDOW)
+    assert ours.inclination == expected.inclination
+    assert ours.inclinations == expected.inclinations
+    for name in ("up", "right", "forward"):
+        assert np.array_equal(getattr(ours.axes, name), getattr(expected.axes, name))
+    assert set(ours.directions) == set(expected.directions)
+    for ch, direction in expected.directions.items():
+        assert np.array_equal(ours.directions[ch], direction)

@@ -32,7 +32,7 @@ from ergokit.motion import (
     JointChannel,
     Landmark,
 )
-from ergokit.synthetic import neutral_frame
+from ergokit.synthetic import NEUTRAL_POSITIONS, posed_recording
 
 
 def _three_channel_spec():
@@ -138,6 +138,10 @@ def test_imu_csv_round_trip(rng):
 # --- keypoint stream -----------------------------------------------------------
 
 
+def _full_points() -> dict:
+    return {lm.value: p.tolist() for lm, p in NEUTRAL_POSITIONS.items()}
+
+
 def _record(frame, points, time=None):
     doc = {"frame": frame, "points": points}
     if time is not None:
@@ -146,7 +150,7 @@ def _record(frame, points, time=None):
 
 
 def test_parse_keypoint_stream_timestamps():
-    full = {lm.value: list(map(float, p)) for lm, p in neutral_frame().positions.items()}
+    full = _full_points()
     text = "\n".join(_record(i, full) for i in range(3))
     rec = parse_keypoint_stream(text)
     assert len(rec) == 3
@@ -157,7 +161,7 @@ def test_parse_keypoint_stream_timestamps():
 
 
 def test_parse_keypoint_stream_incomplete_frame():
-    full = {lm.value: list(map(float, p)) for lm, p in neutral_frame().positions.items()}
+    full = _full_points()
     partial = dict(full)
     del partial["nose"]
     text = "\n".join([_record(0, full), _record(1, partial)])
@@ -169,7 +173,7 @@ def test_parse_keypoint_stream_incomplete_frame():
 
 
 def test_parse_keypoint_stream_non_monotonic():
-    full = {lm.value: list(map(float, p)) for lm, p in neutral_frame().positions.items()}
+    full = _full_points()
     text = "\n".join([
         _record(0, full, time=0.0),
         _record(1, full, time=0.5),
@@ -180,7 +184,7 @@ def test_parse_keypoint_stream_non_monotonic():
 
 
 def test_parse_keypoint_stream_malformed_record_has_line_number():
-    full = {lm.value: list(map(float, p)) for lm, p in neutral_frame().positions.items()}
+    full = _full_points()
     text = "\n".join([_record(0, full), "not json"])
     with pytest.raises(MalformedRecord) as err:
         parse_keypoint_stream(text)
@@ -201,7 +205,7 @@ HUGE = "1" + "0" * 400  # a JSON integer beyond float's range
 ], ids=["frame-text", "frame-list", "huge-frame", "huge-time", "huge-coordinate",
         "huge-confidence", "over-4300-digits"])
 def test_parse_keypoint_stream_bad_number_has_line_number(record):
-    full = {lm.value: list(map(float, p)) for lm, p in neutral_frame().positions.items()}
+    full = _full_points()
     with pytest.raises(MalformedRecord) as err:
         parse_keypoint_stream("\n".join([_record(0, full), record]))
     assert "line 2" in str(err.value)
@@ -209,7 +213,7 @@ def test_parse_keypoint_stream_bad_number_has_line_number(record):
 
 @pytest.mark.parametrize("value", ["x", None, "nan"])
 def test_parse_keypoint_stream_bad_confidence(value):
-    full = {lm.value: list(map(float, p)) for lm, p in neutral_frame().positions.items()}
+    full = _full_points()
     bad = json.dumps({"frame": 1, "points": full, "confidence": {"nose": value}})
     with pytest.raises(MalformedRecord) as err:
         parse_keypoint_stream("\n".join([_record(0, full), bad]))
@@ -217,7 +221,7 @@ def test_parse_keypoint_stream_bad_confidence(value):
 
 
 def test_parse_keypoint_stream_ignores_unknown_labels():
-    full = {lm.value: list(map(float, p)) for lm, p in neutral_frame().positions.items()}
+    full = _full_points()
     full["left_ear"] = [0.0, 0.1, 1.7]
     rec = parse_keypoint_stream(_record(0, full))
     assert rec.positions.shape == (1, len(Landmark), 3)
@@ -225,15 +229,13 @@ def test_parse_keypoint_stream_ignores_unknown_labels():
 
 
 def test_keypoint_stream_round_trip():
-    frames = [neutral_frame(0.0), neutral_frame(1 / 30)]
-    text = format_keypoint_stream(frames)
+    original = posed_recording([0.0, 1 / 30], elbow_r=[10.0, 20.0])
+    original.positions[1, LANDMARK_INDEX[Landmark.nose]] = np.nan
+    text = format_keypoint_stream(original)
+    assert "nose" in text.splitlines()[0] and "nose" not in text.splitlines()[1]
     parsed = parse_keypoint_stream(text)
-    assert len(parsed) == 2
-    for i, original in enumerate(frames):
-        assert parsed.times[i] == original.timestamp
-        for lm in original.positions:
-            assert np.array_equal(original.positions[lm],
-                                  parsed.positions[i, LANDMARK_INDEX[lm]])
+    assert np.array_equal(parsed.times, original.times)
+    assert np.array_equal(parsed.positions, original.positions, equal_nan=True)
 
 
 # --- annotations ----------------------------------------------------------------
