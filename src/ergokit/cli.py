@@ -148,7 +148,8 @@ def cmd_check_config(args) -> int:
     if problems:
         for problem in problems:
             print(f"invalid: {problem}")
-        print(f"{PROG}: {len(problems)} problem(s) in {args.config_path}")
+        print(f"{PROG}: error: {len(problems)} problem(s) in {args.config_path}",
+              file=sys.stderr)
         return 1
     print(f"config ok: {args.config_path}")
     print(f"config checksum: {rula.config_checksum(raw)}")

@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -152,6 +153,12 @@ def _validate_table(raw: dict, name: str, shape: tuple[int, ...],
     walk(table, list(shape), ())
 
 
+def _is_number(value) -> bool:
+    """A JSON number that converts to float without overflow; not a bool."""
+    return isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)
+                                        and abs(value) <= sys.float_info.max)
+
+
 def _interval(entry) -> tuple[float, float, int]:
     """A config ``[lo, hi, score]`` entry, ``null`` bounds as -inf/+inf."""
     lo, hi, score = entry
@@ -175,6 +182,8 @@ def _validate_range_section(raw: dict, problems: list[str]) -> None:
             problems.append(f"range[{joint}]: rule must be an object")
             continue
         channels = rule.get("channels", {})
+        if not isinstance(channels, dict):
+            channels = {}  # reported as lacking the expected keys
         expected = {"left", "right"} if joint in SIDED_JOINTS else {"axial"}
         if set(channels) != expected:
             problems.append(
@@ -192,6 +201,7 @@ def _validate_range_section(raw: dict, problems: list[str]) -> None:
         parsed = []
         for entry in intervals:
             if (not isinstance(entry, list) or len(entry) != 3
+                    or not all(b is None or _is_number(b) for b in entry[:2])
                     or not isinstance(entry[2], int) or entry[2] < 1):
                 problems.append(f"range[{joint}]: bad interval {entry!r}")
                 continue
@@ -229,7 +239,7 @@ def _validate_position_section(raw: dict, problems: list[str]) -> None:
             problems.append(f"{where}: rule must be an object")
             continue
         joint = rule.get("joint")
-        if joint not in JOINT_SCORE_RANGE or joint == "legs":
+        if not isinstance(joint, str) or joint not in JOINT_SCORE_RANGE or joint == "legs":
             problems.append(f"{where}: unknown joint {joint!r}")
             continue
         if joint in SIDED_JOINTS:
@@ -244,7 +254,7 @@ def _validate_position_section(raw: dict, problems: list[str]) -> None:
         if rule.get("predicate") not in _PREDICATES:
             problems.append(f"{where}: predicate must be one of {_PREDICATES}")
         threshold = rule.get("threshold")
-        if not isinstance(threshold, (int, float)) or not math.isfinite(threshold):
+        if not _is_number(threshold) or not math.isfinite(threshold):
             problems.append(f"{where}: threshold must be finite")
         adjust = rule.get("adjust")
         if not isinstance(adjust, int) or adjust == 0 or abs(adjust) > 3:
@@ -266,7 +276,9 @@ def _validate_bands(raw: dict, problems: list[str]) -> None:
                 or not all(isinstance(v, int) for v in rng) or rng[0] > rng[1]):
             problems.append(f"bands[{name}]: must be [lo, hi] with lo <= hi")
             continue
-        for score in range(rng[0], rng[1] + 1):
+        if rng[0] < 1 or rng[1] > 7:
+            problems.append(f"bands[{name}]: scores outside 1..7")
+        for score in range(max(rng[0], 1), min(rng[1], 7) + 1):
             if score in covered:
                 problems.append(
                     f"bands[{name}]: score {score} already assigned to {covered[score]}"
@@ -275,9 +287,6 @@ def _validate_bands(raw: dict, problems: list[str]) -> None:
     missing = [s for s in range(1, 8) if s not in covered]
     if missing:
         problems.append(f"bands: scores {missing} not assigned to any band")
-    extra = [s for s in covered if not 1 <= s <= 7]
-    if extra:
-        problems.append(f"bands: scores {sorted(extra)} outside 1..7")
 
 
 def validate_rula_config(raw: dict) -> list[str]:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -378,3 +379,45 @@ def test_check_config_on_a_list_lists_the_problem(tmp_path, capsys):
     path.write_text("[1, 2]")
     assert main(["check-config", str(path)]) == 1
     assert "invalid: config must be a JSON object" in capsys.readouterr().out
+
+
+def _set(path, value):
+    def mutate(raw):
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, problem", [
+    (_set(("bands", "low", 1), 10**9), "bands[low]: scores outside 1..7"),
+    (_set(("bands", "low", 1), 10**400), "bands[low]: scores outside 1..7"),
+    (_set(("range", "arm", "channels"), ["left", "right"]),
+     "range[arm]: channels must be exactly"),
+    (_set(("range", "neck", "channels"), 3), "range[neck]: channels must be exactly"),
+    (_set(("range", "arm", "intervals", 1, 0), "-20"), "range[arm]: bad interval"),
+    (_set(("range", "arm", "intervals", 1, 0), 10**400), "range[arm]: bad interval"),
+    (_set(("position", 0, "joint"), ["arm"]), "position[0]: unknown joint"),
+    (_set(("position", 0, "threshold"), 10**400), "position[0]: threshold must be finite"),
+], ids=["band-1e9", "band-400-digits", "channels-a-list", "channels-a-number",
+        "bound-a-string", "bound-400-digits", "joint-a-list", "threshold-400-digits"])
+def test_config_of_wrong_type_or_size_is_one_problem(tmp_path, capsys, keypoints_file,
+                                                     mutate, problem):
+    from ergokit.rula import default_config, validate_rula_config
+
+    raw = json.loads(json.dumps(default_config().raw))
+    mutate(raw)
+    started = time.perf_counter()
+    assert any(problem in p for p in validate_rula_config(raw))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["check-config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert problem in out
+    assert len(err.splitlines()) == 1 and err.startswith("ergokit: error:")
+    assert main(["score", str(keypoints_file), "--kind", "keypoints", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = _error_lines(capsys)
+    assert len(err) == 1 and err[0].startswith("ergokit: error:") and problem in err[0]
+    assert time.perf_counter() - started < 1.0
