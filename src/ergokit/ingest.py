@@ -550,9 +550,7 @@ def resample(series: JointAngleSeries, target_rate: float) -> JointAngleSeries:
     hi, w_lo = lo + 1, 1.0 - w
     out: dict[JointChannel, np.ndarray] = {}
     for ch, x in series.channels.items():
-        # An infinite sample blends as 0 * inf at an exact hit; the scatter
-        # below overwrites that NaN.
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore"):  # 0 * inf at a hit; the scatter overwrites it
             y = x[lo] * w_lo
             y += x[hi] * w
         y[hit] = x[src]

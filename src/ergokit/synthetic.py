@@ -2,7 +2,8 @@
 
 The validation data behind this tool is confidential, so tests and demos
 run on generated recordings: a canonical standing skeleton in a Z-up,
-X-forward frame, posed by exact geometric construction. Generated angles
+X-forward frame, posed by exact geometric construction, every frame of a
+``KeypointRecording`` at once. Generated angles
 are exact by construction, which makes these recordings usable as oracles
 for the keypoint pipeline.
 """
@@ -114,14 +115,14 @@ def posed_recording(times, *, elbow_r=0.0, arm_raise_r=0.0, elbow_l=0.0,
     times = np.asarray(times, dtype=float)
     n = len(times)
 
-    def frames(degrees):
+    def per_frame(degrees):
         return np.broadcast_to(np.asarray(degrees, dtype=float), (n,))
 
     pos = np.tile(np.array([NEUTRAL_POSITIONS[lm] for lm in LANDMARK_INDEX]), (n, 1, 1))
     for (shoulder, elbow, wrist, middle, pinky), raise_deg, elbow_deg in zip(
             _ARMS, (arm_raise_r, arm_raise_l), (elbow_r, elbow_l)):
-        upper_arm = _rotations(_RIGHTWARD, frames(raise_deg)) @ _DOWN
-        forearm = _turn(_rotations(_RIGHTWARD, frames(elbow_deg)), upper_arm)
+        upper_arm = _rotations(_RIGHTWARD, per_frame(raise_deg)) @ _DOWN
+        forearm = _turn(_rotations(_RIGHTWARD, per_frame(elbow_deg)), upper_arm)
         # In the sagittal plane, forward of the forearm.
         perp = np.cross(_RIGHTWARD, forearm)
         pos[:, elbow] = pos[:, shoulder] + 0.30 * upper_arm
@@ -132,14 +133,14 @@ def posed_recording(times, *, elbow_r=0.0, arm_raise_r=0.0, elbow_l=0.0,
     # The trunk and head point upward, so a forward rotation about the
     # rightward axis needs the opposite sign from the downward arm vectors.
     pelvis = pos[:, [_PELVIS]]
-    bend = _rotations(_RIGHTWARD, -frames(trunk_bend))
+    bend = _rotations(_RIGHTWARD, -per_frame(trunk_bend))
     pos[:, _UPPER_BODY] = pelvis + _turn(bend, pos[:, _UPPER_BODY] - pelvis)
-    twist = _rotations(_UP, frames(hip_twist))
+    twist = _rotations(_UP, per_frame(hip_twist))
     pos[:, _LOWER_BODY] = pelvis + _turn(twist, pos[:, _LOWER_BODY] - pelvis)
 
     # Head moves about the bent trunk's own axes.
-    head = (_rotations(bend @ _UP, frames(head_turn))
-            @ _rotations(bend @ _RIGHTWARD, -frames(neck_tilt)))
+    head = (_rotations(bend @ _UP, per_frame(head_turn))
+            @ _rotations(bend @ _RIGHTWARD, -per_frame(neck_tilt)))
     pos[:, _NOSE] = pos[:, _NECK] + _turn(head, pos[:, _NOSE] - pos[:, _NECK])
     return KeypointRecording(times=times, positions=pos)
 

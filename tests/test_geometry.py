@@ -141,6 +141,11 @@ def test_first_frame_neck_flexion_zero_by_baseline():
     assert abs(series.channels[JointChannel.T1_head_neck_FE][0]) < 1e-9
 
 
+def test_joint_angles_take_one_frame():
+    with pytest.raises(ValueError):
+        compute_joint_angles(_neutral(2))
+
+
 def test_collinear_same_direction_flexion_channels_zero():
     angles = compute_joint_angles(_neutral())
     for ch in (JointChannel.elbow_flex_l, JointChannel.elbow_flex_r,
