@@ -25,8 +25,12 @@ HUGE = (10**9, -10**9, 10**400, -10**400)
 
 def _paths(node, prefix=()):
     yield prefix
-    children = node.items() if isinstance(node, dict) else enumerate(node) \
-        if isinstance(node, list) else ()
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
     for key, child in children:
         yield from _paths(child, prefix + (key,))
 
