@@ -73,6 +73,7 @@ _PLANE_AXES = {
     "transverse": ("up", "down"),
 }
 _OPPOSITE_AXES = {"down": "up", "left": "right", "backward": "forward"}
+_AXIS_NAMES = (*_OPPOSITE_AXES.values(), *_OPPOSITE_AXES)
 
 
 # --- vector kernels ---------------------------------------------------------------
@@ -210,6 +211,8 @@ class AngleDefinition:
                 )
         if self.plane == "axis_a" and not self.axis_a_ref:
             raise ValueError(f"{self.channel.value}: axis_a needs a reference axis")
+        if self.axis_a_ref is not None and self.axis_a_ref not in _AXIS_NAMES:
+            raise ValueError(f"{self.channel.value}: unknown body axis {self.axis_a_ref!r}")
 
     def landmarks(self) -> frozenset[Landmark]:
         out: set[Landmark] = set()
@@ -225,7 +228,7 @@ class AngleDefinition:
 def _parse_point(raw) -> PointRef:
     if isinstance(raw, str):
         return (Landmark(raw),)
-    if isinstance(raw, (list, tuple)) and all(isinstance(x, str) for x in raw):
+    if isinstance(raw, (list, tuple)) and raw and all(isinstance(x, str) for x in raw):
         return tuple(Landmark(x) for x in raw)
     raise ValueError(f"bad point reference {raw!r}")
 

@@ -386,7 +386,7 @@ def parse_keypoint_stream(data: bytes | str,
             continue
         try:
             record = json.loads(line)
-        except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
+        except (ValueError, RecursionError) as exc:  # also a 4300-digit integer, deep nesting
             raise MalformedRecord(f"invalid JSON ({getattr(exc, 'msg', exc)})", line_no)
         if not isinstance(record, dict) or "points" not in record:
             raise MalformedRecord("record must be an object with a 'points' field", line_no)

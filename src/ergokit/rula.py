@@ -4,7 +4,11 @@ Every number that decides a score lives in the configuration (the shipped
 default is ``data/rula_default.json``), never in code: per-joint angle
 ranges with their primary scores under the ``range`` key, posture
 adjustments under ``position``, the three lookup tables, and the risk-band
-cut points. Changing a threshold is a config edit.
+cut points. Changing a threshold is a config edit. One walk over the raw
+config validates and builds: ``validate_rula_config`` returns its problems
+and ``config_from_dict`` its RulaConfig, so a config passes the check
+exactly when it can be scored. Its integers (table cells, range scores,
+adjusts, band bounds) are JSON integers within bounds, never booleans.
 
 Scoring order per sample and side: range score per joint, position
 adjustments (clamped to each joint's table-input range), Table A, then
@@ -109,7 +113,7 @@ class RulaConfig:
     raw: dict = field(repr=False, default_factory=dict)
 
 
-# --- config loading and validation --------------------------------------------
+# --- config loading: one walk validates and builds ----------------------------
 
 
 def config_checksum(raw: dict) -> str:
@@ -126,24 +130,34 @@ def table_checksums(raw: dict) -> dict[str, str]:
     return out
 
 
-def _validate_table(raw: dict, name: str, shape: tuple[int, ...],
-                    bounds: tuple[int, int], axis_names: tuple[str, ...],
-                    problems: list[str]) -> None:
+def _is_int(value, lo=-math.inf, hi=math.inf) -> bool:
+    """A JSON integer (never a bool) within lo..hi."""
+    return isinstance(value, int) and not isinstance(value, bool) and lo <= value <= hi
+
+
+def _is_number(value) -> bool:
+    """A JSON number that converts to float without overflow; not a bool."""
+    return isinstance(value, float) or _is_int(value, -sys.float_info.max, sys.float_info.max)
+
+
+def _table(raw: dict, name: str, shape: tuple[int, ...], bounds: tuple[int, int],
+           axis_names: tuple[str, ...], problems: list[str]) -> np.ndarray | None:
+    """Table ``name`` as an int array, or None when it has problems."""
     table = raw.get(name)
+    before = len(problems)
+
+    def at(coord):
+        return f"{name}[" + "][".join(f"{n}={c}" for n, c in zip(axis_names, coord)) + "]"
 
     def walk(node, dims, coord):
         if not dims:
-            where = "][".join(f"{n}={c}" for n, c in zip(axis_names, coord))
-            if not isinstance(node, int) or isinstance(node, bool):
-                problems.append(f"{name}[{where}]: cell missing or not an integer")
-            elif not (bounds[0] <= node <= bounds[1]):
-                problems.append(
-                    f"{name}[{where}]: value {node} outside {bounds[0]}..{bounds[1]}"
-                )
+            if not _is_int(node):
+                problems.append(f"{at(coord)}: cell missing or not an integer")
+            elif not _is_int(node, *bounds):
+                problems.append(f"{at(coord)}: value {node} outside {bounds[0]}..{bounds[1]}")
             return
         if not isinstance(node, list) or len(node) != dims[0]:
-            where = "][".join(f"{n}={c}" for n, c in zip(axis_names, coord))
-            prefix = f"{name}[{where}]" if coord else name
+            prefix = at(coord) if coord else name
             found = len(node) if isinstance(node, list) else "non-list"
             problems.append(f"{prefix}: expected {dims[0]} entries, found {found}")
             return
@@ -151,29 +165,18 @@ def _validate_table(raw: dict, name: str, shape: tuple[int, ...],
             walk(child, dims[1:], coord + (i,))
 
     walk(table, list(shape), ())
+    return np.asarray(table, dtype=int) if len(problems) == before else None
 
 
-def _is_number(value) -> bool:
-    """A JSON number that converts to float without overflow; not a bool."""
-    return isinstance(value, float) or (isinstance(value, int) and not isinstance(value, bool)
-                                        and abs(value) <= sys.float_info.max)
-
-
-def _interval(entry) -> tuple[float, float, int]:
-    """A config ``[lo, hi, score]`` entry, ``null`` bounds as -inf/+inf."""
-    lo, hi, score = entry
-    return (-math.inf if lo is None else float(lo),
-            math.inf if hi is None else float(hi), int(score))
-
-
-def _validate_range_section(raw: dict, problems: list[str]) -> None:
+def _range_rules(raw: dict, problems: list[str]) -> dict[str, RangeRule]:
     section = raw.get("range")
     if not isinstance(section, dict):
         problems.append("range: section missing or not an object")
-        return
+        return {}
     for joint in SIDED_JOINTS + AXIAL_JOINTS:
         if joint not in section:
             problems.append(f"range[{joint}]: rule missing")
+    rules = {}
     for joint, rule in section.items():
         if joint not in JOINT_SCORE_RANGE or joint == "legs":
             problems.append(f"range[{joint}]: unknown joint")
@@ -189,9 +192,10 @@ def _validate_range_section(raw: dict, problems: list[str]) -> None:
             problems.append(
                 f"range[{joint}]: channels must be exactly {sorted(expected)}"
             )
+        parsed_channels = {}
         for key, ch in channels.items():
             try:
-                JointChannel(ch)
+                parsed_channels[key] = JointChannel(ch)
             except ValueError:
                 problems.append(f"range[{joint}]: unknown channel {ch!r} for {key}")
         intervals = rule.get("intervals")
@@ -202,10 +206,11 @@ def _validate_range_section(raw: dict, problems: list[str]) -> None:
         for entry in intervals:
             if (not isinstance(entry, list) or len(entry) != 3
                     or not all(b is None or _is_number(b) for b in entry[:2])
-                    or not isinstance(entry[2], int) or entry[2] < 1):
+                    or not _is_int(entry[2], 1, 9)):
                 problems.append(f"range[{joint}]: bad interval {entry!r}")
                 continue
-            lo, hi, _ = _interval(entry)
+            lo = -math.inf if entry[0] is None else float(entry[0])
+            hi = math.inf if entry[1] is None else float(entry[1])
             if not lo < hi:
                 problems.append(f"range[{joint}]: empty interval [{entry[0]}, {entry[1]}]")
                 continue
@@ -226,13 +231,22 @@ def _validate_range_section(raw: dict, problems: list[str]) -> None:
                 problems.append(
                     f"range[{joint}]: gap between {prev[1]} and {nxt[0]}"
                 )
+        rules[joint] = RangeRule(
+            joint=joint,
+            channels=parsed_channels,
+            intervals=tuple(parsed),
+            edges=np.array([lo for lo, _, _ in parsed[1:]]),
+            scores=np.array([score for _, _, score in parsed]),
+        )
+    return rules
 
 
-def _validate_position_section(raw: dict, problems: list[str]) -> None:
+def _position_rules(raw: dict, problems: list[str]) -> tuple[PositionRule, ...]:
     section = raw.get("position")
     if not isinstance(section, list):
         problems.append("position: section missing or not a list")
-        return
+        return ()
+    rules = []
     for i, rule in enumerate(section):
         where = f"position[{i}]"
         if not isinstance(rule, dict):
@@ -242,13 +256,15 @@ def _validate_position_section(raw: dict, problems: list[str]) -> None:
         if not isinstance(joint, str) or joint not in JOINT_SCORE_RANGE or joint == "legs":
             problems.append(f"{where}: unknown joint {joint!r}")
             continue
+        before = len(problems)
+        side = rule.get("side")
         if joint in SIDED_JOINTS:
-            if rule.get("side") not in ("left", "right"):
+            if side not in ("left", "right"):
                 problems.append(f"{where}: sided joint {joint} needs side left/right")
-        elif rule.get("side") is not None:
+        elif side is not None:
             problems.append(f"{where}: axial joint {joint} cannot take a side")
         try:
-            JointChannel(rule.get("channel"))
+            channel = JointChannel(rule.get("channel"))
         except ValueError:
             problems.append(f"{where}: unknown channel {rule.get('channel')!r}")
         if rule.get("predicate") not in _PREDICATES:
@@ -257,23 +273,32 @@ def _validate_position_section(raw: dict, problems: list[str]) -> None:
         if not _is_number(threshold) or not math.isfinite(threshold):
             problems.append(f"{where}: threshold must be finite")
         adjust = rule.get("adjust")
-        if not isinstance(adjust, int) or adjust == 0 or abs(adjust) > 3:
+        if not _is_int(adjust, -3, 3) or adjust == 0:
             problems.append(f"{where}: adjust must be a small nonzero integer")
+        if len(problems) == before:
+            rules.append(PositionRule(
+                joint=joint, channel=channel, predicate=rule["predicate"],
+                threshold=float(threshold), adjust=adjust,
+                side=Side(side) if side else None, reason=rule.get("reason", ""),
+            ))
+    return tuple(rules)
 
 
-def _validate_bands(raw: dict, problems: list[str]) -> None:
+def _band_codes(raw: dict, problems: list[str]) -> np.ndarray:
+    """Final score 1..7 -> index of its band in RiskBand order."""
+    band_codes = np.zeros(8, dtype=np.int8)
     bands = raw.get("bands")
     if not isinstance(bands, dict):
         problems.append("bands: section missing or not an object")
-        return
-    expected = {b.value for b in RiskBand}
-    if set(bands) != expected:
-        problems.append(f"bands: names must be exactly {sorted(expected)}")
-        return
+        return band_codes
+    codes = {band.value: code for code, band in enumerate(RiskBand)}
+    if set(bands) != set(codes):
+        problems.append(f"bands: names must be exactly {sorted(codes)}")
+        return band_codes
     covered = {}
     for name, rng in bands.items():
         if (not isinstance(rng, list) or len(rng) != 2
-                or not all(isinstance(v, int) for v in rng) or rng[0] > rng[1]):
+                or not all(_is_int(v) for v in rng) or rng[0] > rng[1]):
             problems.append(f"bands[{name}]: must be [lo, hi] with lo <= hi")
             continue
         if rng[0] < 1 or rng[1] > 7:
@@ -284,73 +309,45 @@ def _validate_bands(raw: dict, problems: list[str]) -> None:
                     f"bands[{name}]: score {score} already assigned to {covered[score]}"
                 )
             covered[score] = name
+            band_codes[score] = codes[name]
     missing = [s for s in range(1, 8) if s not in covered]
     if missing:
         problems.append(f"bands: scores {missing} not assigned to any band")
+    return band_codes
+
+
+def _parse_config(raw) -> tuple[RulaConfig | None, list[str]]:
+    """The one walk over a raw config: the RulaConfig it describes (None
+    unless valid) and every invariant violation, in section order."""
+    if not isinstance(raw, dict):
+        return None, ["config must be a JSON object"]
+    problems: list[str] = []
+    tables = (
+        _table(raw, "table_a", (6, 3, 4, 2), (1, 9), ("arm", "forearm", "wrist", "twist"),
+               problems),
+        _table(raw, "table_b", (6, 6, 2), (1, 9), ("neck", "trunk", "legs"), problems),
+        _table(raw, "table_c", (9, 9), (1, 7), ("score_c", "score_d"), problems),
+    )
+    range_rules = _range_rules(raw, problems)
+    position_rules = _position_rules(raw, problems)
+    band_codes = _band_codes(raw, problems)
+    if problems:
+        return None, problems
+    return RulaConfig(range_rules, position_rules, *tables, band_codes,
+                      checksum=config_checksum(raw), raw=raw), problems
 
 
 def validate_rula_config(raw: dict) -> list[str]:
     """All invariant violations in a raw config dict; empty means valid."""
-    if not isinstance(raw, dict):
-        return ["config must be a JSON object"]
-    problems: list[str] = []
-    _validate_table(raw, "table_a", (6, 3, 4, 2), (1, 9),
-                    ("arm", "forearm", "wrist", "twist"), problems)
-    _validate_table(raw, "table_b", (6, 6, 2), (1, 9),
-                    ("neck", "trunk", "legs"), problems)
-    _validate_table(raw, "table_c", (9, 9), (1, 7),
-                    ("score_c", "score_d"), problems)
-    _validate_range_section(raw, problems)
-    _validate_position_section(raw, problems)
-    _validate_bands(raw, problems)
-    return problems
+    return _parse_config(raw)[1]
 
 
 def config_from_dict(raw: dict) -> RulaConfig:
     """Validate and build an immutable RulaConfig; raises ConfigError."""
-    problems = validate_rula_config(raw)
+    config, problems = _parse_config(raw)
     if problems:
         raise ConfigError(problems)
-
-    range_rules = {}
-    for joint, rule in raw["range"].items():
-        intervals = tuple(sorted(map(_interval, rule["intervals"]), key=lambda iv: iv[0]))
-        range_rules[joint] = RangeRule(
-            joint=joint,
-            channels={k: JointChannel(v) for k, v in rule["channels"].items()},
-            intervals=intervals,
-            edges=np.array([lo for lo, _, _ in intervals[1:]]),
-            scores=np.array([score for _, _, score in intervals]),
-        )
-
-    position_rules = tuple(
-        PositionRule(
-            joint=r["joint"],
-            channel=JointChannel(r["channel"]),
-            predicate=r["predicate"],
-            threshold=float(r["threshold"]),
-            adjust=int(r["adjust"]),
-            side=Side(r["side"]) if r.get("side") else None,
-            reason=r.get("reason", ""),
-        )
-        for r in raw["position"]
-    )
-
-    band_codes = np.zeros(8, dtype=np.int8)
-    for code, band in enumerate(RiskBand):
-        lo, hi = raw["bands"][band.value]
-        band_codes[lo:hi + 1] = code
-
-    return RulaConfig(
-        range_rules=range_rules,
-        position_rules=position_rules,
-        table_a_values=np.asarray(raw["table_a"], dtype=int),
-        table_b_values=np.asarray(raw["table_b"], dtype=int),
-        table_c_values=np.asarray(raw["table_c"], dtype=int),
-        band_codes=band_codes,
-        checksum=config_checksum(raw),
-        raw=raw,
-    )
+    return config
 
 
 def read_config_json(path: str):
@@ -358,7 +355,7 @@ def read_config_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        except (ValueError, RecursionError) as exc:  # also UnicodeDecodeError, deep nesting
             raise ConfigError([f"not valid JSON: {exc}"]) from None
 
 

@@ -421,3 +421,37 @@ def test_config_of_wrong_type_or_size_is_one_problem(tmp_path, capsys, keypoints
     err = _error_lines(capsys)
     assert len(err) == 1 and err[0].startswith("ergokit: error:") and problem in err[0]
     assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-config", "{deep}"],
+    ["score", "{csv}", "--config", "{deep}"],
+    ["score", "{kp}", "--kind", "keypoints", "--angle-defs", "{deep}"],
+    ["score", "{deep}", "--kind", "keypoints"],
+], ids=["check-config", "score-config", "angle-defs", "keypoint-stream"])
+def test_deeply_nested_json_is_one_error_line(tmp_path, capsys, neutral_csv, keypoints_file,
+                                              argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    argv = [arg.format(deep=deep, csv=neutral_csv, kp=keypoints_file) for arg in argv]
+    assert main(argv + (["--out", str(tmp_path / "out")] if argv[0] == "score" else [])) == 1
+    err = _error_lines(capsys)
+    assert len(err) == 1 and err[0].startswith("ergokit: error:")
+
+
+@pytest.mark.parametrize("axis", ["bogus", ["x"]], ids=["unknown-name", "a-list"])
+def test_unknown_body_axis_in_angle_defs_is_one_error_line(tmp_path, capsys, keypoints_file,
+                                                           axis):
+    from importlib import resources
+
+    raw = json.loads(resources.files("ergokit.data").joinpath("angle_definitions.json")
+                     .read_text())
+    assert raw["definitions"][0]["plane"] == "sagittal"
+    raw["definitions"][0]["a"] = {"axis": axis}
+    defs = tmp_path / "defs.json"
+    defs.write_text(json.dumps(raw))
+    assert main(["score", str(keypoints_file), "--kind", "keypoints", "--angle-defs", str(defs),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = _error_lines(capsys)
+    assert len(err) == 1 and err[0].startswith("ergokit: error: ConfigError")
+    assert "unknown body axis" in err[0]

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ergokit.errors import (
     EmptyFile,
+    ErgokitError,
     InvalidForceValue,
     IrregularTimestamps,
     MalformedRecord,
@@ -350,3 +352,32 @@ def test_resample_output_length():
     series = _one_channel(np.zeros(300), 100.0)
     out = resample(series, 30.0)
     assert out.length == math.floor(2.99 * 30.0) + 1
+
+
+# --- keypoint stream error contract on arbitrary bytes -------------------------
+
+_VALID_STREAM = format_keypoint_stream(posed_recording([0.0, 1 / 30, 2 / 30])).encode()
+_JSON_TOKENS = [b"[", b"]", b"{", b"}", b'"', b",", b":", b"\n", b" ", b"null", b"true",
+                b"1e999", b"-", b"NaN", b"1" * 400, b"\xff", b"\x00", b'"x"', b"[1, 2]"]
+
+
+@st.composite
+def _mutated_stream(draw):
+    data = bytearray(_VALID_STREAM)
+    for _ in range(draw(st.integers(1, 6))):
+        at = draw(st.integers(0, len(data)))
+        if draw(st.booleans()) and at < len(data):
+            del data[at:at + draw(st.integers(1, 8))]
+        else:
+            data[at:at] = draw(st.sampled_from(_JSON_TOKENS))
+    return bytes(data)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.one_of(st.binary(max_size=200), _mutated_stream()))
+@example(data=b"[" * 200_000)
+def test_keypoint_stream_raises_only_ergokit_errors(data):
+    try:
+        parse_keypoint_stream(data)
+    except ErgokitError:
+        pass
