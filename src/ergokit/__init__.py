@@ -41,7 +41,6 @@ from .geometry import (
 from .rula import (
     RiskBand,
     RulaConfig,
-    RulaFrameScore,
     RulaTimeline,
     band_percentages,
     default_config,

@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import ErgokitError
+from .errors import ConfigError, ErgokitError
 from .motion import EMPTY_ANNOTATIONS, JointChannel
 from . import compare as compare_mod
 from . import geometry, ingest, reporting, rula
@@ -144,15 +144,16 @@ def cmd_convert(args) -> int:
 
 def cmd_check_config(args) -> int:
     raw = rula.read_config_json(args.config_path)
-    problems = rula.validate_rula_config(raw)
-    if problems:
-        for problem in problems:
+    try:
+        config = rula.config_from_dict(raw)
+    except ConfigError as exc:
+        for problem in exc.violations:
             print(f"invalid: {problem}")
-        print(f"{PROG}: error: {len(problems)} problem(s) in {args.config_path}",
+        print(f"{PROG}: error: {len(exc.violations)} problem(s) in {args.config_path}",
               file=sys.stderr)
         return 1
     print(f"config ok: {args.config_path}")
-    print(f"config checksum: {rula.config_checksum(raw)}")
+    print(f"config checksum: {config.checksum}")
     for name, checksum in rula.table_checksums(raw).items():
         print(f"{name} checksum: {checksum}")
     return 0

@@ -29,6 +29,7 @@ usable frames of the recording.
 """
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -286,14 +287,9 @@ def load_angle_definitions(path: str | None = None) -> list[AngleDefinition]:
     return parse_angle_definitions(raw)
 
 
-_DEFAULT_DEFS: list[AngleDefinition] | None = None
-
-
+@functools.cache
 def default_angle_definitions() -> list[AngleDefinition]:
-    global _DEFAULT_DEFS
-    if _DEFAULT_DEFS is None:
-        _DEFAULT_DEFS = load_angle_definitions()
-    return _DEFAULT_DEFS
+    return load_angle_definitions()
 
 
 # --- baseline -------------------------------------------------------------------

@@ -6,15 +6,16 @@ IMU joint-angle CSV
     UTF-8, first row header, one row per sample, decimal point ``.``,
     configurable delimiter (default ``,``). One column per channel; an
     optional time column. Empty cells are missing samples; non-numeric and
-    non-finite cells (``inf``, ``nan``, ``1e999``) become missing samples
-    and are counted as warnings. Only the mapped channel columns and the
-    time column are read: other (text) columns are never converted or
-    counted. A cell in quotes (``"``) is unquoted and may hold the
-    delimiter, a line break or a carriage return. A short row is padded
-    with missing samples; a blank row (every cell whitespace) is skipped.
-    Lines end in LF or CRLF; a carriage return outside quotes that does
-    not end a line, or a quote never closed, is a MalformedRecord. The
-    body is read in chunks of whole rows, each by one ``np.loadtxt`` call.
+    non-finite cells (``inf``, ``nan``, ``1e999``) and channel cells beyond
+    +/-1e6 degrees (``1e200``) become missing samples and are counted as
+    warnings. Only the mapped channel columns and the time column are read:
+    other (text) columns are never converted or counted. A cell in quotes
+    (``"``) is unquoted and may hold the delimiter, a line break or a
+    carriage return. A short row is padded with missing samples; a blank
+    row (every cell whitespace) is skipped. Lines end in LF or CRLF; a
+    carriage return outside quotes that does not end a line, or a quote
+    never closed, is a MalformedRecord. The body is read in chunks of whole
+    rows, each by one ``np.loadtxt`` call.
 
 Keypoint stream (JSON lines)
     One frame per line, e.g.::
@@ -64,6 +65,7 @@ from .motion import (
     KeypointRecording,
     Landmark,
     CHANNEL_ORDER,
+    FLAG_RANGES,
     LANDMARK_INDEX,
     uniform_grid,
 )
@@ -118,13 +120,17 @@ class ImuCsvSpec:
 
 DEFAULT_IMU_SPEC = ImuCsvSpec()
 
+#: A channel cell of larger magnitude (degrees) is no angle: a missing sample.
+MAX_ABS_ANGLE = 1e6
+
 
 def parse_imu_joint_csv(data: bytes | str, spec: ImuCsvSpec = DEFAULT_IMU_SPEC) -> JointAngleSeries:
     """Parse a joint-angle CSV export into a JointAngleSeries.
 
     Raises EmptyFile, EncodingError, MalformedHeader, MissingColumn or
-    MalformedRecord; unparseable or non-finite numeric cells become NaN and
-    are counted in ``meta['unparseable_cells']``.
+    MalformedRecord; unparseable or non-finite numeric cells, and channel
+    cells beyond ``MAX_ABS_ANGLE``, become NaN and are counted in
+    ``meta['unparseable_cells']``.
     A time column that is not on a uniform grid (a gap, a non-finite or
     missing time) raises IrregularTimestamps rather than being re-timed.
     """
@@ -167,10 +173,10 @@ def parse_imu_joint_csv(data: bytes | str, spec: ImuCsvSpec = DEFAULT_IMU_SPEC) 
         rate, start = uniform_grid(column[time_idx])
 
     channels = {ch: column[i] for ch, i in channel_idx.items()}
-    # Every non-empty cell without a finite value ("x", "nan", "inf", "1e999")
-    # is a missing sample and counts as unparseable.
+    # Every non-empty cell without a finite value ("x", "nan", "inf", "1e999"),
+    # or beyond MAX_ABS_ANGLE, is a missing sample and counts as unparseable.
     for x in channels.values():
-        x[np.isinf(x)] = math.nan
+        x[np.abs(x) > MAX_ABS_ANGLE] = math.nan  # inf too
     warnings = sum(int(np.isnan(x).sum()) for x in channels.values())
     warnings -= sum(int(counts[0, cols.index(i)]) for i in channel_idx.values())
     if time_idx is not None:
@@ -454,8 +460,7 @@ def format_keypoint_stream(recording: KeypointRecording) -> str:
 
 # --- annotations ----------------------------------------------------------------
 
-_ANNOTATION_FIELDS = ("t0", "t1", "arm_muscle", "arm_force",
-                      "neck_muscle", "neck_force", "legs")
+_ANNOTATION_FIELDS = ("t0", "t1", *FLAG_RANGES)
 
 
 def parse_annotations(data: bytes | str) -> AnnotationTrack:
@@ -486,23 +491,15 @@ def parse_annotations(data: bytes | str) -> AnnotationTrack:
             flags = [int(c) for c in row[2:]]
         except ValueError:
             raise MalformedRecord("non-numeric field", line_no)
-        intervals.append(
-            AnnotationInterval(
-                t0=t0, t1=t1,
-                arm_muscle=flags[0], arm_force=flags[1],
-                neck_muscle=flags[2], neck_force=flags[3], legs=flags[4],
-            )
-        )
+        intervals.append(AnnotationInterval(t0, t1, **dict(zip(FLAG_RANGES, flags))))
     return AnnotationTrack.from_intervals(intervals)
 
 
 def format_annotations(track: AnnotationTrack) -> str:
     lines = [",".join(_ANNOTATION_FIELDS)]
     for iv in track.intervals:
-        lines.append(
-            f"{iv.t0!r},{iv.t1!r},{iv.arm_muscle},{iv.arm_force},"
-            f"{iv.neck_muscle},{iv.neck_force},{iv.legs}"
-        )
+        lines.append(",".join([repr(iv.t0), repr(iv.t1)]
+                              + [str(getattr(iv, name)) for name in FLAG_RANGES]))
     return "\n".join(lines) + "\n"
 
 

@@ -220,10 +220,10 @@ def channel_summary(series: JointAngleSeries, channel: JointChannel) -> ChannelS
 
 # --- annotations -------------------------------------------------------------
 
-#: Allowed value ranges for annotation fields.
-_FORCE_RANGE = (0, 3)
-_MUSCLE_RANGE = (0, 1)
-_LEGS_RANGE = (1, 2)
+#: The annotation flags, in annotation-file column order, with their
+#: allowed value ranges.
+FLAG_RANGES = {"arm_muscle": (0, 1), "arm_force": (0, 3), "neck_muscle": (0, 1),
+               "neck_force": (0, 3), "legs": (1, 2)}
 
 
 @dataclass(frozen=True)
@@ -242,7 +242,6 @@ class AnnotationFlags:
 
 
 NEUTRAL_FLAGS = AnnotationFlags()
-_FLAG_FIELDS = tuple(vars(NEUTRAL_FLAGS))
 
 
 @dataclass(frozen=True)
@@ -258,18 +257,10 @@ class AnnotationInterval:
     def __post_init__(self):
         if not (self.t0 < self.t1):
             raise InvertedInterval(f"interval [{self.t0}, {self.t1}] has t0 >= t1")
-        for name, rng in (
-            ("arm_muscle", _MUSCLE_RANGE),
-            ("arm_force", _FORCE_RANGE),
-            ("neck_muscle", _MUSCLE_RANGE),
-            ("neck_force", _FORCE_RANGE),
-            ("legs", _LEGS_RANGE),
-        ):
+        for name, (lo, hi) in FLAG_RANGES.items():
             v = getattr(self, name)
-            if not (isinstance(v, int) and rng[0] <= v <= rng[1]):
-                raise InvalidForceValue(
-                    f"{name}={v!r} outside allowed range {rng[0]}..{rng[1]}"
-                )
+            if not (isinstance(v, int) and lo <= v <= hi):
+                raise InvalidForceValue(f"{name}={v!r} outside allowed range {lo}..{hi}")
 
 
 @dataclass(frozen=True)
@@ -295,16 +286,16 @@ class AnnotationTrack:
         (each interval covers [t0, t1)), else the neutral flags."""
         t = np.asarray(times, dtype=float)
         # Row k of ``rows`` and ``ends`` is interval k - 1; row 0 is neutral.
-        rows = np.array([[getattr(row, name) for name in _FLAG_FIELDS]
+        rows = np.array([[getattr(row, name) for name in FLAG_RANGES]
                          for row in (NEUTRAL_FLAGS,) + self.intervals])
         k = np.searchsorted([iv.t0 for iv in self.intervals], t, side="right")
         ends = np.array([-math.inf] + [iv.t1 for iv in self.intervals])
-        return AnnotationFlags(*rows[np.where(t < ends[k], k, 0)].T)
+        return AnnotationFlags(**dict(zip(FLAG_RANGES, rows[np.where(t < ends[k], k, 0)].T)))
 
     def flags_at(self, t: float) -> AnnotationFlags:
         """Flags for timestamp t; the N=1 case of ``flags_for``."""
         flags = self.flags_for([t])
-        return AnnotationFlags(**{name: int(getattr(flags, name)[0]) for name in _FLAG_FIELDS})
+        return AnnotationFlags(**{name: int(getattr(flags, name)[0]) for name in FLAG_RANGES})
 
 
 EMPTY_ANNOTATIONS = AnnotationTrack()

@@ -20,15 +20,17 @@ to 1..9 before the final Table C lookup. The combined score is the worse
 
 There is one scoring path, over all samples at once: ``score_timeline``
 returns a ``RulaTimeline`` of (N,) arrays, and ``score_frame`` is its N=1
-case, returning a per-frame view. A missing channel (absent or NaN) scores
-its joint's minimum and marks the sample degraded; with ``strict=True`` it
-raises IncompleteFrame naming the channel and the first sample lacking it.
+case, a one-sample ``RulaTimeline``: scores have this one type from scoring
+to report. A missing channel (absent or NaN) scores its joint's minimum and
+marks the sample degraded; with ``strict=True`` it raises IncompleteFrame
+naming the channel and the first sample lacking it.
 
 Range intervals are half-open [lo, hi); the first interval is open below
 and the last closed above, so every finite angle scores exactly once.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -331,10 +333,14 @@ def _parse_config(raw) -> tuple[RulaConfig | None, list[str]]:
     range_rules = _range_rules(raw, problems)
     position_rules = _position_rules(raw, problems)
     band_codes = _band_codes(raw, problems)
+    try:
+        checksum = config_checksum(raw)
+    except RecursionError:  # a value nested just below the JSON reader's limit
+        problems.append("config: nested too deeply to checksum")
     if problems:
         return None, problems
     return RulaConfig(range_rules, position_rules, *tables, band_codes,
-                      checksum=config_checksum(raw), raw=raw), problems
+                      checksum=checksum, raw=raw), problems
 
 
 def validate_rula_config(raw: dict) -> list[str]:
@@ -370,14 +376,9 @@ def load_rula_config(path: str | None = None) -> RulaConfig:
     return config_from_dict(raw)
 
 
-_DEFAULT_CONFIG: RulaConfig | None = None
-
-
+@functools.cache
 def default_config() -> RulaConfig:
-    global _DEFAULT_CONFIG
-    if _DEFAULT_CONFIG is None:
-        _DEFAULT_CONFIG = load_rula_config()
-    return _DEFAULT_CONFIG
+    return load_rula_config()
 
 
 # --- table lookups --------------------------------------------------------------
@@ -436,36 +437,9 @@ def score_range(joint: str, angle: float, config: RulaConfig | None = None) -> i
     return int(_range_scores(rule, angle))
 
 
-@dataclass(frozen=True)
-class SideScores:
-    arm: int
-    forearm: int
-    wrist: int
-    wrist_twist: int
-    table_a_score: int
-    score_c: int
-    final: int
-
-
-@dataclass(frozen=True)
-class RulaFrameScore:
-    """The scores of one sample: a view of one row of a RulaTimeline."""
-
-    left: SideScores
-    right: SideScores
-    neck: int
-    trunk: int
-    legs: int
-    table_b_score: int
-    score_d: int
-    final: int
-    band: RiskBand
-    degraded: bool = False
-
-
 @dataclass(frozen=True, eq=False)
 class SideTimeline:
-    """One side's scores for every sample: (N,) arrays named as in SideScores."""
+    """One side's scores for every sample, as (N,) arrays."""
 
     arm: np.ndarray
     forearm: np.ndarray
@@ -503,18 +477,6 @@ class RulaTimeline:
     @property
     def times(self) -> np.ndarray:
         return self.start_time + np.arange(self.length) / self.sample_rate
-
-    def frame(self, i: int) -> RulaFrameScore:
-        """The scores of sample ``i`` as a per-frame view."""
-        def row(arrays, names) -> dict[str, int]:
-            return {name: int(getattr(arrays, name)[i]) for name in names}
-
-        return RulaFrameScore(
-            left=SideScores(**row(self.left, vars(self.left))),
-            right=SideScores(**row(self.right, vars(self.right))),
-            **row(self, ("neck", "trunk", "legs", "table_b_score", "score_d", "final")),
-            band=_BANDS[self.band[i]], degraded=bool(self.degraded[i]),
-        )
 
 
 #: The scored joints in scoring order, as (side key, joint): the axial
@@ -576,8 +538,9 @@ def _score(channels: Mapping[JointChannel, np.ndarray], n: int, flags: Annotatio
 def score_frame(angles: Mapping[JointChannel, float],
                 flags: AnnotationFlags = NEUTRAL_FLAGS,
                 config: RulaConfig | None = None,
-                strict: bool = False) -> RulaFrameScore:
-    """Score one frame of joint angles under the given annotation flags.
+                strict: bool = False) -> RulaTimeline:
+    """Score one frame of joint angles under the given annotation flags, as
+    a one-sample RulaTimeline (``sample_rate`` 1, ``start_time`` 0).
 
     In lenient mode (default) a missing channel contributes its joint's
     minimum score and marks the frame degraded; strict mode raises
@@ -586,7 +549,7 @@ def score_frame(angles: Mapping[JointChannel, float],
     config = config or default_config()
     values = np.array(list(angles.values()), dtype=float).reshape(-1, 1)
     fields = _score(dict(zip(angles, values)), 1, flags, config, strict)
-    return RulaTimeline(sample_rate=1.0, start_time=0.0, **fields).frame(0)
+    return RulaTimeline(sample_rate=1.0, start_time=0.0, **fields)
 
 
 def score_timeline(series: JointAngleSeries,

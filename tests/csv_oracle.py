@@ -82,10 +82,12 @@ def parse_imu_joint_csv_oracle(data: bytes | str,
         rate, start = uniform_grid(times)
 
     channels = {ch: np.asarray(v) for ch, v in columns.items()}
-    # Every non-empty cell without a finite value ("x", "nan", "inf", "1e999")
-    # is a missing sample and counts as unparseable.
+    # Every non-empty cell without a finite value ("x", "nan", "inf", "1e999"),
+    # or of magnitude above 1e6 ("1e200"), is a missing sample and counts as
+    # unparseable.
     for x in channels.values():
         x[np.isinf(x)] = math.nan
+        x[np.abs(x) > 1e6] = math.nan
     warnings += sum(int(np.isnan(x).sum()) for x in channels.values()) - empty
 
     return JointAngleSeries(

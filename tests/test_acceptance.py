@@ -105,7 +105,7 @@ def test_criterion_02_scoring_oracle():
         )
         same = (
             frame.final == expected["final"]
-            and frame.band.value == expected["band"]
+            and list(RiskBand)[frame.band[0]].value == expected["band"]
             and frame.neck == expected["neck"]
             and frame.trunk == expected["trunk"]
             and frame.legs == expected["legs"]
@@ -272,8 +272,9 @@ def test_criterion_08_reporting_formatting():
     low = score_frame(zero, low_flags)
     medium = score_frame(zero, medium_flags)
     very_high = score_frame(contorted, very_high_flags)
-    ok = (low.band == RiskBand.low and medium.band == RiskBand.medium
-          and very_high.band == RiskBand.very_high)
+    bands = list(RiskBand)
+    ok = (bands[low.band[0]] == RiskBand.low and bands[medium.band[0]] == RiskBand.medium
+          and bands[very_high.band[0]] == RiskBand.very_high)
     # 787 low, 134 medium and 79 very high samples at 30 Hz; the interval
     # bounds fall halfway between samples.
     postures = [zero] * 921 + [contorted] * 79

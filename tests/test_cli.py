@@ -335,6 +335,28 @@ def test_non_finite_cells_never_reach_the_reports(tmp_path):
     assert doc["channels"]["arm_flex_r"]["rmse"]["mean"] == 0.0
 
 
+@pytest.mark.parametrize("cell", ["1e200", "1e60", "-2e6"])
+def test_huge_cells_are_missing_samples(tmp_path, cell):
+    """A channel cell beyond 1e6 degrees is a missing sample: the summaries
+    stay finite, and a recording holding a row of them aligns with its clean
+    copy at lag 0."""
+    t = np.arange(400) / 100.0
+    series = JointAngleSeries(sample_rate=100.0, start_time=0.0, channels={
+        ch: 30.0 * np.sin(2 * np.pi * t / (1.0 + 0.1 * i)) for i, ch in enumerate(JointChannel)})
+    text = format_imu_joint_csv(series).splitlines()
+    clean = tmp_path / "clean.csv"
+    clean.write_text("\n".join(text) + "\n")
+    text[200] = text[200].split(",")[0] + f",{cell}" * len(JointChannel)
+    huge = tmp_path / "huge.csv"
+    huge.write_text("\n".join(text) + "\n")
+    assert main(["score", str(huge), "--out", str(tmp_path / "s")]) == 0
+    doc = _strict_json((tmp_path / "s" / "session.json").read_text())
+    assert all(-30.0 <= s["min"] and s["max"] <= 30.0 for s in doc["channel_summaries"].values())
+    assert main(["compare", str(huge), str(clean), "--max-lag", "1", "--min-overlap", "1",
+                 "--out", str(tmp_path / "c")]) == 0
+    assert _strict_json((tmp_path / "c" / "comparison.json").read_text())["lag_samples"] == [0]
+
+
 @pytest.mark.parametrize("argv, name, content", [
     (["score", "{}"], "rec.csv", b"time,arm_flex_r\n0.0,\xff\n"),
     (["score", "{}", "--kind", "keypoints"], "task.jsonl", b'{"frame": 0, "points": {}}\xff\n'),
@@ -437,6 +459,31 @@ def test_deeply_nested_json_is_one_error_line(tmp_path, capsys, neutral_csv, key
     assert main(argv + (["--out", str(tmp_path / "out")] if argv[0] == "score" else [])) == 1
     err = _error_lines(capsys)
     assert len(err) == 1 and err[0].startswith("ergokit: error:")
+
+
+@pytest.mark.parametrize("command", ["check-config", "score"])
+def test_config_nested_near_the_recursion_limit_is_one_error_line(tmp_path, capsys, command):
+    """The shipped config with an extra key nested 900 to 1000 levels deep:
+    around the recursion limit, one of reading and checksumming the config
+    runs out of stack. Every depth must exit 0, or 1 with one error line."""
+    from importlib import resources
+
+    shipped = resources.files("ergokit.data").joinpath("rula_default.json").read_text()
+    head = shipped.rstrip().removesuffix("}") + ', "note": '
+    csv = tmp_path / "short.csv"
+    csv.write_text(_imu_csv([i / 100 for i in range(5)]))
+    config = tmp_path / "deep.json"
+    argv = {"check-config": ["check-config", str(config)],
+            "score": ["score", str(csv), "--config", str(config), "--out", str(tmp_path / "out")]}
+    codes = set()
+    for depth in range(900, 1001):
+        config.write_text(head + '{"a": ' * depth + "0" + "}" * depth + "}")
+        code = main(argv[command])
+        err = _error_lines(capsys)
+        assert (code, len(err)) in ((0, 0), (1, 1)), depth
+        assert not err or err[0].startswith("ergokit: error:"), depth
+        codes.add(code)
+    assert codes == {0, 1}  # the sweep crosses the limit
 
 
 @pytest.mark.parametrize("axis", ["bogus", ["x"]], ids=["unknown-name", "a-list"])

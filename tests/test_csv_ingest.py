@@ -33,7 +33,7 @@ PROPERTY = settings(max_examples=400, deadline=None, derandomize=True, database=
 NUMBERS = ["1.5", "-2", "0", ".5", "5.", "1e5", "-0.0", "12.345678901234567", " 1.5 ",
            "\t2", "+3", "1e-300"]
 ODD = ["", " ", "\t", "　", "\xa0", "x", "inf", "-inf", "nan", "+nan", "-nan", "NaN",
-       "1e999", "-1e999", "1_0", "١٢", "１", "Infinity", "1e", "- 1", "0x10",
+       "1e999", "-1e999", "1e200", "1_0", "١٢", "１", "Infinity", "1e", "- 1", "0x10",
        "#1", "'1'", "1.5.1", "nan(1)", "\r1\r"]
 TEXT = ["abc", "a b", "\xe9", "", " ", 'x"y', "#c", "x{d}y", "l1\nl2", "l1\rl2", "1.5"]
 BLANK_ROWS = ["", " ", "{d}{d}", " {d}\t", "　", '""', '""{d}" "']

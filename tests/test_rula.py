@@ -161,23 +161,28 @@ def test_adjustment_wrong_side_does_not_fire():
 # --- frame scoring ----------------------------------------------------------------
 
 
+def _band(timeline) -> RiskBand:
+    return list(RiskBand)[timeline.band[0]]
+
+
 def test_neutral_posture_trace():
     fs = score_frame(zero_angles())
-    assert (fs.left.arm, fs.left.forearm, fs.left.wrist, fs.left.wrist_twist) == (1, 2, 1, 1)
-    assert fs.left.table_a_score == 1  # table_a(1, 2, 1, 1)
-    assert (fs.neck, fs.trunk, fs.legs) == (1, 1, 1)
-    assert fs.table_b_score == 1
-    assert fs.final == 1
-    assert fs.band == RiskBand.negligible
-    assert not fs.degraded
+    left = fs.left
+    assert (left.arm[0], left.forearm[0], left.wrist[0], left.wrist_twist[0]) == (1, 2, 1, 1)
+    assert left.table_a_score[0] == 1  # table_a(1, 2, 1, 1)
+    assert (fs.neck[0], fs.trunk[0], fs.legs[0]) == (1, 1, 1)
+    assert fs.table_b_score[0] == 1
+    assert fs.final[0] == 1
+    assert _band(fs) == RiskBand.negligible
+    assert not fs.degraded[0]
 
 
 def test_neutral_with_forces_trace():
     fs = score_frame(zero_angles(), AnnotationFlags(arm_force=3, neck_force=3))
-    assert fs.left.score_c == 4
-    assert fs.score_d == 4
-    assert fs.final == 4
-    assert fs.band == RiskBand.low
+    assert fs.left.score_c[0] == 4
+    assert fs.score_d[0] == 4
+    assert fs.final[0] == 4
+    assert _band(fs) == RiskBand.low
 
 
 def test_combined_is_max_of_sides():
@@ -190,12 +195,12 @@ def test_combined_is_max_of_sides():
     angles[JointChannel.pro_sup_r] = 90.0
     fs = score_frame(angles, AnnotationFlags(arm_muscle=1, arm_force=3,
                                              neck_force=3))
-    assert fs.right.table_a_score == 7  # table_a(5, 2, 4, 2)
-    assert fs.score_d == 4
-    assert fs.right.final == 7
-    assert fs.left.final == 5
-    assert fs.final == 7
-    assert fs.band == RiskBand.very_high
+    assert fs.right.table_a_score[0] == 7  # table_a(5, 2, 4, 2)
+    assert fs.score_d[0] == 4
+    assert fs.right.final[0] == 7
+    assert fs.left.final[0] == 5
+    assert fs.final[0] == 7
+    assert _band(fs) == RiskBand.very_high
 
 
 def test_missing_channel_lenient_vs_strict():

@@ -10,7 +10,7 @@ cut points).
 import copy
 import math
 import re
-from dataclasses import asdict, fields
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -27,7 +27,7 @@ from ergokit.motion import (
 )
 from ergokit.rula import (
     RiskBand,
-    SideScores,
+    SideTimeline,
     config_from_dict,
     default_config,
     score_frame,
@@ -115,6 +115,20 @@ def cases(draw):
     return config, series, draw(tracks(n, start))
 
 
+def _assert_equals_oracle(timeline, frames):
+    """Every per-side, per-joint and shared score, the band and the degraded
+    mask of ``timeline`` equal those of the oracle's ``frames``, sample by
+    sample."""
+    assert timeline.length == len(frames)
+    for name in SHARED_FIELDS:
+        assert getattr(timeline, name).tolist() == [getattr(f, name) for f in frames], name
+    assert timeline.band.tolist() == [list(RiskBand).index(f.band) for f in frames]
+    for side in ("left", "right"):
+        for f in fields(SideTimeline):
+            got = getattr(getattr(timeline, side), f.name).tolist()
+            assert got == [getattr(getattr(fr, side), f.name) for fr in frames], (side, f.name)
+
+
 @PROPERTY
 @given(cases())
 def test_timeline_equals_oracle(case):
@@ -122,15 +136,8 @@ def test_timeline_equals_oracle(case):
     mask equal the oracle's for every sample, and so do the annotation
     flags at every sample time, interval bound and NaN."""
     config, series, track = case
-    timeline = score_timeline(series, track, config)
-    frames = rula_oracle.score_timeline(series, track, config)
-    for name in SHARED_FIELDS:
-        assert getattr(timeline, name).tolist() == [getattr(f, name) for f in frames], name
-    assert timeline.band.tolist() == [list(RiskBand).index(f.band) for f in frames]
-    for side in ("left", "right"):
-        for f in fields(SideScores):
-            got = getattr(getattr(timeline, side), f.name).tolist()
-            assert got == [getattr(getattr(fr, side), f.name) for fr in frames], (side, f.name)
+    _assert_equals_oracle(score_timeline(series, track, config),
+                          rula_oracle.score_timeline(series, track, config))
     times = list(series.times) + [iv.t0 for iv in track.intervals] + \
         [iv.t1 for iv in track.intervals] + [math.nan]
     for t in times:
@@ -163,8 +170,9 @@ def test_strict_raises_like_oracle(case):
 @PROPERTY
 @given(st.data())
 def test_score_frame_equals_oracle(data):
-    """score_frame, the N=1 case, on one frame with flags outside the
-    annotation ranges (score C and D then leave 1..9) and None angles."""
+    """score_frame, the N=1 case, is a one-sample timeline equal to the
+    oracle's frame, on one frame with flags outside the annotation ranges
+    (score C and D then leave 1..9) and None angles."""
     config = data.draw(configs())
     angle = st.one_of(_angles(config), st.none())
     absent = data.draw(st.sets(st.sampled_from(list(JointChannel)), max_size=4))
@@ -172,8 +180,9 @@ def test_score_frame_equals_oracle(data):
     flags = AnnotationFlags(**{f: data.draw(st.integers(-3, 8))
                                for f in ("arm_muscle", "arm_force", "neck_muscle",
                                          "neck_force", "legs")})
-    expected = rula_oracle.score_frame(angles, flags, config)
-    assert asdict(score_frame(angles, flags, config)) == asdict(expected)
+    timeline = score_frame(angles, flags, config)
+    assert (timeline.sample_rate, timeline.start_time) == (1.0, 0.0)
+    _assert_equals_oracle(timeline, [rula_oracle.score_frame(angles, flags, config)])
     try:
         rula_oracle.score_frame(angles, flags, config, strict=True)
     except IncompleteFrame as exc:
@@ -189,4 +198,4 @@ def test_score_frame_flags_beyond_table_c(value):
     only, and legs outside 1..2 for Table B."""
     angles = {ch: 0.0 for ch in JointChannel}
     flags = AnnotationFlags(value, value, value, value, value)
-    assert asdict(score_frame(angles, flags)) == asdict(rula_oracle.score_frame(angles, flags))
+    _assert_equals_oracle(score_frame(angles, flags), [rula_oracle.score_frame(angles, flags)])
