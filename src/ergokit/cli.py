@@ -66,7 +66,7 @@ def cmd_score(args) -> int:
                   reporting.emit_session_report(report, "structured"))
     _write_atomic(out / "session.csv",
                   reporting.emit_session_report(report, "delimited"))
-    for name, content in reporting.emit_plot_series(timeline).items():
+    for name, content in reporting.emit_plot_series(report).items():
         _write_atomic(out / name, content)
 
     shares = reporting.format_band_shares(report.band_percentages)

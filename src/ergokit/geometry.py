@@ -30,11 +30,9 @@ usable frames of the recording.
 from __future__ import annotations
 
 import functools
-import json
 import logging
 import math
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
@@ -278,13 +276,7 @@ def parse_angle_definitions(raw: dict) -> list[AngleDefinition]:
 
 def load_angle_definitions(path: str | None = None) -> list[AngleDefinition]:
     """Load angle definitions from a JSON file, or the shipped defaults."""
-    if path is None:
-        raw = json.loads(
-            resources.files("ergokit.data").joinpath("angle_definitions.json").read_text()
-        )
-    else:
-        raw = read_config_json(path)
-    return parse_angle_definitions(raw)
+    return parse_angle_definitions(read_config_json(path, "angle_definitions.json"))
 
 
 @functools.cache

@@ -69,6 +69,7 @@ from .motion import (
     LANDMARK_INDEX,
     uniform_grid,
 )
+from .rula import MAX_JSON_DEPTH, json_too_deep
 
 log = logging.getLogger(__name__)
 
@@ -394,6 +395,8 @@ def parse_keypoint_stream(data: bytes | str,
             record = json.loads(line)
         except (ValueError, RecursionError) as exc:  # also a 4300-digit integer, deep nesting
             raise MalformedRecord(f"invalid JSON ({getattr(exc, 'msg', exc)})", line_no)
+        if line.count("[") + line.count("{") > MAX_JSON_DEPTH and json_too_deep(record):
+            raise MalformedRecord(f"JSON nested deeper than {MAX_JSON_DEPTH} levels", line_no)
         if not isinstance(record, dict) or "points" not in record:
             raise MalformedRecord("record must be an object with a 'points' field", line_no)
         key = "time" if "time" in record else "frame"

@@ -4,7 +4,9 @@ Emitters are deterministic: fixed orderings (risk bands in report order,
 channels in the declared channel order) and fixed float formatting
 (3 decimals for statistics, 1 for percentages, rendered as ``12.3 %``).
 The structured (JSON) and delimited (CSV) renderings of a report carry the
-same rounded numeric values.
+same rounded numeric values. The per-sample part of a session report (times
+and scores) is rendered to text once per ``SessionReport``, on first use, and
+shared by ``session.json``, ``session.csv`` and ``rula_scores.csv``.
 
 No images are rendered here; plot emitters produce delimited files any
 plotting tool can consume: the per-side score-over-time series, the band
@@ -13,6 +15,7 @@ tables.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -67,6 +70,27 @@ class SessionReport:
     channel_summaries: dict[JointChannel, ChannelSummary]
     flags: dict = field(default_factory=dict)
 
+    @functools.cached_property
+    def _cells(self) -> list[str]:
+        """The text of the times (``"%.3f"``) and of the left, right and
+        combined scores, one string per column with a comma after each
+        cell: rendered once, on first use, and shared by every emitter."""
+        return ["%.3f," * len(self.times) % tuple(self.times.tolist())] + [
+            _int_cells(a) for a in (self.left, self.right, self.combined)]
+
+    @functools.cached_property
+    def _rows(self) -> str:
+        """The ``time,left,right,combined`` header and one line per sample."""
+        columns = [text.split(",")[:-1] for text in self._cells]
+        return "\n".join(["time,left,right,combined", *map(",".join, zip(*columns))])
+
+
+def _int_cells(values: np.ndarray) -> str:
+    """The text of every integer in ``values``, each followed by a comma."""
+    if values.size and 0 <= values.min() and values.max() <= 9:  # one digit each
+        return ",".join((values + ord("0")).astype(np.uint8).tobytes().decode()) + ","
+    return "%d," * len(values) % tuple(values.tolist())
+
 
 def build_session_report(timeline: RulaTimeline,
                          series: JointAngleSeries | None = None,
@@ -108,28 +132,29 @@ def emit_session_report(report: SessionReport, format: str = "structured") -> st
     raise ValueError(f"unknown format {format!r}")
 
 
-def _score_rows(times, left, right, combined) -> str:
-    """The ``time,left,right,combined`` header and one line per sample."""
-    cells = [None] * (4 * len(times))
-    cells[0::4], cells[1::4] = times.tolist(), left.tolist()
-    cells[2::4], cells[3::4] = right.tolist(), combined.tolist()
-    return "time,left,right,combined" + "\n%.3f,%s,%s,%s" * len(times) % tuple(cells)
+def _json_list(cells: str, pad: str) -> str:
+    """Comma-terminated number texts laid out as json.dumps(..., indent=2)
+    lays out a list at the indentation ``pad``."""
+    return f"[{pad}  " + cells[:-1].replace(",", "," + pad + "  ") + f"{pad}]" if cells else "[]"
 
 
-def _number_list(values: list, pad: str) -> str:
-    """A list of numbers laid out as by json.dumps(..., indent=2) at the
-    indentation ``pad``, rendered by json's C encoder."""
-    items = json.dumps(values)[1:-1].replace(", ", "," + pad + "  ")
-    return f"[{pad}  {items}{pad}]" if values else "[]"
+def _json_times(report: SessionReport) -> str:
+    """The JSON text of ``round(t, 3)`` for every time, comma-terminated.
+
+    Below 1e12 s it is the ``"%.3f"`` text with trailing zeros stripped down
+    to one decimal: each pass drops one zero before a comma. ``"%.3f"`` and
+    ``round`` both round correctly to the same 3-decimal ``d``, which has at
+    most 15 significant digits (``DBL_DIG``), so ``repr`` of the double
+    nearest ``d`` prints exactly ``d`` stripped (``-0.0`` too).
+    """
+    if not np.all(np.abs(report.times) < 1e12):
+        return "".join(json.dumps(round(t, 3)) + "," for t in report.times.tolist())
+    return report._cells[0].replace("0,", ",").replace("0,", ",")
 
 
 def _session_json(report: SessionReport) -> str:
-    scores = {
-        "time": [round(t, 3) for t in report.times.tolist()],
-        "left": report.left.astype(int).tolist(),
-        "right": report.right.astype(int).tolist(),
-        "combined": report.combined.astype(int).tolist(),
-    }
+    scores = dict(zip(("time", "left", "right", "combined"),
+                      (_json_times(report), *report._cells[1:])))
     doc = {
         "kind": "session",
         "source_kind": report.source_kind,
@@ -158,9 +183,9 @@ def _session_json(report: SessionReport) -> str:
     # its pure-Python encoder, so the per-sample lists are rendered apart
     # and spliced in for the one top-level ``"scores": null``.
     pad = "\n    "
-    lists = ("," + pad).join(f'"{k}": {_number_list(v, pad)}' for k, v in scores.items())
-    return json.dumps(doc, indent=2).replace(
-        '\n  "scores": null', '\n  "scores": {' + pad + lists + "\n  }") + "\n"
+    lists = ("," + pad).join(f'"{k}": {_json_list(v, pad)}' for k, v in scores.items())
+    head, _, tail = json.dumps(doc, indent=2).partition('\n  "scores": null')
+    return "".join([head, '\n  "scores": {', pad, lists, "\n  }", tail, "\n"])
 
 
 def _session_csv(report: SessionReport) -> str:
@@ -180,7 +205,7 @@ def _session_csv(report: SessionReport) -> str:
     for band in RiskBand:
         lines.append(f"{band.value},{format_percent(report.band_percentages[band])}")
     lines.append("")
-    lines.append(_score_rows(report.times, report.left, report.right, report.combined))
+    lines.append(report._rows)
     if report.channel_summaries:
         lines.append("")
         lines.append("channel,mean,std_dev,min,max")
@@ -270,21 +295,21 @@ def _comparison_csv(summary: ComparisonSummary) -> str:
 
 
 def emit_plot_series(obj) -> dict[str, str]:
-    """Delimited plot-data files for a timeline or a comparison.
+    """Delimited plot-data files for a session report or a comparison.
 
-    Timeline: score-over-time per side plus the band-share table behind a
-    pie chart. Comparison: per-channel RMSE and correlation bar tables.
+    Session: score-over-time per side (the rows ``session.csv`` holds,
+    rendered once per report) plus the band-share table behind a pie chart.
+    A ``RulaTimeline`` is reported first with ``build_session_report``.
+    Comparison: per-channel RMSE and correlation bar tables.
     """
     if isinstance(obj, RulaTimeline):
-        if obj.length == 0:
-            raise EmptyInput("empty timeline")
-        scores = _score_rows(obj.times, obj.left.final, obj.right.final, obj.final)
-        percentages = band_percentages(obj)
+        obj = build_session_report(obj)
+    if isinstance(obj, SessionReport):
         band_lines = ["band,percent"]
         for band in RiskBand:
-            band_lines.append(f"{band.value},{percentages[band]:.1f}")
+            band_lines.append(f"{band.value},{obj.band_percentages[band]:.1f}")
         return {
-            "rula_scores.csv": scores + "\n",
+            "rula_scores.csv": obj._rows + "\n",
             "rula_bands.csv": "\n".join(band_lines) + "\n",
         }
 

@@ -333,14 +333,12 @@ def _parse_config(raw) -> tuple[RulaConfig | None, list[str]]:
     range_rules = _range_rules(raw, problems)
     position_rules = _position_rules(raw, problems)
     band_codes = _band_codes(raw, problems)
-    try:
-        checksum = config_checksum(raw)
-    except RecursionError:  # a value nested just below the JSON reader's limit
-        problems.append("config: nested too deeply to checksum")
+    if json_too_deep(raw):  # the checksum's encoder would run out of stack
+        problems.append(f"config: nested deeper than {MAX_JSON_DEPTH} levels")
     if problems:
         return None, problems
     return RulaConfig(range_rules, position_rules, *tables, band_codes,
-                      checksum=checksum, raw=raw), problems
+                      checksum=config_checksum(raw), raw=raw), problems
 
 
 def validate_rula_config(raw: dict) -> list[str]:
@@ -356,24 +354,42 @@ def config_from_dict(raw: dict) -> RulaConfig:
     return config
 
 
-def read_config_json(path: str):
-    """The JSON document in ``path``; ConfigError when it is not UTF-8 JSON."""
-    with open(path, "r", encoding="utf-8") as fh:
+#: The deepest nesting of arrays and objects read from a JSON input (a
+#: config, angle definitions, a keypoint line): far below the recursion
+#: limit, so whether an input is valid never depends on the stack depth.
+MAX_JSON_DEPTH = 64
+
+
+def json_too_deep(value) -> bool:
+    """Whether arrays and objects nest more than MAX_JSON_DEPTH levels deep
+    in a parsed JSON value; walked level by level, without recursion."""
+    level = [value]
+    for _ in range(MAX_JSON_DEPTH + 1):
+        level = [v for v in level if isinstance(v, (dict, list))]
+        if not level:
+            return False
+        level = [c for v in level for c in (v.values() if isinstance(v, dict) else v)]
+    return True
+
+
+def read_config_json(path: str | None, shipped: str = "rula_default.json"):
+    """The JSON document in ``path``, or in the shipped data file ``shipped``
+    when ``path`` is None; ConfigError when it is not UTF-8 JSON or nests
+    deeper than MAX_JSON_DEPTH."""
+    with (open(path, encoding="utf-8") if path is not None else
+          resources.files("ergokit.data").joinpath(shipped).open(encoding="utf-8")) as fh:
         try:
-            return json.load(fh)
+            raw = json.load(fh)
         except (ValueError, RecursionError) as exc:  # also UnicodeDecodeError, deep nesting
             raise ConfigError([f"not valid JSON: {exc}"]) from None
+    if json_too_deep(raw):
+        raise ConfigError([f"JSON nested deeper than {MAX_JSON_DEPTH} levels"])
+    return raw
 
 
 def load_rula_config(path: str | None = None) -> RulaConfig:
     """Load a scoring config from a JSON file, or the shipped default."""
-    if path is None:
-        raw = json.loads(
-            resources.files("ergokit.data").joinpath("rula_default.json").read_text()
-        )
-    else:
-        raw = read_config_json(path)
-    return config_from_dict(raw)
+    return config_from_dict(read_config_json(path))
 
 
 @functools.cache

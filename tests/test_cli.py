@@ -7,6 +7,7 @@ import pytest
 from ergokit.cli import main
 from ergokit.ingest import format_imu_joint_csv, format_keypoint_stream
 from ergokit.motion import JointAngleSeries, JointChannel, KeypointRecording
+from ergokit.rula import MAX_JSON_DEPTH
 from ergokit.synthetic import (
     elbow_flexion_recording,
     neutral_angle_series,
@@ -461,11 +462,10 @@ def test_deeply_nested_json_is_one_error_line(tmp_path, capsys, neutral_csv, key
     assert len(err) == 1 and err[0].startswith("ergokit: error:")
 
 
-@pytest.mark.parametrize("command", ["check-config", "score"])
-def test_config_nested_near_the_recursion_limit_is_one_error_line(tmp_path, capsys, command):
-    """The shipped config with an extra key nested 900 to 1000 levels deep:
-    around the recursion limit, one of reading and checksumming the config
-    runs out of stack. Every depth must exit 0, or 1 with one error line."""
+def _nested_config_runs(tmp_path):
+    """Write the shipped config with an extra key under ``depth`` nested
+    objects (``depth + 1`` levels in all), and the argv of each command
+    that reads it."""
     from importlib import resources
 
     shipped = resources.files("ergokit.data").joinpath("rula_default.json").read_text()
@@ -473,17 +473,72 @@ def test_config_nested_near_the_recursion_limit_is_one_error_line(tmp_path, caps
     csv = tmp_path / "short.csv"
     csv.write_text(_imu_csv([i / 100 for i in range(5)]))
     config = tmp_path / "deep.json"
-    argv = {"check-config": ["check-config", str(config)],
-            "score": ["score", str(csv), "--config", str(config), "--out", str(tmp_path / "out")]}
-    codes = set()
-    for depth in range(900, 1001):
+
+    def write(depth):
         config.write_text(head + '{"a": ' * depth + "0" + "}" * depth + "}")
+
+    return write, {"check-config": ["check-config", str(config)],
+                   "score": ["score", str(csv), "--config", str(config),
+                             "--out", str(tmp_path / "out")]}
+
+
+#: Extra-key depths across the JSON nesting limit, and near the recursion limit.
+NESTED_DEPTHS = [*range(MAX_JSON_DEPTH - 8, MAX_JSON_DEPTH + 8), *range(900, 1001, 5)]
+
+
+@pytest.mark.parametrize("command", ["check-config", "score"])
+def test_config_nested_near_the_recursion_limit_is_one_error_line(tmp_path, capsys, command):
+    """The shipped config with an extra key nested across the JSON nesting
+    limit and 900 to 1000 levels deep, around the recursion limit. Every
+    depth must exit 0, or 1 with one error line."""
+    write, argv = _nested_config_runs(tmp_path)
+    codes = set()
+    for depth in NESTED_DEPTHS:
+        write(depth)
         code = main(argv[command])
         err = _error_lines(capsys)
         assert (code, len(err)) in ((0, 0), (1, 1)), depth
         assert not err or err[0].startswith("ergokit: error:"), depth
         codes.add(code)
     assert codes == {0, 1}  # the sweep crosses the limit
+
+
+def test_config_nesting_limit_is_the_same_for_every_command(tmp_path, capsys):
+    """check-config and score --config agree at every depth: a config
+    nested MAX_JSON_DEPTH levels deep is read, one level more is not."""
+    write, argv = _nested_config_runs(tmp_path)
+    for depth in NESTED_DEPTHS:
+        write(depth)
+        codes = {command: main(args) for command, args in argv.items()}
+        capsys.readouterr()
+        assert codes["check-config"] == codes["score"] == int(depth >= MAX_JSON_DEPTH), depth
+
+
+def test_angle_defs_and_keypoint_lines_share_the_nesting_limit(tmp_path, capsys,
+                                                               keypoints_file):
+    from importlib import resources
+
+    defs = json.loads(resources.files("ergokit.data").joinpath("angle_definitions.json")
+                      .read_text())
+    line = json.loads(keypoints_file.read_text().splitlines()[0])
+    for levels in (MAX_JSON_DEPTH, MAX_JSON_DEPTH + 1):
+        # The extra key adds ``levels - 1`` lists under the top-level object.
+        extra = "[" * (levels - 1) + "]" * (levels - 1)
+        defs_file = tmp_path / "defs.json"
+        defs_file.write_text(json.dumps(defs)[:-1] + f', "note": {extra}}}')
+        stream = tmp_path / "stream.jsonl"
+        stream.write_text(json.dumps(line)[:-1] + f', "note": {extra}}}\n'
+                          + keypoints_file.read_text().split("\n", 1)[1])
+        for argv in (["score", str(keypoints_file), "--kind", "keypoints",
+                      "--angle-defs", str(defs_file)],
+                     ["score", str(stream), "--kind", "keypoints"]):
+            code = main(argv + ["--out", str(tmp_path / "out")])
+            err = _error_lines(capsys)
+            if levels == MAX_JSON_DEPTH:
+                assert (code, err) == (0, []), argv
+            else:
+                assert code == 1 and len(err) == 1, argv
+                assert f"nested deeper than {MAX_JSON_DEPTH} levels" in err[0], argv
 
 
 @pytest.mark.parametrize("axis", ["bogus", ["x"]], ids=["unknown-name", "a-list"])
