@@ -53,8 +53,8 @@ for run, head_start in enumerate((0.8, 1.3, 0.4), start=1):
                                 reference_channel=JointChannel.arm_flex_r,
                                 max_lag_seconds=5.0, min_overlap_seconds=10.0)
     print(f"run {run}: camera started {head_start:.2f} s late; "
-          f"min-RMSE alignment found lag {report.lag} samples "
-          f"= {-report.lag_seconds:.2f} s of head start")
+          f"min-RMSE alignment found lag {report.lags[0]} samples "
+          f"= {-(report.lags[0] / report.sample_rate):.2f} s of head start")
     reports.append(report)
 
 summary = summarize_runs(reports)

@@ -57,7 +57,6 @@ from .rula import (
 from .compare import (
     AlignmentResult,
     ComparisonReport,
-    ComparisonSummary,
     align_min_rmse,
     compare_recordings,
     cross_correlation_peak,

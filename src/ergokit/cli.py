@@ -125,7 +125,7 @@ def cmd_compare(args) -> int:
         _write_atomic(out / name, doc)
 
     lags = ", ".join(str(lag) for lag in summary.lags)
-    print(f"{PROG}: compared {summary.n_runs} run(s); lag(s) {lags} samples; "
+    print(f"{PROG}: compared {len(summary.lags)} run(s); lag(s) {lags} samples; "
           f"reports in {out}")
     return 0
 

@@ -13,11 +13,17 @@ A sample is valid when it is finite: NaN and +/-inf are both missing.
 Missing samples are excluded pairwise per channel; a channel with less
 than half of its overlap valid is reported unavailable rather than
 silently dropped.
+
+One ``ComparisonReport`` holds n >= 1 runs: ``compare_recordings`` returns
+one run, and ``summarize_runs`` joins runs that share a sample rate, a
+reference channel and a channel set. Each channel keeps one entry per run;
+its across-run means are derived in one place, the ``rmse_mean`` and
+``correlation_mean`` properties of ``ChannelComparison``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -210,31 +216,41 @@ def cross_correlation_peak(reference, other, max_lag: int,
     return lag, -value
 
 
+def _mean_or_none(values) -> float | None:
+    present = [v for v in values if v is not None]
+    if not present:
+        return None
+    return float(np.mean(present))
+
+
 @dataclass(frozen=True)
 class ChannelComparison:
-    """Per-channel outcome; None metrics mean the channel could not be
-    compared, with ``note`` saying why."""
+    """One channel across runs, one entry per run. A None metric means the
+    channel could not be compared in that run, with its note saying why."""
 
-    rmse: float | None
-    correlation: float | None
-    valid_fraction: float
-    note: str = ""
+    rmse: tuple[float | None, ...]
+    correlation: tuple[float | None, ...]
+    valid_fraction: tuple[float, ...]
+    notes: tuple[str, ...]
 
     @property
-    def available(self) -> bool:
-        return self.rmse is not None
+    def rmse_mean(self) -> float | None:
+        return _mean_or_none(self.rmse)
+
+    @property
+    def correlation_mean(self) -> float | None:
+        return _mean_or_none(self.correlation)
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    lag: int
+    """n >= 1 runs: each run's lag in samples at ``sample_rate``, and each
+    channel's statistics in the same run order."""
+
+    lags: tuple[int, ...]
     sample_rate: float
     reference_channel: JointChannel
     channels: dict[JointChannel, ChannelComparison]
-
-    @property
-    def lag_seconds(self) -> float:
-        return self.lag / self.sample_rate
 
 
 def _ordered_channels(keys) -> list[JointChannel]:
@@ -276,88 +292,59 @@ def compare_recordings(a: JointAngleSeries, b: JointAngleSeries,
     overlap = i1 - i0
     results: dict[JointChannel, ChannelComparison] = {}
     for ch in _ordered_channels(set(a.channels) | set(b.channels)):
+        value = corr = None
+        fraction, note = 0.0, ""
         if ch not in a.channels or ch not in b.channels:
-            which = "first" if ch not in a.channels else "second"
-            results[ch] = ChannelComparison(
-                rmse=None, correlation=None, valid_fraction=0.0,
-                note=f"missing in {which} recording",
-            )
-            continue
-        xa, xb = _valid_pairs(a.channels[ch][i0:i1], b.channels[ch][i0 + lag:i1 + lag])
-        fraction = xa.size / overlap if overlap else 0.0
-        if fraction < MIN_VALID_FRACTION:
-            results[ch] = ChannelComparison(
-                rmse=None, correlation=None, valid_fraction=fraction,
-                note=f"only {fraction:.2f} of the overlap valid",
-            )
-            continue
-        value = _rmse(xa, xb)
-        try:
-            corr = _pearson(xa, xb)
-            note = ""
-        except ZeroVariance:
-            corr = None
-            note = "zero variance"
-        results[ch] = ChannelComparison(
-            rmse=value, correlation=corr, valid_fraction=fraction, note=note,
-        )
+            note = f"missing in {'first' if ch not in a.channels else 'second'} recording"
+        else:
+            xa, xb = _valid_pairs(a.channels[ch][i0:i1], b.channels[ch][i0 + lag:i1 + lag])
+            fraction = xa.size / overlap if overlap else 0.0
+            if fraction < MIN_VALID_FRACTION:
+                note = f"only {fraction:.2f} of the overlap valid"
+            else:
+                value = _rmse(xa, xb)
+                try:
+                    corr = _pearson(xa, xb)
+                except ZeroVariance:
+                    note = "zero variance"
+        results[ch] = ChannelComparison((value,), (corr,), (fraction,), (note,))
 
     return ComparisonReport(
-        lag=lag, sample_rate=rate,
+        lags=(lag,), sample_rate=rate,
         reference_channel=reference_channel, channels=results,
     )
 
 
-@dataclass(frozen=True)
-class ChannelRunStats:
-    rmse_runs: tuple[float | None, ...]
-    rmse_mean: float | None
-    correlation_runs: tuple[float | None, ...]
-    correlation_mean: float | None
-    notes: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class ComparisonSummary:
-    n_runs: int
-    lags: tuple[int, ...]
-    sample_rate: float
-    reference_channel: JointChannel
-    channels: dict[JointChannel, ChannelRunStats]
-
-
-def _mean_or_none(values) -> float | None:
-    present = [v for v in values if v is not None]
-    if not present:
-        return None
-    return float(np.mean(present))
-
-
-def summarize_runs(reports) -> ComparisonSummary:
-    """Mean across runs per channel and metric; all runs must cover the
-    same channel set."""
+def summarize_runs(reports) -> ComparisonReport:
+    """The runs of ``reports`` joined into one report, in order. All runs
+    must share the sample rate, the reference channel and the channel set."""
     reports = list(reports)
     if not reports:
         raise ChannelSetMismatch("no reports to summarize")
-    key_set = set(reports[0].channels)
+    first = reports[0]
     for i, report in enumerate(reports[1:], start=2):
-        if set(report.channels) != key_set:
+        if set(report.channels) != set(first.channels):
             raise ChannelSetMismatch(f"run {i} covers a different channel set")
+        if not math.isclose(report.sample_rate, first.sample_rate, rel_tol=1e-9):
+            raise SampleRateMismatch(
+                f"run {i} is at {report.sample_rate:.10g} Hz, run 1 at"
+                f" {first.sample_rate:.10g} Hz; compare every run at one rate (--rate)"
+            )
+        if report.reference_channel != first.reference_channel:
+            raise ChannelSetMismatch(
+                f"run {i} is aligned on {report.reference_channel.value},"
+                f" run 1 on {first.reference_channel.value}"
+            )
 
-    channels: dict[JointChannel, ChannelRunStats] = {}
-    for ch in _ordered_channels(key_set):
-        per_run = [report.channels[ch] for report in reports]
-        channels[ch] = ChannelRunStats(
-            rmse_runs=tuple(c.rmse for c in per_run),
-            rmse_mean=_mean_or_none([c.rmse for c in per_run]),
-            correlation_runs=tuple(c.correlation for c in per_run),
-            correlation_mean=_mean_or_none([c.correlation for c in per_run]),
-            notes=tuple(c.note for c in per_run),
-        )
-    return ComparisonSummary(
-        n_runs=len(reports),
-        lags=tuple(r.lag for r in reports),
-        sample_rate=reports[0].sample_rate,
-        reference_channel=reports[0].reference_channel,
-        channels=channels,
+    def joined(ch, name):
+        return tuple(v for report in reports for v in getattr(report.channels[ch], name))
+
+    return ComparisonReport(
+        lags=tuple(lag for report in reports for lag in report.lags),
+        sample_rate=first.sample_rate,
+        reference_channel=first.reference_channel,
+        channels={
+            ch: ChannelComparison(*(joined(ch, f.name) for f in fields(ChannelComparison)))
+            for ch in _ordered_channels(first.channels)
+        },
     )

@@ -29,7 +29,7 @@ from .motion import (
     JointChannel,
     channel_summary,
 )
-from .compare import ComparisonReport, ComparisonSummary, summarize_runs
+from .compare import ComparisonReport, _ordered_channels
 from .rula import RiskBand, RulaConfig, RulaTimeline, band_percentages
 
 
@@ -188,6 +188,14 @@ def _session_json(report: SessionReport) -> str:
     return "".join([head, '\n  "scores": {', pad, lists, "\n  }", tail, "\n"])
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as one CSV cell: quoted, its quotes doubled, when it holds a
+    comma, a quote or a line break (RFC 4180)."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _session_csv(report: SessionReport) -> str:
     lines = ["key,value"]
     lines.append("kind,session")
@@ -197,8 +205,9 @@ def _session_csv(report: SessionReport) -> str:
     lines.append(f"samples,{report.samples}")
     lines.append(f"config_checksum,{report.config_checksum}")
     lines.append(f"degraded_frames,{report.degraded_frames}")
-    for key in sorted(report.flags):
-        lines.append(f"flag:{key},{report.flags[key]}")
+    for key, value in sorted(report.flags.items()):
+        text = value if isinstance(value, str) else json.dumps(value)
+        lines.append(f"{_csv_cell(f'flag:{key}')},{_csv_cell(text)}")
     lines.append(f"band_shares,{format_band_shares(report.band_percentages)}")
     lines.append("")
     lines.append("band,percent")
@@ -219,64 +228,60 @@ def _session_csv(report: SessionReport) -> str:
 # --- comparison reports ---------------------------------------------------------
 
 
-def _as_summary(obj) -> ComparisonSummary:
-    if isinstance(obj, ComparisonSummary):
-        return obj
-    if isinstance(obj, ComparisonReport):
-        return summarize_runs([obj])
-    raise TypeError(f"expected ComparisonReport or ComparisonSummary, got {type(obj)}")
-
-
-def emit_comparison_report(report, format: str = "structured") -> str:
-    """Channels as rows, runs as columns, MEAN last; channels that could
-    not be compared are flagged, never dropped."""
-    summary = _as_summary(report)
-    if not summary.channels:
+def emit_comparison_report(report: ComparisonReport, format: str = "structured") -> str:
+    """Channels as rows in the declared channel order, one column per run,
+    MEAN last; channels that could not be compared are flagged, never
+    dropped. One report of any number of runs, from ``compare_recordings``
+    or ``summarize_runs``."""
+    if not report.channels:
         raise EmptyInput("comparison covers no channels")
     if format == "structured":
-        return _comparison_json(summary)
+        return _comparison_json(report)
     if format == "delimited":
-        return _comparison_csv(summary)
+        return _comparison_csv(report)
     raise ValueError(f"unknown format {format!r}")
 
 
-def _comparison_json(summary: ComparisonSummary) -> str:
+def _comparison_json(report: ComparisonReport) -> str:
     doc = {
         "kind": "comparison",
-        "runs": summary.n_runs,
-        "sample_rate": round(summary.sample_rate, 3),
-        "reference_channel": summary.reference_channel.value,
-        "lag_samples": list(summary.lags),
+        "runs": len(report.lags),
+        "sample_rate": round(report.sample_rate, 3),
+        "reference_channel": report.reference_channel.value,
+        "lag_samples": list(report.lags),
         "channels": {
             ch.value: {
                 "rmse": {
-                    "runs": [_stat(v) for v in stats.rmse_runs],
+                    "runs": [_stat(v) for v in stats.rmse],
                     "mean": _stat(stats.rmse_mean),
                 },
                 "correlation": {
-                    "runs": [_stat(v) for v in stats.correlation_runs],
+                    "runs": [_stat(v) for v in stats.correlation],
                     "mean": _stat(stats.correlation_mean),
                 },
                 "notes": [n for n in stats.notes if n],
             }
-            for ch, stats in summary.channels.items()
+            for ch, stats in _channel_rows(report)
         },
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _metric_table(summary: ComparisonSummary, metric: str,
+def _channel_rows(report: ComparisonReport):
+    """``(channel, ChannelComparison)`` in the declared channel order."""
+    return [(ch, report.channels[ch]) for ch in _ordered_channels(report.channels)]
+
+
+def _metric_table(report: ComparisonReport, metric: str,
                   include_note: bool) -> list[str]:
-    record_cols = ",".join(f"record_{i + 1}" for i in range(summary.n_runs))
+    record_cols = ",".join(f"record_{i + 1}" for i in range(len(report.lags)))
     header = f"{metric},{record_cols},mean"
     if include_note:
         header += ",note"
     lines = [header]
-    for ch, stats in summary.channels.items():
-        if metric == "rmse":
-            runs, mean = stats.rmse_runs, stats.rmse_mean
-        else:
-            runs, mean = stats.correlation_runs, stats.correlation_mean
+    for ch, stats in _channel_rows(report):
+        runs = getattr(stats, metric)
+        mean = getattr(stats, f"{metric}_mean")
         cells = [ch.value] + [_stat_cell(v) for v in runs] + [_stat_cell(mean)]
         if include_note:
             cells.append(next((n for n in stats.notes if n), ""))
@@ -284,10 +289,10 @@ def _metric_table(summary: ComparisonSummary, metric: str,
     return lines
 
 
-def _comparison_csv(summary: ComparisonSummary) -> str:
-    lines = _metric_table(summary, "rmse", include_note=True)
+def _comparison_csv(report: ComparisonReport) -> str:
+    lines = _metric_table(report, "rmse", include_note=True)
     lines.append("")
-    lines.extend(_metric_table(summary, "correlation", include_note=True))
+    lines.extend(_metric_table(report, "correlation", include_note=True))
     return "\n".join(lines) + "\n"
 
 
@@ -300,7 +305,8 @@ def emit_plot_series(obj) -> dict[str, str]:
     Session: score-over-time per side (the rows ``session.csv`` holds,
     rendered once per report) plus the band-share table behind a pie chart.
     A ``RulaTimeline`` is reported first with ``build_session_report``.
-    Comparison: per-channel RMSE and correlation bar tables.
+    Comparison (a ``ComparisonReport`` of any number of runs): per-channel
+    RMSE and correlation bar tables.
     """
     if isinstance(obj, RulaTimeline):
         obj = build_session_report(obj)
@@ -313,12 +319,11 @@ def emit_plot_series(obj) -> dict[str, str]:
             "rula_bands.csv": "\n".join(band_lines) + "\n",
         }
 
-    summary = _as_summary(obj)
-    if not summary.channels:
+    if not obj.channels:
         raise EmptyInput("comparison covers no channels")
     return {
         "comparison_rmse.csv":
-            "\n".join(_metric_table(summary, "rmse", include_note=False)) + "\n",
+            "\n".join(_metric_table(obj, "rmse", include_note=False)) + "\n",
         "comparison_correlation.csv":
-            "\n".join(_metric_table(summary, "correlation", include_note=False)) + "\n",
+            "\n".join(_metric_table(obj, "correlation", include_note=False)) + "\n",
     }

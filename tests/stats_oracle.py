@@ -5,16 +5,28 @@ These are ``rmse``, ``pearson_correlation`` and the body of
 per channel pair fed both statistics, kept unchanged as an independent
 oracle: each function builds its own ``isfinite`` mask and indexes the
 arrays with it. Tests compare the library against the functions here bit
-for bit, and ``align_oracle``'s loops score each lag with them.
+for bit, and ``align_oracle``'s loops score each lag with them. A channel's
+outcome is a plain ``ChannelStats`` record, not the library's type.
 """
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from ergokit.compare import MIN_VALID_FRACTION, ZERO_VARIANCE_STD, ChannelComparison
+from ergokit.compare import MIN_VALID_FRACTION, ZERO_VARIANCE_STD
 from ergokit.errors import LengthMismatch, NoValidPairs, ZeroVariance
+
+
+class ChannelStats(NamedTuple):
+    """One channel's outcome; None metrics mean it could not be compared,
+    with ``note`` saying why."""
+
+    rmse: float | None
+    correlation: float | None
+    valid_fraction: float
+    note: str
 
 
 def rmse(a, b) -> float:
@@ -51,13 +63,13 @@ def pearson_correlation(a, b) -> float:
     return min(1.0, max(-1.0, r))
 
 
-def channel_comparison(xa: np.ndarray, xb: np.ndarray) -> ChannelComparison:
+def channel_comparison(xa: np.ndarray, xb: np.ndarray) -> ChannelStats:
     """One channel of ``compare_recordings`` on its aligned overlap."""
     overlap = len(xa)
     valid = np.isfinite(xa) & np.isfinite(xb)
     fraction = float(np.sum(valid)) / overlap if overlap else 0.0
     if fraction < MIN_VALID_FRACTION:
-        return ChannelComparison(
+        return ChannelStats(
             rmse=None, correlation=None, valid_fraction=fraction,
             note=f"only {fraction:.2f} of the overlap valid",
         )
@@ -68,6 +80,6 @@ def channel_comparison(xa: np.ndarray, xb: np.ndarray) -> ChannelComparison:
     except ZeroVariance:
         corr = None
         note = "zero variance"
-    return ChannelComparison(
+    return ChannelStats(
         rmse=value, correlation=corr, valid_fraction=fraction, note=note,
     )

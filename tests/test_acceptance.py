@@ -226,10 +226,10 @@ def test_criterion_06_self_comparison():
     series = _sinusoid_series(rng)
     report = compare_recordings(series, series,
                                 max_lag_seconds=1.0, min_overlap_seconds=5.0)
-    ok = report.lag == 0
+    ok = report.lags == (0,)
     for ch, result in report.channels.items():
-        ok &= result.rmse is not None and result.rmse < 1e-12
-        ok &= result.correlation is not None and result.correlation > 1.0 - 1e-12
+        ok &= result.rmse[0] is not None and result.rmse[0] < 1e-12
+        ok &= result.correlation[0] is not None and result.correlation[0] > 1.0 - 1e-12
     _verdict(6, "self-comparison", ok)
 
 
@@ -246,12 +246,12 @@ def test_criterion_07_noise_oracle():
             channels[ch] = values + rng.normal(scale=sigma, size=values.size)
     b = JointAngleSeries(sample_rate=100.0, start_time=0.0, channels=channels)
     report = compare_recordings(a, b, max_lag_seconds=1.0, min_overlap_seconds=5.0)
-    ok = report.lag == 0
+    ok = report.lags == (0,)
     for ch, result in report.channels.items():
         if ch == flipped:
-            ok &= abs(result.correlation - (-1.0)) < 1e-9
+            ok &= abs(result.correlation[0] - (-1.0)) < 1e-9
         else:
-            ok &= abs(result.rmse - sigma) / sigma < 0.05
+            ok &= abs(result.rmse[0] - sigma) / sigma < 0.05
     _verdict(7, "noise oracle", ok)
 
 

@@ -181,6 +181,31 @@ def test_compare_imu_vs_keypoints_downsamples(tmp_path, capsys):
     assert abs(doc["sample_rate"] - 30.0) < 0.01  # lower of the two rates
 
 
+def test_compare_runs_at_different_rates_rejected(tmp_path, capsys):
+    """Without --rate each run is compared at its own pair's lower rate; runs
+    that end up at different rates cannot share one report's lags."""
+    paths = []
+    for name, rate, skip in (("a100", 100.0, 0), ("b100", 100.0, 0),
+                             ("a50", 50.0, 0), ("b50", 50.0, 20)):
+        t = np.arange(int(20 * rate)) / rate
+        channels = {ch: 20.0 * np.sin(2 * np.pi * 0.13 * (i + 1) * t + i)[skip:]
+                    for i, ch in enumerate(JointChannel)}
+        path = tmp_path / f"{name}.csv"
+        path.write_text(format_imu_joint_csv(
+            JointAngleSeries(sample_rate=rate, start_time=0.0, channels=channels)))
+        paths.append(str(path))
+    out = tmp_path / "cmp"
+    assert main(["compare", *paths, "--max-lag", "2", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ergokit: error: SampleRateMismatch:")
+    assert "run 2" in lines[0] and "--rate" in lines[0]
+    assert not (out / "comparison.json").exists()
+    assert main(["compare", *paths, "--max-lag", "2", "--rate", "50", "--out", str(out)]) == 0
+    assert _strict_json((out / "comparison.json").read_text())["lag_samples"] == [0, -20]
+
+
 def test_check_config_default_ok(capsys):
     from importlib import resources
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 from dataclasses import fields, replace
@@ -204,10 +206,11 @@ def test_plot_series_bar_table_matches_summary(rng):
 
 def _report_with_rmse(values: dict[JointChannel, float]) -> ComparisonReport:
     channels = {
-        ch: ChannelComparison(rmse=v, correlation=0.9, valid_fraction=1.0)
+        ch: ChannelComparison(rmse=(v,), correlation=(0.9,), valid_fraction=(1.0,),
+                              notes=("",))
         for ch, v in values.items()
     }
-    return ComparisonReport(lag=0, sample_rate=30.0,
+    return ComparisonReport(lags=(0,), sample_rate=30.0,
                            reference_channel=JointChannel.arm_flex_r,
                            channels=channels)
 
@@ -234,12 +237,12 @@ def test_single_run_self_comparison_rows_zero(rng):
 def test_unavailable_channels_flagged_not_dropped():
     channels = {
         JointChannel.arm_flex_r: ChannelComparison(
-            rmse=1.0, correlation=0.8, valid_fraction=1.0),
+            rmse=(1.0,), correlation=(0.8,), valid_fraction=(1.0,), notes=("",)),
         JointChannel.wrist_flex_l: ChannelComparison(
-            rmse=None, correlation=None, valid_fraction=0.2,
-            note="only 0.20 of the overlap valid"),
+            rmse=(None,), correlation=(None,), valid_fraction=(0.2,),
+            notes=("only 0.20 of the overlap valid",)),
     }
-    report = ComparisonReport(lag=0, sample_rate=30.0,
+    report = ComparisonReport(lags=(0,), sample_rate=30.0,
                               reference_channel=JointChannel.arm_flex_r,
                               channels=channels)
     doc = emit_comparison_report(report, "delimited")
@@ -256,7 +259,7 @@ def test_comparison_emissions_deterministic(rng):
 
 
 def test_empty_input_rejected():
-    report = ComparisonReport(lag=0, sample_rate=30.0,
+    report = ComparisonReport(lags=(0,), sample_rate=30.0,
                               reference_channel=JointChannel.arm_flex_r,
                               channels={})
     with pytest.raises(EmptyInput):
@@ -295,7 +298,8 @@ def _session_doc(report) -> dict:
 
 @pytest.mark.parametrize("finals", [[6], [1, 3, 6, 7, 7, 3, 1]], ids=["one", "seven"])
 @pytest.mark.parametrize("flags", [{}, {"kind": "imu-csv", "rate": None, "strict": False,
-                                        "scores": [1, "a, b"], "\xe9": {"x": [0.5]}}],
+                                        "scores": [1, "a, b"], "\xe9": {"x": [0.5]},
+                                        'say "a,b"': 'two\nlines, "quoted"'}],
                          ids=["no-flags", "odd-flags"])
 def test_session_json_is_json_dumps_indent_2(finals, flags):
     timeline = _timeline_with_finals(finals, rate=30.0)
@@ -305,6 +309,12 @@ def test_session_json_is_json_dumps_indent_2(finals, flags):
                                   config=default_config(), flags=flags)
     assert emit_session_report(report, "structured") == \
         json.dumps(_session_doc(report), indent=2) + "\n"
+    # session.csv holds each flag as two cells: a string as itself, any
+    # other value as its JSON text, as session.json has it.
+    rows = csv.reader(io.StringIO(emit_session_report(report, "delimited")))
+    assert [row for row in rows if row and row[0].startswith("flag:")] == [
+        [f"flag:{key}", value if isinstance(value, str) else json.dumps(value)]
+        for key, value in sorted(flags.items())]
 
 
 def test_score_rows_are_formatted_per_sample():

@@ -2,9 +2,9 @@
 
 ``compare_recordings`` takes each channel's valid fraction, RMSE and r from
 one set of valid pairs; ``stats_oracle`` builds a mask per statistic, as
-the library did before. Every ``ChannelComparison`` must equal the
-oracle's bit for bit, and wherever the oracle raises, the library must
-raise the same exception type. Channels are all finite, partly NaN/inf,
+the library did before. Every channel of the one-run report must equal the
+oracle's record bit for bit, field by field, and wherever the oracle
+raises, the library must raise the same exception type. Channels are all finite, partly NaN/inf,
 under half valid, wholly missing, or constant or near-constant (zero
 variance), over overlaps down to one sample.
 """
@@ -29,6 +29,11 @@ def _bits(value):
 
 
 def _comparison(c):
+    """A library ``ChannelComparison``'s one run, as ``_record`` gives it."""
+    return _bits(c.rmse[0]), _bits(c.correlation[0]), _bits(c.valid_fraction[0]), c.notes[0]
+
+
+def _record(c):
     return _bits(c.rmse), _bits(c.correlation), _bits(c.valid_fraction), c.note
 
 
@@ -37,7 +42,7 @@ def _library(a, b, max_lag, min_overlap):
         report = compare.compare_recordings(a, b, REFERENCE, max_lag, min_overlap)
     except ErgokitError as exc:
         return type(exc)
-    return report.lag, {ch: _comparison(c) for ch, c in report.channels.items()}
+    return report.lags[0], {ch: _comparison(c) for ch, c in report.channels.items()}
 
 
 def _oracle(a, b, max_lag, min_overlap):
@@ -46,7 +51,7 @@ def _oracle(a, b, max_lag, min_overlap):
         lag = align_oracle.align_min_rmse(a.channels[REFERENCE], b.channels[REFERENCE],
                                           max_lag, min_overlap).lag
         i0, i1 = align_oracle._overlap_slices(a.length, b.length, lag)
-        return lag, {ch: _comparison(stats_oracle.channel_comparison(
+        return lag, {ch: _record(stats_oracle.channel_comparison(
             a.channels[ch][i0:i1], b.channels[ch][i0 + lag:i1 + lag])) for ch in a.channels}
     except ErgokitError as exc:
         return type(exc)

@@ -148,10 +148,10 @@ def _full_series(rng, n=600, rate=30.0):
 def test_compare_self(rng):
     x = _full_series(rng)
     report = compare_recordings(x, x, max_lag_seconds=2.0, min_overlap_seconds=5.0)
-    assert report.lag == 0
+    assert report.lags == (0,)
     for ch, result in report.channels.items():
-        assert result.rmse == 0.0, ch
-        assert result.correlation == 1.0, ch
+        assert result.rmse == (0.0,), ch
+        assert result.correlation == (1.0,), ch
 
 
 def test_compare_rate_mismatch(rng):
@@ -175,8 +175,8 @@ def test_compare_channel_missing_in_one_is_flagged(rng):
     b = _series(channels)
     report = compare_recordings(a, b, max_lag_seconds=1.0, min_overlap_seconds=2.0)
     flagged = report.channels[JointChannel.wrist_dev_l]
-    assert not flagged.available
-    assert "missing" in flagged.note
+    assert flagged.rmse == (None,)
+    assert "missing" in flagged.notes[0]
 
 
 def test_compare_low_valid_fraction_unavailable(rng):
@@ -186,8 +186,8 @@ def test_compare_low_valid_fraction_unavailable(rng):
     gap[: int(0.6 * len(gap))] = np.nan
     report = compare_recordings(a, b, max_lag_seconds=1.0, min_overlap_seconds=2.0)
     result = report.channels[JointChannel.pro_sup_l]
-    assert not result.available
-    assert result.valid_fraction < 0.5
+    assert result.rmse == (None,)
+    assert result.valid_fraction[0] < 0.5
 
 
 def test_compare_sign_flip_channel(rng):
@@ -196,8 +196,8 @@ def test_compare_sign_flip_channel(rng):
     channels[JointChannel.lumbar_bending] = -channels[JointChannel.lumbar_bending]
     b = _series(channels)
     report = compare_recordings(a, b, max_lag_seconds=1.0, min_overlap_seconds=2.0)
-    assert report.channels[JointChannel.lumbar_bending].correlation == -1.0
-    assert report.channels[JointChannel.arm_flex_l].correlation == 1.0
+    assert report.channels[JointChannel.lumbar_bending].correlation == (-1.0,)
+    assert report.channels[JointChannel.arm_flex_l].correlation == (1.0,)
 
 
 def test_compare_noisy_copy_rmse_near_sigma(rng):
@@ -207,9 +207,9 @@ def test_compare_noisy_copy_rmse_near_sigma(rng):
                 for ch, v in a.channels.items()}
     b = _series(channels, rate=100.0)
     report = compare_recordings(a, b, max_lag_seconds=1.0, min_overlap_seconds=2.0)
-    assert report.lag == 0
+    assert report.lags == (0,)
     for ch, result in report.channels.items():
-        assert abs(result.rmse - sigma) / sigma < 0.05, ch
+        assert abs(result.rmse[0] - sigma) / sigma < 0.05, ch
 
 
 # --- summaries ----------------------------------------------------------------------
@@ -220,7 +220,7 @@ def test_summarize_single_run_equals_run(rng):
     report = compare_recordings(x, x, max_lag_seconds=1.0, min_overlap_seconds=2.0)
     summary = summarize_runs([report])
     stats = summary.channels[JointChannel.arm_flex_r]
-    assert stats.rmse_mean == report.channels[JointChannel.arm_flex_r].rmse
+    assert stats.rmse_mean == report.channels[JointChannel.arm_flex_r].rmse[0]
     assert stats.correlation_mean == 1.0
 
 
@@ -232,7 +232,7 @@ def test_summarize_mean(rng):
     r2 = compare_recordings(x, noisy, max_lag_seconds=1.0, min_overlap_seconds=2.0)
     summary = summarize_runs([r1, r2])
     for ch, stats in summary.channels.items():
-        runs = [v for v in stats.rmse_runs if v is not None]
+        runs = [v for v in stats.rmse if v is not None]
         assert math.isclose(stats.rmse_mean, float(np.mean(runs)), abs_tol=1e-9)
 
 
@@ -257,3 +257,38 @@ def test_summarize_channel_set_mismatch(rng):
                             max_lag_seconds=1.0, min_overlap_seconds=2.0)
     with pytest.raises(ChannelSetMismatch):
         summarize_runs([r1, r2])
+
+
+def test_summarize_sample_rate_mismatch(rng):
+    slow = _full_series(rng)
+    fast = _full_series(rng, n=2000, rate=100.0)
+    r1 = compare_recordings(slow, slow, max_lag_seconds=1.0, min_overlap_seconds=2.0)
+    r2 = compare_recordings(fast, fast, max_lag_seconds=1.0, min_overlap_seconds=2.0)
+    with pytest.raises(SampleRateMismatch, match=r"run 2 is at 100 Hz, run 1 at 30 Hz"):
+        summarize_runs([r1, r2])
+
+
+def test_summarize_reference_channel_mismatch(rng):
+    x = _full_series(rng)
+    r1 = compare_recordings(x, x, max_lag_seconds=1.0, min_overlap_seconds=2.0)
+    r2 = compare_recordings(x, x, reference_channel=JointChannel.elbow_flex_r,
+                            max_lag_seconds=1.0, min_overlap_seconds=2.0)
+    with pytest.raises(ChannelSetMismatch, match="run 2 is aligned on elbow_flex_r"):
+        summarize_runs([r1, r2])
+
+
+def test_summarize_joins_runs_in_order(rng):
+    x = _full_series(rng)
+    noisy = _series({ch: v + rng.normal(scale=3.0, size=v.size)
+                     for ch, v in x.channels.items()})
+    r1 = compare_recordings(x, x, max_lag_seconds=1.0, min_overlap_seconds=2.0)
+    r2 = compare_recordings(x, noisy, max_lag_seconds=1.0, min_overlap_seconds=2.0)
+    joined = summarize_runs([r1, summarize_runs([r2, r1])])
+    assert joined.lags == r1.lags + r2.lags + r1.lags
+    assert list(joined.channels) == list(r1.channels)
+    for ch, stats in joined.channels.items():
+        one, two = r1.channels[ch], r2.channels[ch]
+        assert stats.rmse == one.rmse + two.rmse + one.rmse
+        assert stats.correlation == one.correlation + two.correlation + one.correlation
+        assert stats.valid_fraction == one.valid_fraction + two.valid_fraction + one.valid_fraction
+        assert stats.notes == one.notes + two.notes + one.notes
