@@ -20,7 +20,6 @@ from .motion import (
 )
 from .ingest import (
     ImuCsvSpec,
-    KeypointStreamSpec,
     format_imu_joint_csv,
     parse_annotations,
     parse_imu_joint_csv,

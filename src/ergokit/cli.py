@@ -34,8 +34,7 @@ def _load_series(path: str, kind: str, args) -> "ingest.JointAngleSeries":
         spec = ingest.ImuCsvSpec(declared_rate=args.imu_rate)
         return ingest.parse_imu_joint_csv(data, spec)
     if kind == "keypoints":
-        stream_spec = ingest.KeypointStreamSpec(frame_rate=args.fps)
-        recording = ingest.parse_keypoint_stream(data, stream_spec)
+        recording = ingest.parse_keypoint_stream(data, args.fps)
         defs = geometry.load_angle_definitions(args.angle_defs)
         return geometry.compute_angle_series(recording, defs)
     raise ValueError(f"unknown input kind {kind!r}")
@@ -187,18 +186,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", default=None,
-                       help="scoring config JSON (default: shipped tables)")
+    def add_common(p, scores=True):
         p.add_argument("--out", default="ergokit-out", help="output directory")
         p.add_argument("--rate", type=_number(positive=True), default=None,
                        help="resample to this rate (Hz) before processing")
-        p.add_argument("--imu-rate", type=_number(positive=True), default=100.0,
-                       help="declared IMU sample rate when the CSV has no time column")
         p.add_argument("--fps", type=_number(positive=True), default=30.0,
                        help="keypoint stream frame rate")
         p.add_argument("--angle-defs", default=None,
                        help="angle definition JSON (default: shipped definitions)")
+        if scores:  # convert reads neither a scoring config nor an IMU CSV
+            p.add_argument("--config", default=None,
+                           help="scoring config JSON (default: shipped tables)")
+            p.add_argument("--imu-rate", type=_number(positive=True), default=100.0,
+                           help="declared IMU sample rate when the CSV has no time column")
 
     p_score = sub.add_parser("score", help="score one recording")
     p_score.add_argument("input")
@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv = sub.add_parser("convert",
                             help="keypoints -> joint-angle CSV (IMU layout)")
     p_conv.add_argument("input")
-    add_common(p_conv)
+    add_common(p_conv, scores=False)
     p_conv.set_defaults(func=cmd_convert)
 
     p_check = sub.add_parser("check-config", help="validate a scoring config")

@@ -30,7 +30,6 @@ usable frames of the recording.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from dataclasses import dataclass
 
@@ -52,8 +51,6 @@ from .motion import (
     uniform_grid,
 )
 from .rula import read_config_json
-
-log = logging.getLogger(__name__)
 
 #: Vectors (or in-plane projections) shorter than this are degenerate,
 #: in source units.
@@ -426,33 +423,22 @@ def compute_joint_angles(frame: KeypointRecording, defs=None,
     return {ch: float(v[0]) for ch, v in values.items() if not math.isnan(v[0])}
 
 
-def compute_angle_series(recording: KeypointRecording, defs=None,
-                         baseline_window: int = DEFAULT_BASELINE_WINDOW,
-                         sample_rate: float | None = None) -> JointAngleSeries:
+def compute_angle_series(recording: KeypointRecording, defs=None) -> JointAngleSeries:
     """Every channel over every frame of a recording.
 
-    Unless given, the sample rate comes from ``uniform_grid`` on the frame
-    times. Channels a frame cannot produce become NaN samples for that frame.
+    The sample rate and start time come from ``uniform_grid`` on the frame
+    times, and the neck baseline from the usable frames among the first
+    ``DEFAULT_BASELINE_WINDOW``. Channels a frame cannot produce become NaN
+    samples for that frame.
     """
-    n = len(recording)
-    if not n:
+    if not len(recording):
         raise NoCompleteFrames("empty recording")
     if defs is None:
         defs = default_angle_definitions()
-    start_time = float(recording.times[0])
-    if sample_rate is None:
-        sample_rate, start_time = uniform_grid(recording.times)
-    baseline = neck_baseline(recording, defs, window=baseline_window)
-
-    channels = _angles(recording.positions, defs, baseline)
-    for ch, values in channels.items():
-        count = int(np.isnan(values).sum())
-        if count:
-            log.info("channel %s: %d of %d frames missing", ch.value, count, n)
-
+    sample_rate, start_time = uniform_grid(recording.times)
+    baseline = neck_baseline(recording, defs)
     return JointAngleSeries(
         sample_rate=sample_rate,
         start_time=start_time,
-        channels=channels,
-        meta={"source": "keypoints", "frames": n},
+        channels=_angles(recording.positions, defs, baseline),
     )

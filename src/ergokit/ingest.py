@@ -2,18 +2,20 @@
 
 File formats
 ------------
+Each file is UTF-8 text; one byte-order mark at its very start is skipped.
+
 IMU joint-angle CSV
-    UTF-8, first row header, one row per sample, decimal point ``.``,
+    First row header, one row per sample, decimal point ``.``,
     configurable delimiter (default ``,``). One column per channel; an
-    optional time column. Empty cells are missing samples; non-numeric and
-    non-finite cells (``inf``, ``nan``, ``1e999``) and channel cells beyond
-    +/-1e6 degrees (``1e200``) become missing samples and are counted as
-    warnings. Only the mapped channel columns and the time column are read:
-    other (text) columns are never converted or counted. A cell in quotes
-    (``"``) is unquoted and may hold the delimiter, a line break or a
-    carriage return. A short row is padded with missing samples; a blank
-    row (every cell whitespace) is skipped. Lines end in LF or CRLF; a
-    carriage return outside quotes that does not end a line, or a quote
+    optional ``time`` column. Empty cells are missing samples; non-numeric
+    and non-finite cells (``inf``, ``nan``, ``1e999``) and channel cells
+    beyond +/-1e6 degrees (``1e200``) become missing samples and are counted
+    in ``unparseable_cells``. Only the mapped channel columns and the time
+    column are read: other (text) columns are never converted or counted. A
+    cell in quotes (``"``) is unquoted and may hold the delimiter, a line
+    break or a carriage return. A short row is padded with missing samples;
+    a blank row (every cell whitespace) is skipped. Lines end in LF or CRLF;
+    a carriage return outside quotes that does not end a line, or a quote
     never closed, is a MalformedRecord. The body is read in chunks of whole
     rows, each by one ``np.loadtxt`` call.
 
@@ -27,9 +29,10 @@ Keypoint stream (JSON lines)
     synthesized as ``frame / frame_rate`` when absent. The stream parses
     into one KeypointRecording. Unmapped point labels are ignored. An
     absent landmark, or one with a non-finite triplet, is a NaN row; there
-    is no "incomplete" flag. ``confidence`` is optional, range-checked to
-    [0, 1] and unused. Irregular timestamps (a skipped frame, a stall) are
-    rejected with IrregularTimestamps when the sample rate is inferred.
+    is no "incomplete" flag. ``confidence`` is optional; when present it is
+    a label -> number object, range-checked to [0, 1] and unused. Irregular
+    timestamps (a skipped frame, a stall) are rejected with
+    IrregularTimestamps when the sample rate is inferred.
 
 Annotation CSV
     Header ``t0,t1,arm_muscle,arm_force,neck_muscle,neck_force,legs``,
@@ -41,7 +44,6 @@ import csv
 import functools
 import io
 import json
-import logging
 import math
 import re
 from dataclasses import dataclass, field
@@ -63,15 +65,12 @@ from .motion import (
     JointAngleSeries,
     JointChannel,
     KeypointRecording,
-    Landmark,
     CHANNEL_ORDER,
     FLAG_RANGES,
     LANDMARK_INDEX,
     uniform_grid,
 )
 from .rula import MAX_JSON_DEPTH, json_too_deep
-
-log = logging.getLogger(__name__)
 
 
 def _as_text(data: bytes | str) -> str:
@@ -81,6 +80,11 @@ def _as_text(data: bytes | str) -> str:
         except UnicodeDecodeError as exc:
             raise EncodingError(f"not UTF-8 text: {exc.reason}") from None
     return data
+
+
+def _without_bom(data: bytes | str) -> bytes | str:
+    """``data`` less one byte-order mark at its very start."""
+    return data.removeprefix(b"\xef\xbb\xbf" if isinstance(data, bytes) else "\ufeff")
 
 
 # --- IMU joint-angle CSV ------------------------------------------------------
@@ -95,13 +99,12 @@ class ImuCsvSpec:
 
     The default maps columns named exactly like the channel labels; vendor
     exports with different headers supply their own ``channel_columns``.
-    When ``time_column`` is present in the file its values win over the
-    declared rate for timestamping; otherwise timestamps are synthesized
-    from ``declared_rate``.
+    When the file has a ``time`` column its values win over the declared
+    rate for timestamping; otherwise timestamps are synthesized from
+    ``declared_rate``.
     """
 
     delimiter: str = ","
-    time_column: str | None = "time"
     channel_columns: dict[str, JointChannel] = field(
         default_factory=_default_channel_columns
     )
@@ -131,10 +134,11 @@ def parse_imu_joint_csv(data: bytes | str, spec: ImuCsvSpec = DEFAULT_IMU_SPEC) 
     Raises EmptyFile, EncodingError, MalformedHeader, MissingColumn or
     MalformedRecord; unparseable or non-finite numeric cells, and channel
     cells beyond ``MAX_ABS_ANGLE``, become NaN and are counted in
-    ``meta['unparseable_cells']``.
+    ``unparseable_cells``.
     A time column that is not on a uniform grid (a gap, a non-finite or
     missing time) raises IrregularTimestamps rather than being re-timed.
     """
+    data = _without_bom(data)
     rows = io.BytesIO(data) if isinstance(data, bytes) else io.StringIO(data)
     reader = csv.reader(map(_as_text, rows), delimiter=spec.delimiter)
     try:
@@ -155,9 +159,7 @@ def parse_imu_joint_csv(data: bytes | str, spec: ImuCsvSpec = DEFAULT_IMU_SPEC) 
         raise MissingColumn(f"column {missing[0]!r} absent from header")
     channel_idx = {ch: col_index[col] for col, ch in spec.channel_columns.items()}
 
-    time_idx = None
-    if spec.time_column is not None and spec.time_column in col_index:
-        time_idx = col_index[spec.time_column]
+    time_idx = col_index.get("time")
 
     # The used columns, and per used column its empty cells and the
     # non-empty cells that float() rejects.
@@ -178,18 +180,16 @@ def parse_imu_joint_csv(data: bytes | str, spec: ImuCsvSpec = DEFAULT_IMU_SPEC) 
     # or beyond MAX_ABS_ANGLE, is a missing sample and counts as unparseable.
     for x in channels.values():
         x[np.abs(x) > MAX_ABS_ANGLE] = math.nan  # inf too
-    warnings = sum(int(np.isnan(x).sum()) for x in channels.values())
-    warnings -= sum(int(counts[0, cols.index(i)]) for i in channel_idx.values())
+    unparseable = sum(int(np.isnan(x).sum()) for x in channels.values())
+    unparseable -= sum(int(counts[0, cols.index(i)]) for i in channel_idx.values())
     if time_idx is not None:
-        warnings += int(counts[:, cols.index(time_idx)].sum())
-    if warnings:
-        log.warning("IMU CSV: %d unparseable cells became missing samples", warnings)
+        unparseable += int(counts[:, cols.index(time_idx)].sum())
 
     return JointAngleSeries(
         sample_rate=rate,
         start_time=start,
         channels=channels,
-        meta={"source": "imu-csv", "unparseable_cells": warnings},
+        unparseable_cells=unparseable,
     )
 
 
@@ -336,15 +336,14 @@ def _is_space(u: np.ndarray) -> np.ndarray:
     return space | np.isin(u, _WIDE_WHITESPACE) if u.dtype == np.uint32 else space
 
 
-def format_imu_joint_csv(series: JointAngleSeries, delimiter: str = ",",
-                         time_column: str = "time") -> str:
+def format_imu_joint_csv(series: JointAngleSeries, delimiter: str = ",") -> str:
     """Serialize a series in the IMU CSV layout.
 
     Floats are written with shortest round-trip precision so
     parse(format(x)) reproduces x bit-for-bit; NaN becomes an empty cell.
     """
     channels = [ch for ch in CHANNEL_ORDER if ch in series.channels]
-    lines = [delimiter.join([time_column] + [ch.value for ch in channels])]
+    lines = [delimiter.join(["time"] + [ch.value for ch in channels])]
     columns = [map(repr, series.times.tolist())] + [
         ["" if v != v else repr(v) for v in series.channels[ch].tolist()] for ch in channels]
     lines += map(delimiter.join, zip(*columns))
@@ -353,37 +352,20 @@ def format_imu_joint_csv(series: JointAngleSeries, delimiter: str = ",",
 
 # --- keypoint stream ----------------------------------------------------------
 
-def _default_landmark_map() -> dict[str, Landmark]:
-    return {lm.value: lm for lm in Landmark}
-
-
-@dataclass(frozen=True)
-class KeypointStreamSpec:
-    """Layout of a keypoint stream: frame rate plus tracker-label mapping."""
-
-    frame_rate: float = 30.0
-    landmark_map: dict[str, Landmark] = field(default_factory=_default_landmark_map)
-
-    def __post_init__(self):
-        if not (self.frame_rate > 0):
-            raise ValueError("frame_rate must be > 0")
-
-
-DEFAULT_STREAM_SPEC = KeypointStreamSpec()
-
-
-def parse_keypoint_stream(data: bytes | str,
-                          spec: KeypointStreamSpec = DEFAULT_STREAM_SPEC) -> KeypointRecording:
+def parse_keypoint_stream(data: bytes | str, frame_rate: float = 30.0) -> KeypointRecording:
     """Parse a JSON-lines keypoint stream into one KeypointRecording.
 
-    Frames must arrive in nondecreasing timestamp order. A landmark that is
-    absent, or has a non-finite coordinate, is a NaN row of its frame.
+    Frames must arrive in nondecreasing timestamp order; a frame without a
+    ``time`` is at ``frame / frame_rate``. A landmark that is absent, or has
+    a non-finite coordinate, is a NaN row of its frame.
     """
-    text = _as_text(data)
+    if not (frame_rate > 0):
+        raise ValueError("frame_rate must be > 0")
+    text = _as_text(_without_bom(data))
     if not text.strip():
         raise EmptyFile("no content")
-    # Offset of each mapped label's triplet in a frame's flat row.
-    column = {label: 3 * LANDMARK_INDEX[lm] for label, lm in spec.landmark_map.items()}
+    # Offset of each landmark label's triplet in a frame's flat row.
+    column = {lm.value: 3 * i for lm, i in LANDMARK_INDEX.items()}
     empty_row = [math.nan] * (3 * len(LANDMARK_INDEX))
     times: list[float] = []
     rows: list[list[float]] = []
@@ -403,7 +385,7 @@ def parse_keypoint_stream(data: bytes | str,
         if key not in record:
             raise MalformedRecord("record carries neither 'time' nor 'frame'", line_no)
         try:
-            t = float(record[key]) / (1.0 if key == "time" else spec.frame_rate)
+            t = float(record[key]) / (1.0 if key == "time" else frame_rate)
         except (TypeError, ValueError, OverflowError):  # a huge integer overflows float
             raise MalformedRecord(f"{key!r} must be a number", line_no)
         if not math.isfinite(t) or t < 0:
@@ -429,16 +411,17 @@ def parse_keypoint_stream(data: bytes | str,
             except (TypeError, ValueError, OverflowError):
                 raise MalformedRecord(f"point {label!r} has non-numeric coordinates", line_no)
 
-        confidence = record.get("confidence")
-        if isinstance(confidence, dict):
-            for label, c in confidence.items():
-                try:
-                    ok = label not in column or 0.0 <= float(c) <= 1.0
-                except (TypeError, ValueError, OverflowError):
-                    ok = False
-                if not ok:
-                    raise MalformedRecord(
-                        f"confidence {c!r} for {label!r} is not a number in [0, 1]", line_no)
+        confidence = record.get("confidence", {})
+        if not isinstance(confidence, dict):
+            raise MalformedRecord("'confidence' must be a label -> number object", line_no)
+        for label, c in confidence.items():
+            try:
+                ok = label not in column or 0.0 <= float(c) <= 1.0
+            except (TypeError, ValueError, OverflowError):
+                ok = False
+            if not ok:
+                raise MalformedRecord(
+                    f"confidence {c!r} for {label!r} is not a number in [0, 1]", line_no)
         times.append(t)
         rows.append(row)
 
@@ -468,7 +451,7 @@ _ANNOTATION_FIELDS = ("t0", "t1", *FLAG_RANGES)
 
 def parse_annotations(data: bytes | str) -> AnnotationTrack:
     """Parse the annotation CSV into a validated, sorted AnnotationTrack."""
-    text = _as_text(data)
+    text = _as_text(_without_bom(data))
     if not text.strip():
         raise EmptyFile("no content")
     reader = csv.reader(io.StringIO(text))
@@ -560,5 +543,5 @@ def resample(series: JointAngleSeries, target_rate: float) -> JointAngleSeries:
         sample_rate=target_rate,
         start_time=series.start_time,
         channels=out,
-        meta={**series.meta, "resampled_from_rate": series.sample_rate},
+        unparseable_cells=series.unparseable_cells,
     )

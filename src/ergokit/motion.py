@@ -13,7 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 import numpy as np
 
@@ -156,12 +156,14 @@ class JointAngleSeries:
     """Multi-channel joint-angle time series on a uniform sample grid.
 
     Every channel array has the same length; missing samples are NaN.
+    ``unparseable_cells`` counts the non-empty IMU CSV cells that became
+    missing samples.
     """
 
     sample_rate: float
     start_time: float
     channels: dict[JointChannel, np.ndarray]
-    meta: dict = field(default_factory=dict)
+    unparseable_cells: int = 0
 
     def __post_init__(self):
         if not (self.sample_rate > 0):

@@ -100,7 +100,6 @@ class PositionRule:
     threshold: float
     adjust: int
     side: Side | None = None
-    reason: str = ""
 
 
 @dataclass(frozen=True)
@@ -281,7 +280,7 @@ def _position_rules(raw: dict, problems: list[str]) -> tuple[PositionRule, ...]:
             rules.append(PositionRule(
                 joint=joint, channel=channel, predicate=rule["predicate"],
                 threshold=float(threshold), adjust=adjust,
-                side=Side(side) if side else None, reason=rule.get("reason", ""),
+                side=Side(side) if side else None,
             ))
     return tuple(rules)
 
@@ -375,9 +374,9 @@ def json_too_deep(value) -> bool:
 def read_config_json(path: str | None, shipped: str = "rula_default.json"):
     """The JSON document in ``path``, or in the shipped data file ``shipped``
     when ``path`` is None; ConfigError when it is not UTF-8 JSON or nests
-    deeper than MAX_JSON_DEPTH."""
-    with (open(path, encoding="utf-8") if path is not None else
-          resources.files("ergokit.data").joinpath(shipped).open(encoding="utf-8")) as fh:
+    deeper than MAX_JSON_DEPTH. A leading byte-order mark is skipped."""
+    with (open(path, encoding="utf-8-sig") if path is not None else
+          resources.files("ergokit.data").joinpath(shipped).open(encoding="utf-8-sig")) as fh:
         try:
             raw = json.load(fh)
         except (ValueError, RecursionError) as exc:  # also UnicodeDecodeError, deep nesting

@@ -60,7 +60,6 @@ def neutral_angle_series(n_samples: int = 100, sample_rate: float = 100.0,
         sample_rate=sample_rate,
         start_time=0.0,
         channels={ch: np.zeros(n_samples) for ch in JointChannel},
-        meta={"source": "synthetic"},
     )
 
 

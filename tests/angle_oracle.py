@@ -309,5 +309,4 @@ def compute_angle_series(frames, defs=None,
         sample_rate=sample_rate,
         start_time=frames[0].timestamp,
         channels=channels,
-        meta={"source": "keypoints", "frames": n},
     )

@@ -49,8 +49,8 @@ def parse_imu_joint_csv_oracle(data: bytes | str,
     channel_idx = {ch: col_index[col] for col, ch in spec.channel_columns.items()}
 
     time_idx = None
-    if spec.time_column is not None and spec.time_column in col_index:
-        time_idx = col_index[spec.time_column]
+    if "time" in col_index:
+        time_idx = col_index["time"]
 
     columns: dict[JointChannel, list[float]] = {ch: [] for ch in channel_idx}
     times: list[float] = []
@@ -94,5 +94,5 @@ def parse_imu_joint_csv_oracle(data: bytes | str,
         sample_rate=rate,
         start_time=start,
         channels=channels,
-        meta={"source": "imu-csv", "unparseable_cells": warnings},
+        unparseable_cells=warnings,
     )

@@ -58,5 +58,5 @@ def resample_oracle(series: JointAngleSeries, target_rate: float) -> JointAngleS
         sample_rate=target_rate,
         start_time=series.start_time,
         channels=out,
-        meta={**series.meta, "resampled_from_rate": series.sample_rate},
+        unparseable_cells=series.unparseable_cells,
     )

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ergokit
 from ergokit.cli import main
 from ergokit.ingest import format_imu_joint_csv, format_keypoint_stream
 from ergokit.motion import JointAngleSeries, JointChannel, KeypointRecording
@@ -65,6 +70,38 @@ def test_score_missing_column_names_it(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("ergokit: error: MissingColumn")
     assert "T1_head_neck_FE" in err
+
+
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` with the package importable, in a new interpreter:
+    outside pytest, whose handlers on the root logger would hide a log line."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ergokit.__file__).parents[1])}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_successful_runs_write_nothing_to_stderr(tmp_path):
+    """Unparseable cells are counted in the series; no run reports them on
+    stderr. Each run prints one line and nothing else."""
+    t = np.arange(1200) / 100.0
+    series = JointAngleSeries(sample_rate=100.0, start_time=0.0, channels={
+        ch: 20.0 * np.sin(2 * np.pi * 0.13 * (i + 1) * t + i)
+        for i, ch in enumerate(JointChannel)})
+    lines = format_imu_joint_csv(series).splitlines()
+    cells = lines[5].split(",")
+    lines[5] = ",".join(cells[:3] + ["x"] + cells[4:])
+    path = tmp_path / "x.csv"
+    path.write_text("\n".join(lines) + "\n")
+    run_main = "import sys; from ergokit.cli import main; sys.exit(main(sys.argv[1:]))"
+    for argv in (["score", str(path)], ["compare", str(path), str(path)]):
+        run = _fresh_python("-c", run_main, *argv, "--out", str(tmp_path / argv[0]))
+        assert run.returncode == 0
+        assert len(run.stdout.splitlines()) == 1
+        assert run.stderr == ""
+
+
+def test_import_leaves_logging_out():
+    run = _fresh_python("-c", "import sys, ergokit, ergokit.cli; print('logging' in sys.modules)")
+    assert run.stdout == "False\n"
 
 
 def test_score_keypoints_kind(tmp_path, keypoints_file):
@@ -311,9 +348,11 @@ def test_bad_rate_rejected_before_any_work(tmp_path, neutral_csv, capsys, flag, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [["bogus"], [], ["score"], ["score", "x.csv", "--bogus"]],
+@pytest.mark.parametrize("argv", [["bogus"], [], ["score"], ["score", "x.csv", "--bogus"],
+                                  ["convert", "x.jsonl", "--config", "c.json"],
+                                  ["convert", "x.jsonl", "--imu-rate", "5"]],
                          ids=["unknown-subcommand", "no-subcommand", "no-input",
-                              "unknown-option"])
+                              "unknown-option", "convert-config", "convert-imu-rate"])
 def test_usage_error_is_one_line(capsys, argv):
     assert main(argv) == 2  # returns instead of raising SystemExit
     captured = capsys.readouterr()

@@ -107,7 +107,7 @@ def _outcome(parse, data, spec):
         series = parse(data, spec)
     except ErgokitError as exc:
         return type(exc).__name__
-    return (series.sample_rate, series.start_time, series.meta["unparseable_cells"],
+    return (series.sample_rate, series.start_time, series.unparseable_cells,
             {ch: x.view(np.uint64).tolist() for ch, x in series.channels.items()})
 
 

@@ -1,4 +1,5 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ergokit.geometry import (
     compute_angle_series,
     compute_joint_angles,
     default_angle_definitions,
+    load_angle_definitions,
     neck_baseline,
     signed_plane_angle,
     vector_angle,
@@ -270,3 +272,10 @@ def test_default_required_landmarks_exclude_knees():
 def test_definitions_cover_all_channels():
     defs = default_angle_definitions()
     assert {d.channel for d in defs} == set(JointChannel)
+
+
+def test_angle_definitions_skip_byte_order_mark(tmp_path):
+    path = tmp_path / "defs.json"
+    shipped = resources.files("ergokit.data").joinpath("angle_definitions.json").read_bytes()
+    path.write_bytes(b"\xef\xbb\xbf" + shipped)
+    assert load_angle_definitions(str(path)) == default_angle_definitions()

@@ -74,7 +74,7 @@ def test_parse_imu_csv_non_finite_cells_become_missing():
     text = ("arm_flex_r,elbow_flex_r,lumbar_flexion\n"
             "inf,nan,-inf\n1e999,5.0,-1e999\n7.0,8.0,9.0\n")
     series = parse_imu_joint_csv(text, _three_channel_spec())
-    assert series.meta["unparseable_cells"] == 5
+    assert series.unparseable_cells == 5
     arm, elbow, lumbar = (series.channels[ch] for ch in (
         JointChannel.arm_flex_r, JointChannel.elbow_flex_r, JointChannel.lumbar_flexion))
     assert np.isnan(arm[:2]).all() and np.isnan(lumbar[:2]).all()
@@ -93,7 +93,7 @@ def test_parse_imu_csv_300_rows_duration():
 def test_parse_imu_csv_unparseable_cells_become_missing():
     text = "arm_flex_r,elbow_flex_r,lumbar_flexion\n1.0,oops,3.0\n4.0,5.0,6.0\n"
     series = parse_imu_joint_csv(text, _three_channel_spec())
-    assert series.meta["unparseable_cells"] == 1
+    assert series.unparseable_cells == 1
     assert math.isnan(series.channels[JointChannel.elbow_flex_r][0])
     assert series.channels[JointChannel.elbow_flex_r][1] == 5.0
 
@@ -104,6 +104,27 @@ def test_parse_imu_csv_time_column_wins():
     ) + "\n"
     series = parse_imu_joint_csv(text, _three_channel_spec())
     assert math.isclose(series.sample_rate, 50.0, rel_tol=1e-9)
+
+
+# Excel's "CSV UTF-8" export starts the file with a byte-order mark.
+BOM = "\ufeff"
+
+
+@pytest.mark.parametrize("time_first", [True, False], ids=["time-first", "channel-first"])
+@pytest.mark.parametrize("encode", [str.encode, str], ids=["bytes", "str"])
+def test_parse_imu_csv_skips_byte_order_mark(time_first, encode):
+    """The 50 Hz time column wins over the declared 100 Hz after a BOM too."""
+    rows = [["time", "arm_flex_r", "elbow_flex_r", "lumbar_flexion"]]
+    rows += [[f"{i * 0.02}", f"{i}", "x", f"{i}"] for i in range(50)]
+    text = "".join(",".join(row if time_first else row[1:] + row[:1]) + "\n" for row in rows)
+    plain = parse_imu_joint_csv(encode(text), _three_channel_spec())
+    marked = parse_imu_joint_csv(encode(BOM + text), _three_channel_spec())
+    assert math.isclose(marked.sample_rate, 50.0, rel_tol=1e-9)
+    assert (marked.sample_rate, marked.start_time, marked.unparseable_cells) == (
+        plain.sample_rate, plain.start_time, plain.unparseable_cells)
+    assert marked.channels.keys() == plain.channels.keys()
+    for ch, x in plain.channels.items():
+        assert np.array_equal(marked.channels[ch], x, equal_nan=True)
 
 
 @pytest.mark.parametrize("times, needle", [
@@ -222,6 +243,29 @@ def test_parse_keypoint_stream_bad_confidence(value):
     assert "line 2" in str(err.value)
 
 
+@pytest.mark.parametrize("confidence", [5, "x", [2, 3], None])
+def test_parse_keypoint_stream_confidence_not_an_object(confidence):
+    full = _full_points()
+    bad = json.dumps({"frame": 1, "points": full, "confidence": confidence})
+    with pytest.raises(MalformedRecord) as err:
+        parse_keypoint_stream("\n".join([_record(0, full), bad]))
+    assert "line 2" in str(err.value) and "confidence" in str(err.value)
+
+
+@pytest.mark.parametrize("frame_rate", [0.0, -30.0, math.nan])
+def test_parse_keypoint_stream_rejects_bad_frame_rate(frame_rate):
+    with pytest.raises(ValueError):
+        parse_keypoint_stream(_record(0, _full_points()), frame_rate=frame_rate)
+
+
+def test_parse_keypoint_stream_skips_byte_order_mark():
+    text = format_keypoint_stream(posed_recording([0.0, 1 / 30, 2 / 30], elbow_r=[0, 10, 20]))
+    plain = parse_keypoint_stream(text.encode())
+    marked = parse_keypoint_stream((BOM + text).encode())
+    assert np.array_equal(marked.times, plain.times)
+    assert np.array_equal(marked.positions, plain.positions, equal_nan=True)
+
+
 def test_parse_keypoint_stream_ignores_unknown_labels():
     full = _full_points()
     full["left_ear"] = [0.0, 0.1, 1.7]
@@ -270,6 +314,12 @@ def test_parse_annotations_bad_force():
     )
     with pytest.raises(InvalidForceValue):
         parse_annotations(text)
+
+
+def test_parse_annotations_skips_byte_order_mark():
+    text = ("t0,t1,arm_muscle,arm_force,neck_muscle,neck_force,legs\n"
+            "0,5,0,1,0,0,1\n6,9,1,3,1,2,2\n")
+    assert parse_annotations((BOM + text).encode()) == parse_annotations(text.encode())
 
 
 def test_annotations_round_trip():

@@ -26,14 +26,14 @@ RATIOS = [1.0, 0.3, 0.5, 2.0, 3.0, 1.0 / 3.0, 0.73, math.pi, 1.0 / math.sqrt(2.0
 
 
 def _outcome(series, target_rate, fn):
-    """Output rate, start, meta and each channel's int64 words, or the
-    exception type."""
+    """Output rate, start, unparseable cells and each channel's int64 words,
+    or the exception type."""
     try:
         out = fn(series, target_rate)
     except (TooShort, ValueError) as exc:
         return type(exc)
     words = {ch: x.view(np.int64).tolist() for ch, x in out.channels.items()}
-    return out.sample_rate, out.start_time, out.meta, words
+    return out.sample_rate, out.start_time, out.unparseable_cells, words
 
 
 @st.composite
@@ -59,7 +59,7 @@ def series_and_rate(draw):
         channels[ch] = x
     start = draw(st.sampled_from([0.0, 12.5, -3.0]))
     series = JointAngleSeries(sample_rate=rate, start_time=start, channels=channels,
-                              meta={"source": "test"})
+                              unparseable_cells=3)
     return series, target
 
 

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 from dataclasses import fields
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from ergokit.rula import (
     config_checksum,
     config_from_dict,
     default_config,
+    load_rula_config,
+    read_config_json,
     risk_band,
     score_frame,
     score_range,
@@ -403,3 +406,11 @@ def test_config_band_gap_detected():
     raw["bands"]["low"] = [3, 3]
     problems = validate_rula_config(raw)
     assert any("bands" in p and "4" in p for p in problems)
+
+
+def test_config_skips_byte_order_mark(tmp_path):
+    path = tmp_path / "config.json"
+    shipped = resources.files("ergokit.data").joinpath("rula_default.json").read_bytes()
+    path.write_bytes(b"\xef\xbb\xbf" + shipped)
+    assert read_config_json(str(path)) == read_config_json(None)
+    assert load_rula_config(str(path)).checksum == default_config().checksum
