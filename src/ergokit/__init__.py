@@ -19,7 +19,6 @@ from .motion import (
     channel_summary,
 )
 from .ingest import (
-    ImuCsvSpec,
     format_imu_joint_csv,
     parse_annotations,
     parse_imu_joint_csv,

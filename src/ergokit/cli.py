@@ -31,8 +31,7 @@ def _write_atomic(path: Path, text: str) -> None:
 def _load_series(path: str, kind: str, args) -> "ingest.JointAngleSeries":
     data = Path(path).read_bytes()
     if kind == "imu-csv":
-        spec = ingest.ImuCsvSpec(declared_rate=args.imu_rate)
-        return ingest.parse_imu_joint_csv(data, spec)
+        return ingest.parse_imu_joint_csv(data, args.imu_rate)
     if kind == "keypoints":
         recording = ingest.parse_keypoint_stream(data, args.fps)
         defs = geometry.load_angle_definitions(args.angle_defs)

@@ -5,15 +5,18 @@ File formats
 Each file is UTF-8 text; one byte-order mark at its very start is skipped.
 
 IMU joint-angle CSV
-    First row header, one row per sample, decimal point ``.``,
-    configurable delimiter (default ``,``). One column per channel; an
-    optional ``time`` column. Empty cells are missing samples; non-numeric
-    and non-finite cells (``inf``, ``nan``, ``1e999``) and channel cells
-    beyond +/-1e6 degrees (``1e200``) become missing samples and are counted
-    in ``unparseable_cells``. Only the mapped channel columns and the time
-    column are read: other (text) columns are never converted or counted. A
-    cell in quotes (``"``) is unquoted and may hold the delimiter, a line
-    break or a carriage return. A short row is padded with missing samples;
+    First row header, one row per sample, decimal point ``.``, delimiter
+    ``,``. The header names the channels: a column named like a channel
+    label holds that channel, and an optional ``time`` column the
+    timestamps. Any subset of the channels may be present; an absent one is
+    missing from the series, and a header without any is a MissingColumn.
+    Empty cells are missing samples; non-numeric and non-finite cells
+    (``inf``, ``nan``, ``1e999``) and channel cells beyond +/-1e6 degrees
+    (``1e200``) become missing samples and are counted in
+    ``unparseable_cells``. Only the channel columns and the time column are
+    read: other (text) columns are never converted or counted. A cell in
+    quotes (``"``) is unquoted and may hold a comma, a line break or a
+    carriage return. A short row is padded with missing samples;
     a blank row (every cell whitespace) is skipped. Lines end in LF or CRLF;
     a carriage return outside quotes that does not end a line, or a quote
     never closed, is a MalformedRecord. The body is read in chunks of whole
@@ -46,7 +49,6 @@ import io
 import json
 import math
 import re
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,58 +91,29 @@ def _without_bom(data: bytes | str) -> bytes | str:
 
 # --- IMU joint-angle CSV ------------------------------------------------------
 
-def _default_channel_columns() -> dict[str, JointChannel]:
-    return {ch.value: ch for ch in CHANNEL_ORDER}
-
-
-@dataclass(frozen=True)
-class ImuCsvSpec:
-    """Layout of an IMU joint-angle CSV export.
-
-    The default maps columns named exactly like the channel labels; vendor
-    exports with different headers supply their own ``channel_columns``.
-    When the file has a ``time`` column its values win over the declared
-    rate for timestamping; otherwise timestamps are synthesized from
-    ``declared_rate``.
-    """
-
-    delimiter: str = ","
-    channel_columns: dict[str, JointChannel] = field(
-        default_factory=_default_channel_columns
-    )
-    declared_rate: float = 100.0
-
-    def __post_init__(self):
-        if not (self.declared_rate > 0):
-            raise ValueError("declared_rate must be > 0")
-        if len(self.delimiter) != 1 or self.delimiter in '"\r\n':
-            raise ValueError("delimiter must be one character, not a quote or line break")
-        seen: set[JointChannel] = set()
-        for col, ch in self.channel_columns.items():
-            if ch in seen:
-                raise ValueError(f"channel {ch.value} mapped by more than one column")
-            seen.add(ch)
-
-
-DEFAULT_IMU_SPEC = ImuCsvSpec()
-
 #: A channel cell of larger magnitude (degrees) is no angle: a missing sample.
 MAX_ABS_ANGLE = 1e6
 
 
-def parse_imu_joint_csv(data: bytes | str, spec: ImuCsvSpec = DEFAULT_IMU_SPEC) -> JointAngleSeries:
+def parse_imu_joint_csv(data: bytes | str, declared_rate: float = 100.0) -> JointAngleSeries:
     """Parse a joint-angle CSV export into a JointAngleSeries.
 
-    Raises EmptyFile, EncodingError, MalformedHeader, MissingColumn or
-    MalformedRecord; unparseable or non-finite numeric cells, and channel
-    cells beyond ``MAX_ABS_ANGLE``, become NaN and are counted in
-    ``unparseable_cells``.
+    Each header column named like a ``JointChannel`` label is read into that
+    channel; a channel without a column is absent from the series, and
+    scoring treats it as missing. The ``time`` column, when there is one,
+    timestamps the samples; otherwise they are at ``declared_rate`` Hz from 0.
+    Raises EmptyFile, EncodingError, MalformedHeader, MissingColumn (no
+    channel column) or MalformedRecord; unparseable or non-finite numeric
+    cells, and channel cells beyond ``MAX_ABS_ANGLE``, become NaN and are
+    counted in ``unparseable_cells``.
     A time column that is not on a uniform grid (a gap, a non-finite or
     missing time) raises IrregularTimestamps rather than being re-timed.
     """
+    if not (declared_rate > 0):
+        raise ValueError("declared_rate must be > 0")
     data = _without_bom(data)
     rows = io.BytesIO(data) if isinstance(data, bytes) else io.StringIO(data)
-    reader = csv.reader(map(_as_text, rows), delimiter=spec.delimiter)
+    reader = csv.reader(map(_as_text, rows))
     try:
         header = next(reader, [])
     except csv.Error as exc:
@@ -154,24 +127,20 @@ def parse_imu_joint_csv(data: bytes | str, spec: ImuCsvSpec = DEFAULT_IMU_SPEC) 
         raise MalformedHeader("duplicate column names in header")
 
     col_index = {name: i for i, name in enumerate(header)}
-    missing = [col for col in spec.channel_columns if col not in col_index]
-    if missing:
-        raise MissingColumn(f"column {missing[0]!r} absent from header")
-    channel_idx = {ch: col_index[col] for col, ch in spec.channel_columns.items()}
-
+    channel_idx = {ch: col_index[ch.value] for ch in CHANNEL_ORDER if ch.value in col_index}
+    if not channel_idx:
+        raise MissingColumn("no channel column in header")
     time_idx = col_index.get("time")
 
     # The used columns, and per used column its empty cells and the
     # non-empty cells that float() rejects.
     cols = sorted(set(channel_idx.values()) | {time_idx} - {None})
     counts = np.zeros((2, len(cols)), dtype=np.int64)
-    blocks = [_read_rows(text, quoted, spec.delimiter, cols, counts)
-              for text, quoted in _row_chunks(rows, spec.delimiter) if cols]
+    blocks = [_read_rows(text, quoted, cols, counts) for text, quoted in _row_chunks(rows)]
     column = dict(zip(cols, np.concatenate([np.empty((len(cols), 0))]
                                            + [block.T for block in blocks], axis=1)))
 
-    rate = spec.declared_rate
-    start = 0.0
+    rate, start = declared_rate, 0.0
     if time_idx is not None and len(column[time_idx]) >= 2:
         rate, start = uniform_grid(column[time_idx])
 
@@ -198,27 +167,29 @@ _CHUNK = 1 << 20
 # The code points past ASCII that str.strip() removes.
 _WIDE_WHITESPACE = [0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F,
                     0x205F, 0x3000]
+# A quoted cell, opened at a line start or after a comma, to its closing
+# quote (group 1) if the text holds it; the rest of one opened earlier.
+_OPENS = re.compile(r'(?<![^,\n])"(?:[^"]|"")*(")?')
+_CLOSES = re.compile(r'(?:[^"]|"")*(")?')
 
 
-def _row_chunks(rows, delimiter: str):
+def _row_chunks(rows):
     """The rest of ``rows`` in chunks of whole rows: each chunk's text with
     CRLF made LF, and the spans of its quoted cells, from the quote that
     opens one to the quote that closes it. A quoted cell may hold line
     breaks, so a chunk grows by lines until its last quote closes; each
     line is decoded and scanned once."""
-    opens = re.compile(rf'(?<![^{re.escape(delimiter)}\n])"(?:[^"]|"")*(")?')
-    closes = re.compile(r'(?:[^"]|"")*(")?')
     while piece := rows.read(_CHUNK):
         piece += rows.readline()
         pieces, spans, size, open_at = [], [], 0, None
         while True:
             text = _as_text(piece).replace("\r\n", "\n")
             at = 0
-            if open_at is not None and (m := closes.match(text)).group(1):
+            if open_at is not None and (m := _CLOSES.match(text)).group(1):
                 spans.append((open_at, size + m.end()))
                 open_at, at = None, m.end()
             if open_at is None and '"' in text:
-                for m in opens.finditer(text, at):
+                for m in _OPENS.finditer(text, at):
                     if m.group(1):
                         spans.append((size + m.start(), size + m.end()))
                     else:  # open to the end of this piece
@@ -237,8 +208,8 @@ def _row_chunks(rows, delimiter: str):
         yield text, spans
 
 
-def _read_rows(text: str, quoted: list[tuple[int, int]], delimiter: str,
-               cols: list[int], counts: np.ndarray) -> np.ndarray:
+def _read_rows(text: str, quoted: list[tuple[int, int]], cols: list[int],
+               counts: np.ndarray) -> np.ndarray:
     """The used columns ``cols`` of a chunk of whole rows, one row each.
 
     Blank rows (every cell whitespace) are dropped, short rows padded, and
@@ -247,10 +218,9 @@ def _read_rows(text: str, quoted: list[tuple[int, int]], delimiter: str,
     cell, the same call reads the chunk again with the cell rule as
     converter: ``float(cell)``, else NaN, counted in ``counts[1]``.
     """
-    text = _filled(text if text.endswith("\n") else text + "\n", quoted, delimiter,
-                   cols, counts[0])
+    text = _filled(text if text.endswith("\n") else text + "\n", quoted, cols, counts[0])
     # encoding=None hands converters str cells on numpy 1.x too.
-    args = dict(delimiter=delimiter, quotechar='"', comments=None, usecols=cols, ndmin=2,
+    args = dict(delimiter=",", quotechar='"', comments=None, usecols=cols, ndmin=2,
                 encoding=None)
     if not text:
         return np.empty((0, len(cols)))
@@ -273,8 +243,8 @@ def _read_rows(text: str, quoted: list[tuple[int, int]], delimiter: str,
         raise MalformedRecord(str(exc)) from None
 
 
-def _filled(text: str, quoted: list[tuple[int, int]], delimiter: str,
-            cols: list[int], empty: np.ndarray) -> str:
+def _filled(text: str, quoted: list[tuple[int, int]], cols: list[int],
+            empty: np.ndarray) -> str:
     """``text`` with its blank rows emptied, its short rows padded and its
     empty used cells filled, each with ``nan``; counted into ``empty``.
     Empty when every row is blank."""
@@ -282,7 +252,7 @@ def _filled(text: str, quoted: list[tuple[int, int]], delimiter: str,
     wide = not text.isascii()
     u = np.frombuffer(text.encode("utf-32-le", "surrogatepass") if wide
                       else text.encode("ascii"), dtype=np.uint32 if wide else np.uint8)
-    sep = (u == ord(delimiter)) | (u == ord("\n"))
+    sep = (u == ord(",")) | (u == ord("\n"))
     if quoted:  # separators inside quotes are text
         a, b = np.array(quoted).T
         inside = np.zeros(len(u) + 1, dtype=np.int8)
@@ -319,7 +289,7 @@ def _filled(text: str, quoted: list[tuple[int, int]], delimiter: str,
 
     edits = sorted(
         [(starts[k], ends[k], "nan") for k in fill]
-        + [(ends[last[r]], ends[last[r]], (delimiter + "nan") * (width - ncells[r]))
+        + [(ends[last[r]], ends[last[r]], ",nan" * (width - ncells[r]))
            for r in short]
         + [(starts[first[r]], ends[last[r]], "") for r in np.flatnonzero(blank)],
         key=lambda edit: edit[0])
@@ -336,17 +306,17 @@ def _is_space(u: np.ndarray) -> np.ndarray:
     return space | np.isin(u, _WIDE_WHITESPACE) if u.dtype == np.uint32 else space
 
 
-def format_imu_joint_csv(series: JointAngleSeries, delimiter: str = ",") -> str:
+def format_imu_joint_csv(series: JointAngleSeries) -> str:
     """Serialize a series in the IMU CSV layout.
 
     Floats are written with shortest round-trip precision so
     parse(format(x)) reproduces x bit-for-bit; NaN becomes an empty cell.
     """
     channels = [ch for ch in CHANNEL_ORDER if ch in series.channels]
-    lines = [delimiter.join(["time"] + [ch.value for ch in channels])]
+    lines = [",".join(["time"] + [ch.value for ch in channels])]
     columns = [map(repr, series.times.tolist())] + [
         ["" if v != v else repr(v) for v in series.channels[ch].tolist()] for ch in channels]
-    lines += map(delimiter.join, zip(*columns))
+    lines += map(",".join, zip(*columns))
     return "\n".join(lines) + "\n"
 
 
@@ -381,11 +351,15 @@ def parse_keypoint_stream(data: bytes | str, frame_rate: float = 30.0) -> Keypoi
             raise MalformedRecord(f"JSON nested deeper than {MAX_JSON_DEPTH} levels", line_no)
         if not isinstance(record, dict) or "points" not in record:
             raise MalformedRecord("record must be an object with a 'points' field", line_no)
+        # float(True) is 1.0: a JSON true or false read as a number is refused.
+        booleans = "true" in line or "false" in line
         key = "time" if "time" in record else "frame"
         if key not in record:
             raise MalformedRecord("record carries neither 'time' nor 'frame'", line_no)
         try:
             t = float(record[key]) / (1.0 if key == "time" else frame_rate)
+            if booleans and isinstance(record[key], bool):
+                raise TypeError
         except (TypeError, ValueError, OverflowError):  # a huge integer overflows float
             raise MalformedRecord(f"{key!r} must be a number", line_no)
         if not math.isfinite(t) or t < 0:
@@ -408,6 +382,8 @@ def parse_keypoint_stream(data: bytes | str, frame_rate: float = 30.0) -> Keypoi
                 raise MalformedRecord(f"point {label!r} is not an [x, y, z] triplet", line_no)
             try:
                 row[j:j + 3] = float(xyz[0]), float(xyz[1]), float(xyz[2])
+                if booleans and any(isinstance(v, bool) for v in xyz):
+                    raise TypeError
             except (TypeError, ValueError, OverflowError):
                 raise MalformedRecord(f"point {label!r} has non-numeric coordinates", line_no)
 
@@ -416,7 +392,8 @@ def parse_keypoint_stream(data: bytes | str, frame_rate: float = 30.0) -> Keypoi
             raise MalformedRecord("'confidence' must be a label -> number object", line_no)
         for label, c in confidence.items():
             try:
-                ok = label not in column or 0.0 <= float(c) <= 1.0
+                ok = label not in column or (0.0 <= float(c) <= 1.0
+                                             and not (booleans and isinstance(c, bool)))
             except (TypeError, ValueError, OverflowError):
                 ok = False
             if not ok:

@@ -139,8 +139,9 @@ def uniform_grid(times) -> tuple[float, float]:
     t = np.asarray(times, dtype=float)
     if t.size < 2:
         raise TooShort(f"cannot infer a sample rate from {t.size} timestamp(s)")
-    steps = np.diff(t)
-    dt = float(np.median(steps))
+    with np.errstate(invalid="ignore"):  # inf - inf; a non-finite time is refused below
+        steps = np.diff(t)
+        dt = float(np.median(steps))
     bad = ~np.isfinite(t)
     if not bad.any():
         bad[1:] = ~((steps >= 0.5 * dt) & (steps <= 1.5 * dt) & (dt > 0))

@@ -111,7 +111,6 @@ class RulaConfig:
     table_c_values: np.ndarray  # shape (9, 9)
     band_codes: np.ndarray  # final score -> index of its band in RiskBand order
     checksum: str
-    raw: dict = field(repr=False, default_factory=dict)
 
 
 # --- config loading: one walk validates and builds ----------------------------
@@ -337,7 +336,7 @@ def _parse_config(raw) -> tuple[RulaConfig | None, list[str]]:
     if problems:
         return None, problems
     return RulaConfig(range_rules, position_rules, *tables, band_codes,
-                      checksum=config_checksum(raw), raw=raw), problems
+                      checksum=config_checksum(raw)), problems
 
 
 def validate_rula_config(raw: dict) -> list[str]:

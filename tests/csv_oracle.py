@@ -3,7 +3,7 @@
 This is the parser ``ergokit.ingest`` used before it read the body in
 chunks of whole rows with ``np.loadtxt``, kept unchanged (less its log
 line) as an independent oracle: ``csv.reader`` over the decoded text, and
-for every mapped cell a ``strip``, a ``float`` and an ``append``. Tests compare
+for every channel cell a ``strip``, a ``float`` and an ``append``. Tests compare
 ``parse_imu_joint_csv`` against ``parse_imu_joint_csv_oracle`` here, the way
 ``align_oracle`` serves the lag searches.
 """
@@ -16,7 +16,6 @@ import math
 import numpy as np
 
 from ergokit.errors import EmptyFile, MalformedHeader, MissingColumn
-from ergokit.ingest import DEFAULT_IMU_SPEC, ImuCsvSpec
 from ergokit.motion import JointAngleSeries, JointChannel, uniform_grid
 
 
@@ -27,11 +26,11 @@ def _as_text(data: bytes | str) -> str:
 
 
 def parse_imu_joint_csv_oracle(data: bytes | str,
-                               spec: ImuCsvSpec = DEFAULT_IMU_SPEC) -> JointAngleSeries:
+                               declared_rate: float = 100.0) -> JointAngleSeries:
     text = _as_text(data)
     if not text.strip():
         raise EmptyFile("no content")
-    reader = csv.reader(io.StringIO(text), delimiter=spec.delimiter)
+    reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
     except StopIteration:  # pragma: no cover - guarded by the strip() check
@@ -43,10 +42,9 @@ def parse_imu_joint_csv_oracle(data: bytes | str,
         raise MalformedHeader("duplicate column names in header")
 
     col_index = {name: i for i, name in enumerate(header)}
-    missing = [col for col in spec.channel_columns if col not in col_index]
-    if missing:
-        raise MissingColumn(f"column {missing[0]!r} absent from header")
-    channel_idx = {ch: col_index[col] for col, ch in spec.channel_columns.items()}
+    channel_idx = {ch: col_index[ch.value] for ch in JointChannel if ch.value in col_index}
+    if not channel_idx:
+        raise MissingColumn("no channel column in header")
 
     time_idx = None
     if "time" in col_index:
@@ -76,7 +74,7 @@ def parse_imu_joint_csv_oracle(data: bytes | str,
                 times.append(math.nan)
                 warnings += 1
 
-    rate = spec.declared_rate
+    rate = declared_rate
     start = 0.0
     if time_idx is not None and len(times) >= 2:
         rate, start = uniform_grid(times)

@@ -36,6 +36,7 @@ from ergokit.rula import (
     RiskBand,
     band_percentages,
     default_config,
+    read_config_json,
     score_frame,
     score_timeline,
     table_a,
@@ -303,7 +304,7 @@ def test_criterion_08_reporting_formatting():
 
 
 def test_criterion_09_config_robustness():
-    raw = default_config().raw
+    raw = read_config_json(None)
     ok = validate_rula_config(raw) == []
 
     hole = copy.deepcopy(raw)

@@ -12,7 +12,7 @@ import ergokit
 from ergokit.cli import main
 from ergokit.ingest import format_imu_joint_csv, format_keypoint_stream
 from ergokit.motion import JointAngleSeries, JointChannel, KeypointRecording
-from ergokit.rula import MAX_JSON_DEPTH
+from ergokit.rula import MAX_JSON_DEPTH, read_config_json
 from ergokit.synthetic import (
     elbow_flexion_recording,
     neutral_angle_series,
@@ -63,13 +63,46 @@ def test_score_with_annotations(tmp_path, neutral_csv):
 
 
 def test_score_missing_column_names_it(tmp_path, capsys):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("arm_flex_l,elbow_flex_l\n1.0,2.0\n")
-    code = main(["score", str(bad), "--out", str(tmp_path / "out")])
-    assert code != 0
-    err = capsys.readouterr().err
-    assert err.startswith("ergokit: error: MissingColumn")
-    assert "T1_head_neck_FE" in err
+    """A channel without a column is missing: every sample is degraded, and
+    --strict names the first absent channel. A header naming no channel is
+    a MissingColumn."""
+    partial = tmp_path / "partial.csv"
+    partial.write_text("arm_flex_l,elbow_flex_l\n1.0,2.0\n3.0,4.0\n")
+    out = tmp_path / "out"
+    assert main(["score", str(partial), "--out", str(out)]) == 0
+    doc = json.loads((out / "session.json").read_text())
+    assert doc["degraded_frames"] == doc["samples"] == 2
+    capsys.readouterr()
+    assert main(["score", str(partial), "--strict", "--out", str(out)]) == 1
+    assert _error_lines(capsys) == ["ergokit: error: IncompleteFrame: channel "
+                                    "T1_head_neck_FE required for neck is missing at sample 0"]
+    none = tmp_path / "none.csv"
+    none.write_text("foo,bar\n1.0,2.0\n")
+    assert main(["score", str(none), "--out", str(out)]) == 1
+    assert _error_lines(capsys) == ["ergokit: error: MissingColumn: no channel column in header"]
+
+
+def test_convert_then_score_a_channel_subset(tmp_path, capsys):
+    """A CSV that convert writes from fewer angle definitions scores as the
+    keypoint stream does with them, and compares against itself."""
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text(format_keypoint_stream(work_cycle_recording()))
+    defs = read_config_json(None, "angle_definitions.json")
+    defs["definitions"] = [d for d in defs["definitions"] if d["channel"] != "wrist_dev_l"]
+    defs_path = tmp_path / "defs.json"
+    defs_path.write_text(json.dumps(defs))
+    conv, direct, indirect = tmp_path / "conv", tmp_path / "direct", tmp_path / "indirect"
+    assert main(["convert", str(stream), "--angle-defs", str(defs_path), "--out", str(conv)]) == 0
+    csv_path = conv / "joint_angles.csv"
+    assert "wrist_dev_l" not in csv_path.read_text().splitlines()[0].split(",")
+    assert main(["score", str(csv_path), "--out", str(indirect)]) == 0
+    assert main(["score", str(stream), "--kind", "keypoints", "--angle-defs", str(defs_path),
+                 "--out", str(direct)]) == 0
+    a, b = (json.loads((out / "session.json").read_text()) for out in (direct, indirect))
+    for key in ("scores", "band_percentages", "degraded_frames", "channel_summaries"):
+        assert a[key] == b[key], key
+    assert main(["compare", str(csv_path), str(csv_path), "--out", str(tmp_path / "cmp")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def _fresh_python(*args: str) -> subprocess.CompletedProcess:
@@ -263,9 +296,7 @@ def test_check_config_default_ok(capsys):
     (lambda raw: raw["table_c"][0].__setitem__(0, 12), "table_c"),
 ])
 def test_check_config_rejects_mutations(tmp_path, capsys, mutate, needle):
-    from ergokit.rula import default_config
-
-    raw = json.loads(json.dumps(default_config().raw))
+    raw = read_config_json(None)
     mutate(raw)
     path = tmp_path / "mutated.json"
     path.write_text(json.dumps(raw))
@@ -447,9 +478,7 @@ def test_bad_input_file_is_one_error_line(tmp_path, capsys, keypoints_file, argv
     ("range", "arm", "range[arm]: rule must be an object"),
 ])
 def test_config_entry_not_an_object(tmp_path, capsys, keypoints_file, section, key, problem):
-    from ergokit.rula import default_config
-
-    raw = json.loads(json.dumps(default_config().raw))
+    raw = read_config_json(None)
     raw[section][key] = 1
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
@@ -491,9 +520,9 @@ def _set(path, value):
         "bound-a-string", "bound-400-digits", "joint-a-list", "threshold-400-digits"])
 def test_config_of_wrong_type_or_size_is_one_problem(tmp_path, capsys, keypoints_file,
                                                      mutate, problem):
-    from ergokit.rula import default_config, validate_rula_config
+    from ergokit.rula import validate_rula_config
 
-    raw = json.loads(json.dumps(default_config().raw))
+    raw = read_config_json(None)
     mutate(raw)
     started = time.perf_counter()
     assert any(problem in p for p in validate_rula_config(raw))

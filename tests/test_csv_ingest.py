@@ -5,11 +5,11 @@ parsers' error contract on arbitrary bytes.
 on every generated CSV: the same channel arrays bit for bit (NaN positions
 included), rate, start time and ``unparseable_cells``, or the same
 exception type. The CSVs mix empty, whitespace, non-numeric, non-finite and
-non-ASCII cells, quoted cells (some holding the delimiter, a line break or a
-carriage return), unmapped text columns, short, long and blank rows, CRLF
-line endings, custom delimiters and column names, and missing or bad time
-columns. They are parsed with the shipped chunk size and with chunks of a
-few bytes.
+non-ASCII cells, quoted cells (some holding a comma, a line break or a
+carriage return), text columns (some named ``col i``, like no channel),
+short, long and blank rows, CRLF line endings, absent channel columns, and
+missing or bad time columns. They are parsed with the shipped chunk size
+and with chunks of a few bytes.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from csv_oracle import parse_imu_joint_csv_oracle
 from ergokit import ingest
 from ergokit.errors import ErgokitError
-from ergokit.ingest import ImuCsvSpec, parse_annotations, parse_imu_joint_csv
+from ergokit.ingest import parse_annotations, parse_imu_joint_csv
 from ergokit.motion import JointChannel
 
 PROPERTY = settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -35,17 +35,17 @@ NUMBERS = ["1.5", "-2", "0", ".5", "5.", "1e5", "-0.0", "12.345678901234567", " 
 ODD = ["", " ", "\t", "　", "\xa0", "x", "inf", "-inf", "nan", "+nan", "-nan", "NaN",
        "1e999", "-1e999", "1e200", "1_0", "١٢", "１", "Infinity", "1e", "- 1", "0x10",
        "#1", "'1'", "1.5.1", "nan(1)", "\r1\r"]
-TEXT = ["abc", "a b", "\xe9", "", " ", 'x"y', "#c", "x{d}y", "l1\nl2", "l1\rl2", "1.5"]
-BLANK_ROWS = ["", " ", "{d}{d}", " {d}\t", "　", '""', '""{d}" "']
+TEXT = ["abc", "a b", "\xe9", "", " ", 'x"y', "#c", "x,y", "l1\nl2", "l1\rl2", "1.5"]
+BLANK_ROWS = ["", " ", ",,", " ,\t", "　", '""', '""," "']
 
 
 def _quote(cell: str) -> str:
     return '"' + cell.replace('"', '""') + '"'
 
 
-def _cell(draw, pool, d: str) -> str:
-    cell = draw(st.sampled_from(pool)).replace("{d}", d)
-    if d in cell or "\n" in cell or "\r" in cell or cell.startswith('"') \
+def _cell(draw, pool) -> str:
+    cell = draw(st.sampled_from(pool))
+    if "," in cell or "\n" in cell or "\r" in cell or cell.startswith('"') \
             or draw(st.integers(0, 9)) == 0:
         return _quote(cell)
     return cell
@@ -53,12 +53,8 @@ def _cell(draw, pool, d: str) -> str:
 
 @st.composite
 def csv_cases(draw):
-    d = draw(st.sampled_from([",", ",", ";", "\t", "|"]))
     channels = draw(st.lists(st.sampled_from(list(JointChannel)), max_size=4, unique=True))
-    names = {ch: draw(st.sampled_from([ch.value, f"col {i}"])) for i, ch in enumerate(channels)}
-    spec = ImuCsvSpec(delimiter=d, channel_columns={names[ch]: ch for ch in channels},
-                      declared_rate=50.0)
-    header = [names[ch] for ch in channels]
+    header = [draw(st.sampled_from([ch.value, f"col {i}"])) for i, ch in enumerate(channels)]
     if draw(st.integers(0, 3)):
         header.append("time")
     header += [f"text{i}" for i in range(draw(st.integers(0, 2)))]
@@ -71,40 +67,40 @@ def csv_cases(draw):
     elif header and fault == "missing":
         header = header[1:]
     cells = [_quote(h) if fault == "multiline" and h.startswith("text") else h for h in header]
-    lines = [d.join(c.replace("text", "te\nxt") if c.startswith('"') else c for c in cells)]
+    lines = [",".join(c.replace("text", "te\nxt") if c.startswith('"') else c for c in cells)]
 
     step = draw(st.sampled_from([0.01, 0.5, 1.0]))
     bad_share = draw(st.sampled_from([0, 0, 5, 30]))
     for i in range(draw(st.sampled_from([0, 1, 1, 2, 3, 12]))):
         if draw(st.integers(0, 14)) == 0:
-            lines.append(draw(st.sampled_from(BLANK_ROWS)).replace("{d}", d))
+            lines.append(draw(st.sampled_from(BLANK_ROWS)))
         row = []
         for name in header:
             odd = draw(st.integers(0, 99)) < bad_share
             if name == "time":
-                cell = repr(round(i * step, 6)) if not odd else _cell(draw, ODD, d)
-            elif name.startswith("text") or name not in spec.channel_columns:
-                cell = _cell(draw, TEXT, d)
+                cell = repr(round(i * step, 6)) if not odd else _cell(draw, ODD)
+            elif name.startswith(("text", "col")):
+                cell = _cell(draw, TEXT)
             elif odd:
-                cell = _cell(draw, ODD, d)
+                cell = _cell(draw, ODD)
             else:
-                cell = _cell(draw, NUMBERS + [repr(draw(st.floats(-1e3, 1e3)))], d)
+                cell = _cell(draw, NUMBERS + [repr(draw(st.floats(-1e3, 1e3)))])
             row.append(cell)
         shape = draw(st.integers(0, 9))
         if shape == 0:
             row = row[:draw(st.integers(0, len(row)))]
         elif shape == 1:
             row += ["extra", "1"]
-        lines.append(d.join(row))
+        lines.append(",".join(row))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     text = newline.join(lines) + draw(st.sampled_from([newline, newline, ""]))
     data = text.encode() if draw(st.booleans()) else text
-    return data, spec, draw(st.sampled_from([ingest._CHUNK, 7, 64]))
+    return data, draw(st.sampled_from([ingest._CHUNK, 7, 64]))
 
 
-def _outcome(parse, data, spec):
+def _outcome(parse, data):
     try:
-        series = parse(data, spec)
+        series = parse(data, 50.0)
     except ErgokitError as exc:
         return type(exc).__name__
     return (series.sample_rate, series.start_time, series.unparseable_cells,
@@ -125,10 +121,9 @@ def test_parse_imu_csv_equals_oracle():
     @PROPERTY
     @given(csv_cases())
     def check(case):
-        data, spec, chunk = case
+        data, chunk = case
         with mock.patch.object(ingest, "_CHUNK", chunk):
-            assert _outcome(parse_imu_joint_csv, data, spec) == \
-                _outcome(parse_imu_joint_csv_oracle, data, spec)
+            assert _outcome(parse_imu_joint_csv, data) == _outcome(parse_imu_joint_csv_oracle, data)
 
     with mock.patch.object(np, "loadtxt", counted):
         check()
@@ -138,20 +133,16 @@ def test_parse_imu_csv_equals_oracle():
 def test_quoted_line_break_across_a_chunk_boundary():
     rows = [f'{i * 0.01!r},{i}.5,"note\n{i}"' for i in range(40)]
     text = "time,arm_flex_r,note\n" + "\n".join(rows) + "\n"
-    spec = ImuCsvSpec(channel_columns={"arm_flex_r": JointChannel.arm_flex_r})
     for chunk in (1, 5, 33):
         with mock.patch.object(ingest, "_CHUNK", chunk):
-            assert _outcome(parse_imu_joint_csv, text, spec) == \
-                _outcome(parse_imu_joint_csv_oracle, text, spec)
-    assert parse_imu_joint_csv(text, spec).length == 40
+            assert _outcome(parse_imu_joint_csv, text) == _outcome(parse_imu_joint_csv_oracle, text)
+    assert parse_imu_joint_csv(text).length == 40
 
 
 def test_carriage_return_inside_quotes_is_text():
     text = 'time,arm_flex_r,note\r\n0.0,"1\r","a\rb"\r\n0.01,2,"c\r\r\nd"\r\n'
-    spec = ImuCsvSpec(channel_columns={"arm_flex_r": JointChannel.arm_flex_r})
-    assert _outcome(parse_imu_joint_csv, text, spec) == \
-        _outcome(parse_imu_joint_csv_oracle, text, spec)
-    assert parse_imu_joint_csv(text, spec).channels[JointChannel.arm_flex_r].tolist() == [1, 2]
+    assert _outcome(parse_imu_joint_csv, text) == _outcome(parse_imu_joint_csv_oracle, text)
+    assert parse_imu_joint_csv(text).channels[JointChannel.arm_flex_r].tolist() == [1, 2]
 
 
 @pytest.mark.parametrize("closed", [True, False])
@@ -163,7 +154,6 @@ def test_a_long_open_quote_decodes_each_line_once(closed):
     if closed:
         rows[2500] += '"'
     data = ("arm_flex_r,note\n" + "\n".join(rows) + "\n").encode()
-    spec = ImuCsvSpec(channel_columns={"arm_flex_r": JointChannel.arm_flex_r})
     decoded = []
     as_text = ingest._as_text
 
@@ -174,12 +164,12 @@ def test_a_long_open_quote_decodes_each_line_once(closed):
     start = time.perf_counter()
     with mock.patch.object(ingest, "_CHUNK", 256), \
             mock.patch.object(ingest, "_as_text", counted):
-        outcome = _outcome(parse_imu_joint_csv, data, spec)
+        outcome = _outcome(parse_imu_joint_csv, data)
     assert time.perf_counter() - start < 10
     assert sum(decoded) <= len(data)
     if closed:
-        assert outcome == _outcome(parse_imu_joint_csv_oracle, data, spec)
-        assert parse_imu_joint_csv(data, spec).length == 3 + 499  # rows 2-2500 are one
+        assert outcome == _outcome(parse_imu_joint_csv_oracle, data)
+        assert parse_imu_joint_csv(data).length == 3 + 499  # rows 2-2500 are one
     else:
         assert outcome == "MalformedRecord"
 
@@ -189,20 +179,13 @@ def test_a_long_open_quote_decodes_each_line_once(closed):
     ('time,arm_flex_r\n0.0,"1\n', "never closed"),
 ])
 def test_malformed_rows_name_the_fault(text, needle):
-    spec = ImuCsvSpec(channel_columns={"arm_flex_r": JointChannel.arm_flex_r})
     with pytest.raises(ErgokitError, match=needle):
-        parse_imu_joint_csv(text, spec)
+        parse_imu_joint_csv(text)
 
 
 def test_wide_whitespace_is_what_str_strip_removes():
     assert ingest._WIDE_WHITESPACE == [
         c for c in range(128, sys.maxunicode + 1) if chr(c).isspace()]
-
-
-@pytest.mark.parametrize("delimiter", ["", ";;", '"', "\n", "\r"])
-def test_delimiter_must_be_one_plain_character(delimiter):
-    with pytest.raises(ValueError):
-        ImuCsvSpec(delimiter=delimiter)
 
 
 # --- error contract on arbitrary bytes -------------------------------------------
@@ -211,8 +194,6 @@ _VALID_IMU = (b"time,T1_head_neck_FE,arm_flex_r,note\r\n0.0,1.5,,\"a,b\"\r\n"
               b"0.01,x,2,c\r\n0.02,inf,3\r\n")
 _VALID_ANNOTATIONS = (b"t0,t1,arm_muscle,arm_force,neck_muscle,neck_force,legs\n"
                       b"0.0,1.0,1,2,0,1,1\n2.0,3.5,0,0,1,3,2\n")
-_SPEC = ImuCsvSpec(channel_columns={"T1_head_neck_FE": JointChannel.T1_head_neck_FE,
-                                    "arm_flex_r": JointChannel.arm_flex_r})
 
 
 @st.composite
@@ -228,9 +209,8 @@ def mutated(draw, base: bytes):
     return bytes(data)
 
 
-@pytest.mark.parametrize("parse", [lambda data: parse_imu_joint_csv(data, _SPEC),
-                                   parse_imu_joint_csv, parse_annotations],
-                         ids=["imu-csv", "imu-csv-default-spec", "annotations"])
+@pytest.mark.parametrize("parse", [parse_imu_joint_csv, parse_annotations],
+                         ids=["imu-csv", "annotations"])
 @PROPERTY
 @given(data=st.one_of(st.binary(max_size=200), mutated(_VALID_IMU),
                       mutated(_VALID_ANNOTATIONS)))

@@ -17,7 +17,6 @@ from ergokit.errors import (
     TooShort,
 )
 from ergokit.ingest import (
-    ImuCsvSpec,
     format_annotations,
     format_imu_joint_csv,
     format_keypoint_stream,
@@ -37,19 +36,9 @@ from ergokit.motion import (
 from ergokit.synthetic import NEUTRAL_POSITIONS, posed_recording
 
 
-def _three_channel_spec():
-    return ImuCsvSpec(
-        channel_columns={
-            "arm_flex_r": JointChannel.arm_flex_r,
-            "elbow_flex_r": JointChannel.elbow_flex_r,
-            "lumbar_flexion": JointChannel.lumbar_flexion,
-        },
-    )
-
-
 def test_parse_imu_csv_direct():
     text = "arm_flex_r,elbow_flex_r,lumbar_flexion\n1.0,2.0,3.0\n4.0,5.0,6.0\n"
-    series = parse_imu_joint_csv(text, _three_channel_spec())
+    series = parse_imu_joint_csv(text)
     assert series.length == 2
     assert set(series.channels) == {
         JointChannel.arm_flex_r, JointChannel.elbow_flex_r, JointChannel.lumbar_flexion,
@@ -59,21 +48,23 @@ def test_parse_imu_csv_direct():
 
 
 def test_parse_imu_csv_missing_column():
-    text = "arm_flex_r,elbow_flex_r\n1.0,2.0\n"
-    with pytest.raises(MissingColumn) as err:
-        parse_imu_joint_csv(text, _three_channel_spec())
-    assert "lumbar_flexion" in str(err.value)
+    """The header names the channels read; a header naming none is refused."""
+    series = parse_imu_joint_csv("elbow_flex_r,note,arm_flex_r\n1.0,x,2.0\n")
+    assert list(series.channels) == [JointChannel.arm_flex_r, JointChannel.elbow_flex_r]
+    assert series.unparseable_cells == 0
+    with pytest.raises(MissingColumn, match="no channel column"):
+        parse_imu_joint_csv("foo,bar\n1.0,2.0\n")
 
 
 def test_parse_imu_csv_empty_file():
     with pytest.raises(EmptyFile):
-        parse_imu_joint_csv("", _three_channel_spec())
+        parse_imu_joint_csv("")
 
 
 def test_parse_imu_csv_non_finite_cells_become_missing():
     text = ("arm_flex_r,elbow_flex_r,lumbar_flexion\n"
             "inf,nan,-inf\n1e999,5.0,-1e999\n7.0,8.0,9.0\n")
-    series = parse_imu_joint_csv(text, _three_channel_spec())
+    series = parse_imu_joint_csv(text)
     assert series.unparseable_cells == 5
     arm, elbow, lumbar = (series.channels[ch] for ch in (
         JointChannel.arm_flex_r, JointChannel.elbow_flex_r, JointChannel.lumbar_flexion))
@@ -85,14 +76,14 @@ def test_parse_imu_csv_non_finite_cells_become_missing():
 def test_parse_imu_csv_300_rows_duration():
     rows = "\n".join("0.0,0.0,0.0" for _ in range(300))
     text = "arm_flex_r,elbow_flex_r,lumbar_flexion\n" + rows + "\n"
-    series = parse_imu_joint_csv(text, _three_channel_spec())
+    series = parse_imu_joint_csv(text)
     assert series.length == 300
     assert series.duration == 2.99  # 299 intervals at 0.01 s
 
 
 def test_parse_imu_csv_unparseable_cells_become_missing():
     text = "arm_flex_r,elbow_flex_r,lumbar_flexion\n1.0,oops,3.0\n4.0,5.0,6.0\n"
-    series = parse_imu_joint_csv(text, _three_channel_spec())
+    series = parse_imu_joint_csv(text)
     assert series.unparseable_cells == 1
     assert math.isnan(series.channels[JointChannel.elbow_flex_r][0])
     assert series.channels[JointChannel.elbow_flex_r][1] == 5.0
@@ -102,7 +93,7 @@ def test_parse_imu_csv_time_column_wins():
     text = "time,arm_flex_r,elbow_flex_r,lumbar_flexion\n" + "\n".join(
         f"{i * 0.02},{i},{i},{i}" for i in range(50)
     ) + "\n"
-    series = parse_imu_joint_csv(text, _three_channel_spec())
+    series = parse_imu_joint_csv(text)
     assert math.isclose(series.sample_rate, 50.0, rel_tol=1e-9)
 
 
@@ -117,8 +108,8 @@ def test_parse_imu_csv_skips_byte_order_mark(time_first, encode):
     rows = [["time", "arm_flex_r", "elbow_flex_r", "lumbar_flexion"]]
     rows += [[f"{i * 0.02}", f"{i}", "x", f"{i}"] for i in range(50)]
     text = "".join(",".join(row if time_first else row[1:] + row[:1]) + "\n" for row in rows)
-    plain = parse_imu_joint_csv(encode(text), _three_channel_spec())
-    marked = parse_imu_joint_csv(encode(BOM + text), _three_channel_spec())
+    plain = parse_imu_joint_csv(encode(text))
+    marked = parse_imu_joint_csv(encode(BOM + text))
     assert math.isclose(marked.sample_rate, 50.0, rel_tol=1e-9)
     assert (marked.sample_rate, marked.start_time, marked.unparseable_cells) == (
         plain.sample_rate, plain.start_time, plain.unparseable_cells)
@@ -127,16 +118,18 @@ def test_parse_imu_csv_skips_byte_order_mark(time_first, encode):
         assert np.array_equal(marked.channels[ch], x, equal_nan=True)
 
 
+@pytest.mark.filterwarnings("error")  # an infinite time is refused without a warning
 @pytest.mark.parametrize("times, needle", [
     (["0", "0.01", "5.0", "5.01"], "sample 2: time 5.0"),
     (["0", "0.01", "", "0.03"], "sample 2: time nan"),
+    (["0", "inf", "-inf"], "sample 1: time inf"),
 ])
 def test_parse_imu_csv_irregular_time_column_rejected(times, needle):
     text = "time,arm_flex_r,elbow_flex_r,lumbar_flexion\n" + "\n".join(
         f"{t},1,2,3" for t in times
     ) + "\n"
     with pytest.raises(IrregularTimestamps) as err:
-        parse_imu_joint_csv(text, _three_channel_spec())
+        parse_imu_joint_csv(text)
     assert needle in str(err.value)
 
 
@@ -252,10 +245,38 @@ def test_parse_keypoint_stream_confidence_not_an_object(confidence):
     assert "line 2" in str(err.value) and "confidence" in str(err.value)
 
 
-@pytest.mark.parametrize("frame_rate", [0.0, -30.0, math.nan])
-def test_parse_keypoint_stream_rejects_bad_frame_rate(frame_rate):
+BAD_RATES = [0.0, -30.0, math.nan]
+
+
+@pytest.mark.parametrize("kind, rate", [("keypoints", r) for r in BAD_RATES]
+                         + [("imu-csv", r) for r in BAD_RATES],
+                         ids=[str(r) for r in BAD_RATES] + [f"imu-csv-{r}" for r in BAD_RATES])
+def test_parse_keypoint_stream_rejects_bad_frame_rate(kind, rate):
+    """Also the declared rate of an IMU CSV."""
     with pytest.raises(ValueError):
-        parse_keypoint_stream(_record(0, _full_points()), frame_rate=frame_rate)
+        if kind == "keypoints":
+            parse_keypoint_stream(_record(0, _full_points()), frame_rate=rate)
+        else:
+            parse_imu_joint_csv("time,arm_flex_r\n0.0,1.0\n", declared_rate=rate)
+
+
+@pytest.mark.parametrize("record, message", [
+    ('{"frame": true, "points": {}}', "'frame' must be a number"),
+    ('{"frame": 1, "time": false, "points": {}}', "'time' must be a number"),
+    ('{"frame": 1, "points": {"nose": [true, false, 1]}}',
+     "point 'nose' has non-numeric coordinates"),
+    ('{"frame": 1, "points": {}, "confidence": {"nose": true}}',
+     "confidence True for 'nose' is not a number in [0, 1]"),
+], ids=["frame", "time", "coordinate", "confidence"])
+def test_parse_keypoint_stream_rejects_booleans(record, message):
+    """float(True) is 1.0, but a JSON boolean read as a number is malformed.
+    Line 1 holds booleans where no number is read, and parses."""
+    tracked = json.dumps({"frame": 0, "tracked": True, "points": _full_points(),
+                          "confidence": {"left_ear": False}})
+    assert parse_keypoint_stream(tracked).times.tolist() == [0.0]
+    with pytest.raises(MalformedRecord) as err:
+        parse_keypoint_stream(tracked + "\n" + record)
+    assert str(err.value) == f"line 2: {message}"
 
 
 def test_parse_keypoint_stream_skips_byte_order_mark():

@@ -1,4 +1,3 @@
-import copy
 import itertools
 import json
 import math
@@ -142,7 +141,7 @@ def test_adjustment_untriggered_is_identity():
 
 
 def test_adjustment_clamps_to_table_range():
-    raw = copy.deepcopy(default_config().raw)
+    raw = read_config_json(None)
     for rule in raw["position"]:
         if rule["channel"] == "T1_head_neck_AR":
             rule["adjust"] = 3
@@ -357,16 +356,16 @@ def test_band_percentages_sum_to_100(rng):
 
 
 def test_default_config_is_valid():
-    assert validate_rula_config(default_config().raw) == []
+    assert validate_rula_config(read_config_json(None)) == []
 
 
 def test_checksum_stability():
-    raw = default_config().raw
+    raw = read_config_json(None)
     assert config_checksum(raw) == config_checksum(json.loads(json.dumps(raw)))
 
 
 def test_config_table_hole_detected():
-    raw = copy.deepcopy(default_config().raw)
+    raw = read_config_json(None)
     raw["table_a"][0][2] = raw["table_a"][0][2][:3]
     problems = validate_rula_config(raw)
     assert any("table_a" in p and "expected 4" in p for p in problems)
@@ -375,14 +374,14 @@ def test_config_table_hole_detected():
 
 
 def test_config_overlapping_intervals_detected():
-    raw = copy.deepcopy(default_config().raw)
+    raw = read_config_json(None)
     raw["range"]["arm"]["intervals"][2] = [15, 45, 2]
     problems = validate_rula_config(raw)
     assert any("range[arm]" in p and "overlap" in p for p in problems)
 
 
 def test_config_out_of_bounds_score_detected():
-    raw = copy.deepcopy(default_config().raw)
+    raw = read_config_json(None)
     raw["table_c"][0][0] = 12
     problems = validate_rula_config(raw)
     assert any("table_c" in p and "12" in p for p in problems)
@@ -394,7 +393,7 @@ def test_config_out_of_bounds_score_detected():
 ])
 @pytest.mark.parametrize("entry", [1, [1], "x", None])
 def test_config_entry_not_an_object_is_a_problem(section, key, problem, entry):
-    raw = copy.deepcopy(default_config().raw)
+    raw = read_config_json(None)
     raw[section][key] = entry
     assert problem in validate_rula_config(raw)
     with pytest.raises(ConfigError):
@@ -402,7 +401,7 @@ def test_config_entry_not_an_object_is_a_problem(section, key, problem, entry):
 
 
 def test_config_band_gap_detected():
-    raw = copy.deepcopy(default_config().raw)
+    raw = read_config_json(None)
     raw["bands"]["low"] = [3, 3]
     problems = validate_rula_config(raw)
     assert any("bands" in p and "4" in p for p in problems)

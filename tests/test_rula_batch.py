@@ -7,7 +7,6 @@ and random configs that pass ``validate_rula_config`` (moved interval
 starts and scores, thresholds, predicates, adjusts, table cells and band
 cut points).
 """
-import copy
 import math
 import re
 from dataclasses import fields
@@ -29,7 +28,7 @@ from ergokit.rula import (
     RiskBand,
     SideTimeline,
     config_from_dict,
-    default_config,
+    read_config_json,
     score_frame,
     score_timeline,
     validate_rula_config,
@@ -42,7 +41,7 @@ PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=
 
 @st.composite
 def configs(draw):
-    raw = copy.deepcopy(default_config().raw)
+    raw = read_config_json(None)
     half_degrees = st.integers(-360, 360).map(lambda x: x / 2)
     for rule in raw["range"].values():
         starts = sorted(draw(st.sets(half_degrees, max_size=4)))
