@@ -23,7 +23,9 @@ returns a ``RulaTimeline`` of (N,) arrays, and ``score_frame`` is its N=1
 case, a one-sample ``RulaTimeline``: scores have this one type from scoring
 to report. A missing channel (absent or NaN) scores its joint's minimum and
 marks the sample degraded; with ``strict=True`` it raises IncompleteFrame
-naming the channel and the first sample lacking it.
+naming the channel and the first sample lacking it. A channel that only
+position rules read is missing only when absent: a NaN sample of it just
+leaves the adjustment unapplied.
 
 Range intervals are half-open [lo, hi); the first interval is open below
 and the last closed above, so every finite angle scores exactly once.
@@ -507,16 +509,17 @@ def _score(channels: Mapping[JointChannel, np.ndarray], n: int, flags: Annotatio
     value or ``n`` values. Joint scores are the rows of one (10, n) array
     in ``_SLOTS`` order."""
     rules = [config.range_rules[joint] for _, joint in _SLOTS]
-    slot_channels = [rule.channels[key] for rule, (key, _) in zip(rules, _SLOTS)]
-    absent = np.full(n, np.nan)
-    angles = np.array([channels.get(ch, absent) for ch in slot_channels], dtype=float)
+    reads = [(rule.channels[key], joint) for rule, (key, joint) in zip(rules, _SLOTS)]
+    nans = np.full(n, np.nan)
+    angles = np.array([channels.get(ch, nans) for ch, _ in reads], dtype=float)
     missing = np.isnan(angles)
-    degraded = missing.any(axis=0)
+    absent = [(r.channel, r.joint) for r in config.position_rules if r.channel not in channels]
+    degraded = missing.any(axis=0) | bool(absent)
     if strict and degraded.any():
         i = int(np.argmax(degraded))
-        slot = int(np.argmax(missing[:, i]))
-        raise IncompleteFrame(f"channel {slot_channels[slot].value} required for "
-                              f"{_SLOTS[slot][1]} is missing at sample {i}")
+        channel, joint = ([reads[s] for s in np.flatnonzero(missing[:, i])] + absent)[0]
+        raise IncompleteFrame(f"channel {channel.value} required for {joint} "
+                              f"is missing at sample {i}")
     lowest = [[min(score for _, _, score in rule.intervals)] for rule in rules]
     scores = np.where(missing, lowest,
                       [_range_scores(rule, values) for rule, values in zip(rules, angles)])
@@ -554,12 +557,8 @@ def score_frame(angles: Mapping[JointChannel, float],
                 config: RulaConfig | None = None,
                 strict: bool = False) -> RulaTimeline:
     """Score one frame of joint angles under the given annotation flags, as
-    a one-sample RulaTimeline (``sample_rate`` 1, ``start_time`` 0).
-
-    In lenient mode (default) a missing channel contributes its joint's
-    minimum score and marks the frame degraded; strict mode raises
-    IncompleteFrame instead.
-    """
+    a one-sample RulaTimeline (``sample_rate`` 1, ``start_time`` 0), with
+    missing channels handled as the module docstring states."""
     config = config or default_config()
     values = np.array(list(angles.values()), dtype=float).reshape(-1, 1)
     fields = _score(dict(zip(angles, values)), 1, flags, config, strict)

@@ -151,7 +151,9 @@ def score_frame(angles: Mapping[JointChannel, float],
 
     In lenient mode (default) a missing channel contributes its joint's
     minimum score and marks the frame degraded; strict mode raises
-    IncompleteFrame instead.
+    IncompleteFrame instead. A position rule's channel absent from
+    ``angles`` degrades the frame too, after every range channel is checked;
+    a None or NaN one only leaves its adjustment unapplied.
     """
     config = config or default_config()
     degraded = False
@@ -188,6 +190,14 @@ def score_frame(angles: Mapping[JointChannel, float],
             score_c=score_c,
             final=final,
         )
+
+    absent = [rule for rule in config.position_rules if rule.channel not in angles]
+    if absent:
+        if strict:
+            raise IncompleteFrame(
+                f"channel {absent[0].channel.value} required for {absent[0].joint} is missing"
+            )
+        degraded = True
 
     combined = max(sides[Side.left].final, sides[Side.right].final)
     return RulaFrameScore(

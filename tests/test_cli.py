@@ -84,7 +84,9 @@ def test_score_missing_column_names_it(tmp_path, capsys):
 
 def test_convert_then_score_a_channel_subset(tmp_path, capsys):
     """A CSV that convert writes from fewer angle definitions scores as the
-    keypoint stream does with them, and compares against itself."""
+    keypoint stream does with them, and compares against itself. The
+    channel left out feeds only a position rule: every sample is degraded,
+    and --strict names it on both paths."""
     stream = tmp_path / "stream.jsonl"
     stream.write_text(format_keypoint_stream(work_cycle_recording()))
     defs = read_config_json(None, "angle_definitions.json")
@@ -101,8 +103,14 @@ def test_convert_then_score_a_channel_subset(tmp_path, capsys):
     a, b = (json.loads((out / "session.json").read_text()) for out in (direct, indirect))
     for key in ("scores", "band_percentages", "degraded_frames", "channel_summaries"):
         assert a[key] == b[key], key
+    assert b["degraded_frames"] == b["samples"] > 0
     assert main(["compare", str(csv_path), str(csv_path), "--out", str(tmp_path / "cmp")]) == 0
     assert capsys.readouterr().err == ""
+    for argv in ([str(csv_path)],
+                 [str(stream), "--kind", "keypoints", "--angle-defs", str(defs_path)]):
+        assert main(["score", *argv, "--strict", "--out", str(tmp_path / "strict")]) == 1
+        assert _error_lines(capsys) == ["ergokit: error: IncompleteFrame: channel "
+                                        "wrist_dev_l required for wrist is missing at sample 0"]
 
 
 def _fresh_python(*args: str) -> subprocess.CompletedProcess:

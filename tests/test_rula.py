@@ -223,6 +223,25 @@ def test_nan_channel_treated_as_missing():
     assert fs.right.forearm == 1
 
 
+def test_position_channel_absent_degrades_but_nan_does_not():
+    """A channel that only a position rule reads is missing when absent; a
+    NaN sample of it leaves the adjustment unapplied without degrading."""
+    angles = zero_angles()
+    angles[JointChannel.wrist_dev_l] = 30.0
+    bent = score_frame(angles).left.wrist
+    angles[JointChannel.wrist_dev_l] = math.nan
+    fs = score_frame(angles)
+    assert not fs.degraded
+    assert fs.left.wrist == bent - 1
+    del angles[JointChannel.wrist_dev_l]
+    fs = score_frame(angles)
+    assert fs.degraded
+    assert fs.left.wrist == bent - 1
+    with pytest.raises(IncompleteFrame, match="^channel wrist_dev_l required for wrist "
+                                              "is missing at sample 0$"):
+        score_frame(angles, strict=True)
+
+
 def test_annotation_monotonicity(rng):
     for _ in range(300):
         angles = {ch: float(v) for ch, v in
