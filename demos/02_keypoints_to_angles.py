@@ -35,7 +35,8 @@ print("first record:", stream_path.read_text().splitlines()[0][:96], "...")
 # --- 2. the neck baseline ------------------------------------------------------
 parsed = parse_keypoint_stream(stream_path.read_bytes())
 baseline = neck_baseline(parsed)
-print(f"\nstart-of-task head inclination: {baseline.inclination:.2f} deg "
+head_inclination = baseline.inclinations[JointChannel.T1_head_neck_FE]
+print(f"\nstart-of-task head inclination: {head_inclination:.2f} deg "
       "(subtracted from neck flexion/extension)")
 
 neutral = posed_recording([0.0])

@@ -32,11 +32,9 @@ def _load_series(path: str, kind: str, args) -> "ingest.JointAngleSeries":
     data = Path(path).read_bytes()
     if kind == "imu-csv":
         return ingest.parse_imu_joint_csv(data, args.imu_rate)
-    if kind == "keypoints":
-        recording = ingest.parse_keypoint_stream(data, args.fps)
-        defs = geometry.load_angle_definitions(args.angle_defs)
-        return geometry.compute_angle_series(recording, defs)
-    raise ValueError(f"unknown input kind {kind!r}")
+    recording = ingest.parse_keypoint_stream(data, args.fps)
+    defs = geometry.load_angle_definitions(args.angle_defs)
+    return geometry.compute_angle_series(recording, defs)
 
 
 def _flags_echo(args, keys) -> dict:
@@ -141,7 +139,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_check_config(args) -> int:
-    raw = rula.read_config_json(args.config_path)
+    raw = ingest.read_config_json(args.config_path)
     try:
         config = rula.config_from_dict(raw)
     except ConfigError as exc:
@@ -217,11 +215,13 @@ def build_parser() -> argparse.ArgumentParser:
                        default="imu-csv")
     p_cmp.add_argument("--kind-b", choices=("imu-csv", "keypoints"),
                        default="imu-csv")
-    p_cmp.add_argument("--max-lag", type=_number(positive=False), default=10.0,
+    p_cmp.add_argument("--max-lag", type=_number(positive=False),
+                       default=compare_mod.DEFAULT_MAX_LAG_SECONDS,
                        help="alignment search half-window, seconds")
-    p_cmp.add_argument("--min-overlap", type=_number(positive=False), default=5.0,
+    p_cmp.add_argument("--min-overlap", type=_number(positive=False),
+                       default=compare_mod.DEFAULT_MIN_OVERLAP_SECONDS,
                        help="minimum aligned overlap, seconds")
-    p_cmp.add_argument("--reference", default=JointChannel.arm_flex_r.value,
+    p_cmp.add_argument("--reference", default=compare_mod.DEFAULT_REFERENCE_CHANNEL.value,
                        choices=[ch.value for ch in JointChannel],
                        help="channel used to estimate the global lag")
     p_cmp.add_argument("--session-reports", action="store_true",

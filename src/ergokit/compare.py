@@ -254,10 +254,7 @@ class ComparisonReport:
 
 
 def _ordered_channels(keys) -> list[JointChannel]:
-    keys = set(keys)
-    ordered = [ch for ch in CHANNEL_ORDER if ch in keys]
-    ordered.extend(sorted(keys - set(ordered), key=lambda c: c.value))
-    return ordered
+    return [ch for ch in CHANNEL_ORDER if ch in keys]
 
 
 def compare_recordings(a: JointAngleSeries, b: JointAngleSeries,

@@ -13,7 +13,9 @@ The sagittal plane is normal to ``right``/``left``, the frontal plane to
 ``forward``/``backward``, and the transverse plane to ``up``/``down``. A
 definition may instead rotate about its own first vector (``axis_a``),
 measuring vector b around that axis against a body-axis reference; this is
-how forearm pronation/supination is extracted.
+how forearm pronation/supination is extracted. An ``AngleDefinition`` is
+its JSON entry as written; an entry that no frame could compute is refused
+when the definitions load.
 
 Each definition is computed over a whole (N, L, 3) recording at once; a
 single frame is the N=1 case. A missing landmark, or a vector or in-plane
@@ -41,6 +43,7 @@ from .errors import (
     DegenerateVector,
     NoCompleteFrames,
 )
+from .ingest import read_config_json
 from .motion import (
     LANDMARK_INDEX,
     JointAngleSeries,
@@ -50,7 +53,6 @@ from .motion import (
     Vec3,
     uniform_grid,
 )
-from .rula import read_config_json
 
 #: Vectors (or in-plane projections) shorter than this are degenerate,
 #: in source units.
@@ -148,8 +150,6 @@ class BodyAxes:
     def named(self, name: str) -> Vec3:
         if name in _OPPOSITE_AXES:
             return -self.named(_OPPOSITE_AXES[name])
-        if name not in ("up", "right", "forward"):
-            raise ValueError(f"unknown body axis {name!r}")
         return getattr(self, name)
 
 
@@ -177,66 +177,65 @@ def _axes(positions: np.ndarray) -> BodyAxes:
 # --- angle definitions ----------------------------------------------------------
 
 # A point reference is a landmark, or a pair of landmarks meaning their
-# midpoint.
+# midpoint; a segment runs from its first point to its second.
 PointRef = tuple[Landmark, ...]
+Segment = tuple[PointRef, PointRef]
 
 
 @dataclass(frozen=True)
 class AngleDefinition:
+    """One channel as its JSON entry states it. ``vector_a`` is a segment, a
+    body-axis name (``{"axis": name}``), or None for ``initial_self``, which
+    measures against the start-of-task direction of ``vector_b``.
+    ``sign_axis`` is the plane normal, or for ``axis_a`` the in-plane
+    reference. ValueError for an entry that no frame could compute."""
+
     channel: JointChannel
-    vector_a: tuple[PointRef, PointRef] | None  # None: reference from baseline/axis
-    vector_b: tuple[PointRef, PointRef]
+    vector_a: Segment | str | None
+    vector_b: Segment
     plane: str = "none"
     signed: bool = False
     sign_axis: str | None = None
-    axis_a_ref: str | None = None  # reference axis when plane == "axis_a"
     baseline: str = "none"
 
     def __post_init__(self):
+        name = self.channel.value
         if self.plane not in _PLANES:
-            raise ValueError(f"{self.channel.value}: unknown plane {self.plane!r}")
+            raise ValueError(f"{name}: unknown plane {self.plane!r}")
         if self.baseline not in _BASELINES:
-            raise ValueError(f"{self.channel.value}: unknown baseline {self.baseline!r}")
+            raise ValueError(f"{name}: unknown baseline {self.baseline!r}")
+        if not isinstance(self.signed, bool):
+            raise ValueError(f"{name}: signed must be true or false, got {self.signed!r}")
         if self.plane == "none" and self.signed:
-            raise ValueError(f"{self.channel.value}: unprojected angles cannot be signed")
-        if self.plane in _PLANE_AXES:
-            if self.sign_axis not in _PLANE_AXES[self.plane]:
-                raise ValueError(
-                    f"{self.channel.value}: sign_axis {self.sign_axis!r} does not "
-                    f"orient the {self.plane} plane"
-                )
-        if self.plane == "axis_a" and not self.axis_a_ref:
-            raise ValueError(f"{self.channel.value}: axis_a needs a reference axis")
-        if self.axis_a_ref is not None and self.axis_a_ref not in _AXIS_NAMES:
-            raise ValueError(f"{self.channel.value}: unknown body axis {self.axis_a_ref!r}")
+            raise ValueError(f"{name}: unprojected angles cannot be signed")
+        if self.plane in ("none", "axis_a") and not isinstance(self.vector_a, tuple):
+            raise ValueError(f"{name}: plane {self.plane!r} needs a point pair as a")
+        if self.plane != "none" and self.sign_axis not in _PLANE_AXES.get(self.plane, _AXIS_NAMES):
+            raise ValueError(f"{name}: sign_axis {self.sign_axis!r} does not orient "
+                             f"the {self.plane} plane")
+        if (self.vector_a is None) != (self.baseline == "initial_self"):
+            raise ValueError(f"{name}: a must be null exactly when the baseline is initial_self")
+        if self.vector_a not in (None, *_AXIS_NAMES) and not isinstance(self.vector_a, tuple):
+            raise ValueError(f"{name}: unknown body axis {self.vector_a!r}")
 
     def landmarks(self) -> frozenset[Landmark]:
-        out: set[Landmark] = set()
-        for vec in (self.vector_a, self.vector_b):
-            if isinstance(vec, tuple):
-                for point in vec:
-                    out.update(point)
-        if self.plane != "none" or self.vector_a is None or self.baseline != "none":
+        segments = [v for v in (self.vector_a, self.vector_b) if isinstance(v, tuple)]
+        out = {lm for segment in segments for point in segment for lm in point}
+        if self.plane != "none" or self.baseline != "none":
             out.update(AXES_LANDMARKS)
         return frozenset(out)
 
 
 def _parse_point(raw) -> PointRef:
-    if isinstance(raw, str):
-        return (Landmark(raw),)
-    if isinstance(raw, (list, tuple)) and raw and all(isinstance(x, str) for x in raw):
-        return tuple(Landmark(x) for x in raw)
+    names = [raw] if isinstance(raw, str) else raw
+    if isinstance(names, (list, tuple)) and names and all(isinstance(x, str) for x in names):
+        return tuple(Landmark(x) for x in names)
     raise ValueError(f"bad point reference {raw!r}")
 
 
-def _parse_vector(raw):
-    """A vector spec: null, {'axis': name}, or [point, point]."""
-    if raw is None:
-        return None, None
-    if isinstance(raw, dict):
-        return None, raw["axis"]
+def _parse_segment(raw) -> Segment:
     if isinstance(raw, (list, tuple)) and len(raw) == 2:
-        return (_parse_point(raw[0]), _parse_point(raw[1])), None
+        return _parse_point(raw[0]), _parse_point(raw[1])
     raise ValueError(f"bad vector spec {raw!r}")
 
 
@@ -245,25 +244,15 @@ def parse_angle_definitions(raw: dict) -> list[AngleDefinition]:
     defs = []
     try:
         for entry in raw["definitions"]:
-            channel = JointChannel(entry["channel"])
-            vec_a, axis_a = _parse_vector(entry.get("a"))
-            vec_b, axis_b = _parse_vector(entry["b"])
-            if vec_b is None:
-                raise ValueError(f"{channel.value}: vector b must be a point pair")
-            plane = entry.get("plane", "none")
-            sign_axis = entry.get("sign_axis")
-            axis_a_plane = plane == "axis_a"
-            # For 'axis_a' the sign axis names the in-plane reference. Otherwise
-            # a body-axis reference vector ('a': {'axis': ...}) keeps vector_a
-            # empty; the axis name rides along in axis_a_ref.
+            a = entry.get("a")
             defs.append(AngleDefinition(
-                channel=channel,
-                vector_a=vec_a,
-                vector_b=vec_b,
-                plane=plane,
-                signed=bool(entry.get("signed", False)),
-                sign_axis=None if axis_a_plane else sign_axis,
-                axis_a_ref=sign_axis if axis_a_plane else axis_a,
+                channel=JointChannel(entry["channel"]),
+                vector_a=(a if a is None else a["axis"] if isinstance(a, dict)
+                          else _parse_segment(a)),
+                vector_b=_parse_segment(entry["b"]),
+                plane=entry.get("plane", "none"),
+                signed=entry.get("signed", False),
+                sign_axis=entry.get("sign_axis"),
                 baseline=entry.get("baseline", "none"),
             ))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -286,20 +275,17 @@ def default_angle_definitions() -> list[AngleDefinition]:
 
 @dataclass(frozen=True)
 class Baseline:
-    """Start-of-task references captured from the first usable frames.
+    """Start-of-task references captured from the first usable frames: the
+    mean raw value of each ``subtract_initial`` channel (the head inclination
+    for neck flexion/extension), the body axes, and the direction of each
+    ``initial_self`` segment."""
 
-    ``inclination`` is the mean raw head inclination subtracted from neck
-    flexion/extension; ``axes`` and ``directions`` serve the channels
-    measured against start-of-task orientation.
-    """
-
-    inclination: float
     axes: BodyAxes
     inclinations: dict[JointChannel, float]
     directions: dict[JointChannel, Vec3]
 
 
-def _segment(positions: np.ndarray, vec: tuple[PointRef, PointRef]) -> np.ndarray:
+def _segment(positions: np.ndarray, vec: Segment) -> np.ndarray:
     """(N, 3) vectors between two points, each a landmark or a midpoint."""
     p0, p1 = (sum(positions[:, LANDMARK_INDEX[lm]] for lm in point) / len(point)
               for point in vec)
@@ -308,32 +294,25 @@ def _segment(positions: np.ndarray, vec: tuple[PointRef, PointRef]) -> np.ndarra
 
 def _channel(defn: AngleDefinition, positions: np.ndarray, axes: BodyAxes,
              baseline: Baseline | None) -> np.ndarray:
-    """One definition over every frame, (N,) degrees."""
-    missing = np.full(len(positions), np.nan)
+    """One definition over every frame, (N,) degrees; all NaN for an
+    ``initial_*`` definition without a baseline that serves it."""
     b = _segment(positions, defn.vector_b)
     if defn.baseline in ("initial_self", "initial_axes"):
-        if baseline is None:
-            return missing
+        if baseline is None or (defn.vector_a is None and defn.channel not in baseline.directions):
+            return np.full(len(positions), np.nan)
         axes = baseline.axes
-
-    if defn.plane == "none" or defn.plane == "axis_a":
-        if defn.vector_a is None:
-            return missing
-        a = _segment(positions, defn.vector_a)
-        if defn.plane == "none":
-            return _vector_angles(a, b)
-        angle = _plane_angles(axes.named(defn.axis_a_ref), b, a)
+    if defn.vector_a is None:
+        a = baseline.directions[defn.channel]
+    elif isinstance(defn.vector_a, str):
+        a = axes.named(defn.vector_a)
     else:
-        if defn.baseline == "initial_self":
-            a = baseline.directions.get(defn.channel)
-            if a is None:
-                return missing
-        elif defn.vector_a is not None:
-            a = _segment(positions, defn.vector_a)
-        elif defn.axis_a_ref is not None:
-            a = axes.named(defn.axis_a_ref)
-        else:
-            return missing
+        a = _segment(positions, defn.vector_a)
+
+    if defn.plane == "none":
+        return _vector_angles(a, b)
+    if defn.plane == "axis_a":
+        angle = _plane_angles(axes.named(defn.sign_axis), b, a)
+    else:
         angle = _plane_angles(a, b, axes.named(defn.sign_axis))
     return angle if defn.signed else np.abs(angle)
 
@@ -387,13 +366,11 @@ def neck_baseline(recording: KeypointRecording, defs=None,
     if not usable.any():
         raise NoCompleteFrames(f"no usable frame in the first {len(positions)} frames")
 
-    inclinations = {ch: float(np.mean(v[usable])) for ch, v in values.items()}
     segments = {ch: seg[usable] for ch, seg in segments.items()}
     return Baseline(
-        inclination=inclinations.get(JointChannel.T1_head_neck_FE, 0.0),
         axes=_orthonormal(_mean_direction(axes.up[usable]),
                           _mean_direction(axes.right[usable])),
-        inclinations=inclinations,
+        inclinations={ch: float(np.mean(v[usable])) for ch, v in values.items()},
         directions={ch: _mean_direction(seg / _norm(seg)[:, None])
                     for ch, seg in segments.items()},
     )

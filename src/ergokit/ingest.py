@@ -1,8 +1,8 @@
-"""Parsers for the three input file kinds, plus rate resampling.
+"""Parsers for the three input file kinds and the JSON configs, plus resampling.
 
 File formats
 ------------
-Each file is UTF-8 text; one byte-order mark at its very start is skipped.
+Each file, configs included, is UTF-8 text; one leading byte-order mark is skipped.
 
 IMU joint-angle CSV
     First row header, one row per sample, decimal point ``.``, delimiter
@@ -33,9 +33,11 @@ Keypoint stream (JSON lines)
     into one KeypointRecording. Unmapped point labels are ignored. An
     absent landmark, or one with a non-finite triplet, is a NaN row; there
     is no "incomplete" flag. ``confidence`` is optional; when present it is
-    a label -> number object, range-checked to [0, 1] and unused. Irregular
-    timestamps (a skipped frame, a stall) are rejected with
-    IrregularTimestamps when the sample rate is inferred.
+    a label -> number object, range-checked to [0, 1] and unused. A frame,
+    time, coordinate or known-label confidence is a JSON number: a string
+    such as ``"3"`` or a boolean is a MalformedRecord. Irregular timestamps
+    (a skipped frame, a stall) are rejected with IrregularTimestamps when
+    the sample rate is inferred.
 
 Annotation CSV
     Header ``t0,t1,arm_muscle,arm_force,neck_muscle,neck_force,legs``,
@@ -49,10 +51,13 @@ import io
 import json
 import math
 import re
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     EmptyFile,
     EncodingError,
     MalformedHeader,
@@ -72,7 +77,6 @@ from .motion import (
     LANDMARK_INDEX,
     uniform_grid,
 )
-from .rula import MAX_JSON_DEPTH, json_too_deep
 
 
 def _as_text(data: bytes | str) -> str:
@@ -87,6 +91,41 @@ def _as_text(data: bytes | str) -> str:
 def _without_bom(data: bytes | str) -> bytes | str:
     """``data`` less one byte-order mark at its very start."""
     return data.removeprefix(b"\xef\xbb\xbf" if isinstance(data, bytes) else "\ufeff")
+
+
+# --- JSON documents -------------------------------------------------------------
+
+#: The deepest nesting of arrays and objects read from a JSON input (a
+#: config, angle definitions, a keypoint line): far below the recursion
+#: limit, so whether an input is valid never depends on the stack depth.
+MAX_JSON_DEPTH = 64
+
+
+def json_too_deep(value) -> bool:
+    """Whether arrays and objects nest more than MAX_JSON_DEPTH levels deep
+    in a parsed JSON value; walked level by level, without recursion."""
+    level = [value]
+    for _ in range(MAX_JSON_DEPTH + 1):
+        level = [v for v in level if isinstance(v, (dict, list))]
+        if not level:
+            return False
+        level = [c for v in level for c in (v.values() if isinstance(v, dict) else v)]
+    return True
+
+
+def read_config_json(path: str | None, shipped: str = "rula_default.json"):
+    """The JSON document in ``path``, or in the shipped data file ``shipped``
+    when ``path`` is None, decoded as the other inputs are; ConfigError when
+    it is not JSON or nests deeper than MAX_JSON_DEPTH."""
+    data = (Path(path) if path is not None else
+            resources.files("ergokit.data").joinpath(shipped)).read_bytes()
+    try:
+        raw = json.loads(_as_text(_without_bom(data)))
+    except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
+        raise ConfigError([f"not valid JSON: {exc}"]) from None
+    if json_too_deep(raw):
+        raise ConfigError([f"JSON nested deeper than {MAX_JSON_DEPTH} levels"])
+    return raw
 
 
 # --- IMU joint-angle CSV ------------------------------------------------------
@@ -351,16 +390,16 @@ def parse_keypoint_stream(data: bytes | str, frame_rate: float = 30.0) -> Keypoi
             raise MalformedRecord(f"JSON nested deeper than {MAX_JSON_DEPTH} levels", line_no)
         if not isinstance(record, dict) or "points" not in record:
             raise MalformedRecord("record must be an object with a 'points' field", line_no)
-        # float(True) is 1.0: a JSON true or false read as a number is refused.
+        # Arithmetic refuses a string as a number; True * 1.0 is 1.0: booleans are refused apart.
         booleans = "true" in line or "false" in line
         key = "time" if "time" in record else "frame"
         if key not in record:
             raise MalformedRecord("record carries neither 'time' nor 'frame'", line_no)
         try:
-            t = float(record[key]) / (1.0 if key == "time" else frame_rate)
+            t = record[key] / (1.0 if key == "time" else frame_rate)
             if booleans and isinstance(record[key], bool):
                 raise TypeError
-        except (TypeError, ValueError, OverflowError):  # a huge integer overflows float
+        except (TypeError, OverflowError):  # a huge integer overflows float
             raise MalformedRecord(f"{key!r} must be a number", line_no)
         if not math.isfinite(t) or t < 0:
             raise MalformedRecord(f"timestamp {t} not finite and non-negative", line_no)
@@ -381,10 +420,10 @@ def parse_keypoint_stream(data: bytes | str, frame_rate: float = 30.0) -> Keypoi
             if not (isinstance(xyz, (list, tuple)) and len(xyz) == 3):
                 raise MalformedRecord(f"point {label!r} is not an [x, y, z] triplet", line_no)
             try:
-                row[j:j + 3] = float(xyz[0]), float(xyz[1]), float(xyz[2])
+                row[j:j + 3] = xyz[0] * 1.0, xyz[1] * 1.0, xyz[2] * 1.0
                 if booleans and any(isinstance(v, bool) for v in xyz):
                     raise TypeError
-            except (TypeError, ValueError, OverflowError):
+            except (TypeError, OverflowError):
                 raise MalformedRecord(f"point {label!r} has non-numeric coordinates", line_no)
 
         confidence = record.get("confidence", {})
@@ -392,9 +431,9 @@ def parse_keypoint_stream(data: bytes | str, frame_rate: float = 30.0) -> Keypoi
             raise MalformedRecord("'confidence' must be a label -> number object", line_no)
         for label, c in confidence.items():
             try:
-                ok = label not in column or (0.0 <= float(c) <= 1.0
+                ok = label not in column or (0.0 <= c <= 1.0
                                              and not (booleans and isinstance(c, bool)))
-            except (TypeError, ValueError, OverflowError):
+            except TypeError:
                 ok = False
             if not ok:
                 raise MalformedRecord(

@@ -39,7 +39,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from importlib import resources
 from typing import Mapping
 
 import numpy as np
@@ -51,6 +50,7 @@ from .errors import (
     OutOfRangeIndex,
     UnknownJoint,
 )
+from .ingest import MAX_JSON_DEPTH, json_too_deep, read_config_json
 from .motion import (
     AnnotationFlags,
     AnnotationTrack,
@@ -352,39 +352,6 @@ def config_from_dict(raw: dict) -> RulaConfig:
     if problems:
         raise ConfigError(problems)
     return config
-
-
-#: The deepest nesting of arrays and objects read from a JSON input (a
-#: config, angle definitions, a keypoint line): far below the recursion
-#: limit, so whether an input is valid never depends on the stack depth.
-MAX_JSON_DEPTH = 64
-
-
-def json_too_deep(value) -> bool:
-    """Whether arrays and objects nest more than MAX_JSON_DEPTH levels deep
-    in a parsed JSON value; walked level by level, without recursion."""
-    level = [value]
-    for _ in range(MAX_JSON_DEPTH + 1):
-        level = [v for v in level if isinstance(v, (dict, list))]
-        if not level:
-            return False
-        level = [c for v in level for c in (v.values() if isinstance(v, dict) else v)]
-    return True
-
-
-def read_config_json(path: str | None, shipped: str = "rula_default.json"):
-    """The JSON document in ``path``, or in the shipped data file ``shipped``
-    when ``path`` is None; ConfigError when it is not UTF-8 JSON or nests
-    deeper than MAX_JSON_DEPTH. A leading byte-order mark is skipped."""
-    with (open(path, encoding="utf-8-sig") if path is not None else
-          resources.files("ergokit.data").joinpath(shipped).open(encoding="utf-8-sig")) as fh:
-        try:
-            raw = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # also UnicodeDecodeError, deep nesting
-            raise ConfigError([f"not valid JSON: {exc}"]) from None
-    if json_too_deep(raw):
-        raise ConfigError([f"JSON nested deeper than {MAX_JSON_DEPTH} levels"])
-    return raw
 
 
 def load_rula_config(path: str | None = None) -> RulaConfig:

@@ -152,7 +152,7 @@ def _raw_angle(defn: AngleDefinition, frame: Frame,
         ref_axes = axes
 
     if defn.plane == "none":
-        a = _segment(frame, defn.vector_a) if defn.vector_a else None
+        a = _segment(frame, defn.vector_a)
         if a is None:
             raise DegenerateVector(f"{defn.channel.value}: landmarks missing")
         return vector_angle(a, b)
@@ -161,10 +161,10 @@ def _raw_angle(defn: AngleDefinition, frame: Frame,
         raise DegenerateVector(f"{defn.channel.value}: anatomical axes unavailable")
 
     if defn.plane == "axis_a":
-        axis = _segment(frame, defn.vector_a) if defn.vector_a else None
+        axis = _segment(frame, defn.vector_a)
         if axis is None:
             raise DegenerateVector(f"{defn.channel.value}: landmarks missing")
-        reference = ref_axes.named(defn.axis_a_ref)
+        reference = ref_axes.named(defn.sign_axis)
         angle = signed_plane_angle(reference, b, axis)
         return angle if defn.signed else abs(angle)
 
@@ -173,14 +173,12 @@ def _raw_angle(defn: AngleDefinition, frame: Frame,
         a = baseline.directions.get(defn.channel)
         if a is None:
             raise DegenerateVector(f"{defn.channel.value}: baseline direction missing")
-    elif defn.vector_a is not None:
+    elif isinstance(defn.vector_a, str):
+        a = ref_axes.named(defn.vector_a)
+    else:
         a = _segment(frame, defn.vector_a)
         if a is None:
             raise DegenerateVector(f"{defn.channel.value}: landmarks missing")
-    elif defn.axis_a_ref is not None:
-        a = ref_axes.named(defn.axis_a_ref)
-    else:
-        raise DegenerateVector(f"{defn.channel.value}: no reference vector")
 
     angle = signed_plane_angle(a, b, normal)
     return angle if defn.signed else abs(angle)
@@ -230,9 +228,7 @@ def neck_baseline(frames, defs=None, window: int = DEFAULT_BASELINE_WINDOW) -> B
                 segs.append(seg / np.linalg.norm(seg))
             directions[d.channel] = _mean_direction(segs)
 
-    neck_incl = inclinations.get(JointChannel.T1_head_neck_FE, 0.0)
     return Baseline(
-        inclination=neck_incl,
         axes=axes,
         inclinations=inclinations,
         directions=directions,

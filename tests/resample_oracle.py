@@ -48,8 +48,9 @@ def resample_oracle(series: JointAngleSeries, target_rate: float) -> JointAngleS
     out: dict[JointChannel, np.ndarray] = {}
     for ch, x in series.channels.items():
         a, b = x[lo], x[lo + 1]
-        y = (1.0 - w) * a
-        y += w * b
+        with np.errstate(invalid="ignore"):  # 0 * inf; the copies below overwrite it
+            y = (1.0 - w) * a
+            y += w * b
         np.copyto(y, a, where=hit)
         np.copyto(y, b, where=hit_hi)
         out[ch] = y

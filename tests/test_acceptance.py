@@ -16,7 +16,7 @@ from ergokit.geometry import (
     default_angle_definitions,
     vector_angle,
 )
-from ergokit.ingest import resample
+from ergokit.ingest import read_config_json, resample
 from ergokit.motion import (
     AnnotationFlags,
     AnnotationInterval,
@@ -36,7 +36,6 @@ from ergokit.rula import (
     RiskBand,
     band_percentages,
     default_config,
-    read_config_json,
     score_frame,
     score_timeline,
     table_a,

@@ -10,9 +10,13 @@ import pytest
 
 import ergokit
 from ergokit.cli import main
-from ergokit.ingest import format_imu_joint_csv, format_keypoint_stream
+from ergokit.ingest import (
+    MAX_JSON_DEPTH,
+    format_imu_joint_csv,
+    format_keypoint_stream,
+    read_config_json,
+)
 from ergokit.motion import JointAngleSeries, JointChannel, KeypointRecording
-from ergokit.rula import MAX_JSON_DEPTH, read_config_json
 from ergokit.synthetic import (
     elbow_flexion_recording,
     neutral_angle_series,
@@ -461,24 +465,36 @@ def test_huge_cells_are_missing_samples(tmp_path, cell):
     assert _strict_json((tmp_path / "c" / "comparison.json").read_text())["lag_samples"] == [0]
 
 
-@pytest.mark.parametrize("argv, name, content", [
-    (["score", "{}"], "rec.csv", b"time,arm_flex_r\n0.0,\xff\n"),
-    (["score", "{}", "--kind", "keypoints"], "task.jsonl", b'{"frame": 0, "points": {}}\xff\n'),
-    (["score", "{kp}", "--kind", "keypoints", "--angle-defs", "{}"], "defs.json", b'{"a": 1}'),
-    (["score", "{kp}", "--kind", "keypoints", "--angle-defs", "{}"], "defs.json", b"[1, 2]"),
-    (["score", "{kp}", "--kind", "keypoints", "--angle-defs", "{}"], "defs.json", b"{not json"),
-    (["score", "{kp}", "--kind", "keypoints", "--angle-defs", "{}"], "defs.json", b"\xff"),
-    (["score", "{kp}", "--kind", "keypoints", "--config", "{}"], "config.json", b"[1, 2]"),
-    (["check-config", "{}"], "config.json", b"\xff"),
+@pytest.mark.parametrize("argv, name, content, error", [
+    (["score", "{}"], "rec.csv", b"time,arm_flex_r\n0.0,\xff\n", "EncodingError"),
+    (["score", "{}", "--kind", "keypoints"], "task.jsonl", b'{"frame": 0, "points": {}}\xff\n',
+     "EncodingError"),
+    (["score", "{kp}", "--kind", "keypoints", "--angle-defs", "{}"], "defs.json", b'{"a": 1}',
+     "ConfigError"),
+    (["score", "{kp}", "--kind", "keypoints", "--angle-defs", "{}"], "defs.json", b"[1, 2]",
+     "ConfigError"),
+    (["score", "{kp}", "--kind", "keypoints", "--angle-defs", "{}"], "defs.json", b"{not json",
+     "ConfigError"),
+    (["score", "{kp}", "--kind", "keypoints", "--angle-defs", "{}"], "defs.json", b"\xff",
+     "EncodingError"),
+    (["score", "{kp}", "--kind", "keypoints", "--config", "{}"], "config.json", b"[1, 2]",
+     "ConfigError"),
+    (["score", "{kp}", "--kind", "keypoints", "--config", "{}"], "config.json", b'"\xe9"',
+     "EncodingError"),
+    (["check-config", "{}"], "config.json", b"\xff", "EncodingError"),
 ], ids=["imu-csv-not-utf8", "stream-not-utf8", "defs-no-definitions", "defs-a-list",
-        "defs-not-json", "defs-not-utf8", "config-a-list", "check-config-not-utf8"])
-def test_bad_input_file_is_one_error_line(tmp_path, capsys, keypoints_file, argv, name, content):
+        "defs-not-json", "defs-not-utf8", "config-a-list", "config-not-utf8",
+        "check-config-not-utf8"])
+def test_bad_input_file_is_one_error_line(tmp_path, capsys, keypoints_file, argv, name, content,
+                                          error):
+    """Every input, configs included, is decoded alike: bytes that are not
+    UTF-8 are an EncodingError."""
     path = tmp_path / name
     path.write_bytes(content)
     argv = [arg.format(path, kp=keypoints_file) for arg in argv]
     assert main(argv + (["--out", str(tmp_path / "out")] if argv[0] == "score" else [])) == 1
     err = _error_lines(capsys)
-    assert len(err) == 1 and err[0].startswith("ergokit: error:")
+    assert len(err) == 1 and err[0].startswith(f"ergokit: error: {error}: ")
 
 
 @pytest.mark.parametrize("section, key, problem", [
@@ -642,19 +658,32 @@ def test_angle_defs_and_keypoint_lines_share_the_nesting_limit(tmp_path, capsys,
                 assert f"nested deeper than {MAX_JSON_DEPTH} levels" in err[0], argv
 
 
-@pytest.mark.parametrize("axis", ["bogus", ["x"]], ids=["unknown-name", "a-list"])
+@pytest.mark.parametrize("channel, entry, message", [
+    ("T1_head_neck_FE", {"a": {"axis": "bogus"}}, "unknown body axis"),
+    ("T1_head_neck_FE", {"a": {"axis": ["x"]}}, "unknown body axis"),
+    ("elbow_flex_r", {"a": None}, "needs a point pair"),
+    ("elbow_flex_r", {"a": {"axis": "up"}}, "needs a point pair"),
+    ("arm_flex_r", {"a": None}, "null exactly when the baseline is initial_self"),
+    ("pro_sup_r", {"a": {"axis": "up"}}, "needs a point pair"),
+    ("lumbar_rotation", {"a": ["hip_l", "hip_r"]},
+     "null exactly when the baseline is initial_self"),
+    ("arm_flex_r", {"signed": "false"}, "signed must be true or false"),
+], ids=["unknown-name", "a-list", "none-null", "none-axis", "sagittal-null-not-initial-self",
+        "axis-a-axis", "initial-self-with-a", "signed-string"])
 def test_unknown_body_axis_in_angle_defs_is_one_error_line(tmp_path, capsys, keypoints_file,
-                                                           axis):
+                                                           channel, entry, message):
+    """An angle-definition entry that no frame could compute is refused at
+    load with one ConfigError line naming its channel."""
     from importlib import resources
 
     raw = json.loads(resources.files("ergokit.data").joinpath("angle_definitions.json")
                      .read_text())
-    assert raw["definitions"][0]["plane"] == "sagittal"
-    raw["definitions"][0]["a"] = {"axis": axis}
+    [definition] = [d for d in raw["definitions"] if d["channel"] == channel]
+    definition.update(entry)
     defs = tmp_path / "defs.json"
     defs.write_text(json.dumps(raw))
     assert main(["score", str(keypoints_file), "--kind", "keypoints", "--angle-defs", str(defs),
                  "--out", str(tmp_path / "out")]) == 1
     err = _error_lines(capsys)
     assert len(err) == 1 and err[0].startswith("ergokit: error: ConfigError")
-    assert "unknown body axis" in err[0]
+    assert f"{channel}: " in err[0] and message in err[0]

@@ -103,7 +103,7 @@ def test_body_axes_neutral():
 def test_neck_baseline_constant_posture():
     baseline = neck_baseline(_neutral(5), window=5)
     raw = math.degrees(math.atan2(0.10, 0.15))  # nose offset in the neutral pose
-    assert math.isclose(baseline.inclination, raw, abs_tol=1e-9)
+    assert math.isclose(baseline.inclinations[JointChannel.T1_head_neck_FE], raw, abs_tol=1e-9)
 
 
 def test_neck_baseline_mean_of_inclinations():
@@ -116,7 +116,7 @@ def test_neck_baseline_mean_of_inclinations():
             NEUTRAL_POSITIONS[Landmark.neck] + vec3(r * math.sin(a), 0.0, r * math.cos(a)))
     baseline = neck_baseline(recording, window=2)
     raw = math.degrees(math.atan2(0.10, 0.15))
-    assert math.isclose(baseline.inclination, raw, abs_tol=1e-6)
+    assert math.isclose(baseline.inclinations[JointChannel.T1_head_neck_FE], raw, abs_tol=1e-6)
 
 
 def test_neck_baseline_no_complete_frames():

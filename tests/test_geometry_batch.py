@@ -138,7 +138,7 @@ def test_baseline_equals_oracle():
     recording = _recording(rng, WINDOW)
     ours = neck_baseline(recording, window=WINDOW)
     expected = angle_oracle.neck_baseline(angle_oracle.frames_of(recording), window=WINDOW)
-    assert abs(ours.inclination - expected.inclination) <= TOL_DEG
+    assert abs(ours.inclinations[JointChannel.T1_head_neck_FE] - expected.inclinations[JointChannel.T1_head_neck_FE]) <= TOL_DEG
     for name in ("up", "right", "forward"):
         assert np.max(np.abs(getattr(ours.axes, name) - getattr(expected.axes, name))) < 1e-12
     assert set(ours.directions) == set(expected.directions)
@@ -181,7 +181,7 @@ def test_degenerate_baseline_frame_is_skipped():
                                                positions=np.delete(recording.positions, 4, 0)),
                              window=WINDOW - 1)
     ours = neck_baseline(_nose_on_neck(recording, 4), window=WINDOW)
-    assert ours.inclination == expected.inclination
+    assert ours.inclinations[JointChannel.T1_head_neck_FE] == expected.inclinations[JointChannel.T1_head_neck_FE]
     assert ours.inclinations == expected.inclinations
     for name in ("up", "right", "forward"):
         assert np.array_equal(getattr(ours.axes, name), getattr(expected.axes, name))

@@ -267,10 +267,20 @@ def test_parse_keypoint_stream_rejects_bad_frame_rate(kind, rate):
      "point 'nose' has non-numeric coordinates"),
     ('{"frame": 1, "points": {}, "confidence": {"nose": true}}',
      "confidence True for 'nose' is not a number in [0, 1]"),
-], ids=["frame", "time", "coordinate", "confidence"])
+    ('{"frame": "3", "points": {}}', "'frame' must be a number"),
+    ('{"frame": 1, "time": "0.1", "points": {}}', "'time' must be a number"),
+    ('{"frame": 1, "points": {"nose": ["1", 2, " 3 "]}}',
+     "point 'nose' has non-numeric coordinates"),
+    ('{"frame": 1, "points": {"nose": [1, 2, "nan"]}}',
+     "point 'nose' has non-numeric coordinates"),
+    ('{"frame": 1, "points": {}, "confidence": {"nose": "0.5"}}',
+     "confidence '0.5' for 'nose' is not a number in [0, 1]"),
+], ids=["frame", "time", "coordinate", "confidence", "frame-string", "time-string",
+        "coordinate-string", "coordinate-nan-string", "confidence-string"])
 def test_parse_keypoint_stream_rejects_booleans(record, message):
-    """float(True) is 1.0, but a JSON boolean read as a number is malformed.
-    Line 1 holds booleans where no number is read, and parses."""
+    """float(True) is 1.0 and float("3") is 3.0, but a JSON boolean or
+    string read as a number is malformed. Line 1 holds booleans where no
+    number is read, and parses."""
     tracked = json.dumps({"frame": 0, "tracked": True, "points": _full_points(),
                           "confidence": {"left_ear": False}})
     assert parse_keypoint_stream(tracked).times.tolist() == [0.0]

@@ -14,6 +14,7 @@ from ergokit.errors import (
     OutOfRangeIndex,
     UnknownJoint,
 )
+from ergokit.ingest import read_config_json
 from ergokit.motion import (
     AnnotationFlags,
     AnnotationInterval,
@@ -29,7 +30,6 @@ from ergokit.rula import (
     config_from_dict,
     default_config,
     load_rula_config,
-    read_config_json,
     risk_band,
     score_frame,
     score_range,

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import rula_oracle
 from ergokit.errors import IncompleteFrame
+from ergokit.ingest import read_config_json
 from ergokit.motion import (
     AnnotationFlags,
     AnnotationInterval,
@@ -28,7 +29,6 @@ from ergokit.rula import (
     RiskBand,
     SideTimeline,
     config_from_dict,
-    read_config_json,
     score_frame,
     score_timeline,
     validate_rula_config,
