@@ -57,7 +57,6 @@ from .compare import (
     ComparisonReport,
     align_min_rmse,
     compare_recordings,
-    cross_correlation_peak,
     pearson_correlation,
     rmse,
     summarize_runs,

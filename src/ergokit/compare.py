@@ -6,8 +6,9 @@ lower rate so nothing is invented for the sparser signal). One global lag
 is estimated on a designated reference channel and applied to every
 channel: per-channel lags would let timing error masquerade as tracking
 error. Lag is positive when the second recording is delayed relative to
-the first. The lag searches take every lag's curve from one set of FFTs,
-in O(N log N), and rescore exactly the lags that rounding could make best.
+the first. The lag search takes every lag's valid-pair count and sum of
+squared differences from FFTs of short blocks, in O(N log M) for windows
+of M samples, and rescores exactly the lags that rounding could make best.
 
 A sample is valid when it is finite: NaN and +/-inf are both missing.
 Missing samples are excluded pairwise per channel; a channel with less
@@ -110,62 +111,75 @@ def _overlap_slices(len_a: int, len_b: int, lag: int):
     return i0, i1
 
 
-def _lag_sums(a: np.ndarray, b: np.ndarray, max_lag: int):
-    """Masked sums over the overlap of ``a[i]`` and ``b[i + lag]`` at every
-    lag in [-max_lag, max_lag], ``max_lag`` clamped to the lags that overlap:
-    ``(lags, overlap, sums, err, k)``.
+def _fast_length(n: int) -> int:
+    """The shortest p * 2**j of at least ``n``: the FFT lengths pocketfft runs fast."""
+    return min(p << ((n - 1) // p).bit_length() for p in (1, 3, 5, 9, 15, 25, 27))
 
-    The rows of ``sums`` (count of finite pairs, Σa, Σb, Σa², Σb², Σab) are
-    masked cross-correlations (Padfield, IEEE TIP 2012) from one set of real
-    FFTs of the validity masks and of the series less one shared offset (the
-    mean of both series' finite samples), which keeps differences and
-    shrinks rounding; non-finite samples are zeroed. No lag wraps around. Row i's rounding is at most ``err[i]``:
-    ``k = 16 eps (1 + log2 nfft)`` times its two factors' 2-norms.
+
+def _lag_sums(a: np.ndarray, b: np.ndarray, max_lag: int):
+    """The count of finite pairs ``a[i]``, ``b[i + lag]`` and the sum of their
+    squared differences (SSD) at every lag in [-max_lag, max_lag],
+    ``max_lag`` clamped to the lags that overlap: ``(lags, overlap, count,
+    ssd, err)``.
+
+    Both curves are masked cross-correlations (Padfield, IEEE TIP 2012) of
+    the validity masks and of the series less one shared offset (the mean of
+    both series' finite samples), which keeps differences and shrinks
+    rounding; non-finite samples are zeroed. The SSD is Σa² + Σb² - 2Σab,
+    combined in the frequency domain. The FFTs are short (overlap-save):
+    ``a`` is cut into blocks of B samples, each correlated with the window
+    of ``b`` that starts max_lag before it, M = B + 2 max_lag long, and the
+    blocks' spectra are summed pairwise before one inverse FFT per curve.
+    M is the shortest fast length of at least 4096 and four lag ranges, so
+    the windows' overlap costs at most a quarter of each FFT. When the
+    single FFT that covers both series, of the shortest fast length of at
+    least max(len(a), len(b)) + max_lag, is no longer, it is the one block.
+    No lag wraps around.
+
+    ``err`` bounds the rounding of every lag's SSD, and that of ``rmse`` on
+    the lag's overlap: ``16 eps (1 + log2 M + log2 blocks)`` times the sum
+    over blocks of the 2-norm products of the SSD's three terms, plus twice
+    the total energy Σa0² + Σb0², which bounds every lag's SSD.
     """
     max_lag = min(max_lag, max(len(a), len(b)) - 1)
     lags = np.arange(-max_lag, max_lag + 1)
     overlap = np.minimum(len(a), len(b) - lags) - np.maximum(0, -lags)
+    if max_lag < 0:
+        return lags, overlap, np.zeros(0), np.zeros(0), 0.0
+    # Samples that pair at no lag in range add nothing.
+    a, b = a[:len(b) + max_lag], b[:len(a) + max_lag]
     ma, mb = np.isfinite(a), np.isfinite(b)
-    finite = np.concatenate((a[ma], b[mb]))
-    offset = finite.mean() if finite.size else 0.0
-    a0, b0 = np.where(ma, a - offset, 0.0), np.where(mb, b - offset, 0.0)
-    xa, xb = np.stack((ma, a0, a0 * a0)), np.stack((mb, b0, b0 * b0))
-    # The shortest p * 2**j covering both series plus max_lag: fast FFT lengths.
-    need = max(len(a), len(b)) + max_lag
-    nfft = min(p << ((need - 1) // p).bit_length() for p in (1, 3, 5, 9, 15, 25, 27))
-    fa, fb = np.fft.rfft(xa, nfft).conj(), np.fft.rfft(xb, nfft)
-    pairs = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1))
-    sums = np.stack([np.fft.irfft(fa[i] * fb[j], nfft)[lags % nfft] for i, j in pairs])
-    sums[0] = np.rint(sums[0])
-    k = 16 * math.ulp(1.0) * (1 + math.log2(nfft))
-    norm_a, norm_b = np.linalg.norm(xa, axis=1), np.linalg.norm(xb, axis=1)
-    return lags, overlap, sums, k * np.array([norm_a[i] * norm_b[j] for i, j in pairs]), k
-
-
-def _best_lag(a, b, max_lag, min_overlap, least, curve, exact):
-    """Smallest ``(exact(x, y), |lag|, lag)`` over the lags that leave
-    ``max(min_overlap, least)`` samples of overlap and ``least`` valid pairs.
-    ``curve(sums, err, k)`` gives every lag's estimate of ``exact`` and a
-    bound on the rounding of both; only lags whose estimate less bound is
-    not above the lowest estimate plus bound are rescored with ``exact``.
-    """
-    lags, overlap, sums, err, k = _lag_sums(a, b, max_lag)
-    ok = (overlap >= max(min_overlap, least)) & (sums[0] >= least)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cost, tol = curve(sums, err, k)
-        keep = ok & ~(cost - tol > np.min(cost[ok] + tol[ok], initial=np.inf))
-    keys = []
-    for lag in lags[keep].tolist():
-        i0, i1 = _overlap_slices(len(a), len(b), lag)
-        try:
-            keys.append((exact(a[i0:i1], b[i0 + lag:i1 + lag]), abs(lag), lag))
-        except (NoValidPairs, ZeroVariance):
-            continue
-    if not keys:
-        raise InsufficientOverlap(
-            f"no lag within +/-{max_lag} leaves {min_overlap} overlapping samples"
-        )
-    return min(keys)
+    n = np.count_nonzero(ma) + np.count_nonzero(mb)
+    offset = (a.sum(where=ma) + b.sum(where=mb)) / n if n else 0.0
+    m = _fast_length(max(4 * (2 * max_lag + 1), 4096))
+    one = _fast_length(max(len(a), len(b)) + max_lag)
+    m, block = (one, max(len(a), 1)) if one <= m else (m, m - 2 * max_lag)
+    blocks = -(-len(a) // block) or 1
+    # Rows: validity, value less offset, its square; zero where missing.
+    xa, xb = np.zeros((3, blocks * block)), np.zeros((3, (blocks - 1) * block + m))
+    for rows, x, valid in ((xa[:, :len(a)], a, ma), (xb[:, max_lag:max_lag + len(b)], b, mb)):
+        rows[0] = valid
+        np.subtract(x, offset, out=rows[1], where=valid)
+        np.multiply(rows[1], rows[1], out=rows[2])
+    energy = xa[2].sum() + xb[2].sum()
+    xa = xa.reshape(3, blocks, block)
+    xb = np.lib.stride_tricks.sliding_window_view(xb, m, axis=1)[:, ::block]
+    fa, fb = np.fft.rfft(xa, m), np.fft.rfft(xb, m)
+    np.conjugate(fa, out=fa)
+    spec = np.stack((fa[0] * fb[0], -2 * fa[1] * fb[1]))
+    spec[1] += fa[2] * fb[0]
+    spec[1] += fa[0] * fb[2]
+    # Pairwise over the blocks, so rounding grows with log2 of their number.
+    left = blocks
+    while left > 1:
+        half = left // 2
+        spec[:, :half] += spec[:, left - half:left]
+        left -= half
+    count, ssd = np.fft.irfft(spec[:, 0], m)[:, lags + max_lag]
+    na, nb = (np.sqrt(np.einsum("ijk,ijk->ij", x, x)) for x in (xa, xb))
+    k = 16 * math.ulp(1.0) * (1 + math.log2(m) + math.log2(blocks))
+    err = k * (np.sum(na[2] * nb[0] + na[0] * nb[2] + 2 * na[1] * nb[1]) + 2 * energy)
+    return lags, overlap, np.rint(count), ssd, err
 
 
 def align_min_rmse(reference, other, max_lag: int, min_overlap: int = 1) -> AlignmentResult:
@@ -173,47 +187,29 @@ def align_min_rmse(reference, other, max_lag: int, min_overlap: int = 1) -> Alig
 
     Ties break toward the smallest absolute lag, then toward the negative
     one. Raises InsufficientOverlap when no candidate lag leaves at least
-    ``min_overlap`` samples of overlap with a valid pair. The curve is the
-    mean squared difference (Σa² + Σb² - 2Σab) / count.
+    ``min_overlap`` samples of overlap with a valid pair. Every lag's mean
+    squared difference comes from ``_lag_sums``; only the lags whose
+    estimate less its bound is not above the lowest estimate plus bound are
+    rescored with ``rmse``, and the key ``(rmse, |lag|, lag)`` picks one.
     """
-    def curve(sums, err, k):
-        n, _, _, saa, sbb, sab = sums
-        # FFT rounding, plus rmse's own: it sums d² <= 2 (a² + b²).
-        tol = err[3] + err[4] + 2 * err[5] + 2 * k * (saa + sbb + err[3] + err[4])
-        return (saa + sbb - 2 * sab) / n, tol / n
-
-    reference = np.asarray(reference, dtype=float)
-    other = np.asarray(other, dtype=float)
-    value, _, lag = _best_lag(reference, other, max_lag, min_overlap, 1, curve, rmse)
-    i0, i1 = _overlap_slices(len(reference), len(other), lag)
+    a = np.asarray(reference, dtype=float)
+    b = np.asarray(other, dtype=float)
+    lags, overlap, count, ssd, err = _lag_sums(a, b, max_lag)
+    ok = (overlap >= max(min_overlap, 1)) & (count >= 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cost, tol = ssd / count, err / count
+        keep = ok & ~(cost - tol > np.min(cost[ok] + tol[ok], initial=np.inf))
+    keys = []
+    for lag in lags[keep].tolist():
+        i0, i1 = _overlap_slices(len(a), len(b), lag)
+        keys.append((rmse(a[i0:i1], b[i0 + lag:i1 + lag]), abs(lag), lag))
+    if not keys:
+        raise InsufficientOverlap(
+            f"no lag within +/-{max_lag} leaves {min_overlap} overlapping samples"
+        )
+    value, _, lag = min(keys)
+    i0, i1 = _overlap_slices(len(a), len(b), lag)
     return AlignmentResult(lag=lag, overlap=i1 - i0, rmse=value)
-
-
-def cross_correlation_peak(reference, other, max_lag: int,
-                           min_overlap: int = 2) -> tuple[int, float]:
-    """Lag maximizing the Pearson coefficient, for sensitivity analysis
-    against the min-RMSE alignment; ties and errors as ``align_min_rmse``."""
-    def curve(sums, err, k):
-        n, sa, sb, saa, sbb, sab = sums
-        _, ea, eb, eaa, ebb, eab = err
-        # One bound on the error of the covariance and of both variances:
-        # the FFT sums', and pearson_correlation's own (its means are off by
-        # at most d, its np.dot sums by n eps).
-        d = k * max(np.max(np.abs(x[np.isfinite(x)]), initial=0.0) for x in (reference, other))
-        e = (eaa + ebb + eab + ((np.abs(sa) + np.abs(sb)) * (ea + eb) + (ea + eb) ** 2) / n
-             + n * d * d + 3 * (k + n * math.ulp(1.0)) * (saa + sbb))
-        va, vb = saa - sa * sa / n, sbb - sb * sb / n
-        r = (sab - sa * sb / n) / np.sqrt(va * vb)
-        tol = 2 * e / np.sqrt((va - 2 * e) * (vb - 2 * e)) + 3 * e * (1 / (va - e) + 1 / (vb - e))
-        # A lag whose variance may be near its error or the floor is always rescored.
-        certain = np.minimum(va, vb) - 3 * e > 2 * n * ZERO_VARIANCE_STD ** 2
-        return np.where(certain, -r, 0.0), np.where(certain, tol, np.inf)
-
-    reference = np.asarray(reference, dtype=float)
-    other = np.asarray(other, dtype=float)
-    value, _, lag = _best_lag(reference, other, max_lag, min_overlap, 2, curve,
-                              lambda x, y: -pearson_correlation(x, y))
-    return lag, -value
 
 
 def _mean_or_none(values) -> float | None:

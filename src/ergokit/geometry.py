@@ -188,7 +188,9 @@ class AngleDefinition:
     body-axis name (``{"axis": name}``), or None for ``initial_self``, which
     measures against the start-of-task direction of ``vector_b``.
     ``sign_axis`` is the plane normal, or for ``axis_a`` the in-plane
-    reference. ValueError for an entry that no frame could compute."""
+    reference. ValueError for an entry that no frame could compute, or for
+    a ``none`` entry with a sign, a ``sign_axis`` or the ``initial_axes``
+    baseline, which it would ignore."""
 
     channel: JointChannel
     vector_a: Segment | str | None
@@ -206,8 +208,10 @@ class AngleDefinition:
             raise ValueError(f"{name}: unknown baseline {self.baseline!r}")
         if not isinstance(self.signed, bool):
             raise ValueError(f"{name}: signed must be true or false, got {self.signed!r}")
-        if self.plane == "none" and self.signed:
-            raise ValueError(f"{name}: unprojected angles cannot be signed")
+        if self.plane == "none" and (self.signed or self.sign_axis is not None
+                                     or self.baseline == "initial_axes"):
+            raise ValueError(f"{name}: unprojected angles take no sign, sign_axis "
+                             "or initial_axes baseline")
         if self.plane in ("none", "axis_a") and not isinstance(self.vector_a, tuple):
             raise ValueError(f"{name}: plane {self.plane!r} needs a point pair as a")
         if self.plane != "none" and self.sign_axis not in _PLANE_AXES.get(self.plane, _AXIS_NAMES):

@@ -497,14 +497,6 @@ def parse_annotations(data: bytes | str) -> AnnotationTrack:
     return AnnotationTrack.from_intervals(intervals)
 
 
-def format_annotations(track: AnnotationTrack) -> str:
-    lines = [",".join(_ANNOTATION_FIELDS)]
-    for iv in track.intervals:
-        lines.append(",".join([repr(iv.t0), repr(iv.t1)]
-                              + [str(getattr(iv, name)) for name in FLAG_RANGES]))
-    return "\n".join(lines) + "\n"
-
-
 # --- resampling -----------------------------------------------------------------
 
 # Interpolation positions within this many samples of a grid point are

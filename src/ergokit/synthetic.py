@@ -9,14 +9,10 @@ for the keypoint pipeline.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .motion import (
     LANDMARK_INDEX,
-    JointAngleSeries,
-    JointChannel,
     KeypointRecording,
     Landmark,
     vec3,
@@ -51,16 +47,6 @@ FOREARM_LENGTH = 0.25
 HAND_LENGTH = 0.10
 PINKY_ALONG = 0.08
 PINKY_ASIDE = 0.03
-
-
-def neutral_angle_series(n_samples: int = 100, sample_rate: float = 100.0,
-                         ) -> JointAngleSeries:
-    """All twenty channels at exactly 0 degrees: the all-neutral posture."""
-    return JointAngleSeries(
-        sample_rate=sample_rate,
-        start_time=0.0,
-        channels={ch: np.zeros(n_samples) for ch in JointChannel},
-    )
 
 
 # Rotation axes for posing, in the neutral body frame: subject's right is
@@ -161,39 +147,3 @@ def work_cycle_recording(n_frames: int = 600, fps: float = 30.0,
         neck_tilt=12.0 * np.sin(phase + 0.4),
         head_turn=15.0 * np.sin(0.5 * phase),
     )
-
-
-def elbow_flexion_recording(n_frames: int = 300, fps: float = 30.0,
-                            mean_deg: float = 45.0, amplitude_deg: float = 40.0,
-                            freq_hz: float = 0.5,
-                            ) -> tuple[KeypointRecording, np.ndarray]:
-    """A planar right-elbow flexion sinusoid built from exact geometry.
-
-    Returns the recording and the generating angle per frame; everything
-    else (head, trunk, left arm) stays at the neutral posture, so the neck
-    baseline is constant and first-frame neck flexion is zero.
-    """
-    times = np.arange(n_frames) / fps
-    angles = mean_deg + amplitude_deg * np.sin(2.0 * math.pi * freq_hz * times)
-    return posed_recording(times, elbow_r=angles), angles
-
-
-def transform_recording(recording: KeypointRecording,
-                        rotation: np.ndarray | None = None,
-                        translation: np.ndarray | None = None,
-                        scale: float = 1.0) -> KeypointRecording:
-    """Apply one rigid motion (plus uniform scale) to a whole recording;
-    NaN rows stay NaN."""
-    R = np.eye(3) if rotation is None else np.asarray(rotation, dtype=float)
-    t = np.zeros(3) if translation is None else np.asarray(translation, dtype=float)
-    return KeypointRecording(times=recording.times,
-                             positions=scale * (recording.positions @ R.T) + t)
-
-
-def random_rotation(rng: np.random.Generator) -> np.ndarray:
-    """A uniformly random proper rotation matrix."""
-    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-    q = q @ np.diag(np.sign(np.diag(r)))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q

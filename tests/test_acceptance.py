@@ -43,13 +43,9 @@ from ergokit.rula import (
     table_c,
     validate_rula_config,
 )
-from ergokit.synthetic import (
-    NEUTRAL_POSITIONS,
-    elbow_flexion_recording,
-    random_rotation,
-    transform_recording,
-)
+from ergokit.synthetic import NEUTRAL_POSITIONS
 
+from recordings import elbow_flexion_recording, random_rotation, transform_recording
 from worksheet_scorer import worksheet_score
 
 

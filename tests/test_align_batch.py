@@ -1,12 +1,12 @@
-"""The FFT lag searches against the lag-by-lag loops in ``align_oracle``.
+"""The FFT lag search against the lag-by-lag loop in ``align_oracle``.
 
-``align_min_rmse`` and ``cross_correlation_peak`` must return what the
-loops return, bit for bit: the same lag, the same overlap, the same RMSE
-or r, and the same exception. Inputs are drawn to stress the rounding
-window and the masks: unequal lengths, lag ranges past both lengths,
-minimum overlaps at and around the feasible one, NaN and +/-inf samples
-(up to all of them), a 1e4 deg offset under a small signal, and periodic
-and constant series whose lags tie.
+``align_min_rmse`` must return what the loop returns, bit for bit: the same
+lag, the same overlap, the same RMSE, and the same exception. Inputs are
+drawn to stress the rounding window and the masks: unequal lengths, lag
+ranges past both lengths, minimum overlaps at and around the feasible one,
+NaN and +/-inf samples (up to all of them), a 1e4 deg offset under a small
+signal, and periodic and constant series whose lags tie. Short series take
+one FFT block; long ones with a narrow lag range take several.
 """
 import math
 
@@ -32,26 +32,17 @@ def _outcome(search, *args):
         result = search(*args)
     except InsufficientOverlap as exc:
         return type(exc)
-    if isinstance(result, tuple):
-        lag, r = result
-        return lag, _bits(r)
     return result.lag, result.overlap, _bits(result.rmse)
 
 
 def _assert_like_oracle(a, b, max_lag, min_overlap):
-    for name in ("align_min_rmse", "cross_correlation_peak"):
-        got = _outcome(getattr(compare, name), a, b, max_lag, min_overlap)
-        want = _outcome(getattr(align_oracle, name), a, b, max_lag, min_overlap)
-        assert got == want, name
+    got = _outcome(compare.align_min_rmse, a, b, max_lag, min_overlap)
+    assert got == _outcome(align_oracle.align_min_rmse, a, b, max_lag, min_overlap)
 
 
-@st.composite
-def pairs(draw):
-    """Two series, a lag range and a minimum overlap; values from a seeded
-    generator, as one draw per sample made each example slow."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    len_a, len_b = draw(st.integers(2, 400)), draw(st.integers(2, 400))
-    kind = draw(st.sampled_from(["noise", "delayed", "periodic", "constant"]))
+def _series(draw, rng, len_a, len_b, kinds=("noise", "delayed", "periodic", "constant")):
+    """Two series of one drawn kind, offset and scale, with nothing missing."""
+    kind = draw(st.sampled_from(kinds))
     offset = draw(st.sampled_from([0.0, 1e4, -37.5]))
     scale = draw(st.sampled_from([30.0, 1.0, 1e-3]))
     if kind == "noise":
@@ -67,11 +58,24 @@ def pairs(draw):
         b = np.resize(np.roll(cycle, int(rng.integers(0, len(cycle)))), len_b)
     else:
         a, b = np.full(len_a, 1.0), np.full(len_b, draw(st.sampled_from([1.0, 2.5])))
-    a, b = offset + scale * a, offset + scale * b
+    return offset + scale * a, offset + scale * b
+
+
+def _lose(rng, x, gone):
+    """NaN, inf or -inf, at random, in the samples ``gone`` selects."""
+    x[gone] = MISSING[rng.integers(0, 3, size=x[gone].size)]
+
+
+@st.composite
+def pairs(draw):
+    """Two series, a lag range and a minimum overlap; values from a seeded
+    generator, as one draw per sample made each example slow."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    len_a, len_b = draw(st.integers(2, 400)), draw(st.integers(2, 400))
+    a, b = _series(draw, rng, len_a, len_b)
     for x in (a, b):
         share = draw(st.sampled_from([0.0, 0.0, 0.05, 0.3, 0.9, 1.0]))
-        gone = rng.random(len(x)) < share
-        x[gone] = MISSING[rng.integers(0, 3, size=int(gone.sum()))]
+        _lose(rng, x, rng.random(len(x)) < share)
     max_lag = draw(st.integers(0, max(len_a, len_b) + 5))
     feasible = min(len_a, len_b)
     min_overlap = draw(st.sampled_from([0, 1, 2, feasible - 1, feasible, feasible + 1,
@@ -79,9 +83,37 @@ def pairs(draw):
     return a, b, max_lag, min_overlap
 
 
+@st.composite
+def long_pairs(draw):
+    """Two long series and a lag range of at most 100, which the search cuts
+    into several FFT blocks of a few thousand samples; or one long series
+    and one short, where it drops the long one's samples that no lag in
+    range pairs. Missing runs of up to 9000 samples straddle block edges,
+    and the longest cover whole blocks."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    long, short = (4000, 12_001), (2, 601)
+    shape = draw(st.sampled_from([(long, long), (long, long), (long, short), (short, long)]))
+    len_a, len_b = (int(rng.integers(*bounds)) for bounds in shape)
+    a, b = _series(draw, rng, len_a, len_b, kinds=("noise", "delayed", "periodic"))
+    for x in (a, b):
+        _lose(rng, x, rng.random(len(x)) < draw(st.sampled_from([0.0, 0.02])))
+        for size in rng.integers(1, draw(st.sampled_from([300, 3000, 9000])), size=6):
+            start = rng.integers(0, len(x))
+            _lose(rng, x, slice(start, start + size))
+    max_lag = draw(st.integers(0, 100))
+    min_overlap = draw(st.sampled_from([1, min(len_a, len_b) // 2, min(len_a, len_b)]))
+    return a, b, max_lag, min_overlap
+
+
 @PROPERTY
 @given(pairs())
 def test_searches_equal_oracle(case):
+    _assert_like_oracle(*case)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(long_pairs())
+def test_blocked_search_equals_oracle(case):
     _assert_like_oracle(*case)
 
 
@@ -98,33 +130,56 @@ def test_degenerate_inputs_equal_oracle(a, b, max_lag):
         _assert_like_oracle(a, b, max_lag, min_overlap)
 
 
-def test_hour_long_run_equals_oracle():
-    rng = np.random.default_rng(5)
+@settings(PROPERTY, max_examples=60)
+@given(st.one_of(pairs(), long_pairs()))
+def test_lag_sums_within_their_bound(case):
+    """Every lag's FFT count is exact and its SSD is within ``err`` of the
+    sum over the valid pairs, whether the FFTs take one block or several."""
+    a, b, max_lag, _ = case
+    lags, overlap, count, ssd, err = compare._lag_sums(a, b, max_lag)
+    for lag, n, got, est in zip(lags.tolist(), overlap, count, ssd):
+        i0, i1 = align_oracle._overlap_slices(len(a), len(b), lag)
+        assert n == i1 - i0
+        x, y = (a[i0:i1], b[i0 + lag:i1 + lag]) if n > 0 else (a[:0], b[:0])
+        valid = np.isfinite(x) & np.isfinite(y)
+        assert got == np.count_nonzero(valid)
+        assert abs(est - np.sum((x[valid] - y[valid]) ** 2)) <= err
+
+
+def _hour_long_pair(rng):
+    """An hour at 30 Hz of two noisy copies of one signal, the second
+    delayed by 137 samples, with 2 % of each missing."""
     n = 108_000
     t = np.arange(n + 400) / 30.0
     z = 40.0 * np.sin(2 * np.pi * 0.21 * t) + 10.0 * np.sin(2 * np.pi * 0.83 * t)
     a = z[200:200 + n] + rng.normal(scale=2.0, size=n)
     b = z[63:63 + n] + rng.normal(scale=2.0, size=n)
     a[rng.random(n) < 0.02] = np.nan
+    b[rng.random(n) < 0.02] = np.nan
+    return a, b
+
+
+def test_hour_long_run_equals_oracle():
+    a, b = _hour_long_pair(np.random.default_rng(5))
     b[5000:5900] = np.nan
     _assert_like_oracle(a, b, 300, 150)
 
 
 def test_max_lag_clamped_to_lags_that_overlap(rng):
     a, b = rng.normal(size=120), rng.normal(size=90)
-    for search in (compare.align_min_rmse, compare.cross_correlation_peak):
-        assert _outcome(search, a, b, 10**9, 1) == _outcome(search, a, b, 119, 1)
+    search = compare.align_min_rmse
+    assert _outcome(search, a, b, 10**9, 1) == _outcome(search, a, b, 119, 1)
 
 
-def _count_exact_calls(monkeypatch, name):
+def _count_rmse_calls(monkeypatch):
     calls = []
-    original = getattr(compare, name)
+    original = compare.rmse
 
     def counted(x, y):
         calls.append(len(x))
         return original(x, y)
 
-    monkeypatch.setattr(compare, name, counted)
+    monkeypatch.setattr(compare, "rmse", counted)
     return calls
 
 
@@ -135,11 +190,18 @@ def test_window_stays_narrow_under_a_large_offset(monkeypatch, offset):
     rng = np.random.default_rng(9)
     z = 1e-3 * rng.normal(size=700)
     a, b = offset + z[100:500], offset + z[93:493]
-    rmse_calls = _count_exact_calls(monkeypatch, "rmse")
-    r_calls = _count_exact_calls(monkeypatch, "pearson_correlation")
+    rmse_calls = _count_rmse_calls(monkeypatch)
     assert compare.align_min_rmse(a, b, max_lag=60).lag == 7
-    assert compare.cross_correlation_peak(a, b, max_lag=60)[0] == 7
-    assert len(rmse_calls) <= 3 and len(r_calls) <= 3
+    assert len(rmse_calls) <= 3
+
+
+def test_window_stays_narrow_over_an_hour(monkeypatch):
+    """An hour at +/-300 lags, summed over dozens of FFT blocks, still
+    rescores only a few lags."""
+    a, b = _hour_long_pair(np.random.default_rng(6))
+    rmse_calls = _count_rmse_calls(monkeypatch)
+    assert compare.align_min_rmse(a, b, max_lag=300).lag == 137
+    assert len(rmse_calls) <= 3
 
 
 def test_near_constant_series_has_zero_variance():
@@ -148,5 +210,3 @@ def test_near_constant_series_has_zero_variance():
                                                     np.arange(200.0)), 1.0)
     with pytest.raises(ZeroVariance):
         compare.pearson_correlation(tiny, np.arange(200.0))
-    with pytest.raises(InsufficientOverlap):
-        compare.cross_correlation_peak(tiny, np.arange(200.0), max_lag=20)

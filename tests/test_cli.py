@@ -17,11 +17,9 @@ from ergokit.ingest import (
     read_config_json,
 )
 from ergokit.motion import JointAngleSeries, JointChannel, KeypointRecording
-from ergokit.synthetic import (
-    elbow_flexion_recording,
-    neutral_angle_series,
-    work_cycle_recording,
-)
+from ergokit.synthetic import work_cycle_recording
+
+from recordings import elbow_flexion_recording, neutral_angle_series
 
 
 @pytest.fixture
@@ -668,8 +666,11 @@ def test_angle_defs_and_keypoint_lines_share_the_nesting_limit(tmp_path, capsys,
     ("lumbar_rotation", {"a": ["hip_l", "hip_r"]},
      "null exactly when the baseline is initial_self"),
     ("arm_flex_r", {"signed": "false"}, "signed must be true or false"),
+    ("elbow_flex_r", {"sign_axis": "left"}, "unprojected angles take no sign"),
+    ("elbow_flex_r", {"baseline": "initial_axes"}, "unprojected angles take no sign"),
 ], ids=["unknown-name", "a-list", "none-null", "none-axis", "sagittal-null-not-initial-self",
-        "axis-a-axis", "initial-self-with-a", "signed-string"])
+        "axis-a-axis", "initial-self-with-a", "signed-string", "none-sign-axis",
+        "none-initial-axes"])
 def test_unknown_body_axis_in_angle_defs_is_one_error_line(tmp_path, capsys, keypoints_file,
                                                            channel, entry, message):
     """An angle-definition entry that no frame could compute is refused at

@@ -29,7 +29,9 @@ from ergokit.geometry import compute_angle_series, parse_angle_definitions
 from ergokit.ingest import format_imu_joint_csv
 from ergokit.motion import AnnotationFlags, JointChannel
 from ergokit.rula import config_from_dict, score_frame, validate_rula_config
-from ergokit.synthetic import neutral_angle_series, work_cycle_recording
+from ergokit.synthetic import work_cycle_recording
+
+from recordings import neutral_angle_series
 
 SHIPPED = json.loads(resources.files("ergokit.data").joinpath("rula_default.json").read_text())
 DELETE = object()

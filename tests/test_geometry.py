@@ -20,13 +20,9 @@ from ergokit.geometry import (
     vector_angle,
 )
 from ergokit.motion import LANDMARK_INDEX, JointChannel, KeypointRecording, Landmark, vec3
-from ergokit.synthetic import (
-    NEUTRAL_POSITIONS,
-    elbow_flexion_recording,
-    posed_recording,
-    random_rotation,
-    transform_recording,
-)
+from ergokit.synthetic import NEUTRAL_POSITIONS, posed_recording
+
+from recordings import elbow_flexion_recording, random_rotation, transform_recording
 
 
 def _neutral(n_frames: int = 1) -> KeypointRecording:

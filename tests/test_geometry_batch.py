@@ -13,7 +13,9 @@ import angle_oracle
 from ergokit.errors import DegenerateProjection, DegenerateVector, NoCompleteFrames
 from ergokit.geometry import compute_angle_series, compute_joint_angles, neck_baseline
 from ergokit.motion import LANDMARK_INDEX, JointChannel, KeypointRecording, Landmark
-from ergokit.synthetic import NEUTRAL_POSITIONS, posed_recording, random_rotation
+from ergokit.synthetic import NEUTRAL_POSITIONS, posed_recording
+
+from recordings import random_rotation
 
 TOL_DEG = 1e-9
 FPS = 30.0

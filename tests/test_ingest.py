@@ -17,7 +17,6 @@ from ergokit.errors import (
     TooShort,
 )
 from ergokit.ingest import (
-    format_annotations,
     format_imu_joint_csv,
     format_keypoint_stream,
     parse_annotations,
@@ -34,6 +33,8 @@ from ergokit.motion import (
     Landmark,
 )
 from ergokit.synthetic import NEUTRAL_POSITIONS, posed_recording
+
+from recordings import format_annotations
 
 
 def test_parse_imu_csv_direct():

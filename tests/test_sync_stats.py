@@ -6,7 +6,6 @@ import pytest
 from ergokit.compare import (
     align_min_rmse,
     compare_recordings,
-    cross_correlation_peak,
     pearson_correlation,
     rmse,
     summarize_runs,
@@ -120,15 +119,6 @@ def test_align_tie_breaks_negative_on_equal_magnitude():
 def test_align_insufficient_overlap():
     with pytest.raises(InsufficientOverlap):
         align_min_rmse(np.zeros(10), np.zeros(10), max_lag=3, min_overlap=50)
-
-
-def test_cross_correlation_peak(rng):
-    z = np.sin(np.arange(600) * 0.11) + 0.1 * rng.normal(size=600)
-    ref = z[100:500]
-    other = z[93:493]
-    lag, corr = cross_correlation_peak(ref, other, max_lag=30)
-    assert lag == 7
-    assert corr > 0.99
 
 
 # --- compare_recordings ------------------------------------------------------------
