@@ -201,18 +201,17 @@ class ChannelSummary:
 
 
 def channel_summary(series: JointAngleSeries, channel: JointChannel) -> ChannelSummary:
-    """Mean, population standard deviation, and extrema over non-missing
-    samples of one channel.
+    """Mean, population standard deviation, and extrema over the finite
+    samples of one channel: NaN (missing) and +/-inf are left out.
 
-    Raises UnknownChannel if absent, EmptyChannel when every sample is
-    missing.
+    Raises UnknownChannel if absent, EmptyChannel when no sample is finite.
     """
     if channel not in series.channels:
         raise UnknownChannel(f"channel {channel.value} not present in series")
     values = series.channels[channel]
-    valid = values[~np.isnan(values)]
+    valid = values[np.isfinite(values)]
     if valid.size == 0:
-        raise EmptyChannel(f"channel {channel.value} has no valid samples")
+        raise EmptyChannel(f"channel {channel.value} has no finite samples")
     return ChannelSummary(
         mean=float(np.mean(valid)),
         std_dev=float(np.std(valid)),

@@ -85,11 +85,18 @@ def test_channel_summary_ignores_missing():
     assert s.mean == 2.0
 
 
+def test_channel_summary_ignores_infinite():
+    s = channel_summary(_series([1.0, math.inf, 3.0, -math.inf]), JointChannel.arm_flex_r)
+    assert (s.mean, s.std_dev, s.min, s.max) == (2.0, 1.0, 1.0, 3.0)
+
+
 def test_channel_summary_errors():
     with pytest.raises(UnknownChannel):
         channel_summary(_series([1.0]), JointChannel.arm_flex_l)
     with pytest.raises(EmptyChannel):
         channel_summary(_series([math.nan, math.nan]), JointChannel.arm_flex_r)
+    with pytest.raises(EmptyChannel):
+        channel_summary(_series([math.inf, math.nan, -math.inf]), JointChannel.arm_flex_r)
 
 
 def test_channel_summary_mean_within_extrema(rng):

@@ -157,6 +157,29 @@ def test_empty_timeline_rejected():
             None, "imu-csv", default_config())
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def test_channel_summaries_leave_out_infinite_samples():
+    """+/-inf is left out of a channel's summary like a missing sample, so
+    session.json holds no Infinity or NaN and building it warns nothing (the
+    RuntimeWarning gate fails the test otherwise). A channel with no finite
+    sample is skipped."""
+    series = _neutral_series(6)
+    series.channels[JointChannel.arm_flex_r][:] = [10.0, np.inf, 20.0, math.nan, -np.inf, 30.0]
+    series.channels[JointChannel.elbow_flex_l][:] = [np.inf, math.nan, -np.inf] * 2
+    report = build_session_report(score_timeline(series), series, "imu-csv", default_config())
+    doc = json.loads(emit_session_report(report, "structured"), parse_constant=_not_json)
+    assert doc["channel_summaries"]["arm_flex_r"] == {
+        "mean": 20.0, "std_dev": 8.165, "min": 10.0, "max": 30.0}
+    assert "elbow_flex_l" not in doc["channel_summaries"]
+    assert len(doc["channel_summaries"]) == len(JointChannel) - 1
+    rows = emit_session_report(report, "delimited").splitlines()
+    assert "arm_flex_r,20.000,8.165,10.000,30.000" in rows
+    assert not any(cell in ("inf", "-inf", "nan") for row in rows for cell in row.split(","))
+
+
 # --- plot data ------------------------------------------------------------------
 
 

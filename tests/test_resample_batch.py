@@ -5,14 +5,17 @@ that NaN positions and signed zeros count: the same grid, the same blend
 ``(1 - w) a + w b``, and the same copies where an output sample lands on an
 input sample. Inputs have random lengths, several channels, up-, down-,
 equal, rational and irrational rate changes, and cells that are NaN,
-+/-inf, -0.0 or 0.0.
++/-inf, -0.0 or 0.0. ``resample`` interpolates channels in a thread pool
+sized by the CPUs it may use; the pool tests patch that count.
 """
+import concurrent.futures
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ergokit import ingest
 from ergokit.errors import TooShort
 from ergokit.ingest import resample
 from ergokit.motion import CHANNEL_ORDER, JointAngleSeries
@@ -91,3 +94,55 @@ def test_rejections_equal_oracle(values, rate, target):
     series = JointAngleSeries(sample_rate=rate, start_time=0.0,
                               channels={CHANNEL_ORDER[0]: np.array(values)})
     assert _outcome(series, target, resample) == _outcome(series, target, resample_oracle)
+
+
+def _odd_twenty(n, rate, target, rng):
+    """All 20 channels of n samples at ``rate``, in a shuffled order. Each
+    holds NaN, +/-inf and -0.0 on input samples that an output sample at
+    ``target`` copies (grid hits) and on ones it blends (stencil
+    neighbours)."""
+    n_out = int(math.floor((n - 1) / rate * target + 1e-9)) + 1
+    pos = np.minimum(np.arange(n_out) / target * rate, n - 1)
+    exact = np.abs(pos - np.rint(pos)) <= 1e-9
+    hits = np.rint(pos[exact]).astype(int)
+    lo = np.minimum(np.floor(pos[~exact]).astype(int), n - 2)
+    neighbours = np.unique(np.r_[lo, lo + 1])
+    assert hits.size > 1 and neighbours.size > 1
+    odd = ODD[:4]  # NaN, inf, -inf, -0.0
+    channels = {}
+    for i in rng.permutation(len(CHANNEL_ORDER)):
+        x = 40.0 * rng.normal(size=n)
+        x[rng.choice(hits, size=8)] = odd[rng.integers(0, len(odd), size=8)]
+        x[rng.choice(neighbours, size=8)] = odd[rng.integers(0, len(odd), size=8)]
+        channels[CHANNEL_ORDER[i]] = x
+    return JointAngleSeries(sample_rate=rate, start_time=0.0, channels=channels)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("rate, target", [(100.0, 30.0), (30.0, 100.0), (100.0, 40.0)])
+def test_channel_pool_equals_oracle_in_input_order(monkeypatch, cpus, rate, target):
+    """Whatever the CPU count, every channel equals the oracle bit for bit
+    and the output keeps the input's channel order."""
+    workers = []
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(ingest, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    series = _odd_twenty(601, rate, target, np.random.default_rng(cpus))
+    out = resample(series, target)
+    assert workers == [cpus]
+    assert list(out.channels) == list(series.channels)
+    assert _outcome(series, target, lambda s, r: out) == \
+        _outcome(series, target, resample_oracle)
+
+
+def test_a_failing_channel_raises_in_the_caller():
+    series = _odd_twenty(601, 100.0, 30.0, np.random.default_rng(0))
+    last = list(series.channels)[-1]
+    series.channels[last] = series.channels[last][:10]  # too short for the stencil
+    with pytest.raises(IndexError):
+        resample(series, 30.0)
