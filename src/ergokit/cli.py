@@ -29,10 +29,10 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _load_series(path: str, kind: str, args) -> "ingest.JointAngleSeries":
-    data = Path(path).read_bytes()
     if kind == "imu-csv":
-        return ingest.parse_imu_joint_csv(data, args.imu_rate)
-    recording = ingest.parse_keypoint_stream(data, args.fps)
+        return ingest.parse_imu_joint_csv(Path(path).read_bytes(), args.imu_rate)
+    # The file's bytes go straight to the parse and are freed when it returns.
+    recording = ingest.parse_keypoint_stream(Path(path).read_bytes(), args.fps)
     defs = geometry.load_angle_definitions(args.angle_defs)
     return geometry.compute_angle_series(recording, defs)
 

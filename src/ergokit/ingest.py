@@ -37,7 +37,9 @@ Keypoint stream (JSON lines)
     time, coordinate or known-label confidence is a JSON number: a string
     such as ``"3"`` or a boolean is a MalformedRecord. Irregular timestamps
     (a skipped frame, a stall) are rejected with IrregularTimestamps when
-    the sample rate is inferred.
+    the sample rate is inferred. The stream is decoded a chunk of whole lines
+    (about 64 kB) at a time, and each frame's values go to flat float
+    buffers: the parse holds the input plus 8 bytes per value.
 
 Annotation CSV
     Header ``t0,t1,arm_muscle,arm_force,neck_muscle,neck_force,legs``,
@@ -75,6 +77,7 @@ from .motion import (
     CHANNEL_ORDER,
     FLAG_RANGES,
     LANDMARK_INDEX,
+    MAX_ABS_ANGLE,
     uniform_grid,
 )
 
@@ -129,10 +132,6 @@ def read_config_json(path: str | None, shipped: str = "rula_default.json"):
 
 
 # --- IMU joint-angle CSV ------------------------------------------------------
-
-#: A channel cell of larger magnitude (degrees) is no angle: a missing sample.
-MAX_ABS_ANGLE = 1e6
-
 
 def parse_imu_joint_csv(data: bytes | str, declared_rate: float = 100.0) -> JointAngleSeries:
     """Parse a joint-angle CSV export into a JointAngleSeries.
@@ -370,16 +369,17 @@ def parse_keypoint_stream(data: bytes | str, frame_rate: float = 30.0) -> Keypoi
     """
     if not (frame_rate > 0):
         raise ValueError("frame_rate must be > 0")
-    text = _as_text(_without_bom(data))
-    if not text.strip():
-        raise EmptyFile("no content")
+    from array import array  # a shared library: loaded here, not at every start-up
+    if isinstance(data, bytes) and not data.isascii():
+        for _ in _line_chunks(data):  # invalid UTF-8 anywhere fails before any record
+            pass
     # Offset of each landmark label's triplet in a frame's flat row.
     column = {lm.value: 3 * i for lm, i in LANDMARK_INDEX.items()}
     empty_row = [math.nan] * (3 * len(LANDMARK_INDEX))
-    times: list[float] = []
-    rows: list[list[float]] = []
+    times, flat = array("d"), array("d")  # per frame: its time, its row
     prev_t = -math.inf
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    lines = (line for chunk in map(str.splitlines, _line_chunks(data)) for line in chunk)
+    for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
@@ -439,12 +439,28 @@ def parse_keypoint_stream(data: bytes | str, frame_rate: float = 30.0) -> Keypoi
                 raise MalformedRecord(
                     f"confidence {c!r} for {label!r} is not a number in [0, 1]", line_no)
         times.append(t)
-        rows.append(row)
+        flat.fromlist(row)
 
-    positions = np.array(rows).reshape(len(rows), len(LANDMARK_INDEX), 3)
+    if not times:
+        raise EmptyFile("no content")
+    positions = np.frombuffer(flat).reshape(len(times), len(LANDMARK_INDEX), 3)
     # The tracker lost a landmark with a non-finite coordinate: absent.
     positions[~np.isfinite(positions).all(axis=2)] = np.nan
-    return KeypointRecording(times=np.array(times), positions=positions)
+    return KeypointRecording(times=np.frombuffer(times), positions=positions)
+
+
+_LINE_CHUNK = 1 << 16  # keypoint lines are decoded about this many bytes at a time
+
+
+def _line_chunks(data: bytes | str):
+    """``data`` less a leading byte-order mark, decoded in chunks that each end
+    just after a line feed (which no UTF-8 sequence holds) or at the end."""
+    bom, nl = (b"\xef\xbb\xbf", b"\n") if isinstance(data, bytes) else ("\ufeff", "\n")
+    start = len(bom) if data.startswith(bom) else 0
+    while start < len(data):
+        end = data.find(nl, start + _LINE_CHUNK - 1) + 1 or len(data)
+        yield _as_text(data[start:end])
+        start = end
 
 
 def format_keypoint_stream(recording: KeypointRecording) -> str:

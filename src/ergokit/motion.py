@@ -93,6 +93,8 @@ class JointChannel(str, Enum):
 
 #: Stable channel ordering used by reports and serializers.
 CHANNEL_ORDER: tuple[JointChannel, ...] = tuple(JointChannel)
+#: A channel sample of larger magnitude (degrees) is no angle: a missing sample.
+MAX_ABS_ANGLE = 1e6
 
 
 class Side(str, Enum):
@@ -201,17 +203,19 @@ class ChannelSummary:
 
 
 def channel_summary(series: JointAngleSeries, channel: JointChannel) -> ChannelSummary:
-    """Mean, population standard deviation, and extrema over the finite
-    samples of one channel: NaN (missing) and +/-inf are left out.
+    """Mean, population standard deviation, and extrema of one channel: NaN
+    (missing), +/-inf and samples beyond +/-MAX_ABS_ANGLE are left out.
 
-    Raises UnknownChannel if absent, EmptyChannel when no sample is finite.
+    Raises UnknownChannel if absent, EmptyChannel when no sample is left.
     """
     if channel not in series.channels:
         raise UnknownChannel(f"channel {channel.value} not present in series")
     values = series.channels[channel]
-    valid = values[np.isfinite(values)]
+    kept = values >= -MAX_ABS_ANGLE  # False for NaN
+    kept &= values <= MAX_ABS_ANGLE  # in place: no float temporary
+    valid = values[kept]
     if valid.size == 0:
-        raise EmptyChannel(f"channel {channel.value} has no finite samples")
+        raise EmptyChannel(f"channel {channel.value} has no sample within +/-{MAX_ABS_ANGLE:g}")
     return ChannelSummary(
         mean=float(np.mean(valid)),
         std_dev=float(np.std(valid)),

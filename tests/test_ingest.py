@@ -1,12 +1,17 @@
 import json
 import math
+import tracemalloc
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ergokit import ingest
 from ergokit.errors import (
     EmptyFile,
+    EncodingError,
     ErgokitError,
     InvalidForceValue,
     IrregularTimestamps,
@@ -32,9 +37,10 @@ from ergokit.motion import (
     JointChannel,
     Landmark,
 )
-from ergokit.synthetic import NEUTRAL_POSITIONS, posed_recording
+from ergokit.synthetic import NEUTRAL_POSITIONS, posed_recording, work_cycle_recording
 
-from recordings import format_annotations
+from keypoint_oracle import parse_keypoint_stream_oracle
+from recordings import format_annotations, random_rotation, transform_recording
 
 
 def test_parse_imu_csv_direct():
@@ -444,9 +450,9 @@ _JSON_TOKENS = [b"[", b"]", b"{", b"}", b'"', b",", b":", b"\n", b" ", b"null", 
 
 
 @st.composite
-def _mutated_stream(draw):
-    data = bytearray(_VALID_STREAM)
-    for _ in range(draw(st.integers(1, 6))):
+def _mutated_stream(draw, base=_VALID_STREAM, min_edits=1):
+    data = bytearray(base)
+    for _ in range(draw(st.integers(min_edits, 6))):
         at = draw(st.integers(0, len(data)))
         if draw(st.booleans()) and at < len(data):
             del data[at:at + draw(st.integers(1, 8))]
@@ -463,3 +469,94 @@ def test_keypoint_stream_raises_only_ergokit_errors(data):
         parse_keypoint_stream(data)
     except ErgokitError:
         pass
+
+
+# --- keypoint stream against the whole-text oracle ------------------------------
+
+# Frame 2 lacks its nose; every line is longer than the chunks patched in below.
+_FRAMES = posed_recording(np.arange(5) / 30, elbow_r=[0, 10, 20, 30, 40])
+_FRAMES.positions[2, LANDMARK_INDEX[Landmark.nose]] = np.nan
+_FRAME_LINES = format_keypoint_stream(_FRAMES).splitlines()
+# LF, CRLF, CR, NEL and LINE SEPARATOR all end a line for str.splitlines.
+_BREAKS = ["\n", "\n", "\r\n", "\r", "\x85", "\u2028"]
+_BLANKS = ["", " ", "\t", "\x0c"]
+
+
+@st.composite
+def _broken_lines(draw):
+    """The frame lines, each ended by one of ``_BREAKS``, with blank lines
+    between, behind a byte-order mark or not, maybe a last line that is not
+    UTF-8, and then up to six byte edits of ``_mutated_stream``."""
+    text = BOM if draw(st.booleans()) else ""
+    for line in _FRAME_LINES[:draw(st.integers(0, len(_FRAME_LINES)))]:
+        if draw(st.integers(0, 3)) == 0:
+            text += draw(st.sampled_from(_BLANKS)) + draw(st.sampled_from(_BREAKS))
+        text += line + draw(st.sampled_from(_BREAKS))
+    tail = draw(st.sampled_from([b"", b"", b"\xff\n", b"{\xe2\x82"]))
+    return draw(_mutated_stream(text.encode() + tail, min_edits=0))
+
+
+def _keypoint_outcome(parse, data):
+    try:
+        recording = parse(data)
+    except ErgokitError as exc:
+        return type(exc).__name__, str(exc)
+    return recording.times.view(np.uint64).tolist(), recording.positions.view(np.uint64).tolist()
+
+
+def test_keypoint_stream_equals_oracle():
+    """Bit for bit (NaN included) the same recording as the whole-text
+    oracle, or an error of the same type and message, on bytes and on str,
+    with chunks of 1, 7 and 64 bytes. Recordings, encoding errors and
+    record errors are all reached."""
+    seen = Counter()
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(data=st.one_of(_mutated_stream(), _broken_lines()),
+           chunk=st.sampled_from([1, 7, 64]), as_text=st.booleans())
+    def check(data, chunk, as_text):
+        if as_text and data.isascii():
+            data = data.decode()
+        with mock.patch.object(ingest, "_LINE_CHUNK", chunk):
+            outcome = _keypoint_outcome(parse_keypoint_stream, data)
+        assert outcome == _keypoint_outcome(parse_keypoint_stream_oracle, data)
+        seen[outcome[0] if isinstance(outcome[0], str) else "recording"] += 1
+
+    check()
+    assert seen["recording"] > 0 and seen["EncodingError"] > 0 and seen["MalformedRecord"] > 0
+
+
+@pytest.mark.parametrize("chunk", [1, 64, ingest._LINE_CHUNK])
+def test_keypoint_lines_are_numbered_across_chunks(chunk):
+    """Every break str.splitlines knows ends a line, wherever a chunk ends."""
+    data = (BOM + _FRAME_LINES[0] + "\u2028\r\n" + _FRAME_LINES[1] + "\x85 \r"
+            + _FRAME_LINES[2] + "\n{\n").encode()
+    with mock.patch.object(ingest, "_LINE_CHUNK", chunk):
+        with pytest.raises(MalformedRecord, match="^line 6: invalid JSON"):
+            parse_keypoint_stream(data)
+        assert len(parse_keypoint_stream(data[:-2])) == 3
+
+
+def test_invalid_utf8_anywhere_fails_before_any_record():
+    data = b"not json\n" + _VALID_STREAM + b"\xe2\x82"
+    for chunk in (1, 64, ingest._LINE_CHUNK):
+        with mock.patch.object(ingest, "_LINE_CHUNK", chunk):
+            with pytest.raises(EncodingError, match="unexpected end of data"):
+                parse_keypoint_stream(data)
+
+
+def test_keypoint_parse_holds_its_input_plus_the_values():
+    """A tracker's stream in a camera frame: about 1.6 kB a line against
+    480 bytes of values. The parse holds the values and a few chunks of text
+    beside its input; the whole-text parse held about three times the input."""
+    camera = transform_recording(work_cycle_recording(n_frames=3000),
+                                 random_rotation(np.random.default_rng(18)), [0.4, -0.2, 3.0])
+    data = format_keypoint_stream(camera).encode()
+    tracemalloc.start()
+    try:
+        parsed = parse_keypoint_stream(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(parsed) == 3000
+    assert peak <= 0.4 * len(data) + 4 * ingest._LINE_CHUNK

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ergokit.motion import (
     AnnotationTrack,
     JointAngleSeries,
     JointChannel,
+    MAX_ABS_ANGLE,
     Side,
     channel_side,
     channel_summary,
@@ -88,6 +90,20 @@ def test_channel_summary_ignores_missing():
 def test_channel_summary_ignores_infinite():
     s = channel_summary(_series([1.0, math.inf, 3.0, -math.inf]), JointChannel.arm_flex_r)
     assert (s.mean, s.std_dev, s.min, s.max) == (2.0, 1.0, 1.0, 3.0)
+
+
+def test_channel_summary_leaves_out_samples_beyond_max_abs_angle():
+    """Squares of samples near 1e200 overflow; like the CSV reader, the
+    summary takes them for missing. +/-MAX_ABS_ANGLE itself is a sample."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = channel_summary(_series([1e200, -1e200, 0.0]), JointChannel.arm_flex_r)
+        edge = channel_summary(_series([-MAX_ABS_ANGLE, 1e7, MAX_ABS_ANGLE]),
+                               JointChannel.arm_flex_r)
+    assert (s.mean, s.std_dev, s.min, s.max) == (0.0, 0.0, 0.0, 0.0)
+    assert (edge.mean, edge.std_dev, edge.min, edge.max) == (0.0, 1e6, -1e6, 1e6)
+    with pytest.raises(EmptyChannel):
+        channel_summary(_series([1e200, -1e7]), JointChannel.arm_flex_r)
 
 
 def test_channel_summary_errors():

@@ -180,6 +180,18 @@ def test_channel_summaries_leave_out_infinite_samples():
     assert not any(cell in ("inf", "-inf", "nan") for row in rows for cell in row.split(","))
 
 
+def test_channel_summaries_leave_out_samples_beyond_max_abs_angle():
+    """A library series holding 1e200 squares to inf in a standard
+    deviation: such samples are left out, so session.json holds no Infinity
+    and building it warns nothing."""
+    series = _neutral_series(6)
+    series.channels[JointChannel.arm_flex_r][:] = [1e200, -1e200, 0.0, 10.0, 1e7, -1e7]
+    report = build_session_report(score_timeline(series), series, "imu-csv", default_config())
+    doc = json.loads(emit_session_report(report, "structured"), parse_constant=_not_json)
+    assert doc["channel_summaries"]["arm_flex_r"] == {
+        "mean": 5.0, "std_dev": 5.0, "min": 0.0, "max": 10.0}
+
+
 # --- plot data ------------------------------------------------------------------
 
 
