@@ -149,14 +149,15 @@ def parse_imu_joint_csv(data: bytes | str, declared_rate: float = 100.0) -> Join
     """
     if not (declared_rate > 0):
         raise ValueError("declared_rate must be > 0")
-    data = _without_bom(data)
     rows = io.BytesIO(data) if isinstance(data, bytes) else io.StringIO(data)
+    head = data[:3]
+    rows.seek(len(head) - len(_without_bom(head)))  # past a byte-order mark, uncopied
     reader = csv.reader(map(_as_text, rows))
     try:
         header = next(reader, [])
     except csv.Error as exc:
         raise MalformedRecord(str(exc), reader.line_num) from None
-    if not any(h.strip() for h in header) and not _as_text(data).strip():
+    if not any(h.strip() for h in header) and not _as_text(_without_bom(data)).strip():
         raise EmptyFile("no content")
     header = [h.strip() for h in header]
     if any(not h for h in header):
@@ -201,7 +202,7 @@ def parse_imu_joint_csv(data: bytes | str, declared_rate: float = 100.0) -> Join
 
 
 # Body chunks are whole rows, about this many bytes (characters) each.
-_CHUNK = 1 << 20
+_CHUNK = 1 << 17
 # The code points past ASCII that str.strip() removes.
 _WIDE_WHITESPACE = [0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F,
                     0x205F, 0x3000]
@@ -545,6 +546,9 @@ def resample(series: JointAngleSeries, target_rate: float) -> JointAngleSeries:
     set, so ``taskset`` limits it), up to one per channel. Each channel
     runs the same arithmetic whatever the thread count, so the output is
     bit-identical to a one-thread run, with the channels in input order.
+    The output channels are the rows of one block allocated in the calling
+    thread and filled in place: freeing it later leaves the heap warm for the
+    lag search's buffers, which outputs allocated in the workers did not.
     """
     if not (target_rate > 0):
         raise ValueError("target_rate must be > 0")
@@ -571,12 +575,16 @@ def resample(series: JointAngleSeries, target_rate: float) -> JointAngleSeries:
     w = pos - lo
     hi, w_lo = lo + 1, 1.0 - w
 
-    def blend(x: np.ndarray) -> np.ndarray:
+    def blend(x: np.ndarray, row: np.ndarray) -> None:
+        if x.shape != (n_in,):  # mode="clip" below must never clamp an index
+            raise IndexError(f"channel of shape {x.shape}, expected ({n_in},)")
         with np.errstate(invalid="ignore"):  # 0 * inf at a hit; the scatter overwrites it
-            y = x[lo] * w_lo
-            y += x[hi] * w
-        y[hit] = x[src]
-        return y
+            np.take(x, lo, out=row, mode="clip")
+            row *= w_lo
+            t = np.take(x, hi, mode="clip")
+            t *= w
+            row += t
+        row[hit] = x[src]
 
     # numpy's gathers and ufuncs release the GIL, so channels overlap their
     # cache misses. Imported here: at module load it would add 6-9 ms to
@@ -584,12 +592,13 @@ def resample(series: JointAngleSeries, target_rate: float) -> JointAngleSeries:
     from concurrent.futures import ThreadPoolExecutor
 
     channels = series.channels
+    block = np.empty((len(channels), n_out))
     with ThreadPoolExecutor(max_workers=min(len(channels), _usable_cpus())) as pool:
-        out = dict(zip(channels, pool.map(blend, channels.values())))
+        list(pool.map(blend, channels.values(), block))
 
     return JointAngleSeries(
         sample_rate=target_rate,
         start_time=series.start_time,
-        channels=out,
+        channels=dict(zip(channels, block)),
         unparseable_cells=series.unparseable_cells,
     )

@@ -6,7 +6,8 @@ that NaN positions and signed zeros count: the same grid, the same blend
 input sample. Inputs have random lengths, several channels, up-, down-,
 equal, rational and irrational rate changes, and cells that are NaN,
 +/-inf, -0.0 or 0.0. ``resample`` interpolates channels in a thread pool
-sized by the CPUs it may use; the pool tests patch that count.
+sized by the CPUs it may use, into the rows of one output block; the pool
+tests patch that count.
 """
 import concurrent.futures
 import math
@@ -144,5 +145,39 @@ def test_a_failing_channel_raises_in_the_caller():
     series = _odd_twenty(601, 100.0, 30.0, np.random.default_rng(0))
     last = list(series.channels)[-1]
     series.channels[last] = series.channels[last][:10]  # too short for the stencil
+    with pytest.raises(IndexError):
+        resample(series, 30.0)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_strided_channels_equal_oracle(monkeypatch, cpus):
+    """Channels that are the columns of one (N, 20) array, so each is a
+    strided view, equal the oracle bit for bit, -0.0 included."""
+    monkeypatch.setattr(ingest, "_usable_cpus", lambda: cpus)
+    twenty = _odd_twenty(601, 100.0, 30.0, np.random.default_rng(10 + cpus))
+    grid = np.column_stack(list(twenty.channels.values()))
+    series = JointAngleSeries(sample_rate=100.0, start_time=0.0,
+                              channels={ch: grid[:, i] for i, ch in enumerate(twenty.channels)})
+    assert all(not x.flags.c_contiguous for x in series.channels.values())
+    assert any(np.signbit(x[x == 0]).any() for x in series.channels.values())
+    assert _outcome(series, 30.0, resample) == _outcome(series, 30.0, resample_oracle)
+
+
+def test_output_channels_are_rows_of_one_block():
+    series = _odd_twenty(601, 100.0, 30.0, np.random.default_rng(1))
+    out = resample(series, 30.0)
+    block = out.channels[CHANNEL_ORDER[0]].base
+    assert block.flags.c_contiguous and block.dtype == np.float64
+    assert block.shape == (20, out.length)
+    for row, x in zip(block, out.channels.values()):
+        assert x.base is block and x.ctypes.data == row.ctypes.data
+
+
+def test_a_too_long_channel_raises_in_the_caller():
+    """A channel lengthened after the series was built is refused, not read
+    in part."""
+    series = _odd_twenty(601, 100.0, 30.0, np.random.default_rng(0))
+    last = list(series.channels)[-1]
+    series.channels[last] = np.r_[series.channels[last], 1.0, 2.0]
     with pytest.raises(IndexError):
         resample(series, 30.0)
