@@ -13,7 +13,10 @@ of M samples, and rescores exactly the lags that rounding could make best.
 A sample is valid when it is finite: NaN and +/-inf are both missing.
 Missing samples are excluded pairwise per channel; a channel with less
 than half of its overlap valid is reported unavailable rather than
-silently dropped.
+silently dropped. The means that r needs also decide validity: when both
+sides' means are finite, so is every sample, and no mask is built. The
+channels are scored concurrently, with einsum, not BLAS, so no statistic
+depends on the BLAS build or its thread count.
 
 One ``ComparisonReport`` holds n >= 1 runs: ``compare_recordings`` returns
 one run, and ``summarize_runs`` joins runs that share a sample rate, a
@@ -37,6 +40,7 @@ from .errors import (
     SampleRateMismatch,
     ZeroVariance,
 )
+from .ingest import _pool_size
 from .motion import CHANNEL_ORDER, JointAngleSeries, JointChannel
 
 #: Channels with less than this fraction of valid pairs in the aligned
@@ -52,44 +56,48 @@ DEFAULT_REFERENCE_CHANNEL = JointChannel.arm_flex_r
 ZERO_VARIANCE_STD = 1e-9
 
 
-def _valid_pairs(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """``a`` and ``b`` as flat float arrays of the pairs where both samples
-    are finite: the inputs themselves, flattened, when every pair is."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+def _valid_pairs(a, b):
+    """``a`` and ``b`` flattened to the pairs where both samples are finite,
+    with both sides' means, or None for them when a mask picked the pairs."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise LengthMismatch(f"lengths {a.shape} vs {b.shape}")
+    a, b = a.reshape(-1), b.reshape(-1)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf; a sum past the float range
+        means = (np.mean(a), np.mean(b)) if a.size else (math.nan, math.nan)
+    if math.isfinite(means[0]) and math.isfinite(means[1]):
+        return a, b, means
     valid = np.isfinite(a) & np.isfinite(b)
-    if valid.all():
-        return a.ravel(), b.ravel()
-    return a[valid], b[valid]
+    return a[valid], b[valid], None
 
 
-def _rmse(a: np.ndarray, b: np.ndarray) -> float:
+def _rmse(a: np.ndarray, b: np.ndarray, d: np.ndarray | None = None) -> float:
     if not a.size:
         raise NoValidPairs("no pair has both samples valid")
-    d = a - b
+    d = np.subtract(a, b, out=d)
     d *= d
     return float(np.sqrt(np.mean(d)))
 
 
-def _pearson(a: np.ndarray, b: np.ndarray) -> float:
+def _pearson(a: np.ndarray, b: np.ndarray, means=None, rows=(None, None)) -> float:
+    """r of finite pairs and ``means`` from ``_valid_pairs``, in two scratch ``rows``."""
     n = a.size
     if n < 2:
         raise NoValidPairs("need at least 2 valid pairs")
-    da = a - np.mean(a)
-    db = b - np.mean(b)
-    ssa = float(np.dot(da, da))
-    ssb = float(np.dot(db, db))
+    ma, mb = means or (np.mean(a), np.mean(b))
+    da = np.subtract(a, ma, out=rows[0])
+    db = np.subtract(b, mb, out=rows[1])
+    ssa = float(np.einsum("i,i->", da, da))
+    ssb = float(np.einsum("i,i->", db, db))
     if math.sqrt(min(ssa, ssb) / n) < ZERO_VARIANCE_STD:
         raise ZeroVariance(f"standard deviation below {ZERO_VARIANCE_STD} deg")
-    r = float(np.dot(da, db)) / math.sqrt(ssa * ssb)
+    r = float(np.einsum("i,i->", da, db)) / math.sqrt(ssa * ssb)
     return min(1.0, max(-1.0, r))
 
 
 def rmse(a, b) -> float:
     """Root mean square difference over pairs where both samples are finite."""
-    return _rmse(*_valid_pairs(a, b))
+    return _rmse(*_valid_pairs(a, b)[:2])
 
 
 def pearson_correlation(a, b) -> float:
@@ -275,37 +283,45 @@ def compare_recordings(a: JointAngleSeries, b: JointAngleSeries,
         raise ReferenceChannelMissing(
             f"reference channel {reference_channel.value} absent from an input"
         )
-    alignment = align_min_rmse(
+    lag = align_min_rmse(
         a.channels[reference_channel], b.channels[reference_channel],
         max_lag=max_lag, min_overlap=min_overlap,
-    )
-    lag = alignment.lag
+    ).lag
 
     i0, i1 = _overlap_slices(a.length, b.length, lag)
     overlap = i1 - i0
-    results: dict[JointChannel, ChannelComparison] = {}
-    for ch in _ordered_channels(set(a.channels) | set(b.channels)):
-        value = corr = None
-        fraction, note = 0.0, ""
-        if ch not in a.channels or ch not in b.channels:
-            note = f"missing in {'first' if ch not in a.channels else 'second'} recording"
-        else:
-            xa, xb = _valid_pairs(a.channels[ch][i0:i1], b.channels[ch][i0 + lag:i1 + lag])
-            fraction = xa.size / overlap if overlap else 0.0
-            if fraction < MIN_VALID_FRACTION:
-                note = f"only {fraction:.2f} of the overlap valid"
-            else:
-                value = _rmse(xa, xb)
-                try:
-                    corr = _pearson(xa, xb)
-                except ZeroVariance:
-                    note = "zero variance"
-        results[ch] = ChannelComparison((value,), (corr,), (fraction,), (note,))
+    names = _ordered_channels(set(a.channels) | set(b.channels))
+    workers = _pool_size(len(names))
+    scratch = np.empty((workers, 2, overlap))  # here, not in the workers: keeps the heap warm for the FFTs
+    results: list[ChannelComparison | None] = [None] * len(names)
 
-    return ComparisonReport(
-        lags=(lag,), sample_rate=rate,
-        reference_channel=reference_channel, channels=results,
-    )
+    def score(k: int) -> None:  # names[k::workers] in scratch[k], up to one that raises
+        for j in range(k, len(names), workers):
+            ch, value, corr, fraction, note = names[j], None, None, 0.0, ""
+            if ch not in a.channels or ch not in b.channels:
+                note = f"missing in {'first' if ch not in a.channels else 'second'} recording"
+            else:
+                xa, xb, means = _valid_pairs(a.channels[ch][i0:i1], b.channels[ch][i0 + lag:i1 + lag])
+                fraction = xa.size / overlap if overlap else 0.0
+                if fraction < MIN_VALID_FRACTION:
+                    note = f"only {fraction:.2f} of the overlap valid"
+                else:
+                    rows = scratch[k, :, :xa.size]
+                    value = _rmse(xa, xb, rows[0])
+                    try:
+                        corr = _pearson(xa, xb, means, rows)
+                    except ZeroVariance:
+                        note = "zero variance"
+            results[j] = ChannelComparison((value,), (corr,), (fraction,), (note,))
+
+    from concurrent.futures import ThreadPoolExecutor  # here: at module load it slows start-up
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        runs = [pool.submit(score, k) for k in range(workers)]
+    for j, result in enumerate(results):
+        if result is None:  # the first channel its worker raised on
+            runs[j % workers].result()
+    return ComparisonReport(lags=(lag,), sample_rate=rate, reference_channel=reference_channel,
+                            channels=dict(zip(names, results)))
 
 
 def summarize_runs(reports) -> ComparisonReport:

@@ -531,6 +531,10 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _pool_size(tasks: int) -> int:  # threads: one per usable CPU, at most one per task
+    return min(tasks, _usable_cpus())
+
+
 def resample(series: JointAngleSeries, target_rate: float) -> JointAngleSeries:
     """Linearly interpolate a series onto a uniform grid at ``target_rate``.
 
@@ -593,7 +597,7 @@ def resample(series: JointAngleSeries, target_rate: float) -> JointAngleSeries:
 
     channels = series.channels
     block = np.empty((len(channels), n_out))
-    with ThreadPoolExecutor(max_workers=min(len(channels), _usable_cpus())) as pool:
+    with ThreadPoolExecutor(max_workers=_pool_size(len(channels))) as pool:
         list(pool.map(blend, channels.values(), block))
 
     return JointAngleSeries(

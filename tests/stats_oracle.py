@@ -2,11 +2,18 @@
 
 These are ``rmse``, ``pearson_correlation`` and the body of
 ``compare_recordings``' channel loop as they were before one validity pass
-per channel pair fed both statistics, kept unchanged as an independent
-oracle: each function builds its own ``isfinite`` mask and indexes the
-arrays with it. Tests compare the library against the functions here bit
-for bit, and ``align_oracle``'s loops score each lag with them. A channel's
-outcome is a plain ``ChannelStats`` record, not the library's type.
+per channel pair fed both statistics, and before the library let the
+means decide validity and scored the channels in a thread pool, kept as
+an independent oracle: each function builds its own ``isfinite`` mask and
+indexes the arrays with it, serially. Tests compare the library against
+the functions here bit for bit, and ``align_oracle``'s loops score each
+lag with them. A channel's outcome is a plain ``ChannelStats`` record, not
+the library's type.
+
+The only change since: the three inner products of r are
+``np.einsum("i,i->", x, y)``, as in the library, not ``np.dot``. A BLAS
+``ddot`` may split a long product across threads, so its bits changed
+with the OpenBLAS thread count; einsum's loop is the same whatever it is.
 """
 from __future__ import annotations
 
@@ -55,11 +62,11 @@ def pearson_correlation(a, b) -> float:
         raise NoValidPairs("need at least 2 valid pairs")
     da = a[valid] - np.mean(a[valid])
     db = b[valid] - np.mean(b[valid])
-    ssa = float(np.dot(da, da))
-    ssb = float(np.dot(db, db))
+    ssa = float(np.einsum("i,i->", da, da))
+    ssb = float(np.einsum("i,i->", db, db))
     if math.sqrt(min(ssa, ssb) / n) < ZERO_VARIANCE_STD:
         raise ZeroVariance(f"standard deviation below {ZERO_VARIANCE_STD} deg")
-    r = float(np.dot(da, db)) / math.sqrt(ssa * ssb)
+    r = float(np.einsum("i,i->", da, db)) / math.sqrt(ssa * ssb)
     return min(1.0, max(-1.0, r))
 
 
