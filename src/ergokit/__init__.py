@@ -33,8 +33,6 @@ from .geometry import (
     default_angle_definitions,
     load_angle_definitions,
     neck_baseline,
-    signed_plane_angle,
-    vector_angle,
 )
 from .rula import (
     RiskBand,
@@ -45,7 +43,6 @@ from .rula import (
     load_rula_config,
     risk_band,
     score_frame,
-    score_range,
     score_timeline,
     table_a,
     table_b,

@@ -40,7 +40,7 @@ from .errors import (
     SampleRateMismatch,
     ZeroVariance,
 )
-from .ingest import _pool_size
+from .ingest import _pool_size, _striped
 from .motion import CHANNEL_ORDER, JointAngleSeries, JointChannel
 
 #: Channels with less than this fraction of valid pairs in the aligned
@@ -269,7 +269,9 @@ def compare_recordings(a: JointAngleSeries, b: JointAngleSeries,
     """Compare two recordings of the same task at a common sample rate.
 
     The global lag comes from ``reference_channel``; every channel is then
-    scored on the aligned overlap.
+    scored on the aligned overlap, channels k, k + threads, ... in thread k
+    (``ingest._striped``), in its two rows of one scratch block allocated
+    first. The report and any error equal a serial loop's over ``CHANNEL_ORDER``.
     """
     if not math.isclose(a.sample_rate, b.sample_rate, rel_tol=1e-9):
         raise SampleRateMismatch(
@@ -295,31 +297,27 @@ def compare_recordings(a: JointAngleSeries, b: JointAngleSeries,
     scratch = np.empty((workers, 2, overlap))  # here, not in the workers: keeps the heap warm for the FFTs
     results: list[ChannelComparison | None] = [None] * len(names)
 
-    def score(k: int) -> None:  # names[k::workers] in scratch[k], up to one that raises
-        for j in range(k, len(names), workers):
-            ch, value, corr, fraction, note = names[j], None, None, 0.0, ""
-            if ch not in a.channels or ch not in b.channels:
-                note = f"missing in {'first' if ch not in a.channels else 'second'} recording"
+    def score(k: int, j: int) -> None:  # names[j] in scratch[k]
+        ch, value, corr, fraction, note = names[j], None, None, 0.0, ""
+        if ch not in a.channels or ch not in b.channels:
+            note = f"missing in {'first' if ch not in a.channels else 'second'} recording"
+        else:
+            xa, xb, means = _valid_pairs(a.channels[ch][i0:i1], b.channels[ch][i0 + lag:i1 + lag])
+            fraction = xa.size / overlap if overlap else 0.0
+            if fraction < MIN_VALID_FRACTION:
+                note = f"only {fraction:.2f} of the overlap valid"
             else:
-                xa, xb, means = _valid_pairs(a.channels[ch][i0:i1], b.channels[ch][i0 + lag:i1 + lag])
-                fraction = xa.size / overlap if overlap else 0.0
-                if fraction < MIN_VALID_FRACTION:
-                    note = f"only {fraction:.2f} of the overlap valid"
-                else:
-                    rows = scratch[k, :, :xa.size]
-                    value = _rmse(xa, xb, rows[0])
-                    try:
-                        corr = _pearson(xa, xb, means, rows)
-                    except ZeroVariance:
-                        note = "zero variance"
-            results[j] = ChannelComparison((value,), (corr,), (fraction,), (note,))
+                rows = scratch[k, :, :xa.size]
+                value = _rmse(xa, xb, rows[0])
+                try:
+                    corr = _pearson(xa, xb, means, rows)
+                except ZeroVariance:
+                    note = "zero variance"
+                except NoValidPairs:  # one valid pair, in an overlap of 1 or 2
+                    note = "only 1 valid pair"
+        results[j] = ChannelComparison((value,), (corr,), (fraction,), (note,))
 
-    from concurrent.futures import ThreadPoolExecutor  # here: at module load it slows start-up
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        runs = [pool.submit(score, k) for k in range(workers)]
-    for j, result in enumerate(results):
-        if result is None:  # the first channel its worker raised on
-            runs[j % workers].result()
+    _striped(score, len(names), workers)
     return ComparisonReport(lags=(lag,), sample_rate=rate, reference_channel=reference_channel,
                             channels=dict(zip(names, results)))
 

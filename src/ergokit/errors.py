@@ -71,23 +71,11 @@ class InvalidForceValue(ErgokitError):
 
 # --- geometry errors --------------------------------------------------------
 
-class DegenerateVector(ErgokitError):
-    pass
-
-
-class DegenerateProjection(ErgokitError):
-    pass
-
-
 class NoCompleteFrames(ErgokitError):
     pass
 
 
 # --- scoring errors ---------------------------------------------------------
-
-class UnknownJoint(ErgokitError):
-    pass
-
 
 class OutOfRangeIndex(ErgokitError):
     pass

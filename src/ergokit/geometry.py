@@ -37,12 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DegenerateProjection,
-    DegenerateVector,
-    NoCompleteFrames,
-)
+from .errors import ConfigError, NoCompleteFrames
 from .ingest import read_config_json
 from .motion import (
     LANDMARK_INDEX,
@@ -75,7 +70,7 @@ _AXIS_NAMES = (*_OPPOSITE_AXES.values(), *_OPPOSITE_AXES)
 
 
 # --- vector kernels ---------------------------------------------------------------
-# Over (..., 3) arrays, giving (...): NaN where the scalar forms below raise.
+# Over (..., 3) arrays, giving (...): NaN where a vector or projection is no longer than EPSILON.
 
 
 def _dot(a, b):
@@ -87,12 +82,19 @@ def _norm(a):
 
 
 def _vector_angles(a, b):
+    """Unsigned angle between two vectors, degrees in [0, 180], as
+    atan2(|a x b|, a . b): it equals the arccos of the clamped cosine but
+    stays well-conditioned at 0 and 180 degrees, where the arccos form
+    amplifies rounding into microdegrees."""
     angle = np.degrees(np.arctan2(_norm(np.cross(a, b)), _dot(a, b)))
     return np.where((_norm(a) > EPSILON) & (_norm(b) > EPSILON), angle, np.nan)
 
 
 @np.errstate(invalid="ignore", divide="ignore")
 def _plane_angles(u, v, plane_normal):
+    """Signed angle from u to v after projecting both onto the plane
+    orthogonal to plane_normal, degrees in (-180, 180]: positive when the
+    rotation from u to v follows the right-hand rule about plane_normal."""
     nn = _norm(plane_normal)
     n = plane_normal / nn[..., None]
     up = u - _dot(u, n)[..., None] * n
@@ -101,38 +103,6 @@ def _plane_angles(u, v, plane_normal):
     angle = np.where(angle <= -180.0, 180.0, angle)
     ok = (nn > EPSILON) & (_norm(up) > EPSILON) & (_norm(vp) > EPSILON)
     return np.where(ok, angle, np.nan)
-
-
-def vector_angle(a: Vec3, b: Vec3) -> float:
-    """Unsigned angle between two vectors, degrees in [0, 180].
-
-    Computed as atan2(|a x b|, a . b), which equals the arccos of the
-    clamped cosine but stays well-conditioned at 0 and 180 degrees, where
-    the arccos form amplifies rounding into microdegrees. Raises
-    DegenerateVector when either norm <= EPSILON.
-    """
-    angle = float(_vector_angles(np.asarray(a, float), np.asarray(b, float)))
-    if math.isnan(angle):
-        raise DegenerateVector(f"vector norms {_norm(a):g}, {_norm(b):g}")
-    return angle
-
-
-def signed_plane_angle(u: Vec3, v: Vec3, plane_normal: Vec3) -> float:
-    """Signed angle from u to v after projecting both onto the plane
-    orthogonal to plane_normal, degrees in (-180, 180].
-
-    Positive when the rotation from u to v follows the right-hand rule
-    about plane_normal. Raises DegenerateVector for a plane normal and
-    DegenerateProjection for a projection no longer than EPSILON.
-    """
-    nn = float(_norm(plane_normal))
-    if nn <= EPSILON:
-        raise DegenerateVector(f"plane normal norm {nn:g}")
-    angle = float(_plane_angles(np.asarray(u, float), np.asarray(v, float),
-                                np.asarray(plane_normal, float)))
-    if math.isnan(angle):
-        raise DegenerateProjection("projection onto plane is degenerate")
-    return angle
 
 
 # --- anatomical axes ----------------------------------------------------------

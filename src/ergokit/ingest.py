@@ -535,6 +535,27 @@ def _pool_size(tasks: int) -> int:  # threads: one per usable CPU, at most one p
     return min(tasks, _usable_cpus())
 
 
+def _striped(work, items: int, workers: int) -> None:
+    """Run ``work(k, j)`` for every item j < ``items``: thread k of ``workers``
+    (``_pool_size(items)``) takes j = k, k + workers, ... in order, up to the
+    first that raises. Raises the lowest raising item's error, as a serial loop would."""
+
+    def stripe(k: int):  # the first item that raised, with its exception, or None
+        for j in range(k, items, workers):
+            try:
+                work(k, j)
+            except Exception as exc:
+                return j, exc
+
+    # numpy's gathers and ufuncs release the GIL, so the threads overlap. Imported
+    # here: at module load it would add 6-9 ms to every command's start-up.
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        failed = [f for f in pool.map(stripe, range(workers)) if f]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+
+
 def resample(series: JointAngleSeries, target_rate: float) -> JointAngleSeries:
     """Linearly interpolate a series onto a uniform grid at ``target_rate``.
 
@@ -545,11 +566,11 @@ def resample(series: JointAngleSeries, target_rate: float) -> JointAngleSeries:
     interpolation stencil is. At the series' own rate the input is returned
     as it is.
 
-    The stencil is computed once; the channels are then interpolated
-    concurrently, one thread per CPU the process may run on (its affinity
-    set, so ``taskset`` limits it), up to one per channel. Each channel
-    runs the same arithmetic whatever the thread count, so the output is
-    bit-identical to a one-thread run, with the channels in input order.
+    The stencil is computed once; ``_striped`` then interpolates channels k,
+    k + threads, ... in thread k of one per CPU the process may run on (its
+    affinity set, so ``taskset`` limits it), up to one per channel. Each
+    channel runs the same arithmetic whatever the thread count, so the output
+    is bit-identical to a one-thread run, with the channels in input order.
     The output channels are the rows of one block allocated in the calling
     thread and filled in place: freeing it later leaves the heap warm for the
     lag search's buffers, which outputs allocated in the workers did not.
@@ -590,19 +611,12 @@ def resample(series: JointAngleSeries, target_rate: float) -> JointAngleSeries:
             row += t
         row[hit] = x[src]
 
-    # numpy's gathers and ufuncs release the GIL, so channels overlap their
-    # cache misses. Imported here: at module load it would add 6-9 ms to
-    # every command's start-up.
-    from concurrent.futures import ThreadPoolExecutor
-
-    channels = series.channels
-    block = np.empty((len(channels), n_out))
-    with ThreadPoolExecutor(max_workers=_pool_size(len(channels))) as pool:
-        list(pool.map(blend, channels.values(), block))
+    xs, block = list(series.channels.values()), np.empty((len(series.channels), n_out))
+    _striped(lambda k, j: blend(xs[j], block[j]), len(xs), _pool_size(len(xs)))
 
     return JointAngleSeries(
         sample_rate=target_rate,
         start_time=series.start_time,
-        channels=dict(zip(channels, block)),
+        channels=dict(zip(series.channels, block)),
         unparseable_cells=series.unparseable_cells,
     )

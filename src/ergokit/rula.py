@@ -48,7 +48,6 @@ from .errors import (
     EmptyTimeline,
     IncompleteFrame,
     OutOfRangeIndex,
-    UnknownJoint,
 )
 from .ingest import MAX_JSON_DEPTH, json_too_deep, read_config_json
 from .motion import (
@@ -407,17 +406,6 @@ def _range_scores(rule: RangeRule, angles):
     """Primary score of the interval holding each angle: the number of
     interval starts at or below it, so +inf lands in the last interval."""
     return rule.scores[rule.edges.searchsorted(angles, side="right")]
-
-
-def score_range(joint: str, angle: float, config: RulaConfig | None = None) -> int:
-    """Primary score of the unique interval containing ``angle``."""
-    config = config or default_config()
-    rule = config.range_rules.get(joint)
-    if rule is None:
-        raise UnknownJoint(f"no range rule for joint {joint!r}")
-    if math.isnan(angle):
-        raise ValueError(f"angle for {joint} is NaN; resolve missing data first")
-    return int(_range_scores(rule, angle))
 
 
 @dataclass(frozen=True, eq=False)

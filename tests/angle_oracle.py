@@ -8,6 +8,10 @@ NaN. Tests compare ``ergokit.geometry.compute_angle_series`` against
 ``compute_angle_series`` here, the same way ``worksheet_scorer`` serves the
 RULA scorer. Its input is a list of ``Frame``, a dict of the landmarks
 present per frame; ``frames_of`` converts a recording.
+
+The only change since: the library no longer has scalar angle functions or
+their exceptions, so ``DegenerateVector`` and ``DegenerateProjection`` are
+defined here, with the same names and base class.
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ergokit.errors import DegenerateProjection, DegenerateVector, NoCompleteFrames
+from ergokit.errors import ErgokitError, NoCompleteFrames
 from ergokit.geometry import (
     AXES_LANDMARKS,
     DEFAULT_BASELINE_WINDOW,
@@ -38,6 +42,14 @@ from ergokit.motion import (
 )
 
 log = logging.getLogger(__name__)
+
+
+class DegenerateVector(ErgokitError):
+    pass
+
+
+class DegenerateProjection(ErgokitError):
+    pass
 
 
 @dataclass(frozen=True)

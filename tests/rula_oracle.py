@@ -6,7 +6,8 @@ a time, an interval scan per range score, one Python ``if`` per position
 rule, and a linear scan over the annotation intervals per sample. The only
 edits are that ``RangeRule.min_score`` and ``PositionRule.triggered`` became
 the module functions ``_min_score`` and ``_triggered``, and that ``flags_at``
-builds an interval's flags itself, as ``AnnotationInterval.flags`` is gone.
+builds an interval's flags itself, as ``AnnotationInterval.flags`` is gone,
+and that ``UnknownJoint``, which the library no longer has, is defined here.
 Tests compare ``ergokit.rula.score_timeline`` and ``score_frame`` against
 ``score_timeline`` and ``score_frame`` here, the same way ``angle_oracle``
 serves the geometry.
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from ergokit.errors import IncompleteFrame, UnknownJoint
+from ergokit.errors import ErgokitError, IncompleteFrame
 from ergokit.motion import (
     AnnotationFlags,
     AnnotationTrack,
@@ -40,6 +41,10 @@ from ergokit.rula import (
     table_b,
     table_c,
 )
+
+
+class UnknownJoint(ErgokitError):
+    pass
 
 
 def _min_score(rule: RangeRule) -> int:

@@ -10,10 +10,14 @@ the functions here bit for bit, and ``align_oracle``'s loops score each
 lag with them. A channel's outcome is a plain ``ChannelStats`` record, not
 the library's type.
 
-The only change since: the three inner products of r are
+Two changes since. The three inner products of r are
 ``np.einsum("i,i->", x, y)``, as in the library, not ``np.dot``. A BLAS
 ``ddot`` may split a long product across threads, so its bits changed
 with the OpenBLAS thread count; einsum's loop is the same whatever it is.
+And ``channel_comparison`` gives a channel with one valid pair (a 1-sample
+overlap, or half of a 2-sample one) its RMSE and no correlation, with a
+note, as the library does, instead of letting ``NoValidPairs`` abort the
+whole comparison.
 """
 from __future__ import annotations
 
@@ -87,6 +91,9 @@ def channel_comparison(xa: np.ndarray, xb: np.ndarray) -> ChannelStats:
     except ZeroVariance:
         corr = None
         note = "zero variance"
+    except NoValidPairs:
+        corr = None
+        note = "only 1 valid pair"
     return ChannelStats(
         rmse=value, correlation=corr, valid_fraction=fraction, note=note,
     )

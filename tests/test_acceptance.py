@@ -11,10 +11,10 @@ import numpy as np
 import ergokit
 from ergokit.compare import align_min_rmse, compare_recordings
 from ergokit.geometry import (
+    _vector_angles,
     compute_angle_series,
     compute_joint_angles,
     default_angle_definitions,
-    vector_angle,
 )
 from ergokit.ingest import read_config_json, resample
 from ergokit.motion import (
@@ -139,10 +139,10 @@ def test_criterion_03_geometry_properties():
     ok = True
 
     # Known angles, exact to 1e-9.
-    ok &= vector_angle(vec3(1, 0, 0), vec3(1, 0, 0)) == 0.0
-    ok &= vector_angle(vec3(1, 0, 0), vec3(0, 1, 0)) == 90.0
-    ok &= vector_angle(vec3(1, 0, 0), vec3(-1, 0, 0)) == 180.0
-    ok &= abs(vector_angle(vec3(1, 0, 0), vec3(1, 1, 0)) - 45.0) < 1e-9
+    ok &= _vector_angles(vec3(1, 0, 0), vec3(1, 0, 0)) == 0.0
+    ok &= _vector_angles(vec3(1, 0, 0), vec3(0, 1, 0)) == 90.0
+    ok &= _vector_angles(vec3(1, 0, 0), vec3(-1, 0, 0)) == 180.0
+    ok &= abs(_vector_angles(vec3(1, 0, 0), vec3(1, 1, 0)) - 45.0) < 1e-9
 
     # 1000 randomized frames, each under its own random rigid motion + scale.
     defs = [d for d in default_angle_definitions() if d.baseline == "none"]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import angle_oracle
-from ergokit.errors import DegenerateProjection, DegenerateVector, NoCompleteFrames
+from ergokit.errors import NoCompleteFrames
 from ergokit.geometry import compute_angle_series, compute_joint_angles, neck_baseline
 from ergokit.motion import LANDMARK_INDEX, JointChannel, KeypointRecording, Landmark
 from ergokit.synthetic import NEUTRAL_POSITIONS, posed_recording
@@ -170,7 +170,7 @@ def _nose_on_neck(recording: KeypointRecording, frames) -> KeypointRecording:
 
 def test_all_degenerate_baseline_window_raises():
     recording = _nose_on_neck(posed_recording(np.arange(20) / FPS), slice(0, WINDOW))
-    with pytest.raises((DegenerateVector, DegenerateProjection)):
+    with pytest.raises((angle_oracle.DegenerateVector, angle_oracle.DegenerateProjection)):
         angle_oracle.neck_baseline(angle_oracle.frames_of(recording))
     with pytest.raises(NoCompleteFrames):
         neck_baseline(recording)

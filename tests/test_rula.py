@@ -12,7 +12,6 @@ from ergokit.errors import (
     EmptyTimeline,
     IncompleteFrame,
     OutOfRangeIndex,
-    UnknownJoint,
 )
 from ergokit.ingest import read_config_json
 from ergokit.motion import (
@@ -23,6 +22,7 @@ from ergokit.motion import (
     JointChannel,
 )
 from ergokit.rula import (
+    _range_scores,
     RiskBand,
     RulaTimeline,
     band_percentages,
@@ -32,7 +32,6 @@ from ergokit.rula import (
     load_rula_config,
     risk_band,
     score_frame,
-    score_range,
     score_timeline,
     table_a,
     table_b,
@@ -96,30 +95,31 @@ def test_table_c_clamps_out_of_range_inputs():
 # --- range scoring -----------------------------------------------------------
 
 
+def _forearm(angle):
+    return _range_scores(default_config().range_rules["forearm"], angle)
+
+
 def test_score_range_forearm_examples():
-    assert score_range("forearm", 80.0) == 1
-    assert score_range("forearm", 120.0) == 2
-    assert score_range("forearm", 59.9) == 2
+    assert _forearm(80.0) == 1
+    assert _forearm(120.0) == 2
+    assert _forearm(59.9) == 2
 
 
 def test_score_range_boundary_semantics():
     # Half-open [lo, hi): 60 scores 1, 100 scores 2.
-    assert score_range("forearm", 60.0) == 1
-    assert score_range("forearm", 100.0) == 2
-
-
-def test_score_range_unknown_joint():
-    with pytest.raises(UnknownJoint):
-        score_range("ankle", 10.0)
+    assert _forearm(60.0) == 1
+    assert _forearm(100.0) == 2
 
 
 def test_score_range_every_finite_angle_scores_once(rng):
     config = default_config()
     for joint, rule in config.range_rules.items():
-        for angle in rng.uniform(-720, 720, size=200):
+        angles = rng.uniform(-720, 720, size=200)
+        scores = _range_scores(rule, angles)
+        for angle, score in zip(angles, scores):
             hits = [s for lo, hi, s in rule.intervals if lo <= angle < hi]
             assert len(hits) == 1, (joint, angle)
-            assert score_range(joint, float(angle)) == hits[0]
+            assert score == hits[0]
 
 
 # --- position adjustments -------------------------------------------------------

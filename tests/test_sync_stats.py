@@ -180,6 +180,18 @@ def test_compare_low_valid_fraction_unavailable(rng):
     assert result.valid_fraction[0] < 0.5
 
 
+def test_compare_one_valid_pair_keeps_rmse():
+    """Half of a 2-sample overlap valid passes MIN_VALID_FRACTION: the channel
+    keeps its RMSE and, like a zero-variance one, has no correlation."""
+    a = _series({JointChannel.arm_flex_r: [0.0, 1.0], JointChannel.arm_flex_l: [1.0, np.nan]}, rate=1.0)
+    b = _series({JointChannel.arm_flex_r: [0.0, 1.0], JointChannel.arm_flex_l: [2.0, 3.0]}, rate=1.0)
+    report = compare_recordings(a, b, min_overlap_seconds=2)
+    result = report.channels[JointChannel.arm_flex_l]
+    assert result.rmse == (1.0,)
+    assert result.correlation == (None,)
+    assert result.notes[0]
+
+
 def test_compare_sign_flip_channel(rng):
     a = _full_series(rng)
     channels = {ch: v.copy() for ch, v in a.channels.items()}
