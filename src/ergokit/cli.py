@@ -250,8 +250,10 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ErgokitError, OSError) as exc:
-        print(f"{PROG}: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except (ErgokitError, OSError, MemoryError) as exc:
+        # numpy raises a private subclass of MemoryError; name the public one.
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(f"{PROG}: error: {name}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -124,6 +124,23 @@ def _fast_length(n: int) -> int:
     return min(p << ((n - 1) // p).bit_length() for p in (1, 3, 5, 9, 15, 25, 27))
 
 
+def _rows(out: np.ndarray, x: np.ndarray, valid: np.ndarray, start: int, offset: float):
+    """``out`` (3, L), filled from ``x[start:start + L]``: validity, value less
+    ``offset``, its square; zero where missing or outside ``x``."""
+    out.fill(0.0)
+    lo, hi = max(start, 0), min(start + out.shape[1], len(x))
+    if lo < hi:
+        part, v = out[:, lo - start:hi - start], valid[lo:hi]
+        part[0] = v
+        np.subtract(x[lo:hi], offset, out=part[1], where=v)
+        np.multiply(part[1], part[1], out=part[2])
+    return out
+
+
+#: Overlap-save blocks whose rows and spectra the lag search holds at once.
+_GROUP = 8
+
+
 def _lag_sums(a: np.ndarray, b: np.ndarray, max_lag: int):
     """The count of finite pairs ``a[i]``, ``b[i + lag]`` and the sum of their
     squared differences (SSD) at every lag in [-max_lag, max_lag],
@@ -137,17 +154,26 @@ def _lag_sums(a: np.ndarray, b: np.ndarray, max_lag: int):
     combined in the frequency domain. The FFTs are short (overlap-save):
     ``a`` is cut into blocks of B samples, each correlated with the window
     of ``b`` that starts max_lag before it, M = B + 2 max_lag long, and the
-    blocks' spectra are summed pairwise before one inverse FFT per curve.
-    M is the shortest fast length of at least 4096 and four lag ranges, so
-    the windows' overlap costs at most a quarter of each FFT. When the
-    single FFT that covers both series, of the shortest fast length of at
-    least max(len(a), len(b)) + max_lag, is no longer, it is the one block.
-    No lag wraps around.
+    blocks' spectra are summed before one inverse FFT per curve. M is the
+    shortest fast length of at least 4096 and four lag ranges, so the
+    windows' overlap costs at most a quarter of each FFT. When the single
+    FFT that covers both series, of the shortest fast length of at least
+    max(len(a), len(b)) + max_lag, is no longer, it is the one block. No lag
+    wraps around.
+
+    The blocks are taken ``_GROUP`` consecutive ones at a time: only one
+    group's rows, spectra and products are held, so the working memory is
+    O(``_GROUP`` M), not O(N), beside one partial sum per level of the
+    groups' summation tree. A group's spectra are summed pairwise, and the
+    groups' sums pairwise in turn: every spectrum passes through at most
+    ceil(log2 blocks) additions, as when all blocks were summed at once.
 
     ``err`` bounds the rounding of every lag's SSD, and that of ``rmse`` on
     the lag's overlap: ``16 eps (1 + log2 M + log2 blocks)`` times the sum
     over blocks of the 2-norm products of the SSD's three terms, plus twice
-    the total energy Σa0² + Σb0², which bounds every lag's SSD.
+    the total energy Σa0² + Σb0², which bounds every lag's SSD. The log2
+    blocks term covers the additions above; the energy counts each sample
+    once, though b's windows overlap.
     """
     max_lag = min(max_lag, max(len(a), len(b)) - 1)
     lags = np.arange(-max_lag, max_lag + 1)
@@ -163,30 +189,44 @@ def _lag_sums(a: np.ndarray, b: np.ndarray, max_lag: int):
     one = _fast_length(max(len(a), len(b)) + max_lag)
     m, block = (one, max(len(a), 1)) if one <= m else (m, m - 2 * max_lag)
     blocks = -(-len(a) // block) or 1
-    # Rows: validity, value less offset, its square; zero where missing.
-    xa, xb = np.zeros((3, blocks * block)), np.zeros((3, (blocks - 1) * block + m))
-    for rows, x, valid in ((xa[:, :len(a)], a, ma), (xb[:, max_lag:max_lag + len(b)], b, mb)):
-        rows[0] = valid
-        np.subtract(x, offset, out=rows[1], where=valid)
-        np.multiply(rows[1], rows[1], out=rows[2])
-    energy = xa[2].sum() + xb[2].sum()
-    xa = xa.reshape(3, blocks, block)
-    xb = np.lib.stride_tricks.sliding_window_view(xb, m, axis=1)[:, ::block]
-    fa, fb = np.fft.rfft(xa, m), np.fft.rfft(xb, m)
-    np.conjugate(fa, out=fa)
-    spec = np.stack((fa[0] * fb[0], -2 * fa[1] * fb[1]))
-    spec[1] += fa[2] * fb[0]
-    spec[1] += fa[0] * fb[2]
-    # Pairwise over the blocks, so rounding grows with log2 of their number.
-    left = blocks
-    while left > 1:
-        half = left // 2
-        spec[:, :half] += spec[:, left - half:left]
-        left -= half
-    count, ssd = np.fft.irfft(spec[:, 0], m)[:, lags + max_lag]
-    na, nb = (np.sqrt(np.einsum("ijk,ijk->ij", x, x)) for x in (xa, xb))
+    groups, width = -(-blocks // _GROUP), min(_GROUP, blocks)
+    xa, xb = np.empty((3, width * block)), np.empty((3, (width - 1) * block + m))
+    partials, norms, energy = [], 0.0, 0.0  # partials: (groups summed, their spectra)
+    for g in range(groups):
+        start, size = g * _GROUP * block, min(_GROUP, blocks - g * _GROUP)
+        # b's row is b delayed by max_lag, so that b[i] meets a[i] at lag 0.
+        ra = _rows(xa[:, :size * block], a, ma, start, offset).reshape(3, size, block)
+        rb = _rows(xb[:, :(size - 1) * block + m], b, mb, start - max_lag, offset)
+        # Each sample's square once: b's windows overlap, so only the group's
+        # own stretch of b's row counts, and the last group's runs to its end.
+        energy += ra[2].sum() + rb[2, :size * block if g < groups - 1 else None].sum()
+        rb = np.lib.stride_tricks.sliding_window_view(rb, m, axis=1)[:, ::block]
+        fa, fb = np.fft.rfft(ra, m), np.fft.rfft(rb, m)
+        np.conjugate(fa, out=fa)
+        spec = np.stack((fa[0] * fb[0], -2 * fa[1] * fb[1]))
+        spec[1] += fa[2] * fb[0]
+        spec[1] += fa[0] * fb[2]
+        del fa, fb  # before the next group's transforms are allocated
+        # Pairwise over the group's blocks, then over the groups: as a binary
+        # counter, two sums of equally many groups merge into one.
+        left = size
+        while left > 1:
+            half = left // 2
+            spec[:, :half] += spec[:, left - half:left]
+            left -= half
+        spec, summed = spec[:, 0].copy(), 1  # not a view that holds every block's
+        while partials and partials[-1][0] == summed:
+            spec += partials.pop()[1]
+            summed *= 2
+        partials.append((summed, spec))
+        na, nb = (np.sqrt(np.einsum("ijk,ijk->ij", x, x)) for x in (ra, rb))
+        norms += np.sum(na[2] * nb[0] + na[0] * nb[2] + 2 * na[1] * nb[1])
+    spec = partials.pop()[1]
+    while partials:
+        spec += partials.pop()[1]
+    count, ssd = np.fft.irfft(spec, m)[:, lags + max_lag]
     k = 16 * math.ulp(1.0) * (1 + math.log2(m) + math.log2(blocks))
-    err = k * (np.sum(na[2] * nb[0] + na[0] * nb[2] + 2 * na[1] * nb[1]) + 2 * energy)
+    err = k * (norms + 2 * energy)
     return lags, overlap, np.rint(count), ssd, err
 
 

@@ -24,6 +24,10 @@ class TooShort(ErgokitError):
     pass
 
 
+class TooLong(ErgokitError):
+    """A series would have more samples than one array can index."""
+
+
 # --- ingest errors ----------------------------------------------------------
 
 class EmptyFile(ErgokitError):

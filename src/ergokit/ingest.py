@@ -67,6 +67,7 @@ from .errors import (
     MalformedRecord,
     MissingColumn,
     NonMonotonicTimestamps,
+    TooLong,
     TooShort,
 )
 from .motion import (
@@ -574,6 +575,11 @@ def resample(series: JointAngleSeries, target_rate: float) -> JointAngleSeries:
     The output channels are the rows of one block allocated in the calling
     thread and filled in place: freeing it later leaves the heap warm for the
     lag search's buffers, which outputs allocated in the workers did not.
+    Beside the block, resample holds the stencil (lower indices, both
+    weights, the grid hits' output and input indices) and one scratch row
+    per thread, also allocated in the calling thread, into which the upper
+    neighbours ``x[1:][lo]`` are gathered. An output that no array could
+    index raises ``TooLong`` before anything is allocated.
     """
     if not (target_rate > 0):
         raise ValueError("target_rate must be > 0")
@@ -583,8 +589,11 @@ def resample(series: JointAngleSeries, target_rate: float) -> JointAngleSeries:
     if target_rate == series.sample_rate:
         return series
 
-    duration = series.duration
-    n_out = int(math.floor(duration * target_rate + _SNAP)) + 1
+    frames = series.duration * target_rate + _SNAP
+    if not frames < np.iinfo(np.intp).max // (8 * max(len(series.channels), 1)):
+        raise TooLong(f"resampling to {target_rate:g} Hz gives {frames:.3g} samples,"
+                      " more than an array can index")
+    n_out = int(math.floor(frames)) + 1
     # Positions of output samples on the input sample grid.
     pos = (np.arange(n_out) / target_rate) * series.sample_rate
     pos = np.clip(pos, 0.0, n_in - 1)
@@ -594,25 +603,28 @@ def resample(series: JointAngleSeries, target_rate: float) -> JointAngleSeries:
     pos = np.where(exact, nearest, pos)
     hit = np.flatnonzero(exact)  # output samples that copy an input sample
     src = nearest[hit].astype(int)
+    del nearest, exact  # the stencil's temporaries go before the fan-out
 
     lo = np.floor(pos).astype(int)
     lo = np.minimum(lo, n_in - 2)
     w = pos - lo
-    hi, w_lo = lo + 1, 1.0 - w
+    del pos
+    w_lo = 1.0 - w
 
-    def blend(x: np.ndarray, row: np.ndarray) -> None:
+    def blend(x: np.ndarray, row: np.ndarray, t: np.ndarray) -> None:
         if x.shape != (n_in,):  # mode="clip" below must never clamp an index
             raise IndexError(f"channel of shape {x.shape}, expected ({n_in},)")
         with np.errstate(invalid="ignore"):  # 0 * inf at a hit; the scatter overwrites it
             np.take(x, lo, out=row, mode="clip")
             row *= w_lo
-            t = np.take(x, hi, mode="clip")
+            np.take(x[1:], lo, out=t, mode="clip")  # the upper neighbours
             t *= w
             row += t
         row[hit] = x[src]
 
-    xs, block = list(series.channels.values()), np.empty((len(series.channels), n_out))
-    _striped(lambda k, j: blend(xs[j], block[j]), len(xs), _pool_size(len(xs)))
+    xs, workers = list(series.channels.values()), _pool_size(len(series.channels))
+    block, scratch = np.empty((len(xs), n_out)), np.empty((workers, n_out))
+    _striped(lambda k, j: blend(xs[j], block[j], scratch[k]), len(xs), workers)
 
     return JointAngleSeries(
         sample_rate=target_rate,

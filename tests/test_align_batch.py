@@ -6,9 +6,11 @@ drawn to stress the rounding window and the masks: unequal lengths, lag
 ranges past both lengths, minimum overlaps at and around the feasible one,
 NaN and +/-inf samples (up to all of them), a 1e4 deg offset under a small
 signal, and periodic and constant series whose lags tie. Short series take
-one FFT block; long ones with a narrow lag range take several.
+one FFT block; long ones with a narrow lag range take several, and the
+longest several groups of blocks.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,11 +90,16 @@ def long_pairs(draw):
     """Two long series and a lag range of at most 100, which the search cuts
     into several FFT blocks of a few thousand samples; or one long series
     and one short, where it drops the long one's samples that no lag in
-    range pairs. Missing runs of up to 9000 samples straddle block edges,
-    and the longest cover whole blocks."""
+    range pairs; or two series that span two or three groups of
+    ``compare._GROUP`` blocks, the last group part full. Missing runs of up
+    to 9000 samples straddle block edges, the longest cover whole blocks,
+    and in the longest series further runs straddle every group edge."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    long, short = (4000, 12_001), (2, 601)
-    shape = draw(st.sampled_from([(long, long), (long, long), (long, short), (short, long)]))
+    max_lag = draw(st.integers(0, 100))
+    span = compare._GROUP * (4096 - 2 * max_lag)  # samples of a in one group of blocks
+    long, short, grouped = (4000, 12_001), (2, 601), (span + 1, 3 * span)
+    shape = draw(st.sampled_from([(grouped, grouped), (long, long), (long, short), (short, long),
+                                  (grouped, grouped), (long, long)]))
     len_a, len_b = (int(rng.integers(*bounds)) for bounds in shape)
     a, b = _series(draw, rng, len_a, len_b, kinds=("noise", "delayed", "periodic"))
     for x in (a, b):
@@ -100,7 +107,9 @@ def long_pairs(draw):
         for size in rng.integers(1, draw(st.sampled_from([300, 3000, 9000])), size=6):
             start = rng.integers(0, len(x))
             _lose(rng, x, slice(start, start + size))
-    max_lag = draw(st.integers(0, 100))
+        for edge in range(span, len(x), span):
+            start = edge - int(rng.integers(0, 2 * max_lag + 50))
+            _lose(rng, x, slice(start, start + int(rng.integers(1, 4 * max_lag + 100))))
     min_overlap = draw(st.sampled_from([1, min(len_a, len_b) // 2, min(len_a, len_b)]))
     return a, b, max_lag, min_overlap
 
@@ -163,6 +172,29 @@ def test_hour_long_run_equals_oracle():
     a, b = _hour_long_pair(np.random.default_rng(5))
     b[5000:5900] = np.nan
     _assert_like_oracle(a, b, 300, 150)
+
+
+def _traced_peak(search, *args):
+    tracemalloc.start()
+    try:
+        search(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_search_memory_stays_flat_over_hours():
+    """An hour at 30 Hz takes 31 FFT blocks of M = 4096 at +/-300 lags, but
+    the search holds one group of 8 at a time: its rows, spectra and
+    products come to about 4.4 MB. Holding every block's took 15.7 MB, and
+    31 MB for two hours. Two hours may add what ``rmse`` copies to rescore
+    a lag over the longer overlap (its valid pairs, their squared
+    differences and masks: about 25 bytes a sample, 2.7 MB), no more."""
+    a, b = _hour_long_pair(np.random.default_rng(6))
+    hour = _traced_peak(compare.align_min_rmse, a, b, 300)
+    two_hours = _traced_peak(compare.align_min_rmse, np.r_[a, a], np.r_[b, b], 300)
+    assert hour < 7e6
+    assert two_hours - hour < 3e6
 
 
 def test_max_lag_clamped_to_lags_that_overlap(rng):

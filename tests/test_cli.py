@@ -389,6 +389,25 @@ def test_bad_rate_rejected_before_any_work(tmp_path, neutral_csv, capsys, flag, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rate, error", [("1e15", "MemoryError"), ("1e300", "TooLong")])
+@pytest.mark.parametrize("command", ["score", "compare"])
+def test_rate_too_large_for_memory_is_one_error_line(tmp_path, capsys, command, rate, error):
+    """At 1e15 Hz three rows at 100 Hz resample to 2e13 samples, which numpy
+    can index but not allocate: 160 TB is past any process's address space,
+    so the allocation fails whatever the host's overcommit policy (at 1e12 Hz,
+    149 GiB, a host that always overcommits would start filling it). At
+    1e300 Hz numpy cannot index them, and resample refuses before allocating."""
+    path = tmp_path / "tiny.csv"
+    path.write_text(_imu_csv([0.0, 0.01, 0.02]))
+    inputs = [str(path)] * (1 if command == "score" else 2)
+    code = main([command, *inputs, "--rate", rate, "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"ergokit: error: {error}: ")
+
+
 @pytest.mark.parametrize("argv", [["bogus"], [], ["score"], ["score", "x.csv", "--bogus"],
                                   ["convert", "x.jsonl", "--config", "c.json"],
                                   ["convert", "x.jsonl", "--imu-rate", "5"]],

@@ -11,13 +11,14 @@ tests patch that count.
 """
 import concurrent.futures
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ergokit import ingest
-from ergokit.errors import TooShort
+from ergokit.errors import TooLong, TooShort
 from ergokit.ingest import resample
 from ergokit.motion import CHANNEL_ORDER, JointAngleSeries
 from resample_oracle import resample_oracle
@@ -181,3 +182,44 @@ def test_a_too_long_channel_raises_in_the_caller():
     series.channels[last] = np.r_[series.channels[last], 1.0, 2.0]
     with pytest.raises(IndexError):
         resample(series, 30.0)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("rate, target, hits", [(100.0, 30.0, 1 / 3), (30.0, 100.0, 1 / 10)])
+def test_working_memory_beside_the_output_block(monkeypatch, cpus, rate, target, hits):
+    """Beside its output block, resample holds the stencil (lower indices,
+    w, 1 - w, and the grid hits' output and input indices) and, per thread,
+    one scratch row and the gather of the hits: with a share ``hits`` of
+    outputs on the grid, (3 + 2 hits) + threads (1 + hits) rows of n_out
+    floats, plus one row for slack. With the positions, the upper indices
+    and each channel's own upper gather still held, it took about 3 rows more."""
+    monkeypatch.setattr(ingest, "_usable_cpus", lambda: cpus)
+    rng = np.random.default_rng(4)
+    series = JointAngleSeries(sample_rate=rate, start_time=0.0,
+                              channels={ch: rng.normal(size=60_001) for ch in CHANNEL_ORDER})
+    resample(JointAngleSeries(sample_rate=rate, start_time=0.0,
+                              channels={ch: x[:50] for ch, x in series.channels.items()}),
+             target)  # imports what the pool uses
+    tracemalloc.start()
+    try:
+        out = resample(series, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row = out.length * 8
+    assert peak - len(CHANNEL_ORDER) * row <= (4 + 2 * hits + cpus * (1 + hits)) * row
+
+
+@pytest.mark.parametrize("target", [1e300, 1e308, math.inf])
+def test_an_output_too_long_to_index_is_refused(target):
+    """Refused before anything is allocated, also where the sample count
+    is infinite (1e308 Hz over 600 s)."""
+    series = JointAngleSeries(sample_rate=0.1, start_time=0.0,
+                              channels={ch: np.zeros(61) for ch in CHANNEL_ORDER})
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLong, match="more than an array can index"):
+            resample(series, target)
+        assert tracemalloc.get_traced_memory()[1] < 10_000
+    finally:
+        tracemalloc.stop()
