@@ -41,12 +41,8 @@ from .rula import (
     band_percentages,
     default_config,
     load_rula_config,
-    risk_band,
     score_frame,
     score_timeline,
-    table_a,
-    table_b,
-    table_c,
     validate_rula_config,
 )
 from .compare import (

@@ -10,13 +10,15 @@ the first. The lag search takes every lag's valid-pair count and sum of
 squared differences from FFTs of short blocks, in O(N log M) for windows
 of M samples, and rescores exactly the lags that rounding could make best.
 
-A sample is valid when it is finite: NaN and +/-inf are both missing.
+A sample is valid when it is an angle, within +/-``MAX_ABS_ANGLE``
+(``motion.angle_mask``, the rule ``channel_summary`` applies too): NaN,
++/-inf and larger samples are missing, so no square or sum overflows.
 Missing samples are excluded pairwise per channel; a channel with less
 than half of its overlap valid is reported unavailable rather than
-silently dropped. The means that r needs also decide validity: when both
-sides' means are finite, so is every sample, and no mask is built. The
-channels are scored concurrently, with einsum, not BLAS, so no statistic
-depends on the BLAS build or its thread count.
+silently dropped. When both sides' extrema are in range, so is every
+sample, and no mask is built. The channels are scored concurrently, with
+einsum, not BLAS, so no statistic depends on the BLAS build or its thread
+count.
 
 One ``ComparisonReport`` holds n >= 1 runs: ``compare_recordings`` returns
 one run, and ``summarize_runs`` joins runs that share a sample rate, a
@@ -41,7 +43,7 @@ from .errors import (
     ZeroVariance,
 )
 from .ingest import _pool_size, _striped
-from .motion import CHANNEL_ORDER, JointAngleSeries, JointChannel
+from .motion import CHANNEL_ORDER, JointAngleSeries, JointChannel, angle_mask
 
 #: Channels with less than this fraction of valid pairs in the aligned
 #: overlap are reported unavailable.
@@ -57,17 +59,17 @@ ZERO_VARIANCE_STD = 1e-9
 
 
 def _valid_pairs(a, b):
-    """``a`` and ``b`` flattened to the pairs where both samples are finite,
-    with both sides' means, or None for them when a mask picked the pairs."""
+    """``a`` and ``b`` flattened to the pairs where both samples are angles
+    (``angle_mask``), with both sides' means, or None for them when a mask
+    picked the pairs."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise LengthMismatch(f"lengths {a.shape} vs {b.shape}")
     a, b = a.reshape(-1), b.reshape(-1)
-    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf; a sum past the float range
-        means = (np.mean(a), np.mean(b)) if a.size else (math.nan, math.nan)
-    if math.isfinite(means[0]) and math.isfinite(means[1]):
-        return a, b, means
-    valid = np.isfinite(a) & np.isfinite(b)
+    ka, kb = angle_mask(a), angle_mask(b)
+    if ka is None and kb is None:
+        return a, b, (np.mean(a), np.mean(b)) if a.size else None
+    valid = kb if ka is None else ka if kb is None else ka & kb
     return a[valid], b[valid], None
 
 
@@ -80,7 +82,7 @@ def _rmse(a: np.ndarray, b: np.ndarray, d: np.ndarray | None = None) -> float:
 
 
 def _pearson(a: np.ndarray, b: np.ndarray, means=None, rows=(None, None)) -> float:
-    """r of finite pairs and ``means`` from ``_valid_pairs``, in two scratch ``rows``."""
+    """r of valid pairs and ``means`` from ``_valid_pairs``, in two scratch ``rows``."""
     n = a.size
     if n < 2:
         raise NoValidPairs("need at least 2 valid pairs")
@@ -96,12 +98,12 @@ def _pearson(a: np.ndarray, b: np.ndarray, means=None, rows=(None, None)) -> flo
 
 
 def rmse(a, b) -> float:
-    """Root mean square difference over pairs where both samples are finite."""
+    """Root mean square difference over pairs where both samples are valid."""
     return _rmse(*_valid_pairs(a, b)[:2])
 
 
 def pearson_correlation(a, b) -> float:
-    """Pearson coefficient over pairs where both samples are finite, in
+    """Pearson coefficient over pairs where both samples are valid, in
     [-1, 1]."""
     return _pearson(*_valid_pairs(a, b))
 
@@ -142,15 +144,15 @@ _GROUP = 8
 
 
 def _lag_sums(a: np.ndarray, b: np.ndarray, max_lag: int):
-    """The count of finite pairs ``a[i]``, ``b[i + lag]`` and the sum of their
+    """The count of valid pairs ``a[i]``, ``b[i + lag]`` and the sum of their
     squared differences (SSD) at every lag in [-max_lag, max_lag],
     ``max_lag`` clamped to the lags that overlap: ``(lags, overlap, count,
     ssd, err)``.
 
     Both curves are masked cross-correlations (Padfield, IEEE TIP 2012) of
     the validity masks and of the series less one shared offset (the mean of
-    both series' finite samples), which keeps differences and shrinks
-    rounding; non-finite samples are zeroed. The SSD is Σa² + Σb² - 2Σab,
+    both series' valid samples), which keeps differences and shrinks
+    rounding; missing samples are zeroed. The SSD is Σa² + Σb² - 2Σab,
     combined in the frequency domain. The FFTs are short (overlap-save):
     ``a`` is cut into blocks of B samples, each correlated with the window
     of ``b`` that starts max_lag before it, M = B + 2 max_lag long, and the
@@ -182,7 +184,8 @@ def _lag_sums(a: np.ndarray, b: np.ndarray, max_lag: int):
         return lags, overlap, np.zeros(0), np.zeros(0), 0.0
     # Samples that pair at no lag in range add nothing.
     a, b = a[:len(b) + max_lag], b[:len(a) + max_lag]
-    ma, mb = np.isfinite(a), np.isfinite(b)
+    ma, mb = (np.ones(x.shape, bool) if m is None else m
+              for x, m in ((a, angle_mask(a)), (b, angle_mask(b))))
     n = np.count_nonzero(ma) + np.count_nonzero(mb)
     offset = (a.sum(where=ma) + b.sum(where=mb)) / n if n else 0.0
     m = _fast_length(max(4 * (2 * max_lag + 1), 4096))
@@ -318,8 +321,11 @@ def compare_recordings(a: JointAngleSeries, b: JointAngleSeries,
             f"rates differ: {a.sample_rate} vs {b.sample_rate}; resample first"
         )
     rate = a.sample_rate
-    max_lag = max(1, int(round(max_lag_seconds * rate)))
-    min_overlap = max(1, int(round(min_overlap_seconds * rate)))
+    # Past both lengths no lag or overlap changes the result; clamped there,
+    # a huge window stays an int instead of reaching int(inf).
+    most = a.length + b.length
+    max_lag = max(1, int(round(min(max_lag_seconds * rate, most))))
+    min_overlap = max(1, int(round(min(min_overlap_seconds * rate, most))))
 
     if reference_channel not in a.channels or reference_channel not in b.channels:
         raise ReferenceChannelMissing(

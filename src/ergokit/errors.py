@@ -61,6 +61,10 @@ class IrregularTimestamps(ErgokitError):
     pass
 
 
+class NonFiniteTimes(ErgokitError):
+    """A series' rate or sample times leave the float range."""
+
+
 class OverlappingIntervals(ErgokitError):
     pass
 
@@ -80,10 +84,6 @@ class NoCompleteFrames(ErgokitError):
 
 
 # --- scoring errors ---------------------------------------------------------
-
-class OutOfRangeIndex(ErgokitError):
-    pass
-
 
 class IncompleteFrame(ErgokitError):
     pass

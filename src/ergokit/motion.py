@@ -22,6 +22,7 @@ from .errors import (
     InvalidForceValue,
     InvertedInterval,
     IrregularTimestamps,
+    NonFiniteTimes,
     OverlappingIntervals,
     TooShort,
     UnknownChannel,
@@ -158,7 +159,8 @@ def uniform_grid(times) -> tuple[float, float]:
 class JointAngleSeries:
     """Multi-channel joint-angle time series on a uniform sample grid.
 
-    Every channel array has the same length; missing samples are NaN.
+    Every channel array has the same length; missing samples are NaN. A
+    rate or sample time outside the float range raises NonFiniteTimes.
     ``unparseable_cells`` counts the non-empty IMU CSV cells that became
     missing samples.
     """
@@ -177,6 +179,11 @@ class JointAngleSeries:
         self.channels = {
             ch: np.asarray(v, dtype=float) for ch, v in self.channels.items()
         }
+        # At 1e-320 Hz the second sample is at t = inf; a 1e-320 s step makes the rate inf.
+        end = float(self.start_time) + max(self.length - 1, 0) / float(self.sample_rate)
+        if not (math.isfinite(self.sample_rate) and math.isfinite(end)):
+            raise NonFiniteTimes(f"{self.length} samples at {self.sample_rate:g} Hz from "
+                                 f"{self.start_time:g} s have no finite time axis")
 
     @property
     def length(self) -> int:
@@ -202,6 +209,16 @@ class ChannelSummary:
     max: float
 
 
+def angle_mask(values: np.ndarray) -> np.ndarray | None:
+    """Which samples are angles: those within +/-MAX_ABS_ANGLE, so not NaN or
+    +/-inf. None when all are, which the extrema show with no temporary."""
+    if not values.size or -MAX_ABS_ANGLE <= values.min() and values.max() <= MAX_ABS_ANGLE:
+        return None
+    kept = values >= -MAX_ABS_ANGLE  # False for NaN
+    kept &= values <= MAX_ABS_ANGLE  # in place: no float temporary
+    return kept
+
+
 def channel_summary(series: JointAngleSeries, channel: JointChannel) -> ChannelSummary:
     """Mean, population standard deviation, and extrema of one channel: NaN
     (missing), +/-inf and samples beyond +/-MAX_ABS_ANGLE are left out.
@@ -211,9 +228,8 @@ def channel_summary(series: JointAngleSeries, channel: JointChannel) -> ChannelS
     if channel not in series.channels:
         raise UnknownChannel(f"channel {channel.value} not present in series")
     values = series.channels[channel]
-    kept = values >= -MAX_ABS_ANGLE  # False for NaN
-    kept &= values <= MAX_ABS_ANGLE  # in place: no float temporary
-    valid = values[kept]
+    kept = angle_mask(values)
+    valid = values if kept is None else values[kept]
     if valid.size == 0:
         raise EmptyChannel(f"channel {channel.value} has no sample within +/-{MAX_ABS_ANGLE:g}")
     return ChannelSummary(
@@ -297,11 +313,6 @@ class AnnotationTrack:
         k = np.searchsorted([iv.t0 for iv in self.intervals], t, side="right")
         ends = np.array([-math.inf] + [iv.t1 for iv in self.intervals])
         return AnnotationFlags(**dict(zip(FLAG_RANGES, rows[np.where(t < ends[k], k, 0)].T)))
-
-    def flags_at(self, t: float) -> AnnotationFlags:
-        """Flags for timestamp t; the N=1 case of ``flags_for``."""
-        flags = self.flags_for([t])
-        return AnnotationFlags(**{name: int(getattr(flags, name)[0]) for name in FLAG_RANGES})
 
 
 EMPTY_ANNOTATIONS = AnnotationTrack()

@@ -21,11 +21,13 @@ to 1..9 before the final Table C lookup. The combined score is the worse
 There is one scoring path, over all samples at once: ``score_timeline``
 returns a ``RulaTimeline`` of (N,) arrays, and ``score_frame`` is its N=1
 case, a one-sample ``RulaTimeline``: scores have this one type from scoring
-to report. A missing channel (absent or NaN) scores its joint's minimum and
-marks the sample degraded; with ``strict=True`` it raises IncompleteFrame
-naming the channel and the first sample lacking it. A channel that only
-position rules read is missing only when absent: a NaN sample of it just
-leaves the adjustment unapplied.
+to report. Tables A, B and C and the risk bands are looked up there alone,
+by indexing the config's arrays (``band_codes`` for the bands). A missing
+channel (absent or NaN) scores its joint's minimum and marks the sample
+degraded; with ``strict=True`` it raises IncompleteFrame naming the
+channel and the first sample lacking it. A channel that only position
+rules read is missing only when absent: a NaN sample of it just leaves the
+adjustment unapplied.
 
 Range intervals are half-open [lo, hi); the first interval is open below
 and the last closed above, so every finite angle scores exactly once.
@@ -43,12 +45,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    EmptyTimeline,
-    IncompleteFrame,
-    OutOfRangeIndex,
-)
+from .errors import ConfigError, EmptyTimeline, IncompleteFrame
 from .ingest import MAX_JSON_DEPTH, json_too_deep, read_config_json
 from .motion import (
     AnnotationFlags,
@@ -363,36 +360,6 @@ def default_config() -> RulaConfig:
     return load_rula_config()
 
 
-# --- table lookups --------------------------------------------------------------
-
-
-def table_a(arm: int, forearm: int, wrist: int, twist: int,
-            config: RulaConfig | None = None) -> int:
-    config = config or default_config()
-    if not (1 <= arm <= 6 and 1 <= forearm <= 3 and 1 <= wrist <= 4 and 1 <= twist <= 2):
-        raise OutOfRangeIndex(
-            f"table_a({arm}, {forearm}, {wrist}, {twist}) outside 1..6/1..3/1..4/1..2"
-        )
-    return int(config.table_a_values[arm - 1, forearm - 1, wrist - 1, twist - 1])
-
-
-def table_b(neck: int, trunk: int, legs: int,
-            config: RulaConfig | None = None) -> int:
-    config = config or default_config()
-    if not (1 <= neck <= 6 and 1 <= trunk <= 6 and 1 <= legs <= 2):
-        raise OutOfRangeIndex(
-            f"table_b({neck}, {trunk}, {legs}) outside 1..6/1..6/1..2"
-        )
-    return int(config.table_b_values[neck - 1, trunk - 1, legs - 1])
-
-
-def table_c(score_c: int, score_d: int, config: RulaConfig | None = None) -> int:
-    """Final lookup; inputs are clamped to 1..9, so it is total."""
-    config = config or default_config()
-    return int(config.table_c_values[_clamp(int(score_c), 1, 9) - 1,
-                                     _clamp(int(score_d), 1, 9) - 1])
-
-
 # --- scoring ------------------------------------------------------------------------
 
 _BANDS = tuple(RiskBand)
@@ -533,13 +500,6 @@ def score_timeline(series: JointAngleSeries,
                     annotations.flags_for(series.times), config, strict)
     return RulaTimeline(sample_rate=series.sample_rate,
                         start_time=series.start_time, **fields)
-
-
-def risk_band(final: int, config: RulaConfig | None = None) -> RiskBand:
-    config = config or default_config()
-    if not 1 <= final <= 7:
-        raise ValueError(f"final score {final} not covered by the band mapping")
-    return _BANDS[config.band_codes[final]]
 
 
 def band_percentages(timeline: RulaTimeline) -> dict[RiskBand, float]:

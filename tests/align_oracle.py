@@ -3,7 +3,8 @@
 This is the loop ``ergokit.compare`` used before it computed every lag's
 sums at once with FFTs, kept unchanged as an independent oracle: one
 ``rmse`` call on the whole overlap per lag, and the key
-``(value, |lag|, lag)``, with ``rmse`` from ``stats_oracle``. Tests compare
+``(value, |lag|, lag)``, with ``rmse`` from ``stats_oracle``, so a sample
+beyond +/-``MAX_ABS_ANGLE`` is missing here as it is there. Tests compare
 ``align_min_rmse`` in ``ergokit.compare`` against the function here, the
 same way ``rula_oracle`` serves the scorer.
 """

@@ -8,6 +8,10 @@ edits are that ``RangeRule.min_score`` and ``PositionRule.triggered`` became
 the module functions ``_min_score`` and ``_triggered``, and that ``flags_at``
 builds an interval's flags itself, as ``AnnotationInterval.flags`` is gone,
 and that ``UnknownJoint``, which the library no longer has, is defined here.
+The Table A, B and C lookups and the band lookup, with their range checks
+and ``OutOfRangeIndex``, are the library's scalar functions as they were
+before the library kept only the array lookups of its one scoring path;
+from ``ergokit.rula`` the oracle takes the config and its types, no lookup.
 Tests compare ``ergokit.rula.score_timeline`` and ``score_frame`` against
 ``score_timeline`` and ``score_frame`` here, the same way ``angle_oracle``
 serves the geometry.
@@ -36,15 +40,49 @@ from ergokit.rula import (
     RiskBand,
     RulaConfig,
     default_config,
-    risk_band,
-    table_a,
-    table_b,
-    table_c,
 )
 
 
 class UnknownJoint(ErgokitError):
     pass
+
+
+class OutOfRangeIndex(ErgokitError):
+    pass
+
+
+def table_a(arm: int, forearm: int, wrist: int, twist: int,
+            config: RulaConfig | None = None) -> int:
+    config = config or default_config()
+    if not (1 <= arm <= 6 and 1 <= forearm <= 3 and 1 <= wrist <= 4 and 1 <= twist <= 2):
+        raise OutOfRangeIndex(
+            f"table_a({arm}, {forearm}, {wrist}, {twist}) outside 1..6/1..3/1..4/1..2"
+        )
+    return int(config.table_a_values[arm - 1, forearm - 1, wrist - 1, twist - 1])
+
+
+def table_b(neck: int, trunk: int, legs: int,
+            config: RulaConfig | None = None) -> int:
+    config = config or default_config()
+    if not (1 <= neck <= 6 and 1 <= trunk <= 6 and 1 <= legs <= 2):
+        raise OutOfRangeIndex(
+            f"table_b({neck}, {trunk}, {legs}) outside 1..6/1..6/1..2"
+        )
+    return int(config.table_b_values[neck - 1, trunk - 1, legs - 1])
+
+
+def table_c(score_c: int, score_d: int, config: RulaConfig | None = None) -> int:
+    """Final lookup; inputs are clamped to 1..9, so it is total."""
+    config = config or default_config()
+    return int(config.table_c_values[min(9, max(1, int(score_c))) - 1,
+                                     min(9, max(1, int(score_d))) - 1])
+
+
+def risk_band(final: int, config: RulaConfig | None = None) -> RiskBand:
+    config = config or default_config()
+    if not 1 <= final <= 7:
+        raise ValueError(f"final score {final} not covered by the band mapping")
+    return tuple(RiskBand)[config.band_codes[final]]
 
 
 def _min_score(rule: RangeRule) -> int:

@@ -4,14 +4,17 @@ These are ``rmse``, ``pearson_correlation`` and the body of
 ``compare_recordings``' channel loop as they were before one validity pass
 per channel pair fed both statistics, and before the library let the
 means decide validity and scored the channels in a thread pool, kept as
-an independent oracle: each function builds its own ``isfinite`` mask and
+an independent oracle: each function builds its own validity mask and
 indexes the arrays with it, serially. Tests compare the library against
 the functions here bit for bit, and ``align_oracle``'s loops score each
 lag with them. A channel's outcome is a plain ``ChannelStats`` record, not
 the library's type.
 
-Two changes since. The three inner products of r are
-``np.einsum("i,i->", x, y)``, as in the library, not ``np.dot``. A BLAS
+Three changes since. A sample is valid when its magnitude is at most
+``MAX_ABS_ANGLE``, as in the library, not merely when it is finite:
+beyond that no sample is an angle, and its square may overflow. The
+three inner products of r are ``np.einsum("i,i->", x, y)``, as in the
+library, not ``np.dot``. A BLAS
 ``ddot`` may split a long product across threads, so its bits changed
 with the OpenBLAS thread count; einsum's loop is the same whatever it is.
 And ``channel_comparison`` gives a channel with one valid pair (a 1-sample
@@ -28,6 +31,7 @@ import numpy as np
 
 from ergokit.compare import MIN_VALID_FRACTION, ZERO_VARIANCE_STD
 from ergokit.errors import LengthMismatch, NoValidPairs, ZeroVariance
+from ergokit.motion import MAX_ABS_ANGLE
 
 
 class ChannelStats(NamedTuple):
@@ -40,13 +44,18 @@ class ChannelStats(NamedTuple):
     note: str
 
 
+def _angles(x: np.ndarray) -> np.ndarray:
+    """True where a sample is valid: NaN, +/-inf and beyond +/-MAX_ABS_ANGLE are not."""
+    return np.abs(x) <= MAX_ABS_ANGLE
+
+
 def rmse(a, b) -> float:
-    """Root mean square difference over pairs where both samples are finite."""
+    """Root mean square difference over pairs where both samples are valid."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise LengthMismatch(f"lengths {a.shape} vs {b.shape}")
-    valid = np.isfinite(a) & np.isfinite(b)
+    valid = _angles(a) & _angles(b)
     if not np.any(valid):
         raise NoValidPairs("no pair has both samples valid")
     d = a[valid] - b[valid]
@@ -54,13 +63,13 @@ def rmse(a, b) -> float:
 
 
 def pearson_correlation(a, b) -> float:
-    """Pearson coefficient over pairs where both samples are finite, in
+    """Pearson coefficient over pairs where both samples are valid, in
     [-1, 1]."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise LengthMismatch(f"lengths {a.shape} vs {b.shape}")
-    valid = np.isfinite(a) & np.isfinite(b)
+    valid = _angles(a) & _angles(b)
     n = int(np.sum(valid))
     if n < 2:
         raise NoValidPairs("need at least 2 valid pairs")
@@ -77,7 +86,7 @@ def pearson_correlation(a, b) -> float:
 def channel_comparison(xa: np.ndarray, xb: np.ndarray) -> ChannelStats:
     """One channel of ``compare_recordings`` on its aligned overlap."""
     overlap = len(xa)
-    valid = np.isfinite(xa) & np.isfinite(xb)
+    valid = _angles(xa) & _angles(xb)
     fraction = float(np.sum(valid)) / overlap if overlap else 0.0
     if fraction < MIN_VALID_FRACTION:
         return ChannelStats(

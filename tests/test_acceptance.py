@@ -38,9 +38,6 @@ from ergokit.rula import (
     default_config,
     score_frame,
     score_timeline,
-    table_a,
-    table_b,
-    table_c,
     validate_rula_config,
 )
 from ergokit.synthetic import NEUTRAL_POSITIONS
@@ -56,23 +53,28 @@ def _verdict(number: int, name: str, ok: bool) -> None:
 
 def test_criterion_01_table_fidelity():
     started = time.perf_counter()
+    config = default_config()
+
+    def cell(table, *index):  # 1-based, as _score indexes the config's arrays
+        return getattr(config, f"table_{table}_values")[tuple(i - 1 for i in index)]
+
     ok = True
     for arm, forearm, wrist, twist in itertools.product(
             range(1, 7), range(1, 4), range(1, 5), range(1, 3)):
-        ok &= 1 <= table_a(arm, forearm, wrist, twist) <= 9
+        ok &= 1 <= cell("a", arm, forearm, wrist, twist) <= 9
     for neck, trunk, legs in itertools.product(range(1, 7), range(1, 7), range(1, 3)):
-        ok &= 1 <= table_b(neck, trunk, legs) <= 9
+        ok &= 1 <= cell("b", neck, trunk, legs) <= 9
     for c, d in itertools.product(range(1, 10), range(1, 10)):
-        ok &= 1 <= table_c(c, d) <= 7
-    ok &= table_a(1, 1, 1, 1) == 1
-    ok &= table_a(6, 3, 4, 2) == 9
-    ok &= table_a(3, 2, 2, 1) == 4
-    ok &= table_b(1, 1, 1) == 1
-    ok &= table_b(1, 1, 2) == 3
-    ok &= table_b(6, 6, 2) == 9
-    ok &= table_c(1, 1) == 1
-    ok &= table_c(3, 7) == 6
-    ok &= table_c(9, 9) == 7
+        ok &= 1 <= cell("c", c, d) <= 7
+    ok &= cell("a", 1, 1, 1, 1) == 1
+    ok &= cell("a", 6, 3, 4, 2) == 9
+    ok &= cell("a", 3, 2, 2, 1) == 4
+    ok &= cell("b", 1, 1, 1) == 1
+    ok &= cell("b", 1, 1, 2) == 3
+    ok &= cell("b", 6, 6, 2) == 9
+    ok &= cell("c", 1, 1) == 1
+    ok &= cell("c", 3, 7) == 6
+    ok &= cell("c", 9, 9) == 7
     elapsed = time.perf_counter() - started
     ok &= elapsed < 1.0
     _verdict(1, "table fidelity", ok)

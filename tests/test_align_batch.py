@@ -4,7 +4,7 @@
 lag, the same overlap, the same RMSE, and the same exception. Inputs are
 drawn to stress the rounding window and the masks: unequal lengths, lag
 ranges past both lengths, minimum overlaps at and around the feasible one,
-NaN and +/-inf samples (up to all of them), a 1e4 deg offset under a small
+NaN, +/-inf and out-of-range samples (up to all of them), a 1e4 deg offset under a small
 signal, and periodic and constant series whose lags tie. Short series take
 one FFT block; long ones with a narrow lag range take several, and the
 longest several groups of blocks.
@@ -19,9 +19,11 @@ from hypothesis import given, settings, strategies as st
 import align_oracle
 from ergokit import compare
 from ergokit.errors import InsufficientOverlap, ZeroVariance
+from ergokit.motion import MAX_ABS_ANGLE
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
-MISSING = np.array([np.nan, np.inf, -np.inf])
+# Missing samples: NaN, +/-inf, and finite ones beyond +/-MAX_ABS_ANGLE.
+MISSING = np.array([np.nan, np.inf, -np.inf, 1e200, -2e6])
 
 
 def _bits(value):
@@ -64,8 +66,8 @@ def _series(draw, rng, len_a, len_b, kinds=("noise", "delayed", "periodic", "con
 
 
 def _lose(rng, x, gone):
-    """NaN, inf or -inf, at random, in the samples ``gone`` selects."""
-    x[gone] = MISSING[rng.integers(0, 3, size=x[gone].size)]
+    """A ``MISSING`` value, at random, in the samples ``gone`` selects."""
+    x[gone] = MISSING[rng.integers(0, len(MISSING), size=x[gone].size)]
 
 
 @st.composite
@@ -150,7 +152,7 @@ def test_lag_sums_within_their_bound(case):
         i0, i1 = align_oracle._overlap_slices(len(a), len(b), lag)
         assert n == i1 - i0
         x, y = (a[i0:i1], b[i0 + lag:i1 + lag]) if n > 0 else (a[:0], b[:0])
-        valid = np.isfinite(x) & np.isfinite(y)
+        valid = (np.abs(x) <= MAX_ABS_ANGLE) & (np.abs(y) <= MAX_ABS_ANGLE)
         assert got == np.count_nonzero(valid)
         assert abs(est - np.sum((x[valid] - y[valid]) ** 2)) <= err
 

@@ -364,8 +364,9 @@ def _skipped_frame_stream() -> str:
     ("keypoints", '{"time": 1' + "0" * 400 + ', "points": {}}\n', "MalformedRecord"),
     ("imu-csv", _imu_csv([0.0, 0.01, 5.0, 5.01]), "IrregularTimestamps"),
     ("keypoints", _skipped_frame_stream(), "IrregularTimestamps"),
+    ("imu-csv", _imu_csv([0.0, 1e-320, 2e-320]), "NonFiniteTimes"),  # an infinite rate
 ], ids=["confidence-not-a-number", "frame-not-a-number", "huge-frame", "huge-time",
-        "imu-time-gap", "skipped-frame"])
+        "imu-time-gap", "skipped-frame", "imu-time-step-1e-320"])
 def test_score_bad_input_is_one_error_line(tmp_path, capsys, kind, content, error):
     path = tmp_path / "input"
     path.write_text(content)
@@ -374,6 +375,7 @@ def test_score_bad_input_is_one_error_line(tmp_path, capsys, kind, content, erro
     err = _error_lines(capsys)
     assert len(err) == 1
     assert err[0].startswith(f"ergokit: error: {error}")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flag, value", [

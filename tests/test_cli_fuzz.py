@@ -6,9 +6,15 @@ Every run must exit 0 with no RuntimeWarning and no traceback, or exit
 nonzero with exactly one ``ergokit: error:`` line; ``main`` must never
 raise. Each argument gets random bytes and byte-level mutations of a
 small valid file; the other arguments are valid.
+
+The numeric flags of ``score`` and ``compare`` are swept over the ends of
+the float range, where a rate, a time or a window in samples overflows:
+each run exits 0 or 1 with at most that one line, writes nothing when
+it fails, and writes only JSON that holds no NaN or Infinity.
 """
 import contextlib
 import io
+import json
 import warnings
 from importlib import resources
 
@@ -67,11 +73,19 @@ def _inputs(base: bytes):
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
+# IMU without its time column, timed by --imu-rate; STREAM's frames by
+# number, timed by --fps.
+UNTIMED = b"\n".join(line.split(b",", 1)[-1] for line in IMU.split(b"\n"))
+NUMBERED = b"\n".join(json.dumps({k: v for k, v in json.loads(line).items() if k != "time"})
+                       .encode() for line in STREAM.splitlines())
+
+
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     base = tmp_path_factory.mktemp("cli_fuzz")
     for name, content in (("imu.csv", IMU), ("stream.jsonl", STREAM),
-                          ("annotations.csv", ANNOTATIONS), ("defs.json", DEFINITIONS)):
+                          ("annotations.csv", ANNOTATIONS), ("defs.json", DEFINITIONS),
+                          ("untimed.csv", UNTIMED), ("numbered.jsonl", NUMBERED)):
         (base / name).write_bytes(content)
     return base
 
@@ -118,3 +132,42 @@ def test_annotations(files, data):
 def test_angle_definitions(files, data):
     _score(files, data, ["{files}/stream.jsonl", "--kind", "keypoints", "--angle-defs",
                          "{fuzzed}"])
+
+
+# --- numeric flags at the ends of the float range ------------------------------------
+
+EXTREMES = ["5e-324", "1e-300", "1e300", "1.7e308"]
+RUNS = {  # each command on timed and untimed IMU and on a numbered stream
+    "score-imu": ["score", "{files}/imu.csv"],
+    "score-untimed": ["score", "{files}/untimed.csv"],
+    "score-keypoints": ["score", "{files}/numbered.jsonl", "--kind", "keypoints"],
+    "compare-imu": ["compare", "{files}/imu.csv", "{files}/imu.csv"],
+    "compare-untimed": ["compare", "{files}/untimed.csv", "{files}/untimed.csv"],
+    "compare-keypoints": ["compare", "{files}/numbered.jsonl", "{files}/untimed.csv",
+                          "--kind-a", "keypoints"],
+}
+CASES = [(run, flag) for run in RUNS
+         for flag in ("--rate", "--fps", "--imu-rate", "--max-lag", "--min-overlap")
+         if run.startswith("compare") or flag not in ("--max-lag", "--min-overlap")]
+
+
+def _refuse(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("value", EXTREMES)
+@pytest.mark.parametrize("run, flag", CASES)
+def test_numeric_flag_at_the_float_range_ends(files, tmp_path, run, flag, value):
+    out = tmp_path / "out"
+    argv = [arg.format(files=files) for arg in RUNS[run]] + [flag, value, "--out", str(out)]
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    assert code in (0, 1), lines
+    assert len(lines) == code and all(line.startswith("ergokit: error:") for line in lines), lines
+    assert code == 0 or not out.exists()
+    for path in out.glob("*.json"):
+        json.loads(path.read_text(), parse_constant=_refuse)

@@ -332,7 +332,7 @@ def test_parse_annotations():
     )
     track = parse_annotations(text)
     assert len(track.intervals) == 1
-    assert track.flags_at(5.0).arm_force == 2
+    assert track.flags_for([5.0]).arm_force.tolist() == [2]
 
 
 def test_parse_annotations_overlap():

@@ -162,10 +162,10 @@ def test_annotation_flags_lookup():
     track = AnnotationTrack.from_intervals([
         AnnotationInterval(t0=1.0, t1=2.0, arm_force=3, legs=2),
     ])
-    assert track.flags_at(1.5).arm_force == 3
-    assert track.flags_at(1.5).legs == 2
-    assert track.flags_at(2.0).arm_force == 0  # intervals are [t0, t1)
-    assert track.flags_at(0.0).legs == 1
+    assert track.flags_for([1.5]).arm_force.tolist() == [3]
+    assert track.flags_for([1.5]).legs.tolist() == [2]
+    assert track.flags_for([2.0]).arm_force.tolist() == [0]  # intervals are [t0, t1)
+    assert track.flags_for([0.0]).legs.tolist() == [1]
 
 
 def test_touching_intervals_allowed():
@@ -174,7 +174,7 @@ def test_touching_intervals_allowed():
         AnnotationInterval(t0=0.0, t1=5.0, arm_force=1),
     ])
     assert [iv.t0 for iv in track.intervals] == [0.0, 5.0]
-    assert track.flags_at(5.0).neck_force == 1
+    assert track.flags_for([5.0]).neck_force.tolist() == [1]
 
 
 def test_track_constructor_rejects_unsorted_or_overlapping():
@@ -182,7 +182,7 @@ def test_track_constructor_rejects_unsorted_or_overlapping():
     # sorted, disjoint intervals, not just those built by from_intervals.
     early = AnnotationInterval(t0=0.0, t1=5.0, arm_force=1)
     late = AnnotationInterval(t0=5.0, t1=8.0, neck_force=1)
-    assert AnnotationTrack((early, late)).flags_at(5.0).neck_force == 1
+    assert AnnotationTrack((early, late)).flags_for([5.0]).neck_force.tolist() == [1]
     with pytest.raises(OverlappingIntervals):
         AnnotationTrack((late, early))
     with pytest.raises(OverlappingIntervals):

@@ -11,7 +11,6 @@ from ergokit.errors import (
     ConfigError,
     EmptyTimeline,
     IncompleteFrame,
-    OutOfRangeIndex,
 )
 from ergokit.ingest import read_config_json
 from ergokit.motion import (
@@ -30,12 +29,8 @@ from ergokit.rula import (
     config_from_dict,
     default_config,
     load_rula_config,
-    risk_band,
     score_frame,
     score_timeline,
-    table_a,
-    table_b,
-    table_c,
     validate_rula_config,
 )
 
@@ -49,47 +44,39 @@ def zero_angles():
 # --- table lookups -----------------------------------------------------------
 
 
+def _cell(table: str, *index: int) -> int:
+    """The 1-based cell ``index`` of the default config's Table A, B or C, as
+    ``_score`` indexes it."""
+    return int(getattr(default_config(), f"table_{table}_values")[tuple(i - 1 for i in index)])
+
+
 def test_table_a_cited_cells():
-    assert table_a(1, 1, 1, 1) == 1
-    assert table_a(3, 2, 2, 1) == 4
-    assert table_a(6, 3, 4, 2) == 9
-    assert table_a(1, 2, 1, 1) == 1
+    assert _cell("a", 1, 1, 1, 1) == 1
+    assert _cell("a", 3, 2, 2, 1) == 4
+    assert _cell("a", 6, 3, 4, 2) == 9
+    assert _cell("a", 1, 2, 1, 1) == 1
 
 
 def test_table_b_cited_cells():
-    assert table_b(1, 1, 1) == 1
-    assert table_b(1, 1, 2) == 3
-    assert table_b(6, 6, 2) == 9
+    assert _cell("b", 1, 1, 1) == 1
+    assert _cell("b", 1, 1, 2) == 3
+    assert _cell("b", 6, 6, 2) == 9
 
 
 def test_table_c_cited_cells():
-    assert table_c(1, 1) == 1
-    assert table_c(3, 7) == 6
-    assert table_c(9, 9) == 7
+    assert _cell("c", 1, 1) == 1
+    assert _cell("c", 3, 7) == 6
+    assert _cell("c", 9, 9) == 7
 
 
 def test_tables_total_and_bounded():
     for arm, forearm, wrist, twist in itertools.product(
             range(1, 7), range(1, 4), range(1, 5), range(1, 3)):
-        assert 1 <= table_a(arm, forearm, wrist, twist) <= 9
+        assert 1 <= _cell("a", arm, forearm, wrist, twist) <= 9
     for neck, trunk, legs in itertools.product(range(1, 7), range(1, 7), range(1, 3)):
-        assert 1 <= table_b(neck, trunk, legs) <= 9
+        assert 1 <= _cell("b", neck, trunk, legs) <= 9
     for c, d in itertools.product(range(1, 10), range(1, 10)):
-        assert 1 <= table_c(c, d) <= 7
-
-
-def test_table_index_errors():
-    with pytest.raises(OutOfRangeIndex):
-        table_a(0, 1, 1, 1)
-    with pytest.raises(OutOfRangeIndex):
-        table_a(1, 4, 1, 1)
-    with pytest.raises(OutOfRangeIndex):
-        table_b(7, 1, 1)
-
-
-def test_table_c_clamps_out_of_range_inputs():
-    assert table_c(15, 15) == table_c(9, 9)
-    assert table_c(0, -3) == table_c(1, 1)
+        assert 1 <= _cell("c", c, d) <= 7
 
 
 # --- range scoring -----------------------------------------------------------
@@ -347,9 +334,8 @@ def test_timeline_determinism():
 
 
 def test_risk_band_mapping():
-    assert risk_band(1) == RiskBand.negligible
-    assert risk_band(4) == RiskBand.low
-    assert risk_band(7) == RiskBand.very_high
+    bands = [tuple(RiskBand)[code] for code in default_config().band_codes[[1, 4, 7]]]
+    assert bands == [RiskBand.negligible, RiskBand.low, RiskBand.very_high]
 
 
 def test_band_percentages_constant():

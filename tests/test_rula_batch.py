@@ -140,7 +140,9 @@ def test_timeline_equals_oracle(case):
     times = list(series.times) + [iv.t0 for iv in track.intervals] + \
         [iv.t1 for iv in track.intervals] + [math.nan]
     for t in times:
-        assert track.flags_at(t) == rula_oracle.flags_at(track, t), t
+        flags, expected = track.flags_for([t]), rula_oracle.flags_at(track, t)
+        assert [getattr(flags, f.name).tolist() for f in fields(AnnotationFlags)] == \
+            [[getattr(expected, f.name)] for f in fields(AnnotationFlags)], t
 
 
 @PROPERTY

@@ -1,25 +1,30 @@
 """The per-channel statistics against ``stats_oracle``.
 
 ``compare_recordings`` takes each channel's valid fraction, RMSE and r from
-one set of valid pairs, found from the means that r needs; ``stats_oracle``
-builds a mask per statistic, as the library did before. Every channel of
-the one-run report must equal the oracle's record bit for bit, field by
-field, and wherever the oracle raises, the library must raise the same
-exception type. Channels are all finite, partly NaN/inf, under half valid,
+one set of valid pairs, with no mask when both sides' extrema are in
+range; ``stats_oracle`` builds a mask per statistic, as the library did
+before. Every channel of the one-run report must equal the oracle's record
+bit for bit, field by field, and wherever the oracle raises, the library
+must raise the same exception type. Channels are all valid, partly NaN,
++/-inf or beyond +/-MAX_ABS_ANGLE, under half valid,
 wholly missing, or constant or near-constant (zero variance), over overlaps
 down to one sample, and are contiguous arrays or strided columns of one
 array. ``compare_recordings`` scores the channels in a thread pool sized by
 the CPUs it may use; the property runs every case at 1, 2 and 3 of them.
 Beyond the oracle: RMSE and r are checked against exact sums, and against
-themselves under different OpenBLAS thread counts.
+themselves under different OpenBLAS thread counts, and every result is
+unchanged, bit for bit, when the samples beyond +/-MAX_ABS_ANGLE are made
+NaN.
 """
 import concurrent.futures
 import contextlib
+import json
 import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -32,10 +37,12 @@ import ergokit
 import stats_oracle
 from ergokit import compare, ingest
 from ergokit.errors import ErgokitError, InsufficientOverlap, LengthMismatch
-from ergokit.motion import CHANNEL_ORDER, JointAngleSeries, JointChannel
+from ergokit.motion import CHANNEL_ORDER, MAX_ABS_ANGLE, JointAngleSeries, JointChannel
+from ergokit.reporting import emit_comparison_report
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
-MISSING = np.array([np.nan, np.inf, -np.inf])
+# Missing samples: NaN, +/-inf, and finite ones beyond +/-MAX_ABS_ANGLE.
+MISSING = np.array([np.nan, np.inf, -np.inf, 1e200, -2e6])
 REFERENCE = JointChannel.arm_flex_r
 OTHERS = [ch for ch in CHANNEL_ORDER if ch is not REFERENCE][:5]
 
@@ -84,7 +91,7 @@ def _channel(rng, draw, n, kind):
         x = 1e4 + rng.normal(size=n)
     share = draw(st.sampled_from([0.0, 0.0, 0.1, 0.45, 0.55, 0.9, 1.0]))
     gone = rng.random(n) < share
-    x[gone] = MISSING[rng.integers(0, 3, size=int(gone.sum()))]
+    x[gone] = MISSING[rng.integers(0, len(MISSING), size=int(gone.sum()))]
     return x
 
 
@@ -202,6 +209,7 @@ def _statistic(fn, a, b):
     (np.float64(2.0), np.float64(5.0)),
     (np.array([]), np.array([])),
     (np.array([np.nan, 1.0]), np.array([2.0, np.nan])),
+    (np.array([1e200, 2.0, 3.0, -2e6]), np.array([-1e200, 1.0, 5.0, 4.0])),
     (np.zeros(3), np.zeros(4)),
     (np.full(50, 4.0), np.linspace(0.0, 1.0, 50)),
     ([1, 2, 4], [2, 3, 7]),
@@ -210,6 +218,74 @@ def test_public_statistics_equal_oracle(a, b):
     for name in ("rmse", "pearson_correlation"):
         assert (_statistic(getattr(compare, name), a, b)
                 == _statistic(getattr(stats_oracle, name), a, b)), name
+
+
+# Out-of-range samples, and where their squares or sums overflow.
+HUGE = np.array([1e200, -1e200, 1.7e308, -2e6, 1.0000001e6, np.inf])
+
+
+def _spoiled(rng, series, share):
+    """``series`` with a ``share`` of each channel's samples made ``HUGE``."""
+    channels = {}
+    for ch, x in series.channels.items():
+        x, gone = x.copy(), rng.random(len(x)) < share
+        x[gone] = HUGE[rng.integers(0, len(HUGE), size=int(gone.sum()))]
+        channels[ch] = x
+    return JointAngleSeries(sample_rate=1.0, start_time=0.0, channels=channels)
+
+
+def _cleaned(series):
+    """``series`` with every sample beyond +/-MAX_ABS_ANGLE made NaN."""
+    return JointAngleSeries(sample_rate=1.0, start_time=0.0, channels={
+        ch: np.where(np.abs(x) <= MAX_ABS_ANGLE, x, np.nan) for ch, x in series.channels.items()})
+
+
+def _alignment(a, b, max_lag, min_overlap):
+    try:
+        result = compare.align_min_rmse(a, b, max_lag, min_overlap)
+    except ErgokitError as exc:
+        return type(exc)
+    return result.lag, result.overlap, _bits(result.rmse)
+
+
+@PROPERTY
+@given(recordings(), st.integers(0, 2**32 - 1), st.sampled_from([0.01, 0.2, 0.7, 1.0]))
+def test_out_of_range_samples_are_missing(case, seed, share):
+    """Making each sample beyond +/-MAX_ABS_ANGLE NaN changes no result of
+    ``align_min_rmse``, ``rmse``, ``pearson_correlation`` or
+    ``compare_recordings``, bit for bit, and none overflows."""
+    rng = np.random.default_rng(seed)
+    a, b, max_lag, min_overlap = case
+    a, b = _spoiled(rng, a, share), _spoiled(rng, b, share)
+    clean_a, clean_b = _cleaned(a), _cleaned(b)
+    x, y = a.channels[REFERENCE], b.channels[REFERENCE]
+    cx, cy = clean_a.channels[REFERENCE], clean_b.channels[REFERENCE]
+    n = min(len(x), len(y))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _alignment(x, y, max_lag, min_overlap) == _alignment(cx, cy, max_lag, min_overlap)
+        for fn in (compare.rmse, compare.pearson_correlation):
+            assert _statistic(fn, x[:n], y[:n]) == _statistic(fn, cx[:n], cy[:n])
+        assert (_library(a, b, max_lag, min_overlap)
+                == _library(clean_a, clean_b, max_lag, min_overlap))
+
+
+def test_a_sample_beyond_range_reaches_no_report():
+    """One 1e200 sample in a channel is a missing one: the comparison's
+    JSON holds no Infinity."""
+    rng = np.random.default_rng(5)
+    a = {REFERENCE: 30.0 * rng.normal(size=200), OTHERS[0]: 30.0 * rng.normal(size=200)}
+    b = {ch: x + rng.normal(size=200) for ch, x in a.items()}
+    a[OTHERS[0]][50] = 1e200
+    report = compare.compare_recordings(
+        *(JointAngleSeries(sample_rate=1.0, start_time=0.0, channels=c) for c in (a, b)),
+        REFERENCE, 5.0, 5.0)
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    doc = json.loads(emit_comparison_report(report, "structured"), parse_constant=refuse)
+    assert doc["channels"][OTHERS[0].value]["rmse"]["runs"][0] < 2.0
 
 
 def test_more_workers_than_cores_under_fast_switching():
