@@ -66,8 +66,10 @@ def cmd_score(args) -> int:
         _write_atomic(out / name, content)
 
     shares = reporting.format_band_shares(report.band_percentages)
+    # Past 1e9 s (only a tiny rate's), three digits keep the line short.
+    seconds = format(report.duration, ".2f" if report.duration < 1e9 else ".3g")
     print(f"{PROG}: scored {report.samples} samples "
-          f"({report.duration:.2f} s at {report.sample_rate:g} Hz); "
+          f"({seconds} s at {report.sample_rate:g} Hz); "
           f"bands {shares}; reports in {out}")
     return 0
 
@@ -217,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="imu-csv")
     p_cmp.add_argument("--max-lag", type=_number(positive=False),
                        default=compare_mod.DEFAULT_MAX_LAG_SECONDS,
-                       help="alignment search half-window, seconds")
+                       help="alignment search half-window, seconds (0: lag 0 only)")
     p_cmp.add_argument("--min-overlap", type=_number(positive=False),
                        default=compare_mod.DEFAULT_MIN_OVERLAP_SECONDS,
                        help="minimum aligned overlap, seconds")

@@ -139,10 +139,6 @@ def _rows(out: np.ndarray, x: np.ndarray, valid: np.ndarray, start: int, offset:
     return out
 
 
-#: Overlap-save blocks whose rows and spectra the lag search holds at once.
-_GROUP = 8
-
-
 def _lag_sums(a: np.ndarray, b: np.ndarray, max_lag: int):
     """The count of valid pairs ``a[i]``, ``b[i + lag]`` and the sum of their
     squared differences (SSD) at every lag in [-max_lag, max_lag],
@@ -163,12 +159,11 @@ def _lag_sums(a: np.ndarray, b: np.ndarray, max_lag: int):
     max(len(a), len(b)) + max_lag, is no longer, it is the one block. No lag
     wraps around.
 
-    The blocks are taken ``_GROUP`` consecutive ones at a time: only one
-    group's rows, spectra and products are held, so the working memory is
-    O(``_GROUP`` M), not O(N), beside one partial sum per level of the
-    groups' summation tree. A group's spectra are summed pairwise, and the
-    groups' sums pairwise in turn: every spectrum passes through at most
-    ceil(log2 blocks) additions, as when all blocks were summed at once.
+    The blocks are taken one at a time: only one block's rows, spectra and
+    products are held, so the working memory is O(M), not O(N), beside one
+    partial sum per level of the blocks' summation tree. The spectra are
+    summed pairwise: every one passes through at most ceil(log2 blocks)
+    additions, as when all blocks were summed at once.
 
     ``err`` bounds the rounding of every lag's SSD, and that of ``rmse`` on
     the lag's overlap: ``16 eps (1 + log2 M + log2 blocks)`` times the sum
@@ -192,38 +187,28 @@ def _lag_sums(a: np.ndarray, b: np.ndarray, max_lag: int):
     one = _fast_length(max(len(a), len(b)) + max_lag)
     m, block = (one, max(len(a), 1)) if one <= m else (m, m - 2 * max_lag)
     blocks = -(-len(a) // block) or 1
-    groups, width = -(-blocks // _GROUP), min(_GROUP, blocks)
-    xa, xb = np.empty((3, width * block)), np.empty((3, (width - 1) * block + m))
-    partials, norms, energy = [], 0.0, 0.0  # partials: (groups summed, their spectra)
-    for g in range(groups):
-        start, size = g * _GROUP * block, min(_GROUP, blocks - g * _GROUP)
+    x = np.zeros((6, m))  # a's rows, then b's; a's stay zero past B
+    partials, norms, energy = [], 0.0, 0.0  # partials: (blocks summed, their spectra)
+    for j in range(blocks):
         # b's row is b delayed by max_lag, so that b[i] meets a[i] at lag 0.
-        ra = _rows(xa[:, :size * block], a, ma, start, offset).reshape(3, size, block)
-        rb = _rows(xb[:, :(size - 1) * block + m], b, mb, start - max_lag, offset)
-        # Each sample's square once: b's windows overlap, so only the group's
-        # own stretch of b's row counts, and the last group's runs to its end.
-        energy += ra[2].sum() + rb[2, :size * block if g < groups - 1 else None].sum()
-        rb = np.lib.stride_tricks.sliding_window_view(rb, m, axis=1)[:, ::block]
-        fa, fb = np.fft.rfft(ra, m), np.fft.rfft(rb, m)
-        np.conjugate(fa, out=fa)
+        _rows(x[:3, :block], a, ma, j * block, offset)
+        _rows(x[3:], b, mb, j * block - max_lag, offset)
+        # Each sample's square once: b's windows overlap, so only the block's
+        # own stretch of b's row counts, and the last block's runs to its end.
+        energy += x[2].sum() + x[5, :block if j < blocks - 1 else None].sum()
+        f = np.fft.rfft(x)
+        fa, fb = np.conjugate(f[:3], out=f[:3]), f[3:]
         spec = np.stack((fa[0] * fb[0], -2 * fa[1] * fb[1]))
         spec[1] += fa[2] * fb[0]
         spec[1] += fa[0] * fb[2]
-        del fa, fb  # before the next group's transforms are allocated
-        # Pairwise over the group's blocks, then over the groups: as a binary
-        # counter, two sums of equally many groups merge into one.
-        left = size
-        while left > 1:
-            half = left // 2
-            spec[:, :half] += spec[:, left - half:left]
-            left -= half
-        spec, summed = spec[:, 0].copy(), 1  # not a view that holds every block's
+        # As a binary counter, two sums of equally many blocks merge into one.
+        summed = 1
         while partials and partials[-1][0] == summed:
             spec += partials.pop()[1]
             summed *= 2
         partials.append((summed, spec))
-        na, nb = (np.sqrt(np.einsum("ijk,ijk->ij", x, x)) for x in (ra, rb))
-        norms += np.sum(na[2] * nb[0] + na[0] * nb[2] + 2 * na[1] * nb[1])
+        na, nb = np.sqrt(np.einsum("ij,ij->i", x, x)).reshape(2, 3)
+        norms += na[2] * nb[0] + na[0] * nb[2] + 2 * na[1] * nb[1]
     spec = partials.pop()[1]
     while partials:
         spec += partials.pop()[1]
@@ -324,7 +309,7 @@ def compare_recordings(a: JointAngleSeries, b: JointAngleSeries,
     # Past both lengths no lag or overlap changes the result; clamped there,
     # a huge window stays an int instead of reaching int(inf).
     most = a.length + b.length
-    max_lag = max(1, int(round(min(max_lag_seconds * rate, most))))
+    max_lag = max(0, int(round(min(max_lag_seconds * rate, most))))
     min_overlap = max(1, int(round(min(min_overlap_seconds * rate, most))))
 
     if reference_channel not in a.channels or reference_channel not in b.channels:

@@ -92,13 +92,14 @@ def long_pairs(draw):
     """Two long series and a lag range of at most 100, which the search cuts
     into several FFT blocks of a few thousand samples; or one long series
     and one short, where it drops the long one's samples that no lag in
-    range pairs; or two series that span two or three groups of
-    ``compare._GROUP`` blocks, the last group part full. Missing runs of up
-    to 9000 samples straddle block edges, the longest cover whole blocks,
-    and in the longest series further runs straddle every group edge."""
+    range pairs; or two series that span two or three stretches of 8
+    blocks (9 to 24 blocks, so the summation tree is often unbalanced), the
+    last stretch part full. Missing runs of up to 9000 samples straddle
+    block edges, the longest cover whole blocks, and in the longest series
+    further runs straddle every eighth block edge."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     max_lag = draw(st.integers(0, 100))
-    span = compare._GROUP * (4096 - 2 * max_lag)  # samples of a in one group of blocks
+    span = 8 * (4096 - 2 * max_lag)  # samples of a in 8 blocks
     long, short, grouped = (4000, 12_001), (2, 601), (span + 1, 3 * span)
     shape = draw(st.sampled_from([(grouped, grouped), (long, long), (long, short), (short, long),
                                   (grouped, grouped), (long, long)]))
@@ -187,16 +188,23 @@ def _traced_peak(search, *args):
 
 def test_search_memory_stays_flat_over_hours():
     """An hour at 30 Hz takes 31 FFT blocks of M = 4096 at +/-300 lags, but
-    the search holds one group of 8 at a time: its rows, spectra and
-    products come to about 4.4 MB. Holding every block's took 15.7 MB, and
-    31 MB for two hours. Two hours may add what ``rmse`` copies to rescore
-    a lag over the longer overlap (its valid pairs, their squared
-    differences and masks: about 25 bytes a sample, 2.7 MB), no more."""
+    the FFT search holds one block at a time: with the validity masks it
+    peaks at about 1.2 MB. Holding every block's took 15.7 MB, and 31 MB
+    for two hours. Two hours may add to the FFT search the longer masks and
+    one more partial spectrum, and to the whole search what ``rmse`` copies
+    to rescore a lag over the longer overlap (its valid pairs, their
+    squared differences and masks: about 25 bytes a sample, 2.7 MB), no
+    more."""
     a, b = _hour_long_pair(np.random.default_rng(6))
+    a2, b2 = np.r_[a, a], np.r_[b, b]
     hour = _traced_peak(compare.align_min_rmse, a, b, 300)
-    two_hours = _traced_peak(compare.align_min_rmse, np.r_[a, a], np.r_[b, b], 300)
+    two_hours = _traced_peak(compare.align_min_rmse, a2, b2, 300)
     assert hour < 7e6
     assert two_hours - hour < 3e6
+    fft_hour = _traced_peak(compare._lag_sums, a, b, 300)
+    fft_two_hours = _traced_peak(compare._lag_sums, a2, b2, 300)
+    assert fft_hour < 2e6
+    assert fft_two_hours - fft_hour < 0.4e6
 
 
 def test_max_lag_clamped_to_lags_that_overlap(rng):

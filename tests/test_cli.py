@@ -10,6 +10,7 @@ import pytest
 
 import ergokit
 from ergokit.cli import main
+from ergokit.compare import compare_recordings
 from ergokit.ingest import (
     MAX_JSON_DEPTH,
     format_imu_joint_csv,
@@ -284,6 +285,27 @@ def test_compare_runs_at_different_rates_rejected(tmp_path, capsys):
     assert not (out / "comparison.json").exists()
     assert main(["compare", *paths, "--max-lag", "2", "--rate", "50", "--out", str(out)]) == 0
     assert _strict_json((out / "comparison.json").read_text())["lag_samples"] == [0, -20]
+
+
+@pytest.mark.parametrize("max_lag", ["0", "0.004"])
+def test_max_lag_under_half_a_sample_aligns_at_lag_zero(tmp_path, max_lag):
+    """The second recording is one sample ahead, which a window of one
+    sample finds; a window under half a sample searches lag 0 alone."""
+    t = np.arange(401) / 100.0
+    z = {ch: 20.0 * np.sin(2 * np.pi * 0.37 * (i + 1) * t) for i, ch in enumerate(JointChannel)}
+    a, b = (JointAngleSeries(sample_rate=100.0, start_time=0.0,
+                             channels={ch: x[cut] for ch, x in z.items()})
+            for cut in (slice(0, 400), slice(1, 401)))
+    assert compare_recordings(a, b, max_lag_seconds=0.01, min_overlap_seconds=1.0).lags == (-1,)
+    assert compare_recordings(a, b, max_lag_seconds=float(max_lag),
+                              min_overlap_seconds=1.0).lags == (0,)
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path, series in zip(paths, (a, b)):
+        path.write_text(format_imu_joint_csv(series))
+    out = tmp_path / "cmp"
+    assert main(["compare", *map(str, paths), "--max-lag", max_lag, "--min-overlap", "1",
+                 "--out", str(out)]) == 0
+    assert _strict_json((out / "comparison.json").read_text())["lag_samples"] == [0]
 
 
 def test_check_config_default_ok(capsys):

@@ -9,8 +9,9 @@ small valid file; the other arguments are valid.
 
 The numeric flags of ``score`` and ``compare`` are swept over the ends of
 the float range, where a rate, a time or a window in samples overflows:
-each run exits 0 or 1 with at most that one line, writes nothing when
-it fails, and writes only JSON that holds no NaN or Infinity.
+each run exits 0 or 1 with at most that one line, prints no line of
+200 characters or more, writes nothing when it fails, and writes only
+JSON that holds no NaN or Infinity.
 """
 import contextlib
 import io
@@ -160,14 +161,15 @@ def _refuse(name):
 def test_numeric_flag_at_the_float_range_ends(files, tmp_path, run, flag, value):
     out = tmp_path / "out"
     argv = [arg.format(files=files) for arg in RUNS[run]] + [flag, value, "--out", str(out)]
-    err = io.StringIO()
+    out_text, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
-            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            contextlib.redirect_stdout(out_text), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         code = main(argv)
     lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
     assert code in (0, 1), lines
     assert len(lines) == code and all(line.startswith("ergokit: error:") for line in lines), lines
+    assert all(len(line) < 200 for line in out_text.getvalue().splitlines()), out_text.getvalue()
     assert code == 0 or not out.exists()
     for path in out.glob("*.json"):
         json.loads(path.read_text(), parse_constant=_refuse)
