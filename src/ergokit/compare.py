@@ -60,17 +60,16 @@ ZERO_VARIANCE_STD = 1e-9
 
 def _valid_pairs(a, b):
     """``a`` and ``b`` flattened to the pairs where both samples are angles
-    (``angle_mask``), with both sides' means, or None for them when a mask
-    picked the pairs."""
+    (``angle_mask``)."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise LengthMismatch(f"lengths {a.shape} vs {b.shape}")
     a, b = a.reshape(-1), b.reshape(-1)
     ka, kb = angle_mask(a), angle_mask(b)
     if ka is None and kb is None:
-        return a, b, (np.mean(a), np.mean(b)) if a.size else None
+        return a, b
     valid = kb if ka is None else ka if kb is None else ka & kb
-    return a[valid], b[valid], None
+    return a[valid], b[valid]
 
 
 def _rmse(a: np.ndarray, b: np.ndarray, d: np.ndarray | None = None) -> float:
@@ -81,14 +80,13 @@ def _rmse(a: np.ndarray, b: np.ndarray, d: np.ndarray | None = None) -> float:
     return float(np.sqrt(np.mean(d)))
 
 
-def _pearson(a: np.ndarray, b: np.ndarray, means=None, rows=(None, None)) -> float:
-    """r of valid pairs and ``means`` from ``_valid_pairs``, in two scratch ``rows``."""
+def _pearson(a: np.ndarray, b: np.ndarray, rows=(None, None)) -> float:
+    """r of the valid pairs from ``_valid_pairs``, in two scratch ``rows``."""
     n = a.size
     if n < 2:
         raise NoValidPairs("need at least 2 valid pairs")
-    ma, mb = means or (np.mean(a), np.mean(b))
-    da = np.subtract(a, ma, out=rows[0])
-    db = np.subtract(b, mb, out=rows[1])
+    da = np.subtract(a, np.mean(a), out=rows[0])
+    db = np.subtract(b, np.mean(b), out=rows[1])
     ssa = float(np.einsum("i,i->", da, da))
     ssb = float(np.einsum("i,i->", db, db))
     if math.sqrt(min(ssa, ssb) / n) < ZERO_VARIANCE_STD:
@@ -99,7 +97,7 @@ def _pearson(a: np.ndarray, b: np.ndarray, means=None, rows=(None, None)) -> flo
 
 def rmse(a, b) -> float:
     """Root mean square difference over pairs where both samples are valid."""
-    return _rmse(*_valid_pairs(a, b)[:2])
+    return _rmse(*_valid_pairs(a, b))
 
 
 def pearson_correlation(a, b) -> float:
@@ -152,25 +150,28 @@ def _lag_sums(a: np.ndarray, b: np.ndarray, max_lag: int):
     combined in the frequency domain. The FFTs are short (overlap-save):
     ``a`` is cut into blocks of B samples, each correlated with the window
     of ``b`` that starts max_lag before it, M = B + 2 max_lag long, and the
-    blocks' spectra are summed before one inverse FFT per curve. M is the
+    blocks' spectra are added up before one inverse FFT per curve. M is the
     shortest fast length of at least 4096 and four lag ranges, so the
     windows' overlap costs at most a quarter of each FFT. When the single
     FFT that covers both series, of the shortest fast length of at least
     max(len(a), len(b)) + max_lag, is no longer, it is the one block. No lag
     wraps around.
 
-    The blocks are taken one at a time: only one block's rows, spectra and
-    products are held, so the working memory is O(M), not O(N), beside one
-    partial sum per level of the blocks' summation tree. The spectra are
-    summed pairwise: every one passes through at most ceil(log2 blocks)
-    additions, as when all blocks were summed at once.
+    The blocks are taken one at a time, each block's spectra added to one
+    running total, so the working memory is O(M), not O(N).
 
     ``err`` bounds the rounding of every lag's SSD, and that of ``rmse`` on
-    the lag's overlap: ``16 eps (1 + log2 M + log2 blocks)`` times the sum
-    over blocks of the 2-norm products of the SSD's three terms, plus twice
-    the total energy Σa0² + Σb0², which bounds every lag's SSD. The log2
-    blocks term covers the additions above; the energy counts each sample
-    once, though b's windows overlap.
+    the lag's overlap: ``16 eps (log2 M + blocks) (2 sqrt(M) + 4) E``, where
+    E = Σa0² + Σb0² is the energy of the series less the offset, each sample
+    once. The FFTs and the running sum, which passes each spectrum through
+    at most blocks - 1 additions (Higham, SIAM J. Sci. Comput. 14, 1993),
+    round within ``16 eps (log2 M + blocks)`` times the sum over blocks of the
+    2-norm products of the SSD's three terms, plus 2E, which bounds every lag's SSD.
+    Per block, ||a0²||₂ <= Σa0², ||mask||₂ <= sqrt(M) and 2 ||a0||₂ ||b0||₂
+    <= Σa0² + Σb0², so its products are at most sqrt(M) + 1 times the
+    energy of the block and of its window of b. With several blocks,
+    M >= 4 (2 max_lag + 1) makes B > 3M/4: each sample of b lies in at most
+    two windows, and the products sum to at most 2 (sqrt(M) + 1) E.
     """
     max_lag = min(max_lag, max(len(a), len(b)) - 1)
     lags = np.arange(-max_lag, max_lag + 1)
@@ -188,7 +189,7 @@ def _lag_sums(a: np.ndarray, b: np.ndarray, max_lag: int):
     m, block = (one, max(len(a), 1)) if one <= m else (m, m - 2 * max_lag)
     blocks = -(-len(a) // block) or 1
     x = np.zeros((6, m))  # a's rows, then b's; a's stay zero past B
-    partials, norms, energy = [], 0.0, 0.0  # partials: (blocks summed, their spectra)
+    total, energy = np.zeros((2, m // 2 + 1), complex), 0.0
     for j in range(blocks):
         # b's row is b delayed by max_lag, so that b[i] meets a[i] at lag 0.
         _rows(x[:3, :block], a, ma, j * block, offset)
@@ -201,20 +202,9 @@ def _lag_sums(a: np.ndarray, b: np.ndarray, max_lag: int):
         spec = np.stack((fa[0] * fb[0], -2 * fa[1] * fb[1]))
         spec[1] += fa[2] * fb[0]
         spec[1] += fa[0] * fb[2]
-        # As a binary counter, two sums of equally many blocks merge into one.
-        summed = 1
-        while partials and partials[-1][0] == summed:
-            spec += partials.pop()[1]
-            summed *= 2
-        partials.append((summed, spec))
-        na, nb = np.sqrt(np.einsum("ij,ij->i", x, x)).reshape(2, 3)
-        norms += na[2] * nb[0] + na[0] * nb[2] + 2 * na[1] * nb[1]
-    spec = partials.pop()[1]
-    while partials:
-        spec += partials.pop()[1]
-    count, ssd = np.fft.irfft(spec, m)[:, lags + max_lag]
-    k = 16 * math.ulp(1.0) * (1 + math.log2(m) + math.log2(blocks))
-    err = k * (norms + 2 * energy)
+        total += spec
+    count, ssd = np.fft.irfft(total, m)[:, lags + max_lag]
+    err = 16 * math.ulp(1.0) * (math.log2(m) + blocks) * (2 * math.sqrt(m) + 4) * energy
     return lags, overlap, np.rint(count), ssd, err
 
 
@@ -333,7 +323,7 @@ def compare_recordings(a: JointAngleSeries, b: JointAngleSeries,
         if ch not in a.channels or ch not in b.channels:
             note = f"missing in {'first' if ch not in a.channels else 'second'} recording"
         else:
-            xa, xb, means = _valid_pairs(a.channels[ch][i0:i1], b.channels[ch][i0 + lag:i1 + lag])
+            xa, xb = _valid_pairs(a.channels[ch][i0:i1], b.channels[ch][i0 + lag:i1 + lag])
             fraction = xa.size / overlap if overlap else 0.0
             if fraction < MIN_VALID_FRACTION:
                 note = f"only {fraction:.2f} of the overlap valid"
@@ -341,7 +331,7 @@ def compare_recordings(a: JointAngleSeries, b: JointAngleSeries,
                 rows = scratch[k, :, :xa.size]
                 value = _rmse(xa, xb, rows[0])
                 try:
-                    corr = _pearson(xa, xb, means, rows)
+                    corr = _pearson(xa, xb, rows)
                 except ZeroVariance:
                     note = "zero variance"
                 except NoValidPairs:  # one valid pair, in an overlap of 1 or 2

@@ -92,6 +92,13 @@ def _as_text(data: bytes | str) -> str:
     return data
 
 
+def _check_utf8(data: bytes | str) -> None:
+    """EncodingError, before any row is read, if bytes ``data`` is not UTF-8."""
+    if isinstance(data, bytes) and not data.isascii():
+        for _ in _line_chunks(data):
+            pass
+
+
 def _without_bom(data: bytes | str) -> bytes | str:
     """``data`` less one byte-order mark at its very start."""
     return data.removeprefix(b"\xef\xbb\xbf" if isinstance(data, bytes) else "\ufeff")
@@ -150,6 +157,7 @@ def parse_imu_joint_csv(data: bytes | str, declared_rate: float = 100.0) -> Join
     """
     if not (declared_rate > 0):
         raise ValueError("declared_rate must be > 0")
+    _check_utf8(data)
     rows = io.BytesIO(data) if isinstance(data, bytes) else io.StringIO(data)
     head = data[:3]
     rows.seek(len(head) - len(_without_bom(head)))  # past a byte-order mark, uncopied
@@ -372,9 +380,7 @@ def parse_keypoint_stream(data: bytes | str, frame_rate: float = 30.0) -> Keypoi
     if not (frame_rate > 0):
         raise ValueError("frame_rate must be > 0")
     from array import array  # a shared library: loaded here, not at every start-up
-    if isinstance(data, bytes) and not data.isascii():
-        for _ in _line_chunks(data):  # invalid UTF-8 anywhere fails before any record
-            pass
+    _check_utf8(data)
     # Offset of each landmark label's triplet in a frame's flat row.
     column = {lm.value: 3 * i for lm, i in LANDMARK_INDEX.items()}
     empty_row = [math.nan] * (3 * len(LANDMARK_INDEX))

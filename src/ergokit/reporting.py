@@ -51,6 +51,15 @@ def _stat_cell(value: float | None) -> str:
     return "" if value is None else f"{value:.3f}"
 
 
+#: From this magnitude up, a number is written as session.json writes it,
+#: the JSON text of ``round(x, 3)``, not in fixed point with hundreds of digits.
+_FIXED_BELOW = 1e12
+
+
+def _fixed(value: float) -> str:
+    return "%.3f" % value if abs(value) < _FIXED_BELOW else json.dumps(round(value, 3))
+
+
 # --- session reports ---------------------------------------------------------
 
 
@@ -72,10 +81,12 @@ class SessionReport:
 
     @functools.cached_property
     def _cells(self) -> list[str]:
-        """The text of the times (``"%.3f"``) and of the left, right and
+        """The text of the times (``_fixed``) and of the left, right and
         combined scores, one string per column with a comma after each
         cell: rendered once, on first use, and shared by every emitter."""
-        return ["%.3f," * len(self.times) % tuple(self.times.tolist())] + [
+        times = self.times.tolist()
+        return ["%.3f," * len(times) % tuple(times) if np.all(np.abs(self.times) < _FIXED_BELOW)
+                else "".join(_fixed(t) + "," for t in times)] + [
             _int_cells(a) for a in (self.left, self.right, self.combined)]
 
     @functools.cached_property
@@ -147,7 +158,7 @@ def _json_times(report: SessionReport) -> str:
     most 15 significant digits (``DBL_DIG``), so ``repr`` of the double
     nearest ``d`` prints exactly ``d`` stripped (``-0.0`` too).
     """
-    if not np.all(np.abs(report.times) < 1e12):
+    if not np.all(np.abs(report.times) < _FIXED_BELOW):
         return "".join(json.dumps(round(t, 3)) + "," for t in report.times.tolist())
     return report._cells[0].replace("0,", ",").replace("0,", ",")
 
@@ -197,31 +208,21 @@ def _csv_cell(text: str) -> str:
 
 
 def _session_csv(report: SessionReport) -> str:
-    lines = ["key,value"]
-    lines.append("kind,session")
-    lines.append(f"source_kind,{report.source_kind}")
-    lines.append(f"sample_rate,{report.sample_rate:.3f}")
-    lines.append(f"duration,{report.duration:.3f}")
-    lines.append(f"samples,{report.samples}")
-    lines.append(f"config_checksum,{report.config_checksum}")
-    lines.append(f"degraded_frames,{report.degraded_frames}")
+    lines = ["key,value", "kind,session", f"source_kind,{report.source_kind}",
+             f"sample_rate,{_fixed(report.sample_rate)}", f"duration,{_fixed(report.duration)}",
+             f"samples,{report.samples}", f"config_checksum,{report.config_checksum}",
+             f"degraded_frames,{report.degraded_frames}"]
     for key, value in sorted(report.flags.items()):
         text = value if isinstance(value, str) else json.dumps(value)
         lines.append(f"{_csv_cell(f'flag:{key}')},{_csv_cell(text)}")
-    lines.append(f"band_shares,{format_band_shares(report.band_percentages)}")
-    lines.append("")
-    lines.append("band,percent")
+    lines += [f"band_shares,{format_band_shares(report.band_percentages)}", "", "band,percent"]
     for band in RiskBand:
         lines.append(f"{band.value},{format_percent(report.band_percentages[band])}")
-    lines.append("")
-    lines.append(report._rows)
+    lines += ["", report._rows]
     if report.channel_summaries:
-        lines.append("")
-        lines.append("channel,mean,std_dev,min,max")
+        lines += ["", "channel,mean,std_dev,min,max"]
         for ch, s in report.channel_summaries.items():
-            lines.append(
-                f"{ch.value},{s.mean:.3f},{s.std_dev:.3f},{s.min:.3f},{s.max:.3f}"
-            )
+            lines.append(f"{ch.value},{s.mean:.3f},{s.std_dev:.3f},{s.min:.3f},{s.max:.3f}")
     return "\n".join(lines) + "\n"
 
 

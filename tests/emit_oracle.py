@@ -4,9 +4,10 @@ independent oracle.
 Session reports: before the per-sample text was rendered once per report.
 ``_score_rows``, ``_number_list``, ``_session_json`` and ``_session_csv``
 are copied unchanged, but for ``_session_csv``'s flag line, which renders
-each flag row with ``csv.writer``. Each formats every sample on every call:
-``round(t, 3)`` and json's encoder for the JSON times, ``"%.3f"`` for the
-CSV rows.
+each flag row with ``csv.writer``, and for the CSV numbers, which
+``_csv_number`` formats. Each formats every sample on every call:
+``round(t, 3)`` and json's encoder for the JSON times, ``_csv_number`` for
+the CSV rows.
 
 Comparisons: before one ``ComparisonReport`` held n >= 1 runs. The one-run
 ``ChannelComparison`` and ``ComparisonReport`` and the multi-run
@@ -41,12 +42,18 @@ from ergokit.reporting import (
 from ergokit.rula import RiskBand, RulaTimeline, band_percentages
 
 
+def _csv_number(x: float) -> str:
+    """``"%.3f"`` below 1e12 in magnitude; otherwise (NaN too) json's text of
+    ``round(x, 3)``, as in the JSON document."""
+    return "%.3f" % x if abs(x) < 1e12 else json.dumps(round(x, 3))
+
+
 def _score_rows(times, left, right, combined) -> str:
     """The ``time,left,right,combined`` header and one line per sample."""
     cells = [None] * (4 * len(times))
-    cells[0::4], cells[1::4] = times.tolist(), left.tolist()
+    cells[0::4], cells[1::4] = map(_csv_number, times.tolist()), left.tolist()
     cells[2::4], cells[3::4] = right.tolist(), combined.tolist()
-    return "time,left,right,combined" + "\n%.3f,%s,%s,%s" * len(times) % tuple(cells)
+    return "time,left,right,combined" + "\n%s,%s,%s,%s" * len(times) % tuple(cells)
 
 
 def _number_list(values: list, pad: str) -> str:
@@ -100,8 +107,8 @@ def _session_csv(report: SessionReport) -> str:
     lines = ["key,value"]
     lines.append("kind,session")
     lines.append(f"source_kind,{report.source_kind}")
-    lines.append(f"sample_rate,{report.sample_rate:.3f}")
-    lines.append(f"duration,{report.duration:.3f}")
+    lines.append(f"sample_rate,{_csv_number(report.sample_rate)}")
+    lines.append(f"duration,{_csv_number(report.duration)}")
     lines.append(f"samples,{report.samples}")
     lines.append(f"config_checksum,{report.config_checksum}")
     lines.append(f"degraded_frames,{report.degraded_frames}")

@@ -7,7 +7,7 @@ ranges past both lengths, minimum overlaps at and around the feasible one,
 NaN, +/-inf and out-of-range samples (up to all of them), a 1e4 deg offset under a small
 signal, and periodic and constant series whose lags tie. Short series take
 one FFT block; long ones with a narrow lag range take several, and the
-longest several groups of blocks.
+longest a few dozen.
 """
 import math
 import tracemalloc
@@ -93,7 +93,7 @@ def long_pairs(draw):
     into several FFT blocks of a few thousand samples; or one long series
     and one short, where it drops the long one's samples that no lag in
     range pairs; or two series that span two or three stretches of 8
-    blocks (9 to 24 blocks, so the summation tree is often unbalanced), the
+    blocks (9 to 24 blocks, so the running total adds many spectra), the
     last stretch part full. Missing runs of up to 9000 samples straddle
     block edges, the longest cover whole blocks, and in the longest series
     further runs straddle every eighth block edge."""
@@ -189,12 +189,11 @@ def _traced_peak(search, *args):
 def test_search_memory_stays_flat_over_hours():
     """An hour at 30 Hz takes 31 FFT blocks of M = 4096 at +/-300 lags, but
     the FFT search holds one block at a time: with the validity masks it
-    peaks at about 1.2 MB. Holding every block's took 15.7 MB, and 31 MB
-    for two hours. Two hours may add to the FFT search the longer masks and
-    one more partial spectrum, and to the whole search what ``rmse`` copies
-    to rescore a lag over the longer overlap (its valid pairs, their
-    squared differences and masks: about 25 bytes a sample, 2.7 MB), no
-    more."""
+    peaks at about 1 MB. Holding every block's took 15.7 MB, and 31 MB
+    for two hours. Two hours may add to the FFT search the longer masks,
+    and to the whole search what ``rmse`` copies to rescore a lag over the
+    longer overlap (its valid pairs, their squared differences and masks:
+    about 25 bytes a sample, 2.7 MB), no more."""
     a, b = _hour_long_pair(np.random.default_rng(6))
     a2, b2 = np.r_[a, a], np.r_[b, b]
     hour = _traced_peak(compare.align_min_rmse, a, b, 300)
@@ -238,12 +237,16 @@ def test_window_stays_narrow_under_a_large_offset(monkeypatch, offset):
 
 
 def test_window_stays_narrow_over_an_hour(monkeypatch):
-    """An hour at +/-300 lags, summed over dozens of FFT blocks, still
-    rescores only a few lags."""
-    a, b = _hour_long_pair(np.random.default_rng(6))
+    """An hour at +/-300 lags, summed over 31 FFT blocks, still rescores
+    only a few lags; so does the hour tiled four times, over 124 blocks,
+    where the rounding bound's term in the number of blocks is largest."""
+    hour = _hour_long_pair(np.random.default_rng(6))
     rmse_calls = _count_rmse_calls(monkeypatch)
-    assert compare.align_min_rmse(a, b, max_lag=300).lag == 137
-    assert len(rmse_calls) <= 3
+    for tiles in (1, 4):
+        a, b = (np.tile(x, tiles) for x in hour)
+        assert compare.align_min_rmse(a, b, max_lag=300).lag == 137
+        assert len(rmse_calls) <= 3
+        rmse_calls.clear()
 
 
 def test_near_constant_series_has_zero_variance():

@@ -173,3 +173,5 @@ def test_numeric_flag_at_the_float_range_ends(files, tmp_path, run, flag, value)
     assert code == 0 or not out.exists()
     for path in out.glob("*.json"):
         json.loads(path.read_text(), parse_constant=_refuse)
+    for path in out.glob("*"):  # a time or rate in fixed point ran to 300 digits
+        assert all(len(line) < 200 for line in path.read_text().splitlines()), path.name

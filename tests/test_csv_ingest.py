@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from csv_oracle import parse_imu_joint_csv_oracle
 from ergokit import ingest
-from ergokit.errors import EmptyFile, ErgokitError
+from ergokit.errors import EmptyFile, EncodingError, ErgokitError
 from ergokit.ingest import parse_annotations, parse_imu_joint_csv
 from ergokit.motion import CHANNEL_ORDER, JointAngleSeries, JointChannel
 
@@ -182,6 +182,18 @@ def test_a_long_open_quote_decodes_each_line_once(closed):
 def test_malformed_rows_name_the_fault(text, needle):
     with pytest.raises(ErgokitError, match=needle):
         parse_imu_joint_csv(text)
+
+
+def test_invalid_utf8_anywhere_fails_before_any_row():
+    """A byte that is not UTF-8 in the last row fails with EncodingError,
+    however the rows are chunked, before the bare carriage return in the
+    first row, a MalformedRecord, is read."""
+    rows = ["0.0,1\r2"] + [f"{i / 100!r},{i}.5" for i in range(1, 40)]
+    data = ("time,arm_flex_r\n" + "\n".join(rows) + "\n").encode() + b"0.4,\xff\n"
+    for chunk in (64, ingest._CHUNK):
+        with mock.patch.object(ingest, "_CHUNK", chunk):
+            with pytest.raises(EncodingError, match="invalid start byte"):
+                parse_imu_joint_csv(data)
 
 
 @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
