@@ -20,7 +20,7 @@ IMU joint-angle CSV
     a blank row (every cell whitespace) is skipped. Lines end in LF or CRLF;
     a carriage return outside quotes that does not end a line, or a quote
     never closed, is a MalformedRecord. The body is read in chunks of whole
-    rows, each by one ``np.loadtxt`` call.
+    rows, each by one ``np.loadtxt`` call, into one block of columns.
 
 Keypoint stream (JSON lines)
     One frame per line, e.g.::
@@ -154,6 +154,8 @@ def parse_imu_joint_csv(data: bytes | str, declared_rate: float = 100.0) -> Join
     counted in ``unparseable_cells``.
     A time column that is not on a uniform grid (a gap, a non-finite or
     missing time) raises IrregularTimestamps rather than being re-timed.
+    The channels are rows of one (columns, rows) float block, allocated once
+    for ``_row_bound(data)`` rows, that each chunk's rows are copied into.
     """
     if not (declared_rate > 0):
         raise ValueError("declared_rate must be > 0")
@@ -184,9 +186,12 @@ def parse_imu_joint_csv(data: bytes | str, declared_rate: float = 100.0) -> Join
     # non-empty cells that float() rejects.
     cols = sorted(set(channel_idx.values()) | {time_idx} - {None})
     counts = np.zeros((2, len(cols)), dtype=np.int64)
-    blocks = [_read_rows(text, quoted, cols, counts) for text, quoted in _row_chunks(rows)]
-    column = dict(zip(cols, np.concatenate([np.empty((len(cols), 0))]
-                                           + [block.T for block in blocks], axis=1)))
+    block, n = np.empty((len(cols), _row_bound(data))), 0
+    for text, quoted in _row_chunks(rows):
+        chunk = _read_rows(text, quoted, cols, counts)
+        block[:, n:n + len(chunk)] = chunk.T
+        n += len(chunk)
+    column = dict(zip(cols, block[:, :n]))
 
     rate, start = declared_rate, 0.0
     if time_idx is not None and len(column[time_idx]) >= 2:
@@ -219,6 +224,19 @@ _WIDE_WHITESPACE = [0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 
 # quote (group 1) if the text holds it; the rest of one opened earlier.
 _OPENS = re.compile(r'(?<![^,\n])"(?:[^"]|"")*(")?')
 _CLOSES = re.compile(r'(?:[^"]|"")*(")?')
+
+
+def _row_bound(data: bytes | str) -> int:
+    """At least the rows of ``data``: one more than its characters that are
+    neither CR nor LF but followed by one. Each row ends a line that holds
+    such a character, so blank lines and lines of lone CRs count nothing."""
+    bound = 1
+    for at in range(0, len(data), _CHUNK):
+        piece = data[at:at + _CHUNK + 1]
+        u = np.frombuffer(piece.encode() if isinstance(piece, str) else piece, np.uint8)
+        ends = (u == 10) | (u == 13)
+        bound += np.count_nonzero(ends[1:] & ~ends[:-1])
+    return int(bound)
 
 
 def _row_chunks(rows):
@@ -339,7 +357,8 @@ def _filled(text: str, quoted: list[tuple[int, int]], cols: list[int],
         [(starts[k], ends[k], "nan") for k in fill]
         + [(ends[last[r]], ends[last[r]], ",nan" * (width - ncells[r]))
            for r in short]
-        + [(starts[first[r]], ends[last[r]], "") for r in np.flatnonzero(blank)],
+        + [(starts[first[r]], ends[last[r]], "")  # an empty line needs none
+           for r in np.flatnonzero(blank & (starts[first] < ends[last]))],
         key=lambda edit: edit[0])
     pieces, prev = [], 0
     for a, b, new in edits:

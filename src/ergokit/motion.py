@@ -303,13 +303,13 @@ class AnnotationTrack:
         return cls(intervals=tuple(sorted(intervals, key=lambda iv: iv.t0)))
 
     def flags_for(self, times) -> AnnotationFlags:
-        """Flags for every timestamp at once, each field an (N,) int array:
+        """Flags for every timestamp at once, each field an (N,) int8 array:
         those of the last interval starting at or before t if t < its t1
         (each interval covers [t0, t1)), else the neutral flags."""
         t = np.asarray(times, dtype=float)
         # Row k of ``rows`` and ``ends`` is interval k - 1; row 0 is neutral.
         rows = np.array([[getattr(row, name) for name in FLAG_RANGES]
-                         for row in (NEUTRAL_FLAGS,) + self.intervals])
+                         for row in (NEUTRAL_FLAGS,) + self.intervals], dtype=np.int8)
         k = np.searchsorted([iv.t0 for iv in self.intervals], t, side="right")
         ends = np.array([-math.inf] + [iv.t1 for iv in self.intervals])
         return AnnotationFlags(**dict(zip(FLAG_RANGES, rows[np.where(t < ends[k], k, 0)].T)))

@@ -91,15 +91,17 @@ class SessionReport:
 
     @functools.cached_property
     def _rows(self) -> str:
-        """The ``time,left,right,combined`` header and one line per sample."""
+        """The ``time,left,right,combined`` header and one line per sample,
+        joined 4096 lines at a time, so only one block's lines are held."""
         columns = [text.split(",")[:-1] for text in self._cells]
-        return "\n".join(["time,left,right,combined", *map(",".join, zip(*columns))])
+        return "\n".join(["time,left,right,combined"] + ["\n".join(map(",".join, zip(*(
+            c[a:a + 4096] for c in columns)))) for a in range(0, len(columns[0]), 4096)])
 
 
 def _int_cells(values: np.ndarray) -> str:
     """The text of every integer in ``values``, each followed by a comma."""
     if values.size and 0 <= values.min() and values.max() <= 9:  # one digit each
-        return ",".join((values + ord("0")).astype(np.uint8).tobytes().decode()) + ","
+        return ",".join((values.astype(np.uint8) + ord("0")).tobytes().decode()) + ","
     return "%d," * len(values) % tuple(values.tolist())
 
 

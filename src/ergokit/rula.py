@@ -16,7 +16,10 @@ score C = table A + arm muscle + arm force. Shared: neck/trunk range
 scores, adjustments, Table B with the annotated legs score, then
 score D = table B + neck muscle + neck force. Scores C and D are clamped
 to 1..9 before the final Table C lookup. The combined score is the worse
-(max) of the two sides.
+(max) of the two sides. Every score is int8 and no sum wraps: cells and
+range scores are 1..9, an annotated flag 0..3 (``score_frame`` clips any
+flag to +/-50), and adjustments add up in a type that holds 9 + 3 per
+position rule before the clamp.
 
 There is one scoring path, over all samples at once: ``score_timeline``
 returns a ``RulaTimeline`` of (N,) arrays, and ``score_frame`` is its N=1
@@ -39,7 +42,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from enum import Enum
 from typing import Mapping
 
@@ -163,7 +166,7 @@ def _table(raw: dict, name: str, shape: tuple[int, ...], bounds: tuple[int, int]
             walk(child, dims[1:], coord + (i,))
 
     walk(table, list(shape), ())
-    return np.asarray(table, dtype=int) if len(problems) == before else None
+    return np.asarray(table, dtype=np.int8) if len(problems) == before else None
 
 
 def _range_rules(raw: dict, problems: list[str]) -> dict[str, RangeRule]:
@@ -234,7 +237,7 @@ def _range_rules(raw: dict, problems: list[str]) -> dict[str, RangeRule]:
             channels=parsed_channels,
             intervals=tuple(parsed),
             edges=np.array([lo for lo, _, _ in parsed[1:]]),
-            scores=np.array([score for _, _, score in parsed]),
+            scores=np.array([score for _, _, score in parsed], dtype=np.int8),
         )
     return rules
 
@@ -377,7 +380,7 @@ def _range_scores(rule: RangeRule, angles):
 
 @dataclass(frozen=True, eq=False)
 class SideTimeline:
-    """One side's scores for every sample, as (N,) arrays."""
+    """One side's scores for every sample, as (N,) int8 arrays."""
 
     arm: np.ndarray
     forearm: np.ndarray
@@ -390,7 +393,7 @@ class SideTimeline:
 
 @dataclass(frozen=True, eq=False)
 class RulaTimeline:
-    """Scores of every sample as (N,) arrays: per side in ``left`` and
+    """Scores of every sample as (N,) int8 arrays: per side in ``left`` and
     ``right``, shared ones here. ``final`` is the combined score, ``band``
     the index of its band in ``RiskBand`` order, ``degraded`` marks samples
     that lacked a channel."""
@@ -421,7 +424,7 @@ class RulaTimeline:
 #: joints, then the left side's, then the right side's.
 _SLOTS = tuple(("axial", joint) for joint in AXIAL_JOINTS) + tuple(
     (key, joint) for key in ("left", "right") for joint in SIDED_JOINTS)
-_SLOT_LO, _SLOT_HI = np.array([JOINT_SCORE_RANGE[joint] for _, joint in _SLOTS]).T[..., None]
+_SLOT_LO, _SLOT_HI = np.int8([JOINT_SCORE_RANGE[joint] for _, joint in _SLOTS]).T[..., None]
 
 
 def _score(channels: Mapping[JointChannel, np.ndarray], n: int, flags: AnnotationFlags,
@@ -443,7 +446,8 @@ def _score(channels: Mapping[JointChannel, np.ndarray], n: int, flags: Annotatio
         raise IncompleteFrame(f"channel {channel.value} required for {joint} "
                               f"is missing at sample {i}")
     lowest = [[min(score for _, _, score in rule.intervals)] for rule in rules]
-    scores = np.where(missing, lowest,
+    total = np.min_scalar_type(-9 - 3 * len(config.position_rules))  # holds any adjusted sum
+    scores = np.where(missing, np.array(lowest, total),
                       [_range_scores(rule, values) for rule, values in zip(rules, angles)])
 
     for rule in config.position_rules:
@@ -454,8 +458,8 @@ def _score(channels: Mapping[JointChannel, np.ndarray], n: int, flags: Annotatio
             values = np.abs(values)
         fired = values < rule.threshold if rule.predicate == "below" else values > rule.threshold
         key = rule.side.value if rule.side else "axial"
-        scores[_SLOTS.index((key, rule.joint))] += rule.adjust * fired
-    scores = _clamp(scores, _SLOT_LO, _SLOT_HI)
+        scores[_SLOTS.index((key, rule.joint))] += np.int8(rule.adjust) * fired
+    scores = _clamp(scores, _SLOT_LO, _SLOT_HI).astype(np.int8, copy=False)
 
     neck, trunk = scores[:2]
     legs = np.full(n, _clamp(flags.legs, 1, 2))
@@ -482,6 +486,7 @@ def score_frame(angles: Mapping[JointChannel, float],
     a one-sample RulaTimeline (``sample_rate`` 1, ``start_time`` 0), with
     missing channels handled as the module docstring states."""
     config = config or default_config()
+    flags = AnnotationFlags(*np.int8(np.clip(astuple(flags), -50, 50)))  # int8, as flags_for
     values = np.array(list(angles.values()), dtype=float).reshape(-1, 1)
     fields = _score(dict(zip(angles, values)), 1, flags, config, strict)
     return RulaTimeline(sample_rate=1.0, start_time=0.0, **fields)

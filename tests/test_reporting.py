@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -361,3 +362,26 @@ def test_score_rows_are_formatted_per_sample():
     assert emit_plot_series(timeline)["rula_scores.csv"] == "\n".join(expected) + "\n"
     report = emit_session_report(build_session_report(timeline), "delimited")
     assert "\n".join(expected) in report
+
+
+def test_score_rows_peak_under_140_bytes_a_sample(rng):
+    """On 100 000 samples, the rows are joined a block at a time: rendering
+    them from the cached cells peaks under 140 bytes a sample (172 when
+    every row's string was built at once), and gives every row across the
+    block boundaries."""
+    n = 100_000
+    series = JointAngleSeries(sample_rate=100.0, start_time=0.0, channels={
+        ch: rng.uniform(-180, 180, size=n) for ch in JointChannel})
+    report = build_session_report(score_timeline(series))
+    report._cells  # rendered once and shared with the other emitters
+    tracemalloc.start()
+    try:
+        rows = report._rows
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 140 * n
+    assert rows.split("\n") == ["time,left,right,combined"] + [
+        f"{t:.3f},{l},{r},{c}" for t, l, r, c in zip(
+            report.times.tolist(), report.left.tolist(), report.right.tolist(),
+            report.combined.tolist())]

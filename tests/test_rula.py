@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import fields
 from importlib import resources
 
@@ -24,6 +25,7 @@ from ergokit.rula import (
     _range_scores,
     RiskBand,
     RulaTimeline,
+    SideTimeline,
     band_percentages,
     config_checksum,
     config_from_dict,
@@ -34,6 +36,7 @@ from ergokit.rula import (
     validate_rula_config,
 )
 
+import worksheet_scorer
 from worksheet_scorer import worksheet_score
 
 
@@ -418,3 +421,81 @@ def test_config_skips_byte_order_mark(tmp_path):
     path.write_bytes(b"\xef\xbb\xbf" + shipped)
     assert read_config_json(str(path)) == read_config_json(None)
     assert load_rula_config(str(path)).checksum == default_config().checksum
+
+
+# --- int8 scores ------------------------------------------------------------------
+
+
+def _score_dtypes(timeline: RulaTimeline) -> dict[str, np.dtype]:
+    """The dtype of every score array of ``timeline`` and of its two sides."""
+    dtypes = {f.name: getattr(timeline, f.name).dtype for f in fields(RulaTimeline)
+              if f.name not in ("sample_rate", "start_time", "left", "right", "degraded")}
+    for side in ("left", "right"):
+        dtypes |= {f"{side}.{f.name}": getattr(getattr(timeline, side), f.name).dtype
+                   for f in fields(SideTimeline)}
+    return dtypes
+
+
+def _random_series(rng, n: int) -> tuple[np.ndarray, JointAngleSeries]:
+    values = rng.uniform(-180, 180, size=(len(JointChannel), n))
+    return values, JointAngleSeries(sample_rate=10.0, start_time=0.0,
+                                    channels=dict(zip(JointChannel, values)))
+
+
+def test_every_score_is_int8(rng):
+    track = AnnotationTrack.from_intervals([AnnotationInterval(1.0, 3.0, 1, 3, 1, 3, 2)])
+    _, series = _random_series(rng, 50)
+    for timeline in (score_timeline(series, track), score_frame(zero_angles()),
+                     score_frame(zero_angles(), AnnotationFlags(1, 3, 1, 3, 2))):
+        assert set(_score_dtypes(timeline).values()) == {np.dtype(np.int8)}
+        assert timeline.degraded.dtype == bool
+
+
+@pytest.mark.parametrize("adjust, predicate", [(3, "above"), (-3, "below")])
+def test_fifty_neck_rules_add_up_without_wrapping(rng, monkeypatch, adjust, predicate):
+    """Fifty +3 (or -3) position rules on the neck add +150 (or -150) to its
+    range score where neck flexion is above (or below) 15 degrees: past
+    int8, so the sum is taken in int16 before the clamp to 1..6. The scores
+    equal the worksheet's with that sum added to its neck score (an int8
+    sum wraps and scores neck 1 for 6, or 6 for 1), and are all int8."""
+    raw = read_config_json(None)
+    raw["position"] += [{"joint": "neck", "channel": "T1_head_neck_FE", "predicate": predicate,
+                         "threshold": 15, "adjust": adjust}] * 50
+    config = config_from_dict(raw)
+    base = worksheet_scorer.neck_score
+    fires = (lambda f: f > 15) if adjust > 0 else (lambda f: f < 15)
+    monkeypatch.setattr(worksheet_scorer, "neck_score",
+                        lambda f: base(f) + 50 * adjust * fires(f))
+    values, series = _random_series(rng, 400)
+    timeline = score_timeline(series, config=config)
+    labels = [ch.value for ch in JointChannel]
+    expected = [worksheet_score(dict(zip(labels, frame))) for frame in values.T.tolist()]
+    fired = [fires(f) for f in series.channels[JointChannel.T1_head_neck_FE].tolist()]
+    assert 100 < sum(fired) < 300
+    assert {e["neck"] for e, hit in zip(expected, fired) if hit} == {6 if adjust > 0 else 1}
+    for name in ("neck", "trunk", "table_b_score", "score_d", "final"):
+        assert getattr(timeline, name).tolist() == [e[name.replace("_score", "")]
+                                                    for e in expected], name
+    for side, key in (("left", "l"), ("right", "r")):
+        for name in ("arm", "wrist", "table_a_score", "score_c", "final"):
+            got = getattr(getattr(timeline, side), name).tolist()
+            assert got == [e[key][name.replace("_score", "")] for e in expected], (side, name)
+    assert set(_score_dtypes(timeline).values()) == {np.dtype(np.int8)}
+
+
+def test_scoring_memory_per_sample(rng):
+    """On 100 000 samples of all 20 channels, score_timeline peaks under 200
+    bytes a sample and keeps under 40: the timeline's arrays are int8, 22
+    bytes a sample. With int64 scores it peaked at 388 and kept 162."""
+    n = 100_000
+    _, series = _random_series(rng, n)
+    score_timeline(series)  # compiles and imports what scoring uses
+    tracemalloc.start()
+    try:
+        timeline = score_timeline(series)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert timeline.length == n
+    assert peak < 200 * n
+    assert kept < 40 * n
