@@ -9,6 +9,7 @@ rename).
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -22,48 +23,55 @@ from . import geometry, ingest, reporting, rula
 PROG = "ergokit"
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+def _write_outputs(out: str, files) -> Path:
+    """Make directory ``out`` and write each ``(name, text)`` of ``files``
+    into it atomically, taking (and so rendering) one text at a time."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files:
+        tmp = out / (name + ".tmp")
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, out / name)
+        del text  # freed before the next text is rendered
+    return out
+
+
+def _report_files(stem: str, emit, report):
+    """A report's ``stem``.json and ``stem``.csv, then its plot series."""
+    yield f"{stem}.json", emit(report, "structured")
+    yield f"{stem}.csv", emit(report, "delimited")
+    yield from reporting.emit_plot_series(report).items()
 
 
 def _load_series(path: str, kind: str, args) -> "ingest.JointAngleSeries":
+    """The recording at ``path`` as joint angles, at ``--rate`` if given."""
     if kind == "imu-csv":
-        return ingest.parse_imu_joint_csv(Path(path).read_bytes(), args.imu_rate)
-    # The file's bytes go straight to the parse and are freed when it returns.
-    recording = ingest.parse_keypoint_stream(Path(path).read_bytes(), args.fps)
-    defs = geometry.load_angle_definitions(args.angle_defs)
-    return geometry.compute_angle_series(recording, defs)
+        series = ingest.parse_imu_joint_csv(Path(path).read_bytes(), args.imu_rate)
+    else:  # the file's bytes, then the keypoints, are freed once read, before resampling
+        series = geometry.compute_angle_series(
+            ingest.parse_keypoint_stream(Path(path).read_bytes(), args.fps),
+            geometry.load_angle_definitions(args.angle_defs))
+    return series if args.rate is None else ingest.resample(series, args.rate)
 
 
-def _flags_echo(args, keys) -> dict:
-    return {key: getattr(args, key.replace("-", "_")) for key in keys}
+def _session_report(series, kind: str, annotations, config, strict=False, flags=None):
+    """Score ``series`` and build its session report. When the caller keeps
+    no reference to the series, it and the timeline are freed on return."""
+    timeline = rula.score_timeline(series, annotations, config, strict=strict)
+    return reporting.build_session_report(timeline, series, source_kind=kind,
+                                          config=config, flags=flags)
 
 
 def cmd_score(args) -> int:
-    series = _load_series(args.input, args.kind, args)
-    if args.rate is not None:
-        series = ingest.resample(series, args.rate)
-    annotations = EMPTY_ANNOTATIONS
-    if args.annotations:
-        annotations = ingest.parse_annotations(Path(args.annotations).read_bytes())
-    config = rula.load_rula_config(args.config)
-
-    timeline = rula.score_timeline(series, annotations, config, strict=args.strict)
-    report = reporting.build_session_report(
-        timeline, series, source_kind=args.kind, config=config,
-        flags=_flags_echo(args, ("kind", "rate", "strict")),
+    report = _session_report(
+        _load_series(args.input, args.kind, args), args.kind,
+        ingest.parse_annotations(Path(args.annotations).read_bytes())
+        if args.annotations else EMPTY_ANNOTATIONS,
+        rula.load_rula_config(args.config), strict=args.strict,
+        flags={key: getattr(args, key) for key in ("kind", "rate", "strict")},
     )
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out / "session.json",
-                  reporting.emit_session_report(report, "structured"))
-    _write_atomic(out / "session.csv",
-                  reporting.emit_session_report(report, "delimited"))
-    for name, content in reporting.emit_plot_series(report).items():
-        _write_atomic(out / name, content)
+    out = _write_outputs(args.out, _report_files(
+        "session", reporting.emit_session_report, report))
 
     shares = reporting.format_band_shares(report.band_percentages)
     # Past 1e9 s (only a tiny rate's), three digits keep the line short.
@@ -88,9 +96,10 @@ def cmd_compare(args) -> int:
     for run, (path_a, path_b) in enumerate(zip(paths[0::2], paths[1::2]), start=1):
         series_a = _load_series(path_a, args.kind_a, args)
         series_b = _load_series(path_b, args.kind_b, args)
-        rate = args.rate or min(series_a.sample_rate, series_b.sample_rate)
-        series_a = ingest.resample(series_a, rate)
-        series_b = ingest.resample(series_b, rate)
+        if args.rate is None:  # else both are at --rate already
+            rate = min(series_a.sample_rate, series_b.sample_rate)
+            series_a = ingest.resample(series_a, rate)
+            series_b = ingest.resample(series_b, rate)
         reports.append(
             compare_mod.compare_recordings(
                 series_a, series_b,
@@ -102,25 +111,13 @@ def cmd_compare(args) -> int:
         if args.session_reports:
             for label, series, kind in (("a", series_a, args.kind_a),
                                         ("b", series_b, args.kind_b)):
-                timeline = rula.score_timeline(series, config=config)
-                doc = reporting.emit_session_report(
-                    reporting.build_session_report(
-                        timeline, series, source_kind=kind, config=config),
-                    "structured",
-                )
-                session_docs.append((f"session_run{run}_{label}.json", doc))
+                report = _session_report(series, kind, EMPTY_ANNOTATIONS, config)
+                session_docs.append((f"session_run{run}_{label}.json",
+                                     reporting.emit_session_report(report, "structured")))
 
     summary = compare_mod.summarize_runs(reports)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out / "comparison.json",
-                  reporting.emit_comparison_report(summary, "structured"))
-    _write_atomic(out / "comparison.csv",
-                  reporting.emit_comparison_report(summary, "delimited"))
-    for name, content in reporting.emit_plot_series(summary).items():
-        _write_atomic(out / name, content)
-    for name, doc in session_docs:
-        _write_atomic(out / name, doc)
+    out = _write_outputs(args.out, itertools.chain(_report_files(
+        "comparison", reporting.emit_comparison_report, summary), session_docs))
 
     lags = ", ".join(str(lag) for lag in summary.lags)
     print(f"{PROG}: compared {len(summary.lags)} run(s); lag(s) {lags} samples; "
@@ -130,11 +127,7 @@ def cmd_compare(args) -> int:
 
 def cmd_convert(args) -> int:
     series = _load_series(args.input, "keypoints", args)
-    if args.rate is not None:
-        series = ingest.resample(series, args.rate)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out / "joint_angles.csv", ingest.format_imu_joint_csv(series))
+    out = _write_outputs(args.out, [("joint_angles.csv", ingest.format_imu_joint_csv(series))])
     print(f"{PROG}: converted {series.length} frames, "
           f"{len(series.channels)} channels -> {out / 'joint_angles.csv'}")
     return 0

@@ -154,8 +154,9 @@ def parse_imu_joint_csv(data: bytes | str, declared_rate: float = 100.0) -> Join
     counted in ``unparseable_cells``.
     A time column that is not on a uniform grid (a gap, a non-finite or
     missing time) raises IrregularTimestamps rather than being re-timed.
-    The channels are rows of one (columns, rows) float block, allocated once
-    for ``_row_bound(data)`` rows, that each chunk's rows are copied into.
+    The channels are rows of one (channels, rows) float block, allocated once
+    for ``_row_bound(data)`` rows, that each chunk's rows are copied into;
+    the time column is copied into its own row, which the series does not keep.
     """
     if not (declared_rate > 0):
         raise ValueError("declared_rate must be > 0")
@@ -182,30 +183,30 @@ def parse_imu_joint_csv(data: bytes | str, declared_rate: float = 100.0) -> Join
         raise MissingColumn("no channel column in header")
     time_idx = col_index.get("time")
 
-    # The used columns, and per used column its empty cells and the
-    # non-empty cells that float() rejects.
-    cols = sorted(set(channel_idx.values()) | {time_idx} - {None})
+    # The used columns, the channels' then the time's, and per used column
+    # its empty cells and the non-empty cells that float() rejects.
+    k = len(channel_idx)
+    cols = [*channel_idx.values(), *{time_idx} - {None}]
     counts = np.zeros((2, len(cols)), dtype=np.int64)
-    block, n = np.empty((len(cols), _row_bound(data))), 0
+    bound = _row_bound(data)
+    block, times, n = np.empty((k, bound)), np.empty((len(cols) - k, bound)), 0
     for text, quoted in _row_chunks(rows):
         chunk = _read_rows(text, quoted, cols, counts)
-        block[:, n:n + len(chunk)] = chunk.T
+        block[:, n:n + len(chunk)] = chunk[:, :k].T
+        times[:, n:n + len(chunk)] = chunk[:, k:].T
         n += len(chunk)
-    column = dict(zip(cols, block[:, :n]))
 
     rate, start = declared_rate, 0.0
-    if time_idx is not None and len(column[time_idx]) >= 2:
-        rate, start = uniform_grid(column[time_idx])
+    if time_idx is not None and n >= 2:
+        rate, start = uniform_grid(times[0, :n])
 
-    channels = {ch: column[i] for ch, i in channel_idx.items()}
+    channels = dict(zip(channel_idx, block[:, :n]))
     # Every non-empty cell without a finite value ("x", "nan", "inf", "1e999"),
     # or beyond MAX_ABS_ANGLE, is a missing sample and counts as unparseable.
     for x in channels.values():
         x[np.abs(x) > MAX_ABS_ANGLE] = math.nan  # inf too
     unparseable = sum(int(np.isnan(x).sum()) for x in channels.values())
-    unparseable -= sum(int(counts[0, cols.index(i)]) for i in channel_idx.values())
-    if time_idx is not None:
-        unparseable += int(counts[:, cols.index(time_idx)].sum())
+    unparseable += int(counts[:, k:].sum() - counts[0, :k].sum())
 
     return JointAngleSeries(
         sample_rate=rate,

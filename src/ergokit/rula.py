@@ -117,18 +117,19 @@ class RulaConfig:
 # --- config loading: one walk validates and builds ----------------------------
 
 
+def _digest(value, digits: int) -> str:
+    """The first ``digits`` hex digits of the sha256 of ``value``'s canonical JSON."""
+    canonical = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:digits]
+
+
 def config_checksum(raw: dict) -> str:
     """Checksum of the canonicalized config, embedded in every report."""
-    canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    return _digest(raw, 16)
 
 
 def table_checksums(raw: dict) -> dict[str, str]:
-    out = {}
-    for name in ("table_a", "table_b", "table_c"):
-        canonical = json.dumps(raw.get(name), separators=(",", ":"))
-        out[name] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
-    return out
+    return {name: _digest(raw.get(name), 12) for name in ("table_a", "table_b", "table_c")}
 
 
 def _is_int(value, lo=-math.inf, hi=math.inf) -> bool:

@@ -229,6 +229,17 @@ def test_parse_peaks_within_one_and_a_half_times_its_input(bom):
         assert np.array_equal(parsed.channels[ch], x)
 
 
+def test_the_channels_block_holds_no_time_row():
+    """The channels are the rows of one block that holds nothing else: the
+    time column, read into a row of its own, is freed with the parse."""
+    parsed = parse_imu_joint_csv("arm_flex_r,time,note,elbow_flex_l\n1,0.5,a,2\n3,0.75,b,4\n")
+    [block] = {id(x.base): x.base for x in parsed.channels.values()}.values()
+    assert block.shape[0] == len(parsed.channels) == 2
+    assert (parsed.sample_rate, parsed.start_time) == (4.0, 0.5)
+    assert parsed.channels[JointChannel.arm_flex_r].tolist() == [1.0, 3.0]
+    assert parsed.channels[JointChannel.elbow_flex_l].tolist() == [2.0, 4.0]
+
+
 @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
 def test_blank_lines_take_no_room_in_the_parse(newline):
     """Ten blank lines after every row parse to the same series within the
