@@ -11,14 +11,14 @@ squared differences from FFTs of short blocks, in O(N log M) for windows
 of M samples, and rescores exactly the lags that rounding could make best.
 
 A sample is valid when it is an angle, within +/-``MAX_ABS_ANGLE``
-(``motion.angle_mask``, the rule ``channel_summary`` applies too): NaN,
+(``motion.angle_mask``, as in ``channel_summary`` and scoring): NaN,
 +/-inf and larger samples are missing, so no square or sum overflows.
-Missing samples are excluded pairwise per channel; a channel with less
+``_pairs`` keeps the pairs of a lag's overlap where both samples are
+valid, from each series' mask, built once (none when both extrema are in
+range) for the lag search and every lag it rescores. A channel with less
 than half of its overlap valid is reported unavailable rather than
-silently dropped. When both sides' extrema are in range, so is every
-sample, and no mask is built. The channels are scored concurrently, with
-einsum, not BLAS, so no statistic depends on the BLAS build or its thread
-count.
+silently dropped. The channels are scored concurrently, with einsum, not
+BLAS, so no statistic depends on the BLAS build or its thread count.
 
 One ``ComparisonReport`` holds n >= 1 runs: ``compare_recordings`` returns
 one run, and ``summarize_runs`` joins runs that share a sample rate, a
@@ -58,18 +58,25 @@ DEFAULT_REFERENCE_CHANNEL = JointChannel.arm_flex_r
 ZERO_VARIANCE_STD = 1e-9
 
 
+def _pairs(a, ka, b, kb, lag: int):
+    """The pairs ``a[i]``, ``b[i + lag]`` of the overlap at ``lag`` where both
+    samples are angles, from the whole series and their ``angle_mask``
+    (None when every sample is an angle); the one rule of which pairs count."""
+    sa = slice(max(0, -lag), min(len(a), len(b) - lag))
+    sb = slice(sa.start + lag, sa.stop + lag)
+    if ka is None and kb is None:
+        return a[sa], b[sb]
+    valid = kb[sb] if ka is None else ka[sa] if kb is None else ka[sa] & kb[sb]
+    return a[sa][valid], b[sb][valid]
+
+
 def _valid_pairs(a, b):
-    """``a`` and ``b`` flattened to the pairs where both samples are angles
-    (``angle_mask``)."""
+    """``a`` and ``b`` flattened to the pairs where both samples are angles."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise LengthMismatch(f"lengths {a.shape} vs {b.shape}")
     a, b = a.reshape(-1), b.reshape(-1)
-    ka, kb = angle_mask(a), angle_mask(b)
-    if ka is None and kb is None:
-        return a, b
-    valid = kb if ka is None else ka if kb is None else ka & kb
-    return a[valid], b[valid]
+    return _pairs(a, angle_mask(a), b, angle_mask(b), 0)
 
 
 def _rmse(a: np.ndarray, b: np.ndarray, d: np.ndarray | None = None) -> float:
@@ -81,7 +88,7 @@ def _rmse(a: np.ndarray, b: np.ndarray, d: np.ndarray | None = None) -> float:
 
 
 def _pearson(a: np.ndarray, b: np.ndarray, rows=(None, None)) -> float:
-    """r of the valid pairs from ``_valid_pairs``, in two scratch ``rows``."""
+    """r of the valid pairs from ``_pairs``, in two scratch ``rows``."""
     n = a.size
     if n < 2:
         raise NoValidPairs("need at least 2 valid pairs")
@@ -101,8 +108,7 @@ def rmse(a, b) -> float:
 
 
 def pearson_correlation(a, b) -> float:
-    """Pearson coefficient over pairs where both samples are valid, in
-    [-1, 1]."""
+    """Pearson coefficient, in [-1, 1], over pairs where both samples are valid."""
     return _pearson(*_valid_pairs(a, b))
 
 
@@ -111,12 +117,6 @@ class AlignmentResult:
     lag: int        # samples; positive = second series delayed
     overlap: int    # aligned overlap length at the chosen lag
     rmse: float     # RMSE at the chosen lag
-
-
-def _overlap_slices(len_a: int, len_b: int, lag: int):
-    i0 = max(0, -lag)
-    i1 = min(len_a, len_b - lag)
-    return i0, i1
 
 
 def _fast_length(n: int) -> int:
@@ -137,11 +137,11 @@ def _rows(out: np.ndarray, x: np.ndarray, valid: np.ndarray, start: int, offset:
     return out
 
 
-def _lag_sums(a: np.ndarray, b: np.ndarray, max_lag: int):
-    """The count of valid pairs ``a[i]``, ``b[i + lag]`` and the sum of their
-    squared differences (SSD) at every lag in [-max_lag, max_lag],
+def _lag_sums(a: np.ndarray, ka, b: np.ndarray, kb, max_lag: int):
+    """The count of the pairs ``_pairs(a, ka, b, kb, lag)`` keeps and the sum
+    of their squared differences (SSD) at every lag in [-max_lag, max_lag],
     ``max_lag`` clamped to the lags that overlap: ``(lags, overlap, count,
-    ssd, err)``.
+    ssd, err)``, from the caller's masks ``ka`` and ``kb``.
 
     Both curves are masked cross-correlations (Padfield, IEEE TIP 2012) of
     the validity masks and of the series less one shared offset (the mean of
@@ -180,8 +180,8 @@ def _lag_sums(a: np.ndarray, b: np.ndarray, max_lag: int):
         return lags, overlap, np.zeros(0), np.zeros(0), 0.0
     # Samples that pair at no lag in range add nothing.
     a, b = a[:len(b) + max_lag], b[:len(a) + max_lag]
-    ma, mb = (np.ones(x.shape, bool) if m is None else m
-              for x, m in ((a, angle_mask(a)), (b, angle_mask(b))))
+    ma, mb = (np.ones(len(x), bool) if m is None else m[:len(x)]
+              for x, m in ((a, ka), (b, kb)))
     n = np.count_nonzero(ma) + np.count_nonzero(mb)
     offset = (a.sum(where=ma) + b.sum(where=mb)) / n if n else 0.0
     m = _fast_length(max(4 * (2 * max_lag + 1), 4096))
@@ -216,26 +216,23 @@ def align_min_rmse(reference, other, max_lag: int, min_overlap: int = 1) -> Alig
     ``min_overlap`` samples of overlap with a valid pair. Every lag's mean
     squared difference comes from ``_lag_sums``; only the lags whose
     estimate less its bound is not above the lowest estimate plus bound are
-    rescored with ``rmse``, and the key ``(rmse, |lag|, lag)`` picks one.
+    rescored, ``_rmse`` of their ``_pairs``, and the key ``(rmse, |lag|,
+    lag)`` picks one. Both take each series' mask, built once here.
     """
-    a = np.asarray(reference, dtype=float)
-    b = np.asarray(other, dtype=float)
-    lags, overlap, count, ssd, err = _lag_sums(a, b, max_lag)
+    a, b = np.asarray(reference, dtype=float), np.asarray(other, dtype=float)
+    ka, kb = angle_mask(a), angle_mask(b)
+    lags, overlap, count, ssd, err = _lag_sums(a, ka, b, kb, max_lag)
     ok = (overlap >= max(min_overlap, 1)) & (count >= 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         cost, tol = ssd / count, err / count
         keep = ok & ~(cost - tol > np.min(cost[ok] + tol[ok], initial=np.inf))
-    keys = []
-    for lag in lags[keep].tolist():
-        i0, i1 = _overlap_slices(len(a), len(b), lag)
-        keys.append((rmse(a[i0:i1], b[i0 + lag:i1 + lag]), abs(lag), lag))
+    keys = [(_rmse(*_pairs(a, ka, b, kb, lag)), abs(lag), lag) for lag in lags[keep].tolist()]
     if not keys:
         raise InsufficientOverlap(
             f"no lag within +/-{max_lag} leaves {min_overlap} overlapping samples"
         )
     value, _, lag = min(keys)
-    i0, i1 = _overlap_slices(len(a), len(b), lag)
-    return AlignmentResult(lag=lag, overlap=i1 - i0, rmse=value)
+    return AlignmentResult(lag=lag, overlap=int(overlap[lag - lags[0]]), rmse=value)
 
 
 def _mean_or_none(values) -> float | None:
@@ -286,9 +283,11 @@ def compare_recordings(a: JointAngleSeries, b: JointAngleSeries,
                        ) -> ComparisonReport:
     """Compare two recordings of the same task at a common sample rate.
 
-    The global lag comes from ``reference_channel``; every channel is then
-    scored on the aligned overlap, channels k, k + threads, ... in thread k
-    (``ingest._striped``), in its two rows of one scratch block allocated
+    The global lag comes from ``align_min_rmse`` on ``reference_channel``.
+    It builds that channel's masks, and the channel loop again (1 channel
+    of 20), so the search stays one call a wrapper can time. Each channel is
+    scored on ``_pairs`` at the lag, channels k, k + threads, ... in thread
+    k (``ingest._striped``), in its two rows of one scratch block allocated
     first. The report and any error equal a serial loop's over ``CHANNEL_ORDER``.
     """
     if not math.isclose(a.sample_rate, b.sample_rate, rel_tol=1e-9):
@@ -306,13 +305,9 @@ def compare_recordings(a: JointAngleSeries, b: JointAngleSeries,
         raise ReferenceChannelMissing(
             f"reference channel {reference_channel.value} absent from an input"
         )
-    lag = align_min_rmse(
-        a.channels[reference_channel], b.channels[reference_channel],
-        max_lag=max_lag, min_overlap=min_overlap,
-    ).lag
-
-    i0, i1 = _overlap_slices(a.length, b.length, lag)
-    overlap = i1 - i0
+    lag = align_min_rmse(a.channels[reference_channel], b.channels[reference_channel],
+                         max_lag=max_lag, min_overlap=min_overlap).lag
+    overlap = min(a.length, b.length - lag) - max(0, -lag)  # the series', not the reference's
     names = _ordered_channels(set(a.channels) | set(b.channels))
     workers = _pool_size(len(names))
     scratch = np.empty((workers, 2, overlap))  # here, not in the workers: keeps the heap warm for the FFTs
@@ -323,8 +318,11 @@ def compare_recordings(a: JointAngleSeries, b: JointAngleSeries,
         if ch not in a.channels or ch not in b.channels:
             note = f"missing in {'first' if ch not in a.channels else 'second'} recording"
         else:
-            xa, xb = _valid_pairs(a.channels[ch][i0:i1], b.channels[ch][i0 + lag:i1 + lag])
-            fraction = xa.size / overlap if overlap else 0.0
+            x, y = a.channels[ch], b.channels[ch]
+            if (len(x), len(y)) != (a.length, b.length):  # replaced after the series' check
+                raise LengthMismatch(f"lengths {x.shape} vs {y.shape}")
+            xa, xb = _pairs(x, angle_mask(x), y, angle_mask(y), lag)
+            fraction = xa.size / overlap
             if fraction < MIN_VALID_FRACTION:
                 note = f"only {fraction:.2f} of the overlap valid"
             else:

@@ -25,12 +25,12 @@ There is one scoring path, over all samples at once: ``score_timeline``
 returns a ``RulaTimeline`` of (N,) arrays, and ``score_frame`` is its N=1
 case, a one-sample ``RulaTimeline``: scores have this one type from scoring
 to report. Tables A, B and C and the risk bands are looked up there alone,
-by indexing the config's arrays (``band_codes`` for the bands). A missing
-channel (absent or NaN) scores its joint's minimum and marks the sample
-degraded; with ``strict=True`` it raises IncompleteFrame naming the
-channel and the first sample lacking it. A channel that only position
-rules read is missing only when absent: a NaN sample of it just leaves the
-adjustment unapplied.
+by indexing the config's arrays (``band_codes`` for the bands). A channel
+that is absent or no angle (NaN, +/-inf, beyond +/-``MAX_ABS_ANGLE``:
+``motion.angle_mask``, as in ``compare``) is missing: it scores its joint's
+minimum and marks the sample degraded, or with ``strict=True`` raises
+IncompleteFrame naming it and the first sample lacking it. A sample that is
+no angle fires no adjustment; a position rule's absent channel degrades all.
 
 Range intervals are half-open [lo, hi); the first interval is open below
 and the last closed above, so every finite angle scores exactly once.
@@ -58,6 +58,7 @@ from .motion import (
     JointChannel,
     NEUTRAL_FLAGS,
     Side,
+    angle_mask,
 )
 
 
@@ -374,8 +375,7 @@ def _clamp(scores, lo: int, hi: int):
 
 
 def _range_scores(rule: RangeRule, angles):
-    """Primary score of the interval holding each angle: the number of
-    interval starts at or below it, so +inf lands in the last interval."""
+    """Each angle's primary score, indexed by the number of interval starts at or below it."""
     return rule.scores[rule.edges.searchsorted(angles, side="right")]
 
 
@@ -438,7 +438,8 @@ def _score(channels: Mapping[JointChannel, np.ndarray], n: int, flags: Annotatio
     reads = [(rule.channels[key], joint) for rule, (key, joint) in zip(rules, _SLOTS)]
     nans = np.full(n, np.nan)
     angles = np.array([channels.get(ch, nans) for ch, _ in reads], dtype=float)
-    missing = np.isnan(angles)
+    kept = angle_mask(angles)  # bool, with no (10, n) float temporary
+    missing = np.zeros(angles.shape, bool) if kept is None else ~kept
     absent = [(r.channel, r.joint) for r in config.position_rules if r.channel not in channels]
     degraded = missing.any(axis=0) | bool(absent)
     if strict and degraded.any():
@@ -455,11 +456,12 @@ def _score(channels: Mapping[JointChannel, np.ndarray], n: int, flags: Annotatio
         values = channels.get(rule.channel)
         if values is None:
             continue
+        kept = angle_mask(values)  # a sample that is no angle fires no rule
         if rule.predicate == "outside":
             values = np.abs(values)
         fired = values < rule.threshold if rule.predicate == "below" else values > rule.threshold
-        key = rule.side.value if rule.side else "axial"
-        scores[_SLOTS.index((key, rule.joint))] += np.int8(rule.adjust) * fired
+        slot = _SLOTS.index((rule.side.value if rule.side else "axial", rule.joint))
+        scores[slot] += np.int8(rule.adjust) * (fired if kept is None else fired & kept)
     scores = _clamp(scores, _SLOT_LO, _SLOT_HI).astype(np.int8, copy=False)
 
     neck, trunk = scores[:2]

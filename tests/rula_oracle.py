@@ -8,6 +8,9 @@ edits are that ``RangeRule.min_score`` and ``PositionRule.triggered`` became
 the module functions ``_min_score`` and ``_triggered``, and that ``flags_at``
 builds an interval's flags itself, as ``AnnotationInterval.flags`` is gone,
 and that ``UnknownJoint``, which the library no longer has, is defined here.
+A sample is missing when it is no angle, by the rule of ``compare`` and of
+the library's scorer (``_no_angle``: NaN, +/-inf or beyond
++/-``MAX_ABS_ANGLE``), where it was missing only when NaN.
 The Table A, B and C lookups and the band lookup, with their range checks
 and ``OutOfRangeIndex``, are the library's scalar functions as they were
 before the library kept only the array lookups of its one scoring path;
@@ -29,6 +32,7 @@ from ergokit.motion import (
     NEUTRAL_FLAGS,
     JointAngleSeries,
     JointChannel,
+    MAX_ABS_ANGLE,
     Side,
 )
 from ergokit.rula import (
@@ -136,7 +140,7 @@ def apply_position_adjustments(base_scores: dict[str, int],
         if rule.side is not None and rule.side != side:
             continue
         angle = angles.get(rule.channel)
-        if angle is None or (isinstance(angle, float) and math.isnan(angle)):
+        if _no_angle(angle):
             continue
         if _triggered(rule, float(angle)):
             adjusted[rule.joint] += rule.adjust
@@ -171,13 +175,17 @@ class RulaFrameScore:
         return self.left if side == Side.left else self.right
 
 
+def _no_angle(angle) -> bool:
+    """None, NaN, +/-inf or beyond +/-MAX_ABS_ANGLE: a missing sample."""
+    return angle is None or not abs(float(angle)) <= MAX_ABS_ANGLE
+
+
 def _local_score(joint: str, side_key: str, angles, config, strict: bool):
     """Range score for one joint, honouring the missing-channel policy."""
     rule = config.range_rules[joint]
     channel = rule.channels[side_key]
     angle = angles.get(channel)
-    missing = angle is None or (isinstance(angle, float) and math.isnan(angle))
-    if missing:
+    if _no_angle(angle):
         if strict:
             raise IncompleteFrame(
                 f"channel {channel.value} required for {joint} is missing"

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 import align_oracle
 from ergokit import compare
 from ergokit.errors import InsufficientOverlap, ZeroVariance
-from ergokit.motion import MAX_ABS_ANGLE
+from ergokit.motion import MAX_ABS_ANGLE, angle_mask
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 # Missing samples: NaN, +/-inf, and finite ones beyond +/-MAX_ABS_ANGLE.
@@ -142,13 +142,18 @@ def test_degenerate_inputs_equal_oracle(a, b, max_lag):
         _assert_like_oracle(a, b, max_lag, min_overlap)
 
 
+def _fft_search(a, b, max_lag):
+    """``_lag_sums`` on the validity masks that ``align_min_rmse`` builds."""
+    return compare._lag_sums(a, angle_mask(a), b, angle_mask(b), max_lag)
+
+
 @settings(PROPERTY, max_examples=60)
 @given(st.one_of(pairs(), long_pairs()))
 def test_lag_sums_within_their_bound(case):
     """Every lag's FFT count is exact and its SSD is within ``err`` of the
     sum over the valid pairs, whether the FFTs take one block or several."""
     a, b, max_lag, _ = case
-    lags, overlap, count, ssd, err = compare._lag_sums(a, b, max_lag)
+    lags, overlap, count, ssd, err = _fft_search(a, b, max_lag)
     for lag, n, got, est in zip(lags.tolist(), overlap, count, ssd):
         i0, i1 = align_oracle._overlap_slices(len(a), len(b), lag)
         assert n == i1 - i0
@@ -191,17 +196,17 @@ def test_search_memory_stays_flat_over_hours():
     the FFT search holds one block at a time: with the validity masks it
     peaks at about 1 MB. Holding every block's took 15.7 MB, and 31 MB
     for two hours. Two hours may add to the FFT search the longer masks,
-    and to the whole search what ``rmse`` copies to rescore a lag over the
-    longer overlap (its valid pairs, their squared differences and masks:
-    about 25 bytes a sample, 2.7 MB), no more."""
+    and to the whole search what ``_pairs`` and ``_rmse`` copy to rescore
+    a lag over the longer overlap (its valid pairs, their squared
+    differences and the pair mask), no more."""
     a, b = _hour_long_pair(np.random.default_rng(6))
     a2, b2 = np.r_[a, a], np.r_[b, b]
     hour = _traced_peak(compare.align_min_rmse, a, b, 300)
     two_hours = _traced_peak(compare.align_min_rmse, a2, b2, 300)
     assert hour < 7e6
     assert two_hours - hour < 3e6
-    fft_hour = _traced_peak(compare._lag_sums, a, b, 300)
-    fft_two_hours = _traced_peak(compare._lag_sums, a2, b2, 300)
+    fft_hour = _traced_peak(_fft_search, a, b, 300)
+    fft_two_hours = _traced_peak(_fft_search, a2, b2, 300)
     assert fft_hour < 2e6
     assert fft_two_hours - fft_hour < 0.4e6
 
@@ -213,14 +218,15 @@ def test_max_lag_clamped_to_lags_that_overlap(rng):
 
 
 def _count_rmse_calls(monkeypatch):
+    """The lengths of the pairs each rescored lag passes to ``_rmse``."""
     calls = []
-    original = compare.rmse
+    original = compare._rmse
 
-    def counted(x, y):
+    def counted(x, y, *rest):
         calls.append(len(x))
-        return original(x, y)
+        return original(x, y, *rest)
 
-    monkeypatch.setattr(compare, "rmse", counted)
+    monkeypatch.setattr(compare, "_rmse", counted)
     return calls
 
 
@@ -233,7 +239,7 @@ def test_window_stays_narrow_under_a_large_offset(monkeypatch, offset):
     a, b = offset + z[100:500], offset + z[93:493]
     rmse_calls = _count_rmse_calls(monkeypatch)
     assert compare.align_min_rmse(a, b, max_lag=60).lag == 7
-    assert len(rmse_calls) <= 3
+    assert 1 <= len(rmse_calls) <= 3
 
 
 def test_window_stays_narrow_over_an_hour(monkeypatch):
@@ -245,8 +251,30 @@ def test_window_stays_narrow_over_an_hour(monkeypatch):
     for tiles in (1, 4):
         a, b = (np.tile(x, tiles) for x in hour)
         assert compare.align_min_rmse(a, b, max_lag=300).lag == 137
-        assert len(rmse_calls) <= 3
+        assert 1 <= len(rmse_calls) <= 3
         rmse_calls.clear()
+
+
+def test_masks_built_once_per_series(monkeypatch):
+    """The search builds each series' validity mask once, for the FFT sums
+    and for every lag it rescores: on a tie over many lags, with samples
+    beyond +/-MAX_ABS_ANGLE on both sides, ``angle_mask`` runs twice."""
+    rng = np.random.default_rng(12)
+    a, b = np.full(300, 20.0), np.full(280, 20.0)
+    for x in (a, b):
+        _lose(rng, x, rng.random(len(x)) < 0.1)
+    masks = []
+    original = compare.angle_mask
+
+    def counted(x):
+        masks.append(len(x))
+        return original(x)
+
+    monkeypatch.setattr(compare, "angle_mask", counted)
+    rmse_calls = _count_rmse_calls(monkeypatch)
+    _assert_like_oracle(a, b, 8, 1)
+    assert len(rmse_calls) == 17
+    assert masks == [300, 280]
 
 
 def test_near_constant_series_has_zero_variance():

@@ -1,7 +1,8 @@
 """The batch RULA scorer against the per-frame oracle in ``rula_oracle``.
 
 Inputs are drawn to hit the edges of the batch path: angles exactly on
-interval starts and position thresholds, NaN and +/-inf, absent channels,
+interval starts and position thresholds, NaN, +/-inf and samples beyond
++/-MAX_ABS_ANGLE, absent channels,
 annotation tracks with touching intervals and samples exactly at t0/t1,
 and random configs that pass ``validate_rula_config`` (moved interval
 starts and scores, thresholds, predicates, adjusts, table cells and band
@@ -24,6 +25,7 @@ from ergokit.motion import (
     AnnotationTrack,
     JointAngleSeries,
     JointChannel,
+    MAX_ABS_ANGLE,
 )
 from ergokit.rula import (
     RiskBand,
@@ -67,8 +69,9 @@ def configs(draw):
 
 
 def _special_angles(config) -> list[float]:
-    """Interval starts, thresholds and their negatives, zero, NaN and +/-inf."""
-    values = {0.0, math.nan, math.inf, -math.inf}
+    """Interval starts, thresholds and their negatives, zero, NaN, +/-inf and
+    two finite samples beyond +/-MAX_ABS_ANGLE."""
+    values = {0.0, math.nan, math.inf, -math.inf, 1e200, -2e6}
     for rule in config.range_rules.values():
         values.update(lo for lo, _, _ in rule.intervals[1:])
     for rule in config.position_rules:
@@ -191,6 +194,46 @@ def test_score_frame_equals_oracle(data):
             score_frame(angles, flags, config, strict=True)
     else:
         score_frame(angles, flags, config, strict=True)
+
+
+#: Samples that are no angle, though not NaN.
+NO_ANGLE = np.array([math.inf, -math.inf, 1e200, -1e200, 2e6, -2e6])
+
+
+def _scores(timeline):
+    """Every score array, the band and the degraded mask of ``timeline``, as lists."""
+    shared = {name: getattr(timeline, name).tolist() for name in SHARED_FIELDS + ("band",)}
+    return shared, [[getattr(getattr(timeline, side), f.name).tolist()
+                     for f in fields(SideTimeline)] for side in ("left", "right")]
+
+
+def _strict_outcome(score, *args):
+    try:
+        return _scores(score(*args, strict=True))
+    except IncompleteFrame as exc:
+        return str(exc)
+
+
+@PROPERTY
+@given(cases(), st.integers(0, 2**32 - 1))
+def test_no_angle_scores_as_nan(case, seed):
+    """Putting NaN in place of every sample beyond +/-MAX_ABS_ANGLE (+/-inf,
+    +/-1e200, +/-2e6) changes no score, band or degraded mark, of the
+    timeline or of its last sample scored as one frame, and no strict-mode
+    error: such a sample is missing, in a range rule's channel and in a
+    position rule's."""
+    config, series, track = case
+    rng = np.random.default_rng(seed)
+    for x in series.channels.values():
+        lost = rng.random(len(x)) < 0.3
+        x[lost] = rng.choice(NO_ANGLE, np.count_nonzero(lost))
+    as_nan = JointAngleSeries(sample_rate=RATE, start_time=series.start_time, channels={
+        ch: np.where(np.abs(x) <= MAX_ABS_ANGLE, x, math.nan) for ch, x in series.channels.items()})
+    for score in (lambda s, **kw: score_timeline(s, track, config, **kw),
+                  lambda s, **kw: score_frame({ch: x[-1] for ch, x in s.channels.items()},
+                                              config=config, **kw)):
+        assert _scores(score(series)) == _scores(score(as_nan))
+        assert _strict_outcome(score, series) == _strict_outcome(score, as_nan)
 
 
 @pytest.mark.parametrize("value", [-6, 12])

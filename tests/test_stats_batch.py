@@ -181,6 +181,20 @@ def test_first_failing_channel_in_order_raises(cpus):
                 compare.compare_recordings(series, other, REFERENCE, 3.0, 100.0)
 
 
+def test_shortened_reference_channel_raises_length_mismatch():
+    """A reference channel shortened after the series checked its lengths
+    still aligns, and then fails as any other such channel does. It is not
+    the first channel, whose length is the series'."""
+    rng = np.random.default_rng(4)
+    a = {ch: 30.0 * rng.normal(size=600) for ch in OTHERS + [REFERENCE]}
+    b = {ch: x + rng.normal(size=600) for ch, x in a.items()}
+    series = JointAngleSeries(sample_rate=1.0, start_time=0.0, channels=a)
+    series.channels[REFERENCE] = a[REFERENCE][:300]
+    other = JointAngleSeries(sample_rate=1.0, start_time=0.0, channels=b)
+    with pytest.raises(LengthMismatch, match=re.escape("lengths (300,)")):
+        compare.compare_recordings(series, other, REFERENCE, 3.0, 100.0)
+
+
 def test_hour_long_run_equals_oracle():
     """The benchmark's shape at one lag: 108k samples per channel."""
     rng = np.random.default_rng(11)
