@@ -36,9 +36,9 @@ print(f"wrote synthetic IMU export: {csv_path} "
 # --- 2. parse it back and attach manual annotations --------------------------
 series = parse_imu_joint_csv(csv_path.read_bytes())
 annotations = parse_annotations(
-    "t0,t1,arm_muscle,arm_force,neck_muscle,neck_force,legs\n"
-    "10,25,1,1,0,0,1\n"   # repetitive handling with a light load
-    "40,55,1,2,1,1,2\n"   # heavier lift, one leg loaded
+    b"t0,t1,arm_muscle,arm_force,neck_muscle,neck_force,legs\n"
+    b"10,25,1,1,0,0,1\n"   # repetitive handling with a light load
+    b"40,55,1,2,1,1,2\n"   # heavier lift, one leg loaded
 )
 
 # --- 3. score every sample and aggregate risk bands --------------------------

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from ergokit import (
+    build_session_report,
     compute_angle_series,
     compute_joint_angles,
     emit_plot_series,
@@ -58,7 +59,7 @@ for ch in (JointChannel.elbow_flex_r, JointChannel.lumbar_flexion,
           f"{np.nanmax(values):7.2f}] deg")
 
 # --- 4. plot-ready score series ---------------------------------------------------
-timeline = score_timeline(series)
-for name, content in emit_plot_series(timeline).items():
+report = build_session_report(score_timeline(series))
+for name, content in emit_plot_series(report).items():
     (out_dir / name).write_text(content)
     print(f"wrote {out_dir / name} ({len(content.splitlines()) - 1} rows)")

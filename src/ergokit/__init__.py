@@ -50,8 +50,6 @@ from .compare import (
     ComparisonReport,
     align_min_rmse,
     compare_recordings,
-    pearson_correlation,
-    rmse,
     summarize_runs,
 )
 from .reporting import (

@@ -15,7 +15,9 @@ A sample is valid when it is an angle, within +/-``MAX_ABS_ANGLE``
 +/-inf and larger samples are missing, so no square or sum overflows.
 ``_pairs`` keeps the pairs of a lag's overlap where both samples are
 valid, from each series' mask, built once (none when both extrema are in
-range) for the lag search and every lag it rescores. A channel with less
+range) for the lag search and every lag it rescores; ``_rmse`` and
+``_pearson`` score them, called from ``align_min_rmse`` and
+``compare_recordings`` only. A channel with less
 than half of its overlap valid is reported unavailable rather than
 silently dropped. The channels are scored concurrently, with einsum, not
 BLAS, so no statistic depends on the BLAS build or its thread count.
@@ -70,16 +72,8 @@ def _pairs(a, ka, b, kb, lag: int):
     return a[sa][valid], b[sb][valid]
 
 
-def _valid_pairs(a, b):
-    """``a`` and ``b`` flattened to the pairs where both samples are angles."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise LengthMismatch(f"lengths {a.shape} vs {b.shape}")
-    a, b = a.reshape(-1), b.reshape(-1)
-    return _pairs(a, angle_mask(a), b, angle_mask(b), 0)
-
-
 def _rmse(a: np.ndarray, b: np.ndarray, d: np.ndarray | None = None) -> float:
+    """RMS difference of the valid pairs from ``_pairs``, in a scratch row ``d``."""
     if not a.size:
         raise NoValidPairs("no pair has both samples valid")
     d = np.subtract(a, b, out=d)
@@ -100,16 +94,6 @@ def _pearson(a: np.ndarray, b: np.ndarray, rows=(None, None)) -> float:
         raise ZeroVariance(f"standard deviation below {ZERO_VARIANCE_STD} deg")
     r = float(np.einsum("i,i->", da, db)) / math.sqrt(ssa * ssb)
     return min(1.0, max(-1.0, r))
-
-
-def rmse(a, b) -> float:
-    """Root mean square difference over pairs where both samples are valid."""
-    return _rmse(*_valid_pairs(a, b))
-
-
-def pearson_correlation(a, b) -> float:
-    """Pearson coefficient, in [-1, 1], over pairs where both samples are valid."""
-    return _pearson(*_valid_pairs(a, b))
 
 
 @dataclass(frozen=True)
@@ -160,8 +144,8 @@ def _lag_sums(a: np.ndarray, ka, b: np.ndarray, kb, max_lag: int):
     The blocks are taken one at a time, each block's spectra added to one
     running total, so the working memory is O(M), not O(N).
 
-    ``err`` bounds the rounding of every lag's SSD, and that of ``rmse`` on
-    the lag's overlap: ``16 eps (log2 M + blocks) (2 sqrt(M) + 4) E``, where
+    ``err`` bounds the rounding of every lag's SSD, and that of ``_rmse`` on
+    the lag's pairs: ``16 eps (log2 M + blocks) (2 sqrt(M) + 4) E``, where
     E = Σa0² + Σb0² is the energy of the series less the offset, each sample
     once. The FFTs and the running sum, which passes each spectrum through
     at most blocks - 1 additions (Higham, SIAM J. Sci. Comput. 14, 1993),

@@ -2,7 +2,9 @@
 
 File formats
 ------------
-Each file, configs included, is UTF-8 text; one leading byte-order mark is skipped.
+Each file, configs included, is UTF-8 text; one leading byte-order mark is
+skipped. The three parsers take a file's bytes, as read from disk; a ``str``
+is a TypeError.
 
 IMU joint-angle CSV
     First row header, one row per sample, decimal point ``.``, delimiter
@@ -83,25 +85,24 @@ from .motion import (
 )
 
 
-def _as_text(data: bytes | str) -> str:
-    if isinstance(data, bytes):
-        try:
-            return data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise EncodingError(f"not UTF-8 text: {exc.reason}") from None
-    return data
+def _as_text(data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise EncodingError(f"not UTF-8 text: {exc.reason}") from None
 
 
-def _check_utf8(data: bytes | str) -> None:
-    """EncodingError, before any row is read, if bytes ``data`` is not UTF-8."""
-    if isinstance(data, bytes) and not data.isascii():
+def _check_utf8(data: bytes) -> None:
+    """EncodingError, before any row is read, if ``data`` is not UTF-8."""
+    if not data.isascii():
         for _ in _line_chunks(data):
             pass
 
 
-def _without_bom(data: bytes | str) -> bytes | str:
-    """``data`` less one byte-order mark at its very start."""
-    return data.removeprefix(b"\xef\xbb\xbf" if isinstance(data, bytes) else "\ufeff")
+def _text_at(data: bytes) -> int:
+    """Where the text of ``data`` starts: past one byte-order mark at its
+    very start. A ``str`` is a TypeError ("a bytes-like object is required")."""
+    return 3 if memoryview(data)[:3] == b"\xef\xbb\xbf" else 0
 
 
 # --- JSON documents -------------------------------------------------------------
@@ -131,7 +132,7 @@ def read_config_json(path: str | None, shipped: str = "rula_default.json"):
     data = (Path(path) if path is not None else
             resources.files("ergokit.data").joinpath(shipped)).read_bytes()
     try:
-        raw = json.loads(_as_text(_without_bom(data)))
+        raw = json.loads(_as_text(data[_text_at(data):]))
     except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
         raise ConfigError([f"not valid JSON: {exc}"]) from None
     if json_too_deep(raw):
@@ -141,7 +142,7 @@ def read_config_json(path: str | None, shipped: str = "rula_default.json"):
 
 # --- IMU joint-angle CSV ------------------------------------------------------
 
-def parse_imu_joint_csv(data: bytes | str, declared_rate: float = 100.0) -> JointAngleSeries:
+def parse_imu_joint_csv(data: bytes, declared_rate: float = 100.0) -> JointAngleSeries:
     """Parse a joint-angle CSV export into a JointAngleSeries.
 
     Each header column named like a ``JointChannel`` label is read into that
@@ -161,15 +162,14 @@ def parse_imu_joint_csv(data: bytes | str, declared_rate: float = 100.0) -> Join
     if not (declared_rate > 0):
         raise ValueError("declared_rate must be > 0")
     _check_utf8(data)
-    rows = io.BytesIO(data) if isinstance(data, bytes) else io.StringIO(data)
-    head = data[:3]
-    rows.seek(len(head) - len(_without_bom(head)))  # past a byte-order mark, uncopied
+    rows = io.BytesIO(data)
+    rows.seek(_text_at(data))  # past a byte-order mark, uncopied
     reader = csv.reader(map(_as_text, rows))
     try:
         header = next(reader, [])
     except csv.Error as exc:
         raise MalformedRecord(str(exc), reader.line_num) from None
-    if not any(h.strip() for h in header) and not _as_text(_without_bom(data)).strip():
+    if not any(h.strip() for h in header) and not _as_text(data[_text_at(data):]).strip():
         raise EmptyFile("no content")
     header = [h.strip() for h in header]
     if any(not h for h in header):
@@ -216,7 +216,7 @@ def parse_imu_joint_csv(data: bytes | str, declared_rate: float = 100.0) -> Join
     )
 
 
-# Body chunks are whole rows, about this many bytes (characters) each.
+# Body chunks are whole rows, about this many bytes each.
 _CHUNK = 1 << 17
 # The code points past ASCII that str.strip() removes.
 _WIDE_WHITESPACE = [0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F,
@@ -227,14 +227,13 @@ _OPENS = re.compile(r'(?<![^,\n])"(?:[^"]|"")*(")?')
 _CLOSES = re.compile(r'(?:[^"]|"")*(")?')
 
 
-def _row_bound(data: bytes | str) -> int:
-    """At least the rows of ``data``: one more than its characters that are
+def _row_bound(data: bytes) -> int:
+    """At least the rows of ``data``: one more than its bytes that are
     neither CR nor LF but followed by one. Each row ends a line that holds
     such a character, so blank lines and lines of lone CRs count nothing."""
     bound = 1
     for at in range(0, len(data), _CHUNK):
-        piece = data[at:at + _CHUNK + 1]
-        u = np.frombuffer(piece.encode() if isinstance(piece, str) else piece, np.uint8)
+        u = np.frombuffer(data[at:at + _CHUNK + 1], np.uint8)
         ends = (u == 10) | (u == 13)
         bound += np.count_nonzero(ends[1:] & ~ends[:-1])
     return int(bound)
@@ -317,7 +316,7 @@ def _filled(text: str, quoted: list[tuple[int, int]], cols: list[int],
     Empty when every row is blank."""
     # The code points of ``text``, one byte each when they fit.
     wide = not text.isascii()
-    u = np.frombuffer(text.encode("utf-32-le", "surrogatepass") if wide
+    u = np.frombuffer(text.encode("utf-32-le") if wide
                       else text.encode("ascii"), dtype=np.uint32 if wide else np.uint8)
     sep = (u == ord(",")) | (u == ord("\n"))
     if quoted:  # separators inside quotes are text
@@ -384,13 +383,13 @@ def format_imu_joint_csv(series: JointAngleSeries) -> str:
     lines = [",".join(["time"] + [ch.value for ch in channels])]
     columns = [map(repr, series.times.tolist())] + [
         ["" if v != v else repr(v) for v in series.channels[ch].tolist()] for ch in channels]
-    lines += map(",".join, zip(*columns))
+    lines += map(",".join, zip(*columns, strict=True))
     return "\n".join(lines) + "\n"
 
 
 # --- keypoint stream ----------------------------------------------------------
 
-def parse_keypoint_stream(data: bytes | str, frame_rate: float = 30.0) -> KeypointRecording:
+def parse_keypoint_stream(data: bytes, frame_rate: float = 30.0) -> KeypointRecording:
     """Parse a JSON-lines keypoint stream into one KeypointRecording.
 
     Frames must arrive in nondecreasing timestamp order; a frame without a
@@ -480,13 +479,12 @@ def parse_keypoint_stream(data: bytes | str, frame_rate: float = 30.0) -> Keypoi
 _LINE_CHUNK = 1 << 16  # keypoint lines are decoded about this many bytes at a time
 
 
-def _line_chunks(data: bytes | str):
+def _line_chunks(data: bytes):
     """``data`` less a leading byte-order mark, decoded in chunks that each end
     just after a line feed (which no UTF-8 sequence holds) or at the end."""
-    bom, nl = (b"\xef\xbb\xbf", b"\n") if isinstance(data, bytes) else ("\ufeff", "\n")
-    start = len(bom) if data.startswith(bom) else 0
+    start = _text_at(data)
     while start < len(data):
-        end = data.find(nl, start + _LINE_CHUNK - 1) + 1 or len(data)
+        end = data.find(b"\n", start + _LINE_CHUNK - 1) + 1 or len(data)
         yield _as_text(data[start:end])
         start = end
 
@@ -509,9 +507,9 @@ def format_keypoint_stream(recording: KeypointRecording) -> str:
 _ANNOTATION_FIELDS = ("t0", "t1", *FLAG_RANGES)
 
 
-def parse_annotations(data: bytes | str) -> AnnotationTrack:
+def parse_annotations(data: bytes) -> AnnotationTrack:
     """Parse the annotation CSV into a validated, sorted AnnotationTrack."""
-    text = _as_text(_without_bom(data))
+    text = _as_text(data[_text_at(data):])
     if not text.strip():
         raise EmptyFile("no content")
     reader = csv.reader(io.StringIO(text))

@@ -159,8 +159,9 @@ def uniform_grid(times) -> tuple[float, float]:
 class JointAngleSeries:
     """Multi-channel joint-angle time series on a uniform sample grid.
 
-    Every channel array has the same length; missing samples are NaN. A
-    rate or sample time outside the float range raises NonFiniteTimes.
+    Every channel is a 1-D array, one sample per row, all of one length;
+    missing samples are NaN. A rate or sample time outside the float range
+    raises NonFiniteTimes.
     ``unparseable_cells`` counts the non-empty IMU CSV cells that became
     missing samples.
     """
@@ -173,12 +174,10 @@ class JointAngleSeries:
     def __post_init__(self):
         if not (self.sample_rate > 0):
             raise ValueError(f"sample_rate must be > 0, got {self.sample_rate}")
-        lengths = {len(v) for v in self.channels.values()}
-        if len(lengths) > 1:
-            raise ValueError(f"channel lengths differ: {sorted(lengths)}")
-        self.channels = {
-            ch: np.asarray(v, dtype=float) for ch, v in self.channels.items()
-        }
+        self.channels = {ch: np.asarray(v, dtype=float) for ch, v in self.channels.items()}
+        shapes = {v.shape for v in self.channels.values()}
+        if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
+            raise ValueError(f"channels must be 1-D of one length, got {sorted(shapes)}")
         # At 1e-320 Hz the second sample is at t = inf; a 1e-320 s step makes the rate inf.
         end = float(self.start_time) + max(self.length - 1, 0) / float(self.sample_rate)
         if not (math.isfinite(self.sample_rate) and math.isfinite(end)):
@@ -281,7 +280,7 @@ class AnnotationInterval:
             raise InvertedInterval(f"interval [{self.t0}, {self.t1}] has t0 >= t1")
         for name, (lo, hi) in FLAG_RANGES.items():
             v = getattr(self, name)
-            if not (isinstance(v, int) and lo <= v <= hi):
+            if isinstance(v, bool) or not (isinstance(v, int) and lo <= v <= hi):
                 raise InvalidForceValue(f"{name}={v!r} outside allowed range {lo}..{hi}")
 
 

@@ -210,7 +210,7 @@ def _csv_cell(text: str) -> str:
 
 
 def _session_csv(report: SessionReport) -> str:
-    lines = ["key,value", "kind,session", f"source_kind,{report.source_kind}",
+    lines = ["key,value", "kind,session", f"source_kind,{_csv_cell(report.source_kind)}",
              f"sample_rate,{_fixed(report.sample_rate)}", f"duration,{_fixed(report.duration)}",
              f"samples,{report.samples}", f"config_checksum,{report.config_checksum}",
              f"degraded_frames,{report.degraded_frames}"]
@@ -302,17 +302,15 @@ def _comparison_csv(report: ComparisonReport) -> str:
 # --- plot-ready data --------------------------------------------------------------
 
 
-def emit_plot_series(obj) -> dict[str, str]:
+def emit_plot_series(obj: SessionReport | ComparisonReport) -> dict[str, str]:
     """Delimited plot-data files for a session report or a comparison.
 
-    Session: score-over-time per side (the rows ``session.csv`` holds,
-    rendered once per report) plus the band-share table behind a pie chart.
-    A ``RulaTimeline`` is reported first with ``build_session_report``.
-    Comparison (a ``ComparisonReport`` of any number of runs): per-channel
-    RMSE and correlation bar tables.
+    Session (a ``SessionReport``; report a timeline first with
+    ``build_session_report``): score-over-time per side (the rows
+    ``session.csv`` holds, rendered once per report) plus the band-share
+    table behind a pie chart. Comparison (a ``ComparisonReport`` of any
+    number of runs): per-channel RMSE and correlation bar tables.
     """
-    if isinstance(obj, RulaTimeline):
-        obj = build_session_report(obj)
     if isinstance(obj, SessionReport):
         band_lines = ["band,percent"]
         for band in RiskBand:

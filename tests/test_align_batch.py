@@ -278,8 +278,9 @@ def test_masks_built_once_per_series(monkeypatch):
 
 
 def test_near_constant_series_has_zero_variance():
+    """r of the lag-0 pairs, with no mask: every sample is an angle."""
     tiny = 1e-13 * np.sin(np.arange(200.0))
-    assert math.isclose(compare.pearson_correlation(np.arange(200.0) + tiny,
-                                                    np.arange(200.0)), 1.0)
+    assert math.isclose(compare._pearson(*compare._pairs(np.arange(200.0) + tiny, None,
+                                                         np.arange(200.0), None, 0)), 1.0)
     with pytest.raises(ZeroVariance):
-        compare.pearson_correlation(tiny, np.arange(200.0))
+        compare._pearson(*compare._pairs(tiny, None, np.arange(200.0), None, 0))

@@ -156,6 +156,17 @@ def test_score_keypoints_kind(tmp_path, keypoints_file):
     assert (out / "session.json").is_file()
 
 
+def test_score_one_frame_stream_is_too_short(tmp_path, keypoints_file, capsys):
+    """One frame has no sample rate: exit 1, one error line, no output files."""
+    one = tmp_path / "one.jsonl"
+    one.write_bytes(keypoints_file.read_bytes().splitlines(keepends=True)[0])
+    out = tmp_path / "out"
+    assert main(["score", str(one), "--kind", "keypoints", "--out", str(out)]) == 1
+    assert _error_lines(capsys) == [
+        "ergokit: error: TooShort: cannot infer a sample rate from 1 timestamp(s)"]
+    assert not out.exists()
+
+
 def test_convert_writes_imu_layout(tmp_path, keypoints_file):
     out = tmp_path / "conv"
     code = main(["convert", str(keypoints_file), "--out", str(out)])

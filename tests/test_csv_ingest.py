@@ -95,8 +95,7 @@ def csv_cases(draw):
         lines.append(",".join(row))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     text = newline.join(lines) + draw(st.sampled_from([newline, newline, ""]))
-    data = text.encode() if draw(st.booleans()) else text
-    return data, draw(st.sampled_from([ingest._CHUNK, 7, 64]))
+    return text.encode(), draw(st.sampled_from([ingest._CHUNK, 7, 64]))
 
 
 def _outcome(parse, data):
@@ -133,17 +132,17 @@ def test_parse_imu_csv_equals_oracle():
 
 def test_quoted_line_break_across_a_chunk_boundary():
     rows = [f'{i * 0.01!r},{i}.5,"note\n{i}"' for i in range(40)]
-    text = "time,arm_flex_r,note\n" + "\n".join(rows) + "\n"
+    data = ("time,arm_flex_r,note\n" + "\n".join(rows) + "\n").encode()
     for chunk in (1, 5, 33):
         with mock.patch.object(ingest, "_CHUNK", chunk):
-            assert _outcome(parse_imu_joint_csv, text) == _outcome(parse_imu_joint_csv_oracle, text)
-    assert parse_imu_joint_csv(text).length == 40
+            assert _outcome(parse_imu_joint_csv, data) == _outcome(parse_imu_joint_csv_oracle, data)
+    assert parse_imu_joint_csv(data).length == 40
 
 
 def test_carriage_return_inside_quotes_is_text():
-    text = 'time,arm_flex_r,note\r\n0.0,"1\r","a\rb"\r\n0.01,2,"c\r\r\nd"\r\n'
-    assert _outcome(parse_imu_joint_csv, text) == _outcome(parse_imu_joint_csv_oracle, text)
-    assert parse_imu_joint_csv(text).channels[JointChannel.arm_flex_r].tolist() == [1, 2]
+    data = b'time,arm_flex_r,note\r\n0.0,"1\r","a\rb"\r\n0.01,2,"c\r\r\nd"\r\n'
+    assert _outcome(parse_imu_joint_csv, data) == _outcome(parse_imu_joint_csv_oracle, data)
+    assert parse_imu_joint_csv(data).channels[JointChannel.arm_flex_r].tolist() == [1, 2]
 
 
 @pytest.mark.parametrize("closed", [True, False])
@@ -181,7 +180,7 @@ def test_a_long_open_quote_decodes_each_line_once(closed):
 ])
 def test_malformed_rows_name_the_fault(text, needle):
     with pytest.raises(ErgokitError, match=needle):
-        parse_imu_joint_csv(text)
+        parse_imu_joint_csv(text.encode())
 
 
 def test_invalid_utf8_anywhere_fails_before_any_row():
@@ -232,7 +231,7 @@ def test_parse_peaks_within_one_and_a_half_times_its_input(bom):
 def test_the_channels_block_holds_no_time_row():
     """The channels are the rows of one block that holds nothing else: the
     time column, read into a row of its own, is freed with the parse."""
-    parsed = parse_imu_joint_csv("arm_flex_r,time,note,elbow_flex_l\n1,0.5,a,2\n3,0.75,b,4\n")
+    parsed = parse_imu_joint_csv(b"arm_flex_r,time,note,elbow_flex_l\n1,0.5,a,2\n3,0.75,b,4\n")
     [block] = {id(x.base): x.base for x in parsed.channels.values()}.values()
     assert block.shape[0] == len(parsed.channels) == 2
     assert (parsed.sample_rate, parsed.start_time) == (4.0, 0.5)
@@ -252,7 +251,7 @@ def test_blank_lines_take_no_room_in_the_parse(newline):
     data = text.replace("\n", newline * 11).encode()
     parsed, peak = _traced_parse(data)
     assert peak < 1.5 * len(data)
-    plain = parse_imu_joint_csv(text)
+    plain = parse_imu_joint_csv(text.encode())
     assert (parsed.sample_rate, parsed.start_time, parsed.unparseable_cells) == \
         (plain.sample_rate, plain.start_time, plain.unparseable_cells)
     assert parsed.channels.keys() == series.channels.keys()
@@ -260,8 +259,8 @@ def test_blank_lines_take_no_room_in_the_parse(newline):
         assert np.array_equal(parsed.channels[ch], x)
 
 
-@pytest.mark.parametrize("data", [b"\xef\xbb\xbf", b"\xef\xbb\xbf \r\n\t\n", "\ufeff",
-                                  "\ufeff\n\n"])
+@pytest.mark.parametrize("data", [b"\xef\xbb\xbf", b"\xef\xbb\xbf \r\n\t\n",
+                                  b"\xef\xbb\xbf\n\n"])
 def test_a_byte_order_mark_before_blank_lines_is_an_empty_file(data):
     with pytest.raises(EmptyFile):
         parse_imu_joint_csv(data)

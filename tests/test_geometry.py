@@ -114,6 +114,20 @@ def test_neck_baseline_no_complete_frames():
         neck_baseline(_with({Landmark.nose: None}), window=5)
 
 
+def test_empty_recording_has_no_complete_frames():
+    empty = KeypointRecording(times=np.zeros(0), positions=np.zeros((0, len(LANDMARK_INDEX), 3)))
+    with pytest.raises(NoCompleteFrames, match="empty recording"):
+        compute_angle_series(empty)
+
+
+def test_recording_positions_are_one_row_per_landmark():
+    """positions must be (len(times), L, 3)."""
+    for shape in ((2, len(LANDMARK_INDEX), 3), (3, len(LANDMARK_INDEX) - 1, 3),
+                  (3, len(LANDMARK_INDEX), 2)):
+        with pytest.raises(ValueError, match="positions"):
+            KeypointRecording(times=np.zeros(3), positions=np.zeros(shape))
+
+
 # --- per-frame angles -------------------------------------------------------------
 
 

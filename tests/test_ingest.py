@@ -44,7 +44,7 @@ from recordings import format_annotations, random_rotation, transform_recording
 
 
 def test_parse_imu_csv_direct():
-    text = "arm_flex_r,elbow_flex_r,lumbar_flexion\n1.0,2.0,3.0\n4.0,5.0,6.0\n"
+    text = b"arm_flex_r,elbow_flex_r,lumbar_flexion\n1.0,2.0,3.0\n4.0,5.0,6.0\n"
     series = parse_imu_joint_csv(text)
     assert series.length == 2
     assert set(series.channels) == {
@@ -56,21 +56,21 @@ def test_parse_imu_csv_direct():
 
 def test_parse_imu_csv_missing_column():
     """The header names the channels read; a header naming none is refused."""
-    series = parse_imu_joint_csv("elbow_flex_r,note,arm_flex_r\n1.0,x,2.0\n")
+    series = parse_imu_joint_csv(b"elbow_flex_r,note,arm_flex_r\n1.0,x,2.0\n")
     assert list(series.channels) == [JointChannel.arm_flex_r, JointChannel.elbow_flex_r]
     assert series.unparseable_cells == 0
     with pytest.raises(MissingColumn, match="no channel column"):
-        parse_imu_joint_csv("foo,bar\n1.0,2.0\n")
+        parse_imu_joint_csv(b"foo,bar\n1.0,2.0\n")
 
 
 def test_parse_imu_csv_empty_file():
     with pytest.raises(EmptyFile):
-        parse_imu_joint_csv("")
+        parse_imu_joint_csv(b"")
 
 
 def test_parse_imu_csv_non_finite_cells_become_missing():
-    text = ("arm_flex_r,elbow_flex_r,lumbar_flexion\n"
-            "inf,nan,-inf\n1e999,5.0,-1e999\n7.0,8.0,9.0\n")
+    text = (b"arm_flex_r,elbow_flex_r,lumbar_flexion\n"
+            b"inf,nan,-inf\n1e999,5.0,-1e999\n7.0,8.0,9.0\n")
     series = parse_imu_joint_csv(text)
     assert series.unparseable_cells == 5
     arm, elbow, lumbar = (series.channels[ch] for ch in (
@@ -83,13 +83,13 @@ def test_parse_imu_csv_non_finite_cells_become_missing():
 def test_parse_imu_csv_300_rows_duration():
     rows = "\n".join("0.0,0.0,0.0" for _ in range(300))
     text = "arm_flex_r,elbow_flex_r,lumbar_flexion\n" + rows + "\n"
-    series = parse_imu_joint_csv(text)
+    series = parse_imu_joint_csv(text.encode())
     assert series.length == 300
     assert series.duration == 2.99  # 299 intervals at 0.01 s
 
 
 def test_parse_imu_csv_unparseable_cells_become_missing():
-    text = "arm_flex_r,elbow_flex_r,lumbar_flexion\n1.0,oops,3.0\n4.0,5.0,6.0\n"
+    text = b"arm_flex_r,elbow_flex_r,lumbar_flexion\n1.0,oops,3.0\n4.0,5.0,6.0\n"
     series = parse_imu_joint_csv(text)
     assert series.unparseable_cells == 1
     assert math.isnan(series.channels[JointChannel.elbow_flex_r][0])
@@ -100,7 +100,7 @@ def test_parse_imu_csv_time_column_wins():
     text = "time,arm_flex_r,elbow_flex_r,lumbar_flexion\n" + "\n".join(
         f"{i * 0.02},{i},{i},{i}" for i in range(50)
     ) + "\n"
-    series = parse_imu_joint_csv(text)
+    series = parse_imu_joint_csv(text.encode())
     assert math.isclose(series.sample_rate, 50.0, rel_tol=1e-9)
 
 
@@ -109,14 +109,13 @@ BOM = "\ufeff"
 
 
 @pytest.mark.parametrize("time_first", [True, False], ids=["time-first", "channel-first"])
-@pytest.mark.parametrize("encode", [str.encode, str], ids=["bytes", "str"])
-def test_parse_imu_csv_skips_byte_order_mark(time_first, encode):
+def test_parse_imu_csv_skips_byte_order_mark(time_first):
     """The 50 Hz time column wins over the declared 100 Hz after a BOM too."""
     rows = [["time", "arm_flex_r", "elbow_flex_r", "lumbar_flexion"]]
     rows += [[f"{i * 0.02}", f"{i}", "x", f"{i}"] for i in range(50)]
     text = "".join(",".join(row if time_first else row[1:] + row[:1]) + "\n" for row in rows)
-    plain = parse_imu_joint_csv(encode(text))
-    marked = parse_imu_joint_csv(encode(BOM + text))
+    plain = parse_imu_joint_csv(text.encode())
+    marked = parse_imu_joint_csv((BOM + text).encode())
     assert math.isclose(marked.sample_rate, 50.0, rel_tol=1e-9)
     assert (marked.sample_rate, marked.start_time, marked.unparseable_cells) == (
         plain.sample_rate, plain.start_time, plain.unparseable_cells)
@@ -136,7 +135,7 @@ def test_parse_imu_csv_irregular_time_column_rejected(times, needle):
         f"{t},1,2,3" for t in times
     ) + "\n"
     with pytest.raises(IrregularTimestamps) as err:
-        parse_imu_joint_csv(text)
+        parse_imu_joint_csv(text.encode())
     assert needle in str(err.value)
 
 
@@ -147,15 +146,38 @@ def test_imu_csv_round_trip(rng):
         values[rng.integers(0, 40)] = np.nan
         channels[ch] = values
     series = JointAngleSeries(sample_rate=100.0, start_time=0.0, channels=channels)
-    text = format_imu_joint_csv(series)
-    parsed = parse_imu_joint_csv(text)
+    parsed = parse_imu_joint_csv(format_imu_joint_csv(series).encode())
     assert parsed.length == series.length
     for ch in JointChannel:
         a, b = series.channels[ch], parsed.channels[ch]
         assert np.array_equal(a, b, equal_nan=True)
-    reparsed = parse_imu_joint_csv(format_imu_joint_csv(parsed))
+    reparsed = parse_imu_joint_csv(format_imu_joint_csv(parsed).encode())
     for ch in JointChannel:
         assert np.array_equal(parsed.channels[ch], reparsed.channels[ch], equal_nan=True)
+
+
+def test_imu_csv_export_refuses_a_shortened_channel():
+    """A channel replaced after the series checked its lengths writes no
+    short file: every sample has its row, or the export fails."""
+    series = JointAngleSeries(sample_rate=100.0, start_time=0.0, channels={
+        JointChannel.arm_flex_r: np.zeros(5), JointChannel.elbow_flex_r: np.ones(5)})
+    series.channels[JointChannel.elbow_flex_r] = np.ones(3)
+    with pytest.raises(ValueError, match="shorter"):
+        format_imu_joint_csv(series)
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_imu_joint_csv, "arm_flex_r\n1.0\n"),
+    (parse_keypoint_stream, '{"frame": 0, "points": {}}\n'),
+    (parse_annotations, "t0,t1,arm_muscle,arm_force,neck_muscle,neck_force,legs\n0,5,0,1,0,0,1\n"),
+], ids=["imu-csv", "keypoints", "annotations"])
+def test_parsers_take_bytes_only(parse, text):
+    """The parsers read a file's bytes. A str is a TypeError, whatever it
+    holds: a lone surrogate once escaped the IMU parse as UnicodeEncodeError."""
+    parse(text.encode())
+    for bad in (text, BOM + text, text + "\ud800\n", ""):
+        with pytest.raises(TypeError, match="a bytes-like object is required, not 'str'"):
+            parse(bad)
 
 
 # --- keypoint stream -----------------------------------------------------------
@@ -175,7 +197,7 @@ def _record(frame, points, time=None):
 def test_parse_keypoint_stream_timestamps():
     full = _full_points()
     text = "\n".join(_record(i, full) for i in range(3))
-    rec = parse_keypoint_stream(text)
+    rec = parse_keypoint_stream(text.encode())
     assert len(rec) == 3
     assert rec.times[0] == 0.0
     assert math.isclose(rec.times[1], 1 / 30)
@@ -188,7 +210,7 @@ def test_parse_keypoint_stream_incomplete_frame():
     partial = dict(full)
     del partial["nose"]
     text = "\n".join([_record(0, full), _record(1, partial)])
-    rec = parse_keypoint_stream(text)
+    rec = parse_keypoint_stream(text.encode())
     nose = LANDMARK_INDEX[Landmark.nose]
     assert np.isfinite(rec.positions[0]).all()
     assert np.isnan(rec.positions[1, nose]).all()
@@ -203,15 +225,23 @@ def test_parse_keypoint_stream_non_monotonic():
         _record(2, full, time=0.4),
     ])
     with pytest.raises(NonMonotonicTimestamps):
-        parse_keypoint_stream(text)
+        parse_keypoint_stream(text.encode())
 
 
 def test_parse_keypoint_stream_malformed_record_has_line_number():
     full = _full_points()
     text = "\n".join([_record(0, full), "not json"])
     with pytest.raises(MalformedRecord) as err:
-        parse_keypoint_stream(text)
+        parse_keypoint_stream(text.encode())
     assert "line 2" in str(err.value)
+
+
+def test_parse_keypoint_stream_points_must_be_an_object():
+    full = _full_points()
+    bad = json.dumps({"frame": 1, "points": list(full.values())})
+    with pytest.raises(MalformedRecord) as err:
+        parse_keypoint_stream("\n".join([_record(0, full), bad]).encode())
+    assert str(err.value) == "line 2: 'points' must be a label -> [x, y, z] object"
 
 
 HUGE = "1" + "0" * 400  # a JSON integer beyond float's range
@@ -230,7 +260,7 @@ HUGE = "1" + "0" * 400  # a JSON integer beyond float's range
 def test_parse_keypoint_stream_bad_number_has_line_number(record):
     full = _full_points()
     with pytest.raises(MalformedRecord) as err:
-        parse_keypoint_stream("\n".join([_record(0, full), record]))
+        parse_keypoint_stream("\n".join([_record(0, full), record]).encode())
     assert "line 2" in str(err.value)
 
 
@@ -239,7 +269,7 @@ def test_parse_keypoint_stream_bad_confidence(value):
     full = _full_points()
     bad = json.dumps({"frame": 1, "points": full, "confidence": {"nose": value}})
     with pytest.raises(MalformedRecord) as err:
-        parse_keypoint_stream("\n".join([_record(0, full), bad]))
+        parse_keypoint_stream("\n".join([_record(0, full), bad]).encode())
     assert "line 2" in str(err.value)
 
 
@@ -248,7 +278,7 @@ def test_parse_keypoint_stream_confidence_not_an_object(confidence):
     full = _full_points()
     bad = json.dumps({"frame": 1, "points": full, "confidence": confidence})
     with pytest.raises(MalformedRecord) as err:
-        parse_keypoint_stream("\n".join([_record(0, full), bad]))
+        parse_keypoint_stream("\n".join([_record(0, full), bad]).encode())
     assert "line 2" in str(err.value) and "confidence" in str(err.value)
 
 
@@ -262,9 +292,9 @@ def test_parse_keypoint_stream_rejects_bad_frame_rate(kind, rate):
     """Also the declared rate of an IMU CSV."""
     with pytest.raises(ValueError):
         if kind == "keypoints":
-            parse_keypoint_stream(_record(0, _full_points()), frame_rate=rate)
+            parse_keypoint_stream(_record(0, _full_points()).encode(), frame_rate=rate)
         else:
-            parse_imu_joint_csv("time,arm_flex_r\n0.0,1.0\n", declared_rate=rate)
+            parse_imu_joint_csv(b"time,arm_flex_r\n0.0,1.0\n", declared_rate=rate)
 
 
 @pytest.mark.parametrize("record, message", [
@@ -290,9 +320,9 @@ def test_parse_keypoint_stream_rejects_booleans(record, message):
     number is read, and parses."""
     tracked = json.dumps({"frame": 0, "tracked": True, "points": _full_points(),
                           "confidence": {"left_ear": False}})
-    assert parse_keypoint_stream(tracked).times.tolist() == [0.0]
+    assert parse_keypoint_stream(tracked.encode()).times.tolist() == [0.0]
     with pytest.raises(MalformedRecord) as err:
-        parse_keypoint_stream(tracked + "\n" + record)
+        parse_keypoint_stream((tracked + "\n" + record).encode())
     assert str(err.value) == f"line 2: {message}"
 
 
@@ -307,7 +337,7 @@ def test_parse_keypoint_stream_skips_byte_order_mark():
 def test_parse_keypoint_stream_ignores_unknown_labels():
     full = _full_points()
     full["left_ear"] = [0.0, 0.1, 1.7]
-    rec = parse_keypoint_stream(_record(0, full))
+    rec = parse_keypoint_stream(_record(0, full).encode())
     assert rec.positions.shape == (1, len(Landmark), 3)
     assert np.isfinite(rec.positions).all()
 
@@ -317,7 +347,7 @@ def test_keypoint_stream_round_trip():
     original.positions[1, LANDMARK_INDEX[Landmark.nose]] = np.nan
     text = format_keypoint_stream(original)
     assert "nose" in text.splitlines()[0] and "nose" not in text.splitlines()[1]
-    parsed = parse_keypoint_stream(text)
+    parsed = parse_keypoint_stream(text.encode())
     assert np.array_equal(parsed.times, original.times)
     assert np.array_equal(parsed.positions, original.positions, equal_nan=True)
 
@@ -327,19 +357,25 @@ def test_keypoint_stream_round_trip():
 
 def test_parse_annotations():
     text = (
-        "t0,t1,arm_muscle,arm_force,neck_muscle,neck_force,legs\n"
-        "0,10,0,2,0,0,1\n"
+        b"t0,t1,arm_muscle,arm_force,neck_muscle,neck_force,legs\n"
+        b"0,10,0,2,0,0,1\n"
     )
     track = parse_annotations(text)
     assert len(track.intervals) == 1
     assert track.flags_for([5.0]).arm_force.tolist() == [2]
 
 
+def test_parse_annotations_skips_blank_rows():
+    text = (b"t0,t1,arm_muscle,arm_force,neck_muscle,neck_force,legs\n"
+            b"0,5,0,1,0,0,1\n\n , ,\t\n6,9,1,3,1,2,2\n")
+    assert [iv.t0 for iv in parse_annotations(text).intervals] == [0.0, 6.0]
+
+
 def test_parse_annotations_overlap():
     text = (
-        "t0,t1,arm_muscle,arm_force,neck_muscle,neck_force,legs\n"
-        "0,5,0,1,0,0,1\n"
-        "4,8,0,1,0,0,1\n"
+        b"t0,t1,arm_muscle,arm_force,neck_muscle,neck_force,legs\n"
+        b"0,5,0,1,0,0,1\n"
+        b"4,8,0,1,0,0,1\n"
     )
     with pytest.raises(OverlappingIntervals):
         parse_annotations(text)
@@ -347,8 +383,8 @@ def test_parse_annotations_overlap():
 
 def test_parse_annotations_bad_force():
     text = (
-        "t0,t1,arm_muscle,arm_force,neck_muscle,neck_force,legs\n"
-        "0,5,0,5,0,0,1\n"
+        b"t0,t1,arm_muscle,arm_force,neck_muscle,neck_force,legs\n"
+        b"0,5,0,5,0,0,1\n"
     )
     with pytest.raises(InvalidForceValue):
         parse_annotations(text)
@@ -365,7 +401,7 @@ def test_annotations_round_trip():
         AnnotationInterval(t0=0.0, t1=5.0, arm_force=1, legs=2),
         AnnotationInterval(t0=6.0, t1=9.0, neck_muscle=1),
     ])
-    assert parse_annotations(format_annotations(track)) == track
+    assert parse_annotations(format_annotations(track).encode()) == track
 
 
 # --- resampling -----------------------------------------------------------------
@@ -506,17 +542,15 @@ def _keypoint_outcome(parse, data):
 
 def test_keypoint_stream_equals_oracle():
     """Bit for bit (NaN included) the same recording as the whole-text
-    oracle, or an error of the same type and message, on bytes and on str,
-    with chunks of 1, 7 and 64 bytes. Recordings, encoding errors and
+    oracle, or an error of the same type and message, with chunks of 1, 7
+    and 64 bytes. Recordings, encoding errors and
     record errors are all reached."""
     seen = Counter()
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(data=st.one_of(_mutated_stream(), _broken_lines()),
-           chunk=st.sampled_from([1, 7, 64]), as_text=st.booleans())
-    def check(data, chunk, as_text):
-        if as_text and data.isascii():
-            data = data.decode()
+           chunk=st.sampled_from([1, 7, 64]))
+    def check(data, chunk):
         with mock.patch.object(ingest, "_LINE_CHUNK", chunk):
             outcome = _keypoint_outcome(parse_keypoint_stream, data)
         assert outcome == _keypoint_outcome(parse_keypoint_stream_oracle, data)

@@ -135,9 +135,19 @@ def test_series_validation():
         )
 
 
+def test_series_channel_holds_one_sample_per_row():
+    """A (5, 2) channel is not 5 samples: refused like unequal lengths."""
+    for bad in (np.zeros((5, 2)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="1-D"):
+            JointAngleSeries(sample_rate=100.0, start_time=0.0,
+                             channels={JointChannel.arm_flex_r: bad})
+
+
 def test_series_duration():
     series = _series(np.zeros(300))
     assert series.duration == 2.99
+    empty = JointAngleSeries(sample_rate=100.0, start_time=0.0, channels={})
+    assert (empty.length, empty.duration, empty.times.tolist()) == (0, 0.0, [])
 
 
 def test_annotation_track_validation():
@@ -156,6 +166,14 @@ def test_annotation_track_validation():
         AnnotationInterval(t0=0.0, t1=1.0, legs=3)
     with pytest.raises(InvertedInterval):
         AnnotationInterval(t0=2.0, t1=1.0)
+
+
+@pytest.mark.parametrize("flag", ["arm_muscle", "arm_force", "neck_muscle", "neck_force", "legs"])
+def test_annotation_flags_refuse_booleans(flag):
+    """True == 1, but a flag is an integer, as every integer of a scoring config is."""
+    for value in (True, False):
+        with pytest.raises(InvalidForceValue, match=f"{flag}={value}"):
+            AnnotationInterval(t0=0.0, t1=1.0, **{flag: value})
 
 
 def test_annotation_flags_lookup():

@@ -156,6 +156,27 @@ def test_empty_timeline_rejected():
         build_session_report(
             _empty_timeline(),
             None, "imu-csv", default_config())
+    with pytest.raises(EmptyTimeline):
+        band_percentages(_empty_timeline())
+
+
+def test_source_kind_is_one_csv_cell():
+    """A source kind holding a comma or a quote stays one quoted cell of
+    session.csv; the CLI's kinds need no quotes."""
+    timeline = _timeline_with_finals([1, 3])
+    for kind in ('imu, "camera"', "imu-csv", "keypoints"):
+        doc = emit_session_report(build_session_report(timeline, source_kind=kind), "delimited")
+        assert next(csv.reader(io.StringIO(doc.splitlines()[2]))) == ["source_kind", kind]
+    assert 'source_kind,"imu, ""camera"""\n' in emit_session_report(
+        build_session_report(timeline, source_kind='imu, "camera"'), "delimited")
+
+
+def test_unknown_format_rejected(rng):
+    session = build_session_report(_timeline_with_finals([1, 3]))
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        emit_session_report(session, "xml")
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        emit_comparison_report(_self_comparison(rng), "xml")
 
 
 def _not_json(constant):
@@ -198,7 +219,7 @@ def test_channel_summaries_leave_out_samples_beyond_max_abs_angle():
 
 def test_plot_series_from_timeline_shape():
     timeline = _timeline_with_finals([1, 1, 3, 7, 6])
-    files = emit_plot_series(timeline)
+    files = emit_plot_series(build_session_report(timeline))
     scores = files["rula_scores.csv"].splitlines()
     assert scores[0] == "time,left,right,combined"
     assert len(scores) == 6
@@ -300,6 +321,8 @@ def test_empty_input_rejected():
                               channels={})
     with pytest.raises(EmptyInput):
         emit_comparison_report(report)
+    with pytest.raises(EmptyInput):
+        emit_plot_series(report)
 
 
 def _session_doc(report) -> dict:
@@ -359,8 +382,9 @@ def test_score_rows_are_formatted_per_sample():
         f"{t:.3f},{l},{r},{c}" for t, l, r, c in zip(
             timeline.times.tolist(), timeline.left.final.tolist(),
             timeline.right.final.tolist(), timeline.final.tolist())]
-    assert emit_plot_series(timeline)["rula_scores.csv"] == "\n".join(expected) + "\n"
-    report = emit_session_report(build_session_report(timeline), "delimited")
+    report = build_session_report(timeline)
+    assert emit_plot_series(report)["rula_scores.csv"] == "\n".join(expected) + "\n"
+    report = emit_session_report(report, "delimited")
     assert "\n".join(expected) in report
 
 

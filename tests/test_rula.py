@@ -408,6 +408,37 @@ def test_config_entry_not_an_object_is_a_problem(section, key, problem, entry):
         config_from_dict(raw)
 
 
+@pytest.mark.parametrize("edit, problem", [
+    (lambda raw: raw["range"].pop("neck"), "range[neck]: rule missing"),
+    (lambda raw: raw["range"].update(legs=raw["range"]["trunk"]), "range[legs]: unknown joint"),
+    (lambda raw: raw["range"]["arm"].pop("intervals"), "range[arm]: intervals missing"),
+    (lambda raw: raw["position"].append({**raw["position"][0], "joint": "elbow"}),
+     "position[{last}]: unknown joint 'elbow'"),
+    (lambda raw: raw["position"].append({**raw["position"][0], "joint": "neck"}),
+     "position[{last}]: axial joint neck cannot take a side"),
+], ids=["rule-missing", "range-unknown-joint", "intervals-missing", "position-unknown-joint",
+        "axial-side"])
+def test_config_rule_problem_is_reported(edit, problem):
+    raw = read_config_json(None)
+    edit(raw)
+    assert problem.format(last=len(raw["position"]) - 1) in validate_rula_config(raw)
+    with pytest.raises(ConfigError):
+        config_from_dict(raw)
+
+
+def test_config_nested_too_deep_is_one_problem():
+    """70 levels of nesting anywhere, here under ``notes``, which nothing
+    else reads: the checksum's encoder would run out of stack."""
+    raw = read_config_json(None)
+    deep = []
+    for _ in range(70):
+        deep = [deep]
+    raw["notes"] = deep
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(raw)
+    assert err.value.violations == ["config: nested deeper than 64 levels"]
+
+
 def test_config_band_gap_detected():
     raw = read_config_json(None)
     raw["bands"]["low"] = [3, 3]

@@ -81,10 +81,10 @@ def _assert_equals_oracle(timeline, series, flags):
     expected_plots = emit_oracle.emit_plot_series_oracle(timeline)
     # Plot files first, then both documents: the shared text may be
     # rendered by any emitter.
-    for plots in (emit_plot_series(report), emit_plot_series(timeline)):
-        assert list(plots) == list(expected_plots)
-        for name, text in plots.items():
-            _assert_same(text, expected_plots[name])
+    plots = emit_plot_series(report)
+    assert list(plots) == list(expected_plots)
+    for name, text in plots.items():
+        _assert_same(text, expected_plots[name])
     _assert_same(emit_session_report(report, "delimited"), emit_oracle._session_csv(report))
     _assert_same(emit_session_report(report, "structured"), emit_oracle._session_json(report))
 
@@ -125,8 +125,9 @@ def test_shared_text_is_rendered_once():
 
 
 def test_plot_series_of_an_empty_timeline_is_rejected():
+    """Plot files come from a session report, and an empty timeline has none."""
     with pytest.raises(EmptyTimeline):
-        emit_plot_series(_timeline(0, 30.0, 0.0, 1, 7, 6))
+        emit_plot_series(build_session_report(_timeline(0, 30.0, 0.0, 1, 7, 6)))
 
 
 # --- comparison reports -------------------------------------------------------------

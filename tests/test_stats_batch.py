@@ -37,7 +37,8 @@ import ergokit
 import stats_oracle
 from ergokit import compare, ingest
 from ergokit.errors import ErgokitError, InsufficientOverlap, LengthMismatch
-from ergokit.motion import CHANNEL_ORDER, MAX_ABS_ANGLE, JointAngleSeries, JointChannel
+from ergokit.motion import (
+    CHANNEL_ORDER, MAX_ABS_ANGLE, JointAngleSeries, JointChannel, angle_mask)
 from ergokit.reporting import emit_comparison_report
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -216,6 +217,18 @@ def _statistic(fn, a, b):
         return type(exc)
 
 
+def _lag0(kernel):
+    """``kernel`` (``compare._rmse`` or ``compare._pearson``) of the pairs
+    that count at lag 0, from ``compare._pairs`` and each side's mask."""
+    def statistic(a, b):
+        a, b = (np.asarray(x, dtype=float).reshape(-1) for x in (a, b))
+        return kernel(*compare._pairs(a, angle_mask(a), b, angle_mask(b), 0))
+    return statistic
+
+
+RMSE, PEARSON = _lag0(compare._rmse), _lag0(compare._pearson)
+
+
 @pytest.mark.parametrize("a, b", [
     (np.array([1.0, np.nan, 3.0, -0.0]), np.array([1.5, 2.0, np.inf, 0.0])),
     (np.arange(12.0).reshape(3, 4), np.arange(12.0).reshape(3, 4) ** 1.5),
@@ -224,14 +237,14 @@ def _statistic(fn, a, b):
     (np.array([]), np.array([])),
     (np.array([np.nan, 1.0]), np.array([2.0, np.nan])),
     (np.array([1e200, 2.0, 3.0, -2e6]), np.array([-1e200, 1.0, 5.0, 4.0])),
-    (np.zeros(3), np.zeros(4)),
     (np.full(50, 4.0), np.linspace(0.0, 1.0, 50)),
     ([1, 2, 4], [2, 3, 7]),
 ])
 def test_public_statistics_equal_oracle(a, b):
-    for name in ("rmse", "pearson_correlation"):
-        assert (_statistic(getattr(compare, name), a, b)
-                == _statistic(getattr(stats_oracle, name), a, b)), name
+    """The kernels over the lag-0 pairs of the flattened inputs, as
+    ``compare_recordings`` scores a channel, against the oracle's functions."""
+    for kernel, oracle in ((RMSE, stats_oracle.rmse), (PEARSON, stats_oracle.pearson_correlation)):
+        assert _statistic(kernel, a, b) == _statistic(oracle, a, b), oracle.__name__
 
 
 # Out-of-range samples, and where their squares or sums overflow.
@@ -266,7 +279,7 @@ def _alignment(a, b, max_lag, min_overlap):
 @given(recordings(), st.integers(0, 2**32 - 1), st.sampled_from([0.01, 0.2, 0.7, 1.0]))
 def test_out_of_range_samples_are_missing(case, seed, share):
     """Making each sample beyond +/-MAX_ABS_ANGLE NaN changes no result of
-    ``align_min_rmse``, ``rmse``, ``pearson_correlation`` or
+    ``align_min_rmse``, ``_rmse`` or ``_pearson`` of the lag-0 pairs, or
     ``compare_recordings``, bit for bit, and none overflows."""
     rng = np.random.default_rng(seed)
     a, b, max_lag, min_overlap = case
@@ -278,7 +291,7 @@ def test_out_of_range_samples_are_missing(case, seed, share):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert _alignment(x, y, max_lag, min_overlap) == _alignment(cx, cy, max_lag, min_overlap)
-        for fn in (compare.rmse, compare.pearson_correlation):
+        for fn in (RMSE, PEARSON):
             assert _statistic(fn, x[:n], y[:n]) == _statistic(fn, cx[:n], cy[:n])
         assert (_library(a, b, max_lag, min_overlap)
                 == _library(clean_a, clean_b, max_lag, min_overlap))
@@ -371,8 +384,8 @@ def test_statistics_within_three_ulps_of_exact():
     report = compare.compare_recordings(*series, REFERENCE, 0.05, 5.0)
     assert report.lags == (0,)
     got = report.channels[REFERENCE]
-    assert compare.rmse(a, b) == got.rmse[0] == want_rmse
-    assert compare.pearson_correlation(a, b) == got.correlation[0]
+    assert RMSE(a, b) == got.rmse[0] == want_rmse
+    assert PEARSON(a, b) == got.correlation[0]
     assert abs(got.correlation[0] - want_r) < 3 * math.ulp(want_r)
 
 
@@ -389,8 +402,10 @@ b = {ch: x + rng.normal(size=n) for ch, x in a.items()}
 report = compare.compare_recordings(
     *(JointAngleSeries(sample_rate=100.0, start_time=0.0, channels=c) for c in (a, b)))
 print(*(v[0].hex() for c in report.channels.values() for v in (c.rmse, c.correlation)))
-print(*(f(a[ch], b[ch]).hex() for ch in CHANNEL_ORDER
-        for f in (compare.rmse, compare.pearson_correlation)))
+def pairs(x, y):
+    return compare._pairs(x, compare.angle_mask(x), y, compare.angle_mask(y), 0)
+print(*(f(*pairs(a[ch], b[ch])).hex() for ch in CHANNEL_ORDER
+        for f in (compare._rmse, compare._pearson)))
 """
 
 

@@ -4,29 +4,42 @@ import numpy as np
 import pytest
 
 from ergokit.compare import (
+    _pairs,
+    _pearson,
+    _rmse,
     align_min_rmse,
     compare_recordings,
-    pearson_correlation,
-    rmse,
     summarize_runs,
 )
 from ergokit.errors import (
     ChannelSetMismatch,
     InsufficientOverlap,
-    LengthMismatch,
     NoValidPairs,
     ReferenceChannelMissing,
     SampleRateMismatch,
     ZeroVariance,
 )
-from ergokit.motion import JointAngleSeries, JointChannel
+from ergokit.motion import JointAngleSeries, JointChannel, angle_mask
 
 
 def _series(channels, rate=30.0):
     return JointAngleSeries(sample_rate=rate, start_time=0.0, channels=channels)
 
 
-# --- rmse ---------------------------------------------------------------------
+# --- rmse and r of the pairs that count at lag 0 --------------------------------
+
+
+def _lag0(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return _pairs(a, angle_mask(a), b, angle_mask(b), 0)
+
+
+def rmse(a, b) -> float:
+    return _rmse(*_lag0(a, b))
+
+
+def pearson_correlation(a, b) -> float:
+    return _pearson(*_lag0(a, b))
 
 
 def test_rmse_identity_and_offset(rng):
@@ -51,11 +64,7 @@ def test_rmse_pairwise_missing():
     assert rmse(a, b) == 0.0  # only the first pair is valid
     with pytest.raises(NoValidPairs):
         rmse(np.array([np.nan]), np.array([1.0]))
-    with pytest.raises(LengthMismatch):
-        rmse(np.zeros(3), np.zeros(4))
 
-
-# --- pearson ------------------------------------------------------------------
 
 
 def test_pearson_trivial_cases(rng):
