@@ -9,13 +9,14 @@ is a TypeError.
 IMU joint-angle CSV
     First row header, one row per sample, decimal point ``.``, delimiter
     ``,``. The header names the channels: a column named like a channel
-    label holds that channel, and an optional ``time`` column the
-    timestamps. Any subset of the channels may be present; an absent one is
-    missing from the series, and a header without any is a MissingColumn.
-    Empty cells are missing samples; non-numeric and non-finite cells
-    (``inf``, ``nan``, ``1e999``) and channel cells beyond +/-1e6 degrees
-    (``1e200``) become missing samples and are counted in
-    ``unparseable_cells``. Only the channel columns and the time column are
+    label holds that channel, and an optional ``time`` column, of two rows
+    or more, the timestamps. Any subset of the channels may be present; an
+    absent one is missing from the series, and a header without any is a
+    MissingColumn. Empty cells are missing samples; non-numeric and
+    non-finite cells (``inf``, ``nan``, ``1e999``) and channel cells beyond
+    +/-1e6 degrees (``1e200``) become missing samples and are counted in
+    ``unparseable_cells``; the export writes each sample that is no angle
+    as an empty cell. Only the channel columns and the time column are
     read: other (text) columns are never converted or counted. A cell in
     quotes (``"``) is unquoted and may hold a comma, a line break or a
     carriage return. A short row is padded with missing samples;
@@ -45,12 +46,11 @@ Keypoint stream (JSON lines)
 
 Annotation CSV
     Header ``t0,t1,arm_muscle,arm_force,neck_muscle,neck_force,legs``,
-    one interval per row.
+    one interval per row; a bad value, like a malformed row, names its line.
 """
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
@@ -65,6 +65,8 @@ from .errors import (
     ConfigError,
     EmptyFile,
     EncodingError,
+    InvalidForceValue,
+    InvertedInterval,
     MalformedHeader,
     MalformedRecord,
     MissingColumn,
@@ -80,7 +82,7 @@ from .motion import (
     CHANNEL_ORDER,
     FLAG_RANGES,
     LANDMARK_INDEX,
-    MAX_ABS_ANGLE,
+    angle_mask,
     uniform_grid,
 )
 
@@ -153,8 +155,8 @@ def parse_imu_joint_csv(data: bytes, declared_rate: float = 100.0) -> JointAngle
     channel column) or MalformedRecord; unparseable or non-finite numeric
     cells, and channel cells beyond ``MAX_ABS_ANGLE``, become NaN and are
     counted in ``unparseable_cells``.
-    A time column that is not on a uniform grid (a gap, a non-finite or
-    missing time) raises IrregularTimestamps rather than being re-timed.
+    A time column of fewer than two rows raises TooShort, and one off a
+    uniform grid (a gap, a non-finite or missing time) IrregularTimestamps.
     The channels are rows of one (channels, rows) float block, allocated once
     for ``_row_bound(data)`` rows, that each chunk's rows are copied into;
     the time column is copied into its own row, which the series does not keep.
@@ -169,7 +171,7 @@ def parse_imu_joint_csv(data: bytes, declared_rate: float = 100.0) -> JointAngle
         header = next(reader, [])
     except csv.Error as exc:
         raise MalformedRecord(str(exc), reader.line_num) from None
-    if not any(h.strip() for h in header) and not _as_text(data[_text_at(data):]).strip():
+    if not any(h.strip() for h in header) and not any(map(str.strip, _line_chunks(data))):
         raise EmptyFile("no content")
     header = [h.strip() for h in header]
     if any(not h for h in header):
@@ -183,30 +185,29 @@ def parse_imu_joint_csv(data: bytes, declared_rate: float = 100.0) -> JointAngle
         raise MissingColumn("no channel column in header")
     time_idx = col_index.get("time")
 
-    # The used columns, the channels' then the time's, and per used column
-    # its empty cells and the non-empty cells that float() rejects.
+    # The used columns, the channels' then the time's, and their empty cells.
     k = len(channel_idx)
     cols = [*channel_idx.values(), *{time_idx} - {None}]
-    counts = np.zeros((2, len(cols)), dtype=np.int64)
+    empty = np.zeros(len(cols), dtype=np.int64)
     bound = _row_bound(data)
     block, times, n = np.empty((k, bound)), np.empty((len(cols) - k, bound)), 0
     for text, quoted in _row_chunks(rows):
-        chunk = _read_rows(text, quoted, cols, counts)
+        chunk = _read_rows(text, quoted, cols, empty)
         block[:, n:n + len(chunk)] = chunk[:, :k].T
         times[:, n:n + len(chunk)] = chunk[:, k:].T
         n += len(chunk)
 
     rate, start = declared_rate, 0.0
-    if time_idx is not None and n >= 2:
+    if time_idx is not None:
         rate, start = uniform_grid(times[0, :n])
 
     channels = dict(zip(channel_idx, block[:, :n]))
-    # Every non-empty cell without a finite value ("x", "nan", "inf", "1e999"),
-    # or beyond MAX_ABS_ANGLE, is a missing sample and counts as unparseable.
+    # Every non-empty cell that is no angle ("x", "nan", "inf", "1e999", "1e200")
+    # is a missing sample and counts as unparseable.
     for x in channels.values():
-        x[np.abs(x) > MAX_ABS_ANGLE] = math.nan  # inf too
-    unparseable = sum(int(np.isnan(x).sum()) for x in channels.values())
-    unparseable += int(counts[:, k:].sum() - counts[0, :k].sum())
+        if (kept := angle_mask(x)) is not None:
+            x[~kept] = math.nan
+    unparseable = sum(int(np.isnan(x).sum()) for x in channels.values()) - int(empty[:k].sum())
 
     return JointAngleSeries(
         sample_rate=rate,
@@ -275,16 +276,15 @@ def _row_chunks(rows):
 
 
 def _read_rows(text: str, quoted: list[tuple[int, int]], cols: list[int],
-               counts: np.ndarray) -> np.ndarray:
+               empty: np.ndarray) -> np.ndarray:
     """The used columns ``cols`` of a chunk of whole rows, one row each.
 
     Blank rows (every cell whitespace) are dropped, short rows padded, and
-    empty used cells filled with ``nan`` and counted in ``counts[0]``; one
+    empty used cells filled with ``nan`` and counted in ``empty``; one
     ``np.loadtxt`` call reads the rest. When its C float parse rejects a
-    cell, the same call reads the chunk again with the cell rule as
-    converter: ``float(cell)``, else NaN, counted in ``counts[1]``.
+    cell, the same call reads the chunk again with ``_cell`` as converter.
     """
-    text = _filled(text if text.endswith("\n") else text + "\n", quoted, cols, counts[0])
+    text = _filled(text if text.endswith("\n") else text + "\n", quoted, cols, empty)
     # encoding=None hands converters str cells on numpy 1.x too.
     args = dict(delimiter=",", quotechar='"', comments=None, usecols=cols, ndmin=2,
                 encoding=None)
@@ -294,19 +294,17 @@ def _read_rows(text: str, quoted: list[tuple[int, int]], cols: list[int],
         return np.loadtxt(io.StringIO(text), **args)
     except ValueError:
         pass
-
-    def cell(j: int, cell: str) -> float:
-        try:
-            return float(cell)
-        except ValueError:
-            counts[1, j] += 1
-            return math.nan
-
-    try:
-        return np.loadtxt(io.StringIO(text), **args, converters={
-            c: functools.partial(cell, j) for j, c in enumerate(cols)})
+    try:  # one callable for every column: numpy >= 1.23
+        return np.loadtxt(io.StringIO(text), **args, converters=_cell)
     except ValueError as exc:
         raise MalformedRecord(str(exc)) from None
+
+
+def _cell(cell: str) -> float:  # the cell rule: float(cell), else NaN
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
 
 
 def _filled(text: str, quoted: list[tuple[int, int]], cols: list[int],
@@ -376,13 +374,16 @@ def _is_space(u: np.ndarray) -> np.ndarray:
 def format_imu_joint_csv(series: JointAngleSeries) -> str:
     """Serialize a series in the IMU CSV layout.
 
-    Floats are written with shortest round-trip precision so
-    parse(format(x)) reproduces x bit-for-bit; NaN becomes an empty cell.
+    Floats are written with shortest round-trip precision so parse(format(x))
+    reproduces x bit-for-bit; a sample that is no angle becomes an empty cell.
     """
     channels = [ch for ch in CHANNEL_ORDER if ch in series.channels]
     lines = [",".join(["time"] + [ch.value for ch in channels])]
-    columns = [map(repr, series.times.tolist())] + [
-        ["" if v != v else repr(v) for v in series.channels[ch].tolist()] for ch in channels]
+    columns = [map(repr, series.times.tolist())]
+    for x in map(series.channels.get, channels):
+        kept = angle_mask(x)
+        columns.append(map(repr, x.tolist()) if kept is None else
+                       [repr(v) if ok else "" for v, ok in zip(x.tolist(), kept.tolist())])
     lines += map(",".join, zip(*columns, strict=True))
     return "\n".join(lines) + "\n"
 
@@ -533,17 +534,19 @@ def parse_annotations(data: bytes) -> AnnotationTrack:
         try:
             t0, t1 = float(row[0]), float(row[1])
             flags = [int(c) for c in row[2:]]
+            intervals.append(AnnotationInterval(t0, t1, **dict(zip(FLAG_RANGES, flags))))
+        except (InvalidForceValue, InvertedInterval) as exc:
+            raise type(exc)(f"line {line_no}: {exc}") from None
         except ValueError:
             raise MalformedRecord("non-numeric field", line_no)
-        intervals.append(AnnotationInterval(t0, t1, **dict(zip(FLAG_RANGES, flags))))
     return AnnotationTrack.from_intervals(intervals)
 
 
 # --- resampling -----------------------------------------------------------------
 
-# Interpolation positions within this many samples of a grid point are
-# snapped onto it, so resampling at the source rate is an exact copy and a
-# NaN neighbour does not poison an exact sample hit.
+# An output whose position is within this many samples of an input sample
+# copies it, so resampling at the source rate is an exact copy and a NaN
+# neighbour does not poison an exact sample hit.
 _SNAP = 1e-9
 
 
@@ -597,13 +600,13 @@ def resample(series: JointAngleSeries, target_rate: float) -> JointAngleSeries:
     channel runs the same arithmetic whatever the thread count, so the output
     is bit-identical to a one-thread run, with the channels in input order.
     The output channels are the rows of one block allocated in the calling
-    thread and filled in place: freeing it later leaves the heap warm for the
-    lag search's buffers, which outputs allocated in the workers did not.
-    Beside the block, resample holds the stencil (lower indices, both
-    weights, the grid hits' output and input indices) and one scratch row
-    per thread, also allocated in the calling thread, into which the upper
-    neighbours ``x[1:][lo]`` are gathered. An output that no array could
-    index raises ``TooLong`` before anything is allocated.
+    thread and filled in place. Beside the block, resample holds the stencil
+    (lower indices, both weights, the grid hits' output and input indices)
+    and one scratch row per thread, into which the upper neighbours
+    ``x[1:][lo]`` are gathered, also allocated in the calling thread: this
+    scratch and compare_recordings', allocated in the workers instead, raised
+    validate's peak RSS by 1-2 MB. An output that no array could index
+    raises ``TooLong`` before anything is allocated.
     """
     if not (target_rate > 0):
         raise ValueError("target_rate must be > 0")
@@ -624,7 +627,6 @@ def resample(series: JointAngleSeries, target_rate: float) -> JointAngleSeries:
 
     nearest = np.rint(pos)
     exact = np.abs(pos - nearest) <= _SNAP
-    pos = np.where(exact, nearest, pos)
     hit = np.flatnonzero(exact)  # output samples that copy an input sample
     src = nearest[hit].astype(int)
     del nearest, exact  # the stencil's temporaries go before the fan-out

@@ -76,7 +76,7 @@ def parse_imu_joint_csv_oracle(data: bytes | str,
 
     rate = declared_rate
     start = 0.0
-    if time_idx is not None and len(times) >= 2:
+    if time_idx is not None:
         rate, start = uniform_grid(times)
 
     channels = {ch: np.asarray(v) for ch, v in columns.items()}

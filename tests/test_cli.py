@@ -167,6 +167,33 @@ def test_score_one_frame_stream_is_too_short(tmp_path, keypoints_file, capsys):
     assert not out.exists()
 
 
+def test_score_one_row_timed_csv_is_too_short(tmp_path, capsys):
+    """Nor has one timed CSV row, annotated or not: exit 1, one error line,
+    no output files. Without a time column the row is at --imu-rate."""
+    one, ann, out = tmp_path / "one.csv", tmp_path / "ann.csv", tmp_path / "out"
+    one.write_text("time,arm_flex_r\n5.0,10.0\n")
+    ann.write_text("t0,t1,arm_muscle,arm_force,neck_muscle,neck_force,legs\n4,6,0,3,0,0,1\n")
+    assert main(["score", str(one), "--annotations", str(ann), "--out", str(out)]) == 1
+    assert _error_lines(capsys) == [
+        "ergokit: error: TooShort: cannot infer a sample rate from 1 timestamp(s)"]
+    assert not out.exists()
+    one.write_text("arm_flex_r\n10.0\n")
+    assert main(["score", str(one), "--imu-rate", "50", "--out", str(out)]) == 0
+    doc = json.loads((out / "session.json").read_text())
+    assert (doc["sample_rate"], doc["samples"]) == (50.0, 1)
+
+
+def test_score_annotation_value_error_names_its_line(tmp_path, neutral_csv, capsys):
+    ann, out = tmp_path / "ann.csv", tmp_path / "out"
+    ann.write_text("t0,t1,arm_muscle,arm_force,neck_muscle,neck_force,legs\n"
+                   "0,1,0,1,0,0,1\n1,2,0,2,0,0,1\n2,3,0,9,0,0,1\n")
+    assert main(["score", str(neutral_csv), "--annotations", str(ann), "--out", str(out)]) == 1
+    lines = _error_lines(capsys)
+    assert len(lines) == 1 and lines[0].startswith("ergokit: error: InvalidForceValue: ")
+    assert "line 4" in lines[0]
+    assert not out.exists()
+
+
 def test_convert_writes_imu_layout(tmp_path, keypoints_file):
     out = tmp_path / "conv"
     code = main(["convert", str(keypoints_file), "--out", str(out)])

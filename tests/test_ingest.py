@@ -14,6 +14,7 @@ from ergokit.errors import (
     EncodingError,
     ErgokitError,
     InvalidForceValue,
+    InvertedInterval,
     IrregularTimestamps,
     MalformedRecord,
     MissingColumn,
@@ -139,6 +140,15 @@ def test_parse_imu_csv_irregular_time_column_rejected(times, needle):
     assert needle in str(err.value)
 
 
+@pytest.mark.parametrize("body", [b"5.0,1\n", b"x,1\n", b""],
+                         ids=["one-row", "one-bad-row", "header-only"])
+def test_parse_imu_csv_time_column_needs_two_rows(body):
+    """A time column is always read onto its grid: with fewer than two rows
+    there is none, as for a one-frame keypoint stream."""
+    with pytest.raises(TooShort, match="from [01] timestamp"):
+        parse_imu_joint_csv(b"time,arm_flex_r\n" + body)
+
+
 def test_imu_csv_round_trip(rng):
     channels = {}
     for ch in JointChannel:
@@ -154,6 +164,24 @@ def test_imu_csv_round_trip(rng):
     reparsed = parse_imu_joint_csv(format_imu_joint_csv(parsed).encode())
     for ch in JointChannel:
         assert np.array_equal(parsed.channels[ch], reparsed.channels[ch], equal_nan=True)
+
+
+def test_imu_csv_export_leaves_every_non_angle_empty():
+    """NaN, +/-inf and samples beyond +/-MAX_ABS_ANGLE are written as empty
+    cells, so they parse back missing and are not counted as unparseable;
+    every angle, -0.0 included, comes back bit for bit."""
+    x = np.array([1.5, np.nan, np.inf, -np.inf, 2e6, -2e6, -0.0, 1e6, -1e-300])
+    series = JointAngleSeries(sample_rate=100.0, start_time=0.0,
+                              channels={JointChannel.arm_flex_r: x})
+    text = format_imu_joint_csv(series)
+    assert [line.split(",")[1] for line in text.splitlines()[1:]] == [
+        "1.5", "", "", "", "", "", "-0.0", "1000000.0", "-1e-300"]
+    parsed = parse_imu_joint_csv(text.encode())
+    y = parsed.channels[JointChannel.arm_flex_r]
+    angle = np.abs(x) <= 1e6
+    assert np.isnan(y).tolist() == (~angle).tolist()
+    assert y[angle].view(np.uint64).tolist() == x[angle].view(np.uint64).tolist()
+    assert parsed.unparseable_cells == 0
 
 
 def test_imu_csv_export_refuses_a_shortened_channel():
@@ -386,7 +414,14 @@ def test_parse_annotations_bad_force():
         b"t0,t1,arm_muscle,arm_force,neck_muscle,neck_force,legs\n"
         b"0,5,0,5,0,0,1\n"
     )
-    with pytest.raises(InvalidForceValue):
+    with pytest.raises(InvalidForceValue, match="^line 2: arm_force=5 outside allowed range"):
+        parse_annotations(text)
+
+
+def test_parse_annotations_inverted_interval_names_its_line():
+    text = (b"t0,t1,arm_muscle,arm_force,neck_muscle,neck_force,legs\n"
+            b"0,5,0,1,0,0,1\n9,6,0,1,0,0,1\n")
+    with pytest.raises(InvertedInterval, match=r"^line 3: interval \[9.0, 6.0\] has t0 >= t1$"):
         parse_annotations(text)
 
 
