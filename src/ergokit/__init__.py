@@ -41,9 +41,7 @@ from .rula import (
     band_percentages,
     default_config,
     load_rula_config,
-    score_frame,
     score_timeline,
-    validate_rula_config,
 )
 from .compare import (
     AlignmentResult,

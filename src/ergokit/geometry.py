@@ -240,8 +240,12 @@ def load_angle_definitions(path: str | None = None) -> list[AngleDefinition]:
 
 
 @functools.cache
+def _shipped_definitions() -> tuple[AngleDefinition, ...]:
+    return tuple(load_angle_definitions())
+
+
 def default_angle_definitions() -> list[AngleDefinition]:
-    return load_angle_definitions()
+    return list(_shipped_definitions())  # a new list: no caller can change the cached ones
 
 
 # --- baseline -------------------------------------------------------------------

@@ -40,13 +40,14 @@ Keypoint stream (JSON lines)
     time, coordinate or known-label confidence is a JSON number: a string
     such as ``"3"`` or a boolean is a MalformedRecord. Irregular timestamps
     (a skipped frame, a stall) are rejected with IrregularTimestamps when
-    the sample rate is inferred. The stream is decoded a chunk of whole lines
-    (about 64 kB) at a time, and each frame's values go to flat float
-    buffers: the parse holds the input plus 8 bytes per value.
+    the sample rate is inferred. A line ends at LF (CRLF too) and at no
+    other character. The stream is decoded a chunk of whole lines (about
+    64 kB) at a time, and each frame's values go to flat float buffers: the
+    parse holds the input plus 8 bytes per value.
 
 Annotation CSV
     Header ``t0,t1,arm_muscle,arm_force,neck_muscle,neck_force,legs``,
-    one interval per row; a bad value, like a malformed row, names its line.
+    one interval per row; a bad value or a malformed row names the line it starts on.
 """
 from __future__ import annotations
 
@@ -406,7 +407,7 @@ def parse_keypoint_stream(data: bytes, frame_rate: float = 30.0) -> KeypointReco
     empty_row = [math.nan] * (3 * len(LANDMARK_INDEX))
     times, flat = array("d"), array("d")  # per frame: its time, its row
     prev_t = -math.inf
-    lines = (line for chunk in map(str.splitlines, _line_chunks(data)) for line in chunk)
+    lines = (line for chunk in _line_chunks(data) for line in chunk.removesuffix("\n").split("\n"))
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -515,16 +516,17 @@ def parse_annotations(data: bytes) -> AnnotationTrack:
         raise EmptyFile("no content")
     reader = csv.reader(io.StringIO(text))
     try:
-        rows = list(reader)
+        rows = [(reader.line_num, row) for row in reader]  # each record with its last line
     except csv.Error as exc:
         raise MalformedRecord(str(exc), reader.line_num) from None
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in rows[0][1]]
     if header != list(_ANNOTATION_FIELDS):
         raise MalformedHeader(
             f"expected header {','.join(_ANNOTATION_FIELDS)}, got {','.join(header)}"
         )
     intervals = []
-    for line_no, row in enumerate(rows[1:], start=2):
+    for (last, _), (_, row) in zip(rows, rows[1:]):
+        line_no = last + 1  # the line this record starts on
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != len(_ANNOTATION_FIELDS):

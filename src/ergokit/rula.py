@@ -4,11 +4,11 @@ Every number that decides a score lives in the configuration (the shipped
 default is ``data/rula_default.json``), never in code: per-joint angle
 ranges with their primary scores under the ``range`` key, posture
 adjustments under ``position``, the three lookup tables, and the risk-band
-cut points. Changing a threshold is a config edit. One walk over the raw
-config validates and builds: ``validate_rula_config`` returns its problems
-and ``config_from_dict`` its RulaConfig, so a config passes the check
-exactly when it can be scored. Its integers (table cells, range scores,
-adjusts, band bounds) are JSON integers within bounds, never booleans.
+cut points. Changing a threshold is a config edit. ``config_from_dict``
+validates and builds in one walk: it returns the RulaConfig, its arrays
+read-only, or raises ConfigError with every problem. Its integers (table
+cells, range scores, adjusts, band bounds) are JSON integers within
+bounds, never booleans.
 
 Scoring order per sample and side: range score per joint, position
 adjustments (clamped to each joint's table-input range), Table A, then
@@ -17,20 +17,19 @@ scores, adjustments, Table B with the annotated legs score, then
 score D = table B + neck muscle + neck force. Scores C and D are clamped
 to 1..9 before the final Table C lookup. The combined score is the worse
 (max) of the two sides. Every score is int8 and no sum wraps: cells and
-range scores are 1..9, an annotated flag 0..3 (``score_frame`` clips any
-flag to +/-50), and adjustments add up in a type that holds 9 + 3 per
-position rule before the clamp.
+range scores are 1..9, an annotated flag 0..3, and adjustments add up in
+a type that holds 9 + 3 per position rule before the clamp.
 
 There is one scoring path, over all samples at once: ``score_timeline``
-returns a ``RulaTimeline`` of (N,) arrays, and ``score_frame`` is its N=1
-case, a one-sample ``RulaTimeline``: scores have this one type from scoring
-to report. Tables A, B and C and the risk bands are looked up there alone,
-by indexing the config's arrays (``band_codes`` for the bands). A channel
-that is absent or no angle (NaN, +/-inf, beyond +/-``MAX_ABS_ANGLE``:
-``motion.angle_mask``, as in ``compare``) is missing: it scores its joint's
-minimum and marks the sample degraded, or with ``strict=True`` raises
-IncompleteFrame naming it and the first sample lacking it. A sample that is
-no angle fires no adjustment; a position rule's absent channel degrades all.
+returns a ``RulaTimeline`` of (N,) arrays, one sample being the case N=1:
+scores have this one type from scoring to report. Tables A, B and C and
+the risk bands are looked up there alone, by indexing the config's arrays
+(``band_codes`` for the bands). A channel that is absent or no angle (NaN,
++/-inf, beyond +/-``MAX_ABS_ANGLE``: ``motion.angle_mask``, as in
+``compare``) is missing: it scores its joint's minimum and marks the sample
+degraded, or with ``strict=True`` raises IncompleteFrame naming it and the
+first sample lacking it. A sample that is no angle fires no adjustment; a
+position rule's absent channel degrades all.
 
 Range intervals are half-open [lo, hi); the first interval is open below
 and the last closed above, so every finite angle scores exactly once.
@@ -42,7 +41,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
@@ -56,7 +55,6 @@ from .motion import (
     EMPTY_ANNOTATIONS,
     JointAngleSeries,
     JointChannel,
-    NEUTRAL_FLAGS,
     Side,
     angle_mask,
 )
@@ -319,11 +317,11 @@ def _band_codes(raw: dict, problems: list[str]) -> np.ndarray:
     return band_codes
 
 
-def _parse_config(raw) -> tuple[RulaConfig | None, list[str]]:
-    """The one walk over a raw config: the RulaConfig it describes (None
-    unless valid) and every invariant violation, in section order."""
+def config_from_dict(raw: dict) -> RulaConfig:
+    """The one walk over a raw config: the immutable RulaConfig it describes,
+    or ConfigError with every invariant violation, in section order."""
     if not isinstance(raw, dict):
-        return None, ["config must be a JSON object"]
+        raise ConfigError(["config must be a JSON object"])
     problems: list[str] = []
     tables = (
         _table(raw, "table_a", (6, 3, 4, 2), (1, 9), ("arm", "forearm", "wrist", "twist"),
@@ -337,22 +335,12 @@ def _parse_config(raw) -> tuple[RulaConfig | None, list[str]]:
     if json_too_deep(raw):  # the checksum's encoder would run out of stack
         problems.append(f"config: nested deeper than {MAX_JSON_DEPTH} levels")
     if problems:
-        return None, problems
-    return RulaConfig(range_rules, position_rules, *tables, band_codes,
-                      checksum=config_checksum(raw)), problems
-
-
-def validate_rula_config(raw: dict) -> list[str]:
-    """All invariant violations in a raw config dict; empty means valid."""
-    return _parse_config(raw)[1]
-
-
-def config_from_dict(raw: dict) -> RulaConfig:
-    """Validate and build an immutable RulaConfig; raises ConfigError."""
-    config, problems = _parse_config(raw)
-    if problems:
         raise ConfigError(problems)
-    return config
+    rule_arrays = [a for rule in range_rules.values() for a in (rule.edges, rule.scores)]
+    for array in (*tables, band_codes, *rule_arrays):
+        array.flags.writeable = False  # a cached config is shared by every caller
+    return RulaConfig(range_rules, position_rules, *tables, band_codes,
+                      checksum=config_checksum(raw))
 
 
 def load_rula_config(path: str | None = None) -> RulaConfig:
@@ -479,20 +467,6 @@ def _score(channels: Mapping[JointChannel, np.ndarray], n: int, flags: Annotatio
     return dict(left=left, right=right, neck=neck, trunk=trunk, legs=legs,
                 table_b_score=table_b_score, score_d=score_d, final=final,
                 band=config.band_codes[final], degraded=degraded)
-
-
-def score_frame(angles: Mapping[JointChannel, float],
-                flags: AnnotationFlags = NEUTRAL_FLAGS,
-                config: RulaConfig | None = None,
-                strict: bool = False) -> RulaTimeline:
-    """Score one frame of joint angles under the given annotation flags, as
-    a one-sample RulaTimeline (``sample_rate`` 1, ``start_time`` 0), with
-    missing channels handled as the module docstring states."""
-    config = config or default_config()
-    flags = AnnotationFlags(*np.int8(np.clip(astuple(flags), -50, 50)))  # int8, as flags_for
-    values = np.array(list(angles.values()), dtype=float).reshape(-1, 1)
-    fields = _score(dict(zip(angles, values)), 1, flags, config, strict)
-    return RulaTimeline(sample_rate=1.0, start_time=0.0, **fields)
 
 
 def score_timeline(series: JointAngleSeries,

@@ -3,10 +3,11 @@
 This is ``ergokit.ingest.parse_keypoint_stream`` as it was before it read
 the stream a chunk of whole lines at a time into flat float buffers, kept
 unchanged as an independent oracle: the whole input decoded at once, split
-with ``str.splitlines``, and each frame collected as a Python list of
-floats. Tests compare ``parse_keypoint_stream`` against
-``parse_keypoint_stream_oracle`` here, the way ``csv_oracle`` serves the IMU
-CSV parser.
+at each line feed, and each frame collected as a Python list of floats.
+The one edit is that split: it used ``str.splitlines``, which also ends a
+line at a lone CR, at U+2028 and at other Unicode line breaks. Tests
+compare ``parse_keypoint_stream`` against ``parse_keypoint_stream_oracle``
+here, the way ``csv_oracle`` serves the IMU CSV parser.
 """
 from __future__ import annotations
 
@@ -51,7 +52,7 @@ def parse_keypoint_stream_oracle(data: bytes | str, frame_rate: float = 30.0) ->
     times: list[float] = []
     rows: list[list[float]] = []
     prev_t = -math.inf
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

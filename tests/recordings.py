@@ -1,19 +1,32 @@
 """Fixture builders that only the tests use: an all-neutral angle series, a
 planar elbow sinusoid with its generating angles, rigid motions of a
-keypoint recording, and the annotation CSV writer that round-trips
-``parse_annotations``."""
+keypoint recording, the annotation CSV writer that round-trips
+``parse_annotations``, one sample scored the way a recording is or under
+any flags, and a config's problems as ``check-config`` reads them."""
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 
+from ergokit.errors import ConfigError
 from ergokit.motion import (
     FLAG_RANGES,
+    AnnotationFlags,
+    AnnotationInterval,
     AnnotationTrack,
     JointAngleSeries,
     JointChannel,
     KeypointRecording,
+)
+from ergokit.rula import (
+    RulaConfig,
+    RulaTimeline,
+    _score,
+    config_from_dict,
+    default_config,
+    score_timeline,
 )
 from ergokit.synthetic import posed_recording
 
@@ -71,3 +84,38 @@ def format_annotations(track: AnnotationTrack) -> str:
         lines.append(",".join([repr(iv.t0), repr(iv.t1)]
                               + [str(getattr(iv, name)) for name in FLAG_RANGES]))
     return "\n".join(lines) + "\n"
+
+
+def score_one(angles: dict, flags: AnnotationFlags | None = None,
+              config: RulaConfig | None = None, strict: bool = False) -> RulaTimeline:
+    """One sample of ``angles`` (channel -> degrees, None for NaN) at t = 0,
+    scored as ``ergokit score`` scores a recording: a one-sample series
+    through ``score_timeline``, with ``flags`` on one annotation interval
+    [0, 1)."""
+    series = JointAngleSeries(sample_rate=1.0, start_time=0.0,
+                              channels={ch: [v] for ch, v in angles.items()})
+    track = AnnotationTrack() if flags is None else AnnotationTrack(
+        (AnnotationInterval(0.0, 1.0, **vars(flags)),))
+    return score_timeline(series, track, config, strict)
+
+
+def score_any_flags(angles: dict, flags: AnnotationFlags, config: RulaConfig | None = None,
+                    strict: bool = False) -> RulaTimeline:
+    """One sample of ``angles`` through ``rula._score``, the scorer that
+    ``score_timeline`` calls, under ``flags`` that may lie outside the
+    annotation ranges, as no input file's can (score C and D then leave
+    1..9, legs 1..2); ``angles`` may be empty."""
+    channels = {ch: np.array([v], dtype=float) for ch, v in angles.items()}
+    scores = _score(channels, 1, AnnotationFlags(*np.int8([astuple(flags)]).T),
+                    config or default_config(), strict)
+    return RulaTimeline(sample_rate=1.0, start_time=0.0, **scores)
+
+
+def config_problems(raw) -> list[str]:
+    """Every problem ``config_from_dict`` finds in ``raw``, in the order
+    ``check-config`` prints them; empty when the config builds."""
+    try:
+        config_from_dict(raw)
+    except ConfigError as exc:
+        return exc.violations
+    return []

@@ -15,9 +15,10 @@ The Table A, B and C lookups and the band lookup, with their range checks
 and ``OutOfRangeIndex``, are the library's scalar functions as they were
 before the library kept only the array lookups of its one scoring path;
 from ``ergokit.rula`` the oracle takes the config and its types, no lookup.
-Tests compare ``ergokit.rula.score_timeline`` and ``score_frame`` against
-``score_timeline`` and ``score_frame`` here, the same way ``angle_oracle``
-serves the geometry.
+Tests compare ``ergokit.rula.score_timeline`` against ``score_timeline``
+here, and one sample, as a one-sample series or through
+``ergokit.rula._score``, against ``score_frame``, the same way
+``angle_oracle`` serves the geometry.
 """
 from __future__ import annotations
 

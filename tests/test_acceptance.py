@@ -36,13 +36,17 @@ from ergokit.rula import (
     RiskBand,
     band_percentages,
     default_config,
-    score_frame,
     score_timeline,
-    validate_rula_config,
 )
 from ergokit.synthetic import NEUTRAL_POSITIONS
 
-from recordings import elbow_flexion_recording, random_rotation, transform_recording
+from recordings import (
+    config_problems,
+    elbow_flexion_recording,
+    random_rotation,
+    score_one,
+    transform_recording,
+)
 from worksheet_scorer import worksheet_score
 
 
@@ -94,7 +98,7 @@ def test_criterion_02_scoring_oracle():
             neck_force=int(rng.integers(0, 4)),
             legs=int(rng.integers(1, 3)),
         )
-        frame = score_frame(angles, flags)
+        frame = score_one(angles, flags)
         expected = worksheet_score(
             {ch.value: v for ch, v in angles.items()},
             arm_muscle=flags.arm_muscle, arm_force=flags.arm_force,
@@ -267,9 +271,9 @@ def test_criterion_08_reporting_formatting():
     medium_flags = AnnotationFlags(arm_muscle=1, arm_force=3, neck_muscle=1, neck_force=3)
     very_high_flags = AnnotationFlags(arm_muscle=1, arm_force=3, neck_muscle=1,
                                       neck_force=3, legs=2)
-    low = score_frame(zero, low_flags)
-    medium = score_frame(zero, medium_flags)
-    very_high = score_frame(contorted, very_high_flags)
+    low = score_one(zero, low_flags)
+    medium = score_one(zero, medium_flags)
+    very_high = score_one(contorted, very_high_flags)
     bands = list(RiskBand)
     ok = (bands[low.band[0]] == RiskBand.low and bands[medium.band[0]] == RiskBand.medium
           and bands[very_high.band[0]] == RiskBand.very_high)
@@ -302,21 +306,21 @@ def test_criterion_08_reporting_formatting():
 
 def test_criterion_09_config_robustness():
     raw = read_config_json(None)
-    ok = validate_rula_config(raw) == []
+    ok = config_problems(raw) == []
 
     hole = copy.deepcopy(raw)
     hole["table_a"][3][1] = hole["table_a"][3][1][:2]
-    problems = validate_rula_config(hole)
+    problems = config_problems(hole)
     ok &= any("table_a" in p and "arm=4" in p for p in problems)
 
     overlapping = copy.deepcopy(raw)
     overlapping["range"]["trunk"]["intervals"][2] = [0, 20, 2]
-    problems = validate_rula_config(overlapping)
+    problems = config_problems(overlapping)
     ok &= any("range[trunk]" in p and "overlap" in p for p in problems)
 
     out_of_bounds = copy.deepcopy(raw)
     out_of_bounds["table_b"][2][2][1] = 42
-    problems = validate_rula_config(out_of_bounds)
+    problems = config_problems(out_of_bounds)
     ok &= any("table_b" in p and "42" in p for p in problems)
     _verdict(9, "config robustness", ok)
 

@@ -20,7 +20,7 @@ from ergokit.ingest import (
 from ergokit.motion import JointAngleSeries, JointChannel, KeypointRecording
 from ergokit.synthetic import work_cycle_recording
 
-from recordings import elbow_flexion_recording, neutral_angle_series
+from recordings import config_problems, elbow_flexion_recording, neutral_angle_series
 
 
 @pytest.fixture
@@ -192,6 +192,35 @@ def test_score_annotation_value_error_names_its_line(tmp_path, neutral_csv, caps
     assert len(lines) == 1 and lines[0].startswith("ergokit: error: InvalidForceValue: ")
     assert "line 4" in lines[0]
     assert not out.exists()
+
+
+def test_score_annotation_error_names_the_line_its_row_starts_on(tmp_path, neutral_csv,
+                                                                capsys):
+    """A quoted cell that holds a line break (lines 2-3) does not shift the
+    line that a later row's error names."""
+    ann, out = tmp_path / "ann.csv", tmp_path / "out"
+    ann.write_bytes(b"t0,t1,arm_muscle,arm_force,neck_muscle,neck_force,legs\n"
+                    b'"0\n",1,0,1,0,0,1\n2,3,0,9,0,0,1\n')
+    assert main(["score", str(neutral_csv), "--annotations", str(ann), "--out", str(out)]) == 1
+    lines = _error_lines(capsys)
+    assert len(lines) == 1 and "line 4" in lines[0]
+
+
+def test_score_keypoint_line_ends_at_line_feed_only(tmp_path, capsys):
+    """A raw U+2028 inside a JSON string, as ``json.dumps(...,
+    ensure_ascii=False)`` writes it, ends no line: the two-frame stream
+    scores, and an error on its second line names line 2."""
+    lines = format_keypoint_stream(elbow_flexion_recording(n_frames=2)[0]).splitlines()
+    first = json.loads(lines[0])
+    first["points"]["nose\u2028x"] = [0.0, 0.0, 0.0]
+    stream, out = tmp_path / "task.jsonl", tmp_path / "out"
+    stream.write_bytes(f"{json.dumps(first, ensure_ascii=False)}\n{lines[1]}\n".encode())
+    assert main(["score", str(stream), "--kind", "keypoints", "--out", str(out)]) == 0
+    stream.write_bytes(f"{json.dumps(first, ensure_ascii=False)}\n{{\n".encode())
+    capsys.readouterr()
+    assert main(["score", str(stream), "--kind", "keypoints", "--out", str(out)]) == 1
+    lines = _error_lines(capsys)
+    assert len(lines) == 1 and lines[0].startswith("ergokit: error: MalformedRecord: line 2: ")
 
 
 def test_convert_writes_imu_layout(tmp_path, keypoints_file):
@@ -623,12 +652,10 @@ def _set(path, value):
         "bound-a-string", "bound-400-digits", "joint-a-list", "threshold-400-digits"])
 def test_config_of_wrong_type_or_size_is_one_problem(tmp_path, capsys, keypoints_file,
                                                      mutate, problem):
-    from ergokit.rula import validate_rula_config
-
     raw = read_config_json(None)
     mutate(raw)
     started = time.perf_counter()
-    assert any(problem in p for p in validate_rula_config(raw))
+    assert any(problem in p for p in config_problems(raw))
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
     assert main(["check-config", str(path)]) == 1

@@ -1,14 +1,14 @@
-"""Mutated copies of the shipped RULA config, through ``validate_rula_config``,
-``config_from_dict``, ``ergokit check-config`` and ``ergokit score --config``.
+"""Mutated copies of the shipped RULA config, through ``config_from_dict``,
+``ergokit check-config`` and ``ergokit score --config``.
 
 Each example replaces a few nodes of the shipped config (any section, key,
 list or cell) with a list, an object, a string, a float, a bool, null or a
-huge integer, or deletes them. The validator must return a list of problem
-strings and never raise; ``check-config`` must exit 0, or nonzero with
-exactly one ``ergokit: error:`` line, and never raise. ``config_from_dict``
-must build exactly the configs the validator passes, holding the integers
-the config wrote; a built config must score any frame, and
-``score --config`` must keep the same one-line error contract.
+huge integer, or deletes them. ``config_from_dict`` must build the config,
+holding the integers it wrote, or raise ConfigError with a nonempty list of
+problem strings, and raise nothing else; ``check-config`` must exit 0
+exactly when it builds, or nonzero with exactly one ``ergokit: error:``
+line, and never raise. A built config must score any frame, under any flags
+of -3..8, and ``score --config`` must keep the same one-line error contract.
 
 Mutated copies of the shipped angle definitions go through
 ``parse_angle_definitions`` and ``compute_angle_series``, which may raise
@@ -28,10 +28,10 @@ from ergokit.errors import ConfigError, ErgokitError
 from ergokit.geometry import compute_angle_series, parse_angle_definitions
 from ergokit.ingest import format_imu_joint_csv
 from ergokit.motion import AnnotationFlags, JointChannel
-from ergokit.rula import config_from_dict, score_frame, validate_rula_config
+from ergokit.rula import config_from_dict
 from ergokit.synthetic import work_cycle_recording
 
-from recordings import neutral_angle_series
+from recordings import config_problems, neutral_angle_series, score_any_flags
 
 SHIPPED = json.loads(resources.files("ergokit.data").joinpath("rula_default.json").read_text())
 DELETE = object()
@@ -119,7 +119,7 @@ def _integer_slots(raw: dict):
 @example(mutations=[(("position", 0, "threshold"), -10**400)])
 def test_mutated_config_is_reported_not_raised(tmp_path_factory, mutations):
     raw = _mutated(mutations)
-    problems = validate_rula_config(raw)
+    problems = config_problems(raw)
     assert isinstance(problems, list) and all(isinstance(p, str) for p in problems)
 
     path = tmp_path_factory.getbasetemp() / "fuzzed_config.json"
@@ -146,15 +146,15 @@ def test_mutated_config_is_reported_not_raised(tmp_path_factory, mutations):
 @example(mutations=[(("bands", "negligible", 0), True)], angles={}, flags=AnnotationFlags())
 def test_mutated_config_builds_exactly_when_valid(tmp_path_factory, mutations, angles, flags):
     raw = _mutated(mutations)
-    problems = validate_rula_config(raw)
     try:
         config = config_from_dict(raw)
-    except ConfigError:
+    except ConfigError as exc:
+        problems = exc.violations
         assert problems
     else:
-        assert problems == []
+        problems = []
         assert all(type(value) is int for value in _integer_slots(raw))
-        score_frame(angles, flags, config)
+        score_any_flags(angles, flags, config)
 
     base = tmp_path_factory.getbasetemp()
     recording = base / "fuzz_recording.csv"

@@ -278,6 +278,12 @@ def test_definitions_cover_all_channels():
     assert {d.channel for d in defs} == set(JointChannel)
 
 
+def test_default_definitions_are_a_new_list_each_call():
+    """One caller's edit of the list does not reach the next caller."""
+    default_angle_definitions().pop()
+    assert len(default_angle_definitions()) == len(JointChannel)
+
+
 def test_angle_definitions_skip_byte_order_mark(tmp_path):
     path = tmp_path / "defs.json"
     shipped = resources.files("ergokit.data").joinpath("angle_definitions.json").read_bytes()

@@ -548,7 +548,8 @@ def test_keypoint_stream_raises_only_ergokit_errors(data):
 _FRAMES = posed_recording(np.arange(5) / 30, elbow_r=[0, 10, 20, 30, 40])
 _FRAMES.positions[2, LANDMARK_INDEX[Landmark.nose]] = np.nan
 _FRAME_LINES = format_keypoint_stream(_FRAMES).splitlines()
-# LF, CRLF, CR, NEL and LINE SEPARATOR all end a line for str.splitlines.
+# Only LF and CRLF end a line; a CR, NEL or LINE SEPARATOR between frames
+# leaves one line that is not JSON.
 _BREAKS = ["\n", "\n", "\r\n", "\r", "\x85", "\u2028"]
 _BLANKS = ["", " ", "\t", "\x0c"]
 
@@ -597,11 +598,13 @@ def test_keypoint_stream_equals_oracle():
 
 @pytest.mark.parametrize("chunk", [1, 64, ingest._LINE_CHUNK])
 def test_keypoint_lines_are_numbered_across_chunks(chunk):
-    """Every break str.splitlines knows ends a line, wherever a chunk ends."""
-    data = (BOM + _FRAME_LINES[0] + "\u2028\r\n" + _FRAME_LINES[1] + "\x85 \r"
+    """Only a line feed ends a line, wherever a chunk ends: CRLF ends one; a
+    lone CR between tokens, and NEL and U+2028 in a JSON string, do not."""
+    labelled = _FRAME_LINES[0].replace('"points": {', '"points": {"a\u2028\x85b": [0, 0, 0], ')
+    data = (BOM + labelled + "\r\n \n" + _FRAME_LINES[1].replace(", ", ",\r", 1) + "\n"
             + _FRAME_LINES[2] + "\n{\n").encode()
     with mock.patch.object(ingest, "_LINE_CHUNK", chunk):
-        with pytest.raises(MalformedRecord, match="^line 6: invalid JSON"):
+        with pytest.raises(MalformedRecord, match="^line 5: invalid JSON"):
             parse_keypoint_stream(data)
         assert len(parse_keypoint_stream(data[:-2])) == 3
 

@@ -31,12 +31,11 @@ from ergokit.rula import (
     config_from_dict,
     default_config,
     load_rula_config,
-    score_frame,
     score_timeline,
-    validate_rula_config,
 )
 
 import worksheet_scorer
+from recordings import score_one
 from worksheet_scorer import worksheet_score
 
 
@@ -119,14 +118,14 @@ def test_adjustment_abduction_adds_one():
     angles = zero_angles()
     angles[JointChannel.arm_flex_r] = 30.0  # range score 2
     angles[JointChannel.arm_add_r] = 60.0
-    assert score_frame(angles).right.arm == 3
+    assert score_one(angles).right.arm == 3
 
 
 def test_adjustment_untriggered_is_identity():
     angles = zero_angles()
     angles[JointChannel.arm_flex_r] = 30.0  # range score 2
     angles[JointChannel.elbow_flex_r] = 80.0  # range score 1
-    fs = score_frame(angles)
+    fs = score_one(angles)
     assert (fs.right.arm, fs.right.forearm) == (2, 1)
 
 
@@ -140,14 +139,14 @@ def test_adjustment_clamps_to_table_range():
     angles[JointChannel.T1_head_neck_FE] = -5.0  # range score 4
     angles[JointChannel.T1_head_neck_AR] = 50.0
     angles[JointChannel.T1_head_neck_LB] = 50.0
-    assert score_frame(angles, config=config).neck == 6  # 4 + 3 + 1 clamped to the table max
+    assert score_one(angles, config=config).neck == 6  # 4 + 3 + 1 clamped to the table max
 
 
 def test_adjustment_wrong_side_does_not_fire():
     angles = zero_angles()
     angles[JointChannel.arm_flex_l] = 30.0  # range score 2
     angles[JointChannel.arm_add_r] = 60.0
-    assert score_frame(angles).left.arm == 2
+    assert score_one(angles).left.arm == 2
 
 
 # --- frame scoring ----------------------------------------------------------------
@@ -158,7 +157,7 @@ def _band(timeline) -> RiskBand:
 
 
 def test_neutral_posture_trace():
-    fs = score_frame(zero_angles())
+    fs = score_one(zero_angles())
     left = fs.left
     assert (left.arm[0], left.forearm[0], left.wrist[0], left.wrist_twist[0]) == (1, 2, 1, 1)
     assert left.table_a_score[0] == 1  # table_a(1, 2, 1, 1)
@@ -170,7 +169,7 @@ def test_neutral_posture_trace():
 
 
 def test_neutral_with_forces_trace():
-    fs = score_frame(zero_angles(), AnnotationFlags(arm_force=3, neck_force=3))
+    fs = score_one(zero_angles(), AnnotationFlags(arm_force=3, neck_force=3))
     assert fs.left.score_c[0] == 4
     assert fs.score_d[0] == 4
     assert fs.final[0] == 4
@@ -185,7 +184,7 @@ def test_combined_is_max_of_sides():
     angles[JointChannel.wrist_flex_r] = 20.0
     angles[JointChannel.wrist_dev_r] = 20.0
     angles[JointChannel.pro_sup_r] = 90.0
-    fs = score_frame(angles, AnnotationFlags(arm_muscle=1, arm_force=3,
+    fs = score_one(angles, AnnotationFlags(arm_muscle=1, arm_force=3,
                                              neck_force=3))
     assert fs.right.table_a_score[0] == 7  # table_a(5, 2, 4, 2)
     assert fs.score_d[0] == 4
@@ -198,17 +197,17 @@ def test_combined_is_max_of_sides():
 def test_missing_channel_lenient_vs_strict():
     angles = zero_angles()
     del angles[JointChannel.elbow_flex_r]
-    fs = score_frame(angles)
+    fs = score_one(angles)
     assert fs.degraded
     assert fs.right.forearm == 1  # joint minimum substituted
     with pytest.raises(IncompleteFrame):
-        score_frame(angles, strict=True)
+        score_one(angles, strict=True)
 
 
 def test_nan_channel_treated_as_missing():
     angles = zero_angles()
     angles[JointChannel.elbow_flex_r] = math.nan
-    fs = score_frame(angles)
+    fs = score_one(angles)
     assert fs.degraded
     assert fs.right.forearm == 1
 
@@ -218,18 +217,18 @@ def test_position_channel_absent_degrades_but_nan_does_not():
     NaN sample of it leaves the adjustment unapplied without degrading."""
     angles = zero_angles()
     angles[JointChannel.wrist_dev_l] = 30.0
-    bent = score_frame(angles).left.wrist
+    bent = score_one(angles).left.wrist
     angles[JointChannel.wrist_dev_l] = math.nan
-    fs = score_frame(angles)
+    fs = score_one(angles)
     assert not fs.degraded
     assert fs.left.wrist == bent - 1
     del angles[JointChannel.wrist_dev_l]
-    fs = score_frame(angles)
+    fs = score_one(angles)
     assert fs.degraded
     assert fs.left.wrist == bent - 1
     with pytest.raises(IncompleteFrame, match="^channel wrist_dev_l required for wrist "
                                               "is missing at sample 0$"):
-        score_frame(angles, strict=True)
+        score_one(angles, strict=True)
 
 
 def test_annotation_monotonicity(rng):
@@ -239,10 +238,10 @@ def test_annotation_monotonicity(rng):
         muscle = int(rng.integers(0, 2))
         force = int(rng.integers(0, 3))
         legs = int(rng.integers(1, 3))
-        base = score_frame(angles, AnnotationFlags(
+        base = score_one(angles, AnnotationFlags(
             arm_muscle=muscle, arm_force=force,
             neck_muscle=muscle, neck_force=force, legs=legs))
-        bumped = score_frame(angles, AnnotationFlags(
+        bumped = score_one(angles, AnnotationFlags(
             arm_muscle=muscle, arm_force=force + 1,
             neck_muscle=muscle, neck_force=force + 1, legs=legs))
         assert bumped.left.score_c >= base.left.score_c
@@ -261,7 +260,7 @@ def test_matches_worksheet_transcription_spot(rng):
             neck_force=int(rng.integers(0, 4)),
             legs=int(rng.integers(1, 3)),
         )
-        fs = score_frame(angles, flags)
+        fs = score_one(angles, flags)
         expected = worksheet_score(
             {ch.value: v for ch, v in angles.items()},
             arm_muscle=flags.arm_muscle, arm_force=flags.arm_force,
@@ -364,7 +363,19 @@ def test_band_percentages_sum_to_100(rng):
 
 
 def test_default_config_is_valid():
-    assert validate_rula_config(read_config_json(None)) == []
+    config_from_dict(read_config_json(None))  # raises ConfigError when invalid
+
+
+def test_config_arrays_are_read_only():
+    """The cached default config is shared by every caller: none can change
+    its tables, band codes or range rules' arrays for the others."""
+    config = default_config()
+    arrays = [config.table_a_values, config.table_b_values, config.table_c_values,
+              config.band_codes]
+    arrays += [a for rule in config.range_rules.values() for a in (rule.edges, rule.scores)]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1
 
 
 def test_checksum_stability():
@@ -375,24 +386,25 @@ def test_checksum_stability():
 def test_config_table_hole_detected():
     raw = read_config_json(None)
     raw["table_a"][0][2] = raw["table_a"][0][2][:3]
-    problems = validate_rula_config(raw)
-    assert any("table_a" in p and "expected 4" in p for p in problems)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         config_from_dict(raw)
+    assert any("table_a" in p and "expected 4" in p for p in err.value.violations)
 
 
 def test_config_overlapping_intervals_detected():
     raw = read_config_json(None)
     raw["range"]["arm"]["intervals"][2] = [15, 45, 2]
-    problems = validate_rula_config(raw)
-    assert any("range[arm]" in p and "overlap" in p for p in problems)
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(raw)
+    assert any("range[arm]" in p and "overlap" in p for p in err.value.violations)
 
 
 def test_config_out_of_bounds_score_detected():
     raw = read_config_json(None)
     raw["table_c"][0][0] = 12
-    problems = validate_rula_config(raw)
-    assert any("table_c" in p and "12" in p for p in problems)
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(raw)
+    assert any("table_c" in p and "12" in p for p in err.value.violations)
 
 
 @pytest.mark.parametrize("section, key, problem", [
@@ -403,9 +415,9 @@ def test_config_out_of_bounds_score_detected():
 def test_config_entry_not_an_object_is_a_problem(section, key, problem, entry):
     raw = read_config_json(None)
     raw[section][key] = entry
-    assert problem in validate_rula_config(raw)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         config_from_dict(raw)
+    assert problem in err.value.violations
 
 
 @pytest.mark.parametrize("edit, problem", [
@@ -421,9 +433,9 @@ def test_config_entry_not_an_object_is_a_problem(section, key, problem, entry):
 def test_config_rule_problem_is_reported(edit, problem):
     raw = read_config_json(None)
     edit(raw)
-    assert problem.format(last=len(raw["position"]) - 1) in validate_rula_config(raw)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         config_from_dict(raw)
+    assert problem.format(last=len(raw["position"]) - 1) in err.value.violations
 
 
 def test_config_nested_too_deep_is_one_problem():
@@ -442,8 +454,9 @@ def test_config_nested_too_deep_is_one_problem():
 def test_config_band_gap_detected():
     raw = read_config_json(None)
     raw["bands"]["low"] = [3, 3]
-    problems = validate_rula_config(raw)
-    assert any("bands" in p and "4" in p for p in problems)
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(raw)
+    assert any("bands" in p and "4" in p for p in err.value.violations)
 
 
 def test_config_skips_byte_order_mark(tmp_path):
@@ -476,8 +489,8 @@ def _random_series(rng, n: int) -> tuple[np.ndarray, JointAngleSeries]:
 def test_every_score_is_int8(rng):
     track = AnnotationTrack.from_intervals([AnnotationInterval(1.0, 3.0, 1, 3, 1, 3, 2)])
     _, series = _random_series(rng, 50)
-    for timeline in (score_timeline(series, track), score_frame(zero_angles()),
-                     score_frame(zero_angles(), AnnotationFlags(1, 3, 1, 3, 2))):
+    for timeline in (score_timeline(series, track), score_one(zero_angles()),
+                     score_one(zero_angles(), AnnotationFlags(1, 3, 1, 3, 2))):
         assert set(_score_dtypes(timeline).values()) == {np.dtype(np.int8)}
         assert timeline.degraded.dtype == bool
 

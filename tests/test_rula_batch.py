@@ -4,7 +4,7 @@ Inputs are drawn to hit the edges of the batch path: angles exactly on
 interval starts and position thresholds, NaN, +/-inf and samples beyond
 +/-MAX_ABS_ANGLE, absent channels,
 annotation tracks with touching intervals and samples exactly at t0/t1,
-and random configs that pass ``validate_rula_config`` (moved interval
+and random configs that ``config_from_dict`` builds (moved interval
 starts and scores, thresholds, predicates, adjusts, table cells and band
 cut points).
 """
@@ -31,10 +31,10 @@ from ergokit.rula import (
     RiskBand,
     SideTimeline,
     config_from_dict,
-    score_frame,
     score_timeline,
-    validate_rula_config,
 )
+
+from recordings import score_any_flags, score_one
 
 RATE = 10.0
 SHARED_FIELDS = ("neck", "trunk", "legs", "table_b_score", "score_d", "final", "degraded")
@@ -64,7 +64,6 @@ def configs(draw):
     cuts = sorted(draw(st.sets(st.integers(2, 7), min_size=3, max_size=3)))
     raw["bands"] = {band.value: [lo, hi] for band, lo, hi
                     in zip(RiskBand, [1] + cuts, [c - 1 for c in cuts] + [7])}
-    assert validate_rula_config(raw) == []
     return config_from_dict(raw)
 
 
@@ -174,9 +173,9 @@ def test_strict_raises_like_oracle(case):
 @PROPERTY
 @given(st.data())
 def test_score_frame_equals_oracle(data):
-    """score_frame, the N=1 case, is a one-sample timeline equal to the
-    oracle's frame, on one frame with flags outside the annotation ranges
-    (score C and D then leave 1..9) and None angles."""
+    """One sample scored by the batch scorer equals the oracle's frame, on
+    one frame with flags outside the annotation ranges (score C and D then
+    leave 1..9) and None angles."""
     config = data.draw(configs())
     angle = st.one_of(_angles(config), st.none())
     absent = data.draw(st.sets(st.sampled_from(list(JointChannel)), max_size=4))
@@ -184,16 +183,15 @@ def test_score_frame_equals_oracle(data):
     flags = AnnotationFlags(**{f: data.draw(st.integers(-3, 8))
                                for f in ("arm_muscle", "arm_force", "neck_muscle",
                                          "neck_force", "legs")})
-    timeline = score_frame(angles, flags, config)
-    assert (timeline.sample_rate, timeline.start_time) == (1.0, 0.0)
+    timeline = score_any_flags(angles, flags, config)
     _assert_equals_oracle(timeline, [rula_oracle.score_frame(angles, flags, config)])
     try:
         rula_oracle.score_frame(angles, flags, config, strict=True)
     except IncompleteFrame as exc:
         with pytest.raises(IncompleteFrame, match=f"^{re.escape(str(exc))} at sample 0$"):
-            score_frame(angles, flags, config, strict=True)
+            score_any_flags(angles, flags, config, strict=True)
     else:
-        score_frame(angles, flags, config, strict=True)
+        score_any_flags(angles, flags, config, strict=True)
 
 
 #: Samples that are no angle, though not NaN.
@@ -230,8 +228,8 @@ def test_no_angle_scores_as_nan(case, seed):
     as_nan = JointAngleSeries(sample_rate=RATE, start_time=series.start_time, channels={
         ch: np.where(np.abs(x) <= MAX_ABS_ANGLE, x, math.nan) for ch, x in series.channels.items()})
     for score in (lambda s, **kw: score_timeline(s, track, config, **kw),
-                  lambda s, **kw: score_frame({ch: x[-1] for ch, x in s.channels.items()},
-                                              config=config, **kw)):
+                  lambda s, **kw: score_one({ch: x[-1] for ch, x in s.channels.items()},
+                                            config=config, **kw)):
         assert _scores(score(series)) == _scores(score(as_nan))
         assert _strict_outcome(score, series) == _strict_outcome(score, as_nan)
 
@@ -242,4 +240,5 @@ def test_score_frame_flags_beyond_table_c(value):
     only, and legs outside 1..2 for Table B."""
     angles = {ch: 0.0 for ch in JointChannel}
     flags = AnnotationFlags(value, value, value, value, value)
-    _assert_equals_oracle(score_frame(angles, flags), [rula_oracle.score_frame(angles, flags)])
+    _assert_equals_oracle(score_any_flags(angles, flags),
+                          [rula_oracle.score_frame(angles, flags)])
