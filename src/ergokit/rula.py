@@ -6,9 +6,11 @@ ranges with their primary scores under the ``range`` key, posture
 adjustments under ``position``, the three lookup tables, and the risk-band
 cut points. Changing a threshold is a config edit. ``config_from_dict``
 validates and builds in one walk: it returns the RulaConfig, its arrays
-read-only, or raises ConfigError with every problem. Its integers (table
-cells, range scores, adjusts, band bounds) are JSON integers within
-bounds, never booleans.
+and mappings read-only, or raises ConfigError with every problem. Its
+integers (table cells, range scores, adjusts, band bounds) are JSON integers
+within bounds, never booleans. The config's checksum is the first 16 hex
+digits of the SHA-256 of its canonical JSON, from CPython's built-in hash
+module, so scoring never loads OpenSSL.
 
 Scoring order per sample and side: range score per joint, position
 adjustments (clamped to each joint's table-input range), Table A, then
@@ -37,13 +39,21 @@ and the last closed above, so every finite angle scores exactly once.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import Mapping
+
+try:  # CPython's own sha256: hashlib would load OpenSSL's libcrypto (~3.5 MB resident)
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -86,7 +96,7 @@ _PREDICATES = ("above", "below", "outside")
 @dataclass(frozen=True)
 class RangeRule:
     joint: str
-    channels: dict[str, JointChannel]  # keys: "left"/"right" or "axial"
+    channels: Mapping[str, JointChannel]  # keys: "left"/"right" or "axial"
     intervals: tuple[tuple[float, float, int], ...]  # (lo, hi, score), sorted
     edges: np.ndarray = field(repr=False, compare=False)  # starts after the first
     scores: np.ndarray = field(repr=False, compare=False)  # one per interval
@@ -104,12 +114,13 @@ class PositionRule:
 
 @dataclass(frozen=True)
 class RulaConfig:
-    range_rules: dict[str, RangeRule]
+    range_rules: Mapping[str, RangeRule]
     position_rules: tuple[PositionRule, ...]
-    table_a_values: np.ndarray  # shape (6, 3, 4, 2)
-    table_b_values: np.ndarray  # shape (6, 6, 2)
-    table_c_values: np.ndarray  # shape (9, 9)
-    band_codes: np.ndarray  # final score -> index of its band in RiskBand order
+    # Equality compares the rules and the checksum, which covers the tables.
+    table_a_values: np.ndarray = field(compare=False)  # shape (6, 3, 4, 2)
+    table_b_values: np.ndarray = field(compare=False)  # shape (6, 6, 2)
+    table_c_values: np.ndarray = field(compare=False)  # shape (9, 9)
+    band_codes: np.ndarray = field(compare=False)  # final score -> band index in RiskBand order
     checksum: str
 
 
@@ -119,7 +130,7 @@ class RulaConfig:
 def _digest(value, digits: int) -> str:
     """The first ``digits`` hex digits of the sha256 of ``value``'s canonical JSON."""
     canonical = json.dumps(value, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:digits]
+    return sha256(canonical.encode("utf-8")).hexdigest()[:digits]
 
 
 def config_checksum(raw: dict) -> str:
@@ -234,7 +245,7 @@ def _range_rules(raw: dict, problems: list[str]) -> dict[str, RangeRule]:
                 )
         rules[joint] = RangeRule(
             joint=joint,
-            channels=parsed_channels,
+            channels=MappingProxyType(parsed_channels),
             intervals=tuple(parsed),
             edges=np.array([lo for lo, _, _ in parsed[1:]]),
             scores=np.array([score for _, _, score in parsed], dtype=np.int8),
@@ -336,10 +347,12 @@ def config_from_dict(raw: dict) -> RulaConfig:
         problems.append(f"config: nested deeper than {MAX_JSON_DEPTH} levels")
     if problems:
         raise ConfigError(problems)
+    # A cached config is shared by every caller: its arrays are read-only and
+    # its mappings are read-only views.
     rule_arrays = [a for rule in range_rules.values() for a in (rule.edges, rule.scores)]
     for array in (*tables, band_codes, *rule_arrays):
-        array.flags.writeable = False  # a cached config is shared by every caller
-    return RulaConfig(range_rules, position_rules, *tables, band_codes,
+        array.flags.writeable = False
+    return RulaConfig(MappingProxyType(range_rules), position_rules, *tables, band_codes,
                       checksum=config_checksum(raw))
 
 

@@ -368,14 +368,36 @@ def test_default_config_is_valid():
 
 def test_config_arrays_are_read_only():
     """The cached default config is shared by every caller: none can change
-    its tables, band codes or range rules' arrays for the others."""
+    its tables, band codes, range rules or their channels and arrays for the
+    others."""
     config = default_config()
+    angles = {ch: 50.0 for ch in JointChannel}
+    before = score_one(angles)
     arrays = [config.table_a_values, config.table_b_values, config.table_c_values,
               config.band_codes]
     arrays += [a for rule in config.range_rules.values() for a in (rule.edges, rule.scores)]
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 1
+    arm = config.range_rules["arm"]
+    for mapping, key, value in ((config.range_rules, "arm", config.range_rules["neck"]),
+                                (arm.channels, "left", JointChannel.arm_flex_r)):
+        with pytest.raises(AttributeError):
+            mapping.pop(key)
+        with pytest.raises(TypeError):
+            mapping[key] = value
+    _assert_same_timeline(score_one(angles), before)
+
+
+def test_config_equality():
+    """Two loads of one config are equal; one changed Table C cell makes them
+    unequal. == never compares the numpy tables themselves."""
+    assert load_rula_config() == default_config()
+    raw = read_config_json(None)
+    raw["table_c"][0][0] = 2
+    changed = config_from_dict(raw)
+    assert changed != default_config()
+    assert changed.range_rules == default_config().range_rules
 
 
 def test_checksum_stability():
