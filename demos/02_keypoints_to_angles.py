@@ -40,13 +40,13 @@ head_inclination = baseline.inclinations[JointChannel.T1_head_neck_FE]
 print(f"\nstart-of-task head inclination: {head_inclination:.2f} deg "
       "(subtracted from neck flexion/extension)")
 
-neutral = posed_recording([0.0])
+neutral = posed_recording([0.0])  # one frame: every column holds one sample
 raw = compute_joint_angles(neutral, baseline=None)
 corrected = compute_joint_angles(neutral, baseline=baseline)
 print(f"neutral stance, raw nose inclination:            "
-      f"{raw[JointChannel.T1_head_neck_FE]:7.2f} deg")
+      f"{raw[JointChannel.T1_head_neck_FE][0]:7.2f} deg")
 print(f"neutral stance, relative to the task's start:    "
-      f"{corrected[JointChannel.T1_head_neck_FE]:7.2f} deg")
+      f"{corrected[JointChannel.T1_head_neck_FE][0]:7.2f} deg")
 
 # --- 3. the full 20-channel series ----------------------------------------------
 series = compute_angle_series(parsed)

@@ -2,7 +2,7 @@
 
 Every error raised on a documented failure path derives from ErgokitError so
 callers (and the CLI) can catch the whole family and map each subtype to a
-distinct diagnostic.
+distinct diagnostic. Missing data is no failure: NaN, or None for a summary.
 """
 
 
@@ -11,14 +11,6 @@ class ErgokitError(Exception):
 
 
 # --- domain / series errors -------------------------------------------------
-
-class UnknownChannel(ErgokitError):
-    pass
-
-
-class EmptyChannel(ErgokitError):
-    pass
-
 
 class TooShort(ErgokitError):
     pass

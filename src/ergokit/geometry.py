@@ -14,12 +14,13 @@ The sagittal plane is normal to ``right``/``left``, the frontal plane to
 definition may instead rotate about its own first vector (``axis_a``),
 measuring vector b around that axis against a body-axis reference; this is
 how forearm pronation/supination is extracted. An ``AngleDefinition`` is
-its JSON entry as written; an entry that no frame could compute is refused
-when the definitions load.
+its JSON entry as written; a file with no entries, a channel defined twice
+or an entry that no frame could compute is refused when it loads.
 
-Each definition is computed over a whole (N, L, 3) recording at once; a
-single frame is the N=1 case. A missing landmark, or a vector or in-plane
-projection no longer than EPSILON, makes the sample NaN.
+``compute_joint_angles`` computes every definition over a whole (N, L, 3)
+recording at once, one (N,) column each; a single frame is the N=1 case.
+A missing landmark, or a vector or in-plane projection no longer than
+EPSILON, makes the sample NaN; no channel is left out.
 
 Angles are pure functions of difference vectors, so a rigid motion or a
 uniform scaling of an entire recording leaves every output unchanged.
@@ -32,7 +33,6 @@ usable frames of the recording.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,9 +158,10 @@ class AngleDefinition:
     body-axis name (``{"axis": name}``), or None for ``initial_self``, which
     measures against the start-of-task direction of ``vector_b``.
     ``sign_axis`` is the plane normal, or for ``axis_a`` the in-plane
-    reference. ValueError for an entry that no frame could compute, or for
-    a ``none`` entry with a sign, a ``sign_axis`` or the ``initial_axes``
-    baseline, which it would ignore."""
+    reference. ValueError for an entry that no frame could compute (a
+    segment whose two ends are one point, a body axis ``a`` along the
+    plane's normal), or for a ``none`` entry with a sign, a ``sign_axis`` or
+    the ``initial_axes`` baseline, which it would ignore."""
 
     channel: JointChannel
     vector_a: Segment | str | None
@@ -191,6 +192,12 @@ class AngleDefinition:
             raise ValueError(f"{name}: a must be null exactly when the baseline is initial_self")
         if self.vector_a not in (None, *_AXIS_NAMES) and not isinstance(self.vector_a, tuple):
             raise ValueError(f"{name}: unknown body axis {self.vector_a!r}")
+        if self.vector_a in _PLANE_AXES.get(self.plane, ()):
+            raise ValueError(f"{name}: body axis {self.vector_a!r} is the plane's normal")
+        for p0, p1 in (v for v in (self.vector_a, self.vector_b) if isinstance(v, tuple)):
+            # One point when every landmark has the same share of both ends.
+            if sorted(p0 * len(p1)) == sorted(p1 * len(p0)):
+                raise ValueError(f"{name}: segment from a point to itself")
 
     def landmarks(self) -> frozenset[Landmark]:
         segments = [v for v in (self.vector_a, self.vector_b) if isinstance(v, tuple)]
@@ -214,12 +221,13 @@ def _parse_segment(raw) -> Segment:
 
 
 def parse_angle_definitions(raw: dict) -> list[AngleDefinition]:
-    """Angle definitions from a raw document; ConfigError when malformed."""
-    defs = []
+    """Angle definitions from a raw document; ConfigError when malformed,
+    empty, or defining a channel twice."""
+    defs = {}
     try:
         for entry in raw["definitions"]:
             a = entry.get("a")
-            defs.append(AngleDefinition(
+            defn = AngleDefinition(
                 channel=JointChannel(entry["channel"]),
                 vector_a=(a if a is None else a["axis"] if isinstance(a, dict)
                           else _parse_segment(a)),
@@ -228,10 +236,14 @@ def parse_angle_definitions(raw: dict) -> list[AngleDefinition]:
                 signed=entry.get("signed", False),
                 sign_axis=entry.get("sign_axis"),
                 baseline=entry.get("baseline", "none"),
-            ))
+            )
+            if defs.setdefault(defn.channel, defn) is not defn:
+                raise ValueError(f"channel {defn.channel.value} is defined twice")
+        if not defs:
+            raise ValueError("no entries")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError([f"angle definitions: {type(exc).__name__}: {exc}"]) from None
-    return defs
+    return list(defs.values())
 
 
 def load_angle_definitions(path: str | None = None) -> list[AngleDefinition]:
@@ -240,12 +252,10 @@ def load_angle_definitions(path: str | None = None) -> list[AngleDefinition]:
 
 
 @functools.cache
-def _shipped_definitions() -> tuple[AngleDefinition, ...]:
+def default_angle_definitions() -> tuple[AngleDefinition, ...]:
+    """The shipped definitions, loaded once: a tuple, so no caller can
+    change them for the others."""
     return tuple(load_angle_definitions())
-
-
-def default_angle_definitions() -> list[AngleDefinition]:
-    return list(_shipped_definitions())  # a new list: no caller can change the cached ones
 
 
 # --- baseline -------------------------------------------------------------------
@@ -295,29 +305,13 @@ def _channel(defn: AngleDefinition, positions: np.ndarray, axes: BodyAxes,
     return angle if defn.signed else np.abs(angle)
 
 
-def _angles(positions: np.ndarray, defs,
-            baseline: Baseline | None) -> dict[JointChannel, np.ndarray]:
-    """Every definition over every frame of an (N, L, 3) array, less the
-    baseline inclination for ``subtract_initial`` channels."""
-    axes = _axes(positions)
-    out = {}
-    for d in defs:
-        values = _channel(d, positions, axes, baseline)
-        if d.baseline == "subtract_initial" and baseline is not None:
-            values = values - baseline.inclinations.get(d.channel, 0.0)
-        out[d.channel] = values
-    return out
-
-
-#: Default number of leading frames scanned for the baseline (0.5 s at
-#: 30 fps).
+#: Number of leading frames scanned for the baseline (0.5 s at 30 fps).
 DEFAULT_BASELINE_WINDOW = 15
 
 
-def neck_baseline(recording: KeypointRecording, defs=None,
-                  window: int = DEFAULT_BASELINE_WINDOW) -> Baseline:
+def neck_baseline(recording: KeypointRecording, defs=None) -> Baseline:
     """Capture the start-of-task baseline from the usable frames among the
-    first ``window`` frames of a recording.
+    first ``DEFAULT_BASELINE_WINDOW`` frames of a recording.
 
     A frame is usable when it carries the axes landmarks and every landmark
     used by a baseline-dependent definition, and is not degenerate there:
@@ -329,7 +323,7 @@ def neck_baseline(recording: KeypointRecording, defs=None,
     baseline_defs = [d for d in defs if d.baseline != "none"]
     needed = AXES_LANDMARKS.union(*(d.landmarks() for d in baseline_defs))
 
-    positions = recording.positions[: max(window, 1)]
+    positions = recording.positions[:DEFAULT_BASELINE_WINDOW]
     axes = _axes(positions)
     usable = ~np.isnan(positions[:, [LANDMARK_INDEX[lm] for lm in needed]]).any(axis=(1, 2))
     usable &= ~np.isnan(axes.forward).any(axis=1)
@@ -359,23 +353,24 @@ def _mean_direction(vectors: np.ndarray) -> Vec3:
     return m / np.linalg.norm(m)
 
 
-# --- per-frame and per-series computation -----------------------------------------
+# --- angles over a recording -------------------------------------------------------
 
 
-def compute_joint_angles(frame: KeypointRecording, defs=None,
-                         baseline: Baseline | None = None) -> dict[JointChannel, float]:
-    """All computable channels for a one-frame recording.
-
-    Channels whose landmarks are missing or whose geometry is degenerate are
-    absent from the result, never zeroed. Neck flexion/extension has the
-    baseline inclination subtracted when a baseline is given.
-    """
+def compute_joint_angles(recording: KeypointRecording, defs=None,
+                         baseline: Baseline | None = None) -> dict[JointChannel, np.ndarray]:
+    """Every definition's (N,) column over a recording of any length, NaN
+    where a frame cannot produce it; ``subtract_initial`` channels less the
+    baseline inclination, ``initial_*`` channels all NaN without a baseline."""
     if defs is None:
         defs = default_angle_definitions()
-    if len(frame) != 1:
-        raise ValueError(f"expected a one-frame recording, got {len(frame)} frames")
-    values = _angles(frame.positions, defs, baseline)
-    return {ch: float(v[0]) for ch, v in values.items() if not math.isnan(v[0])}
+    axes = _axes(recording.positions)
+    out = {}
+    for d in defs:
+        values = _channel(d, recording.positions, axes, baseline)
+        if d.baseline == "subtract_initial" and baseline is not None:
+            values = values - baseline.inclinations.get(d.channel, 0.0)
+        out[d.channel] = values
+    return out
 
 
 def compute_angle_series(recording: KeypointRecording, defs=None) -> JointAngleSeries:
@@ -388,12 +383,10 @@ def compute_angle_series(recording: KeypointRecording, defs=None) -> JointAngleS
     """
     if not len(recording):
         raise NoCompleteFrames("empty recording")
-    if defs is None:
-        defs = default_angle_definitions()
     sample_rate, start_time = uniform_grid(recording.times)
     baseline = neck_baseline(recording, defs)
     return JointAngleSeries(
         sample_rate=sample_rate,
         start_time=start_time,
-        channels=_angles(recording.positions, defs, baseline),
+        channels=compute_joint_angles(recording, defs, baseline),
     )

@@ -541,7 +541,7 @@ def parse_annotations(data: bytes) -> AnnotationTrack:
             raise type(exc)(f"line {line_no}: {exc}") from None
         except ValueError:
             raise MalformedRecord("non-numeric field", line_no)
-    return AnnotationTrack.from_intervals(intervals)
+    return AnnotationTrack(intervals)
 
 
 # --- resampling -----------------------------------------------------------------

@@ -7,7 +7,7 @@ Conventions used throughout the package:
   capture volume's units; angles are scale-invariant so the unit never
   matters. A recording stacks them into one (N, L, 3) array.
 * Angle samples are degrees stored as float64; a missing sample is NaN.
-  No operation silently zero-fills a gap.
+  No operation silently zero-fills a gap or raises for one.
 * All containers are value data: construct once, never mutate.
 """
 from __future__ import annotations
@@ -18,14 +18,12 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
-    EmptyChannel,
     InvalidForceValue,
     InvertedInterval,
     IrregularTimestamps,
     NonFiniteTimes,
     OverlappingIntervals,
     TooShort,
-    UnknownChannel,
 )
 
 # A 3D point/vector. Kept as a bare numpy array rather than a wrapper class;
@@ -218,19 +216,15 @@ def angle_mask(values: np.ndarray) -> np.ndarray | None:
     return kept
 
 
-def channel_summary(series: JointAngleSeries, channel: JointChannel) -> ChannelSummary:
+def channel_summary(series: JointAngleSeries, channel: JointChannel) -> ChannelSummary | None:
     """Mean, population standard deviation, and extrema of one channel: NaN
     (missing), +/-inf and samples beyond +/-MAX_ABS_ANGLE are left out.
-
-    Raises UnknownChannel if absent, EmptyChannel when no sample is left.
-    """
-    if channel not in series.channels:
-        raise UnknownChannel(f"channel {channel.value} not present in series")
-    values = series.channels[channel]
+    None when the series lacks the channel or no sample is left."""
+    values = series.channels.get(channel, np.empty(0))
     kept = angle_mask(values)
     valid = values if kept is None else values[kept]
     if valid.size == 0:
-        raise EmptyChannel(f"channel {channel.value} has no sample within +/-{MAX_ABS_ANGLE:g}")
+        return None
     return ChannelSummary(
         mean=float(np.mean(valid)),
         std_dev=float(np.std(valid)),
@@ -286,20 +280,18 @@ class AnnotationInterval:
 
 @dataclass(frozen=True)
 class AnnotationTrack:
-    """Non-overlapping annotation intervals sorted by t0 (``from_intervals`` sorts)."""
+    """Non-overlapping annotation intervals in any order, kept sorted by t0."""
 
     intervals: tuple[AnnotationInterval, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "intervals",
+                           tuple(sorted(self.intervals, key=lambda iv: iv.t0)))
         for prev, nxt in zip(self.intervals, self.intervals[1:]):
             if nxt.t0 < prev.t1:
                 raise OverlappingIntervals(
                     f"intervals [{prev.t0}, {prev.t1}] and [{nxt.t0}, {nxt.t1}] overlap"
                 )
-
-    @classmethod
-    def from_intervals(cls, intervals) -> "AnnotationTrack":
-        return cls(intervals=tuple(sorted(intervals, key=lambda iv: iv.t0)))
 
     def flags_for(self, times) -> AnnotationFlags:
         """Flags for every timestamp at once, each field an (N,) int8 array:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyChannel, EmptyInput, EmptyTimeline
+from .errors import EmptyInput, EmptyTimeline
 from .motion import (
     CHANNEL_ORDER,
     ChannelSummary,
@@ -112,14 +112,8 @@ def build_session_report(timeline: RulaTimeline,
                          flags: dict | None = None) -> SessionReport:
     if timeline.length == 0:
         raise EmptyTimeline("cannot report an empty timeline")
-    summaries: dict[JointChannel, ChannelSummary] = {}
-    if series is not None:
-        for ch in CHANNEL_ORDER:
-            if ch in series.channels:
-                try:
-                    summaries[ch] = channel_summary(series, ch)
-                except EmptyChannel:
-                    continue
+    summaries = {ch: s for ch in CHANNEL_ORDER if series is not None
+                 and (s := channel_summary(series, ch)) is not None}
     return SessionReport(
         source_kind=source_kind,
         sample_rate=timeline.sample_rate,

@@ -116,6 +116,33 @@ def test_convert_then_score_a_channel_subset(tmp_path, capsys):
                                         "wrist_dev_l required for wrist is missing at sample 0"]
 
 
+@pytest.mark.parametrize("command, definitions", [
+    (["score", "{stream}", "--kind", "keypoints"], "duplicate"),
+    (["convert", "{stream}"], "empty"),
+])
+def test_refused_angle_definitions_write_nothing(tmp_path, capsys, command, definitions):
+    """A file that defines a channel twice, or nothing, is one ConfigError
+    before any output: the later entry does not silently win, and convert
+    writes no CSV holding only the time column."""
+    stream = tmp_path / "stream.jsonl"
+    stream.write_text(format_keypoint_stream(work_cycle_recording(n_frames=60)))
+    defs = read_config_json(None, "angle_definitions.json")
+    if definitions == "duplicate":
+        arm = next(d for d in defs["definitions"] if d["channel"] == "arm_flex_r")
+        defs["definitions"].append({**arm, "b": ["shoulder_r", "wrist_r"]})
+    else:
+        defs["definitions"] = []
+    defs_path = tmp_path / "defs.json"
+    defs_path.write_text(json.dumps(defs))
+    out = tmp_path / "out"
+    argv = [arg.format(stream=stream) for arg in command]
+    assert main(argv + ["--angle-defs", str(defs_path), "--out", str(out)]) == 1
+    err = _error_lines(capsys)
+    assert len(err) == 1 and err[0].startswith("ergokit: error: ConfigError: "), err
+    assert ("arm_flex_r" in err[0]) == (definitions == "duplicate")
+    assert not out.exists()
+
+
 def _fresh_python(*args: str) -> subprocess.CompletedProcess:
     """``python *args`` with the package importable, in a new interpreter:
     outside pytest, whose handlers on the root logger would hide a log line."""

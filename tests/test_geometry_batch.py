@@ -3,15 +3,22 @@
 Random postures (jittered neutral stance under a random rigid motion and
 scale per frame) include dropped landmarks, coincident hips (no ``right``
 axis), zero-length segments and segments along a plane normal (a vanishing
-projection). Every channel must agree within 1e-9 degrees, with identical
-NaN masks.
+projection). Every channel must agree within 1e-9 degrees, NaN exactly
+where the oracle has no value (a NaN sample, or no key in its per-frame
+dict).
 """
 import numpy as np
 import pytest
 
 import angle_oracle
 from ergokit.errors import NoCompleteFrames
-from ergokit.geometry import compute_angle_series, compute_joint_angles, neck_baseline
+from ergokit.geometry import (
+    DEFAULT_BASELINE_WINDOW,
+    compute_angle_series,
+    compute_joint_angles,
+    default_angle_definitions,
+    neck_baseline,
+)
 from ergokit.motion import LANDMARK_INDEX, JointChannel, KeypointRecording, Landmark
 from ergokit.synthetic import NEUTRAL_POSITIONS, posed_recording
 
@@ -19,7 +26,7 @@ from recordings import random_rotation
 
 TOL_DEG = 1e-9
 FPS = 30.0
-WINDOW = 15
+WINDOW = DEFAULT_BASELINE_WINDOW
 
 # Segments some definition uses, collapsed to zero length.
 _ZERO_SEGMENTS = (
@@ -110,6 +117,13 @@ def _assert_same(ours: dict, oracle: dict):
             assert np.max(np.abs(a[valid] - b[valid])) <= TOL_DEG, ch
 
 
+def _assert_frame_same(ours: dict, oracle: dict):
+    """One frame's (1,) columns against the oracle's dict: NaN exactly
+    where the oracle has no key, within TOL_DEG elsewhere."""
+    assert list(ours) == [d.channel for d in default_angle_definitions()]
+    _assert_same(ours, {ch: [oracle.get(ch, np.nan)] for ch in ours})
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_batched_series_equals_per_frame_oracle(seed):
     rng = np.random.default_rng(1000 + seed)
@@ -131,14 +145,14 @@ def test_vanishing_projection_is_missing_like_oracle(along):
     ours = compute_joint_angles(frame)
     expected = angle_oracle.compute_joint_angles(angle_oracle.frames_of(frame)[0])
     channel = _ALONG_NORMAL[along][3]
-    assert channel not in expected and channel not in ours
-    assert set(ours) == set(expected)
+    assert channel not in expected and np.isnan(ours[channel][0])
+    _assert_frame_same(ours, expected)
 
 
 def test_baseline_equals_oracle():
     rng = np.random.default_rng(7)
     recording = _recording(rng, WINDOW)
-    ours = neck_baseline(recording, window=WINDOW)
+    ours = neck_baseline(recording)
     expected = angle_oracle.neck_baseline(angle_oracle.frames_of(recording), window=WINDOW)
     assert abs(ours.inclinations[JointChannel.T1_head_neck_FE] - expected.inclinations[JointChannel.T1_head_neck_FE]) <= TOL_DEG
     for name in ("up", "right", "forward"):
@@ -157,9 +171,7 @@ def test_single_frames_equal_oracle():
         for b in (None, baseline):
             ours = compute_joint_angles(_frame(recording, i), baseline=b)
             expected = angle_oracle.compute_joint_angles(frame, baseline=b)
-            assert set(ours) == set(expected)
-            for ch, value in expected.items():
-                assert abs(ours[ch] - value) <= TOL_DEG, ch
+            _assert_frame_same(ours, expected)
 
 
 def _nose_on_neck(recording: KeypointRecording, frames) -> KeypointRecording:
@@ -180,9 +192,8 @@ def test_degenerate_baseline_frame_is_skipped():
     rng = np.random.default_rng(9)
     recording = _stacked([_moved(rng, _posture(rng, "clean")) for _ in range(WINDOW)])
     expected = neck_baseline(KeypointRecording(times=np.delete(recording.times, 4),
-                                               positions=np.delete(recording.positions, 4, 0)),
-                             window=WINDOW - 1)
-    ours = neck_baseline(_nose_on_neck(recording, 4), window=WINDOW)
+                                               positions=np.delete(recording.positions, 4, 0)))
+    ours = neck_baseline(_nose_on_neck(recording, 4))
     assert ours.inclinations[JointChannel.T1_head_neck_FE] == expected.inclinations[JointChannel.T1_head_neck_FE]
     assert ours.inclinations == expected.inclinations
     for name in ("up", "right", "forward"):

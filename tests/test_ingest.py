@@ -432,7 +432,7 @@ def test_parse_annotations_skips_byte_order_mark():
 
 
 def test_annotations_round_trip():
-    track = AnnotationTrack.from_intervals([
+    track = AnnotationTrack([
         AnnotationInterval(t0=0.0, t1=5.0, arm_force=1, legs=2),
         AnnotationInterval(t0=6.0, t1=9.0, neck_muscle=1),
     ])

@@ -4,13 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ergokit.errors import (
-    EmptyChannel,
-    InvalidForceValue,
-    InvertedInterval,
-    OverlappingIntervals,
-    UnknownChannel,
-)
+from ergokit.errors import InvalidForceValue, InvertedInterval, OverlappingIntervals
 from ergokit.motion import (
     AnnotationInterval,
     AnnotationTrack,
@@ -102,17 +96,17 @@ def test_channel_summary_leaves_out_samples_beyond_max_abs_angle():
                                JointChannel.arm_flex_r)
     assert (s.mean, s.std_dev, s.min, s.max) == (0.0, 0.0, 0.0, 0.0)
     assert (edge.mean, edge.std_dev, edge.min, edge.max) == (0.0, 1e6, -1e6, 1e6)
-    with pytest.raises(EmptyChannel):
-        channel_summary(_series([1e200, -1e7]), JointChannel.arm_flex_r)
+    assert channel_summary(_series([1e200, -1e7]), JointChannel.arm_flex_r) is None
 
 
-def test_channel_summary_errors():
-    with pytest.raises(UnknownChannel):
-        channel_summary(_series([1.0]), JointChannel.arm_flex_l)
-    with pytest.raises(EmptyChannel):
-        channel_summary(_series([math.nan, math.nan]), JointChannel.arm_flex_r)
-    with pytest.raises(EmptyChannel):
-        channel_summary(_series([math.inf, math.nan, -math.inf]), JointChannel.arm_flex_r)
+def test_channel_summary_none_when_absent_or_empty():
+    """A channel the series lacks and one with no sample left are both
+    missing data, with no summary."""
+    assert channel_summary(_series([1.0]), JointChannel.arm_flex_l) is None
+    assert channel_summary(_series([math.nan, math.nan]), JointChannel.arm_flex_r) is None
+    assert channel_summary(_series([math.inf, math.nan, -math.inf]),
+                           JointChannel.arm_flex_r) is None
+    assert channel_summary(_series([]), JointChannel.arm_flex_r) is None
 
 
 def test_channel_summary_mean_within_extrema(rng):
@@ -151,12 +145,12 @@ def test_series_duration():
 
 
 def test_annotation_track_validation():
-    track = AnnotationTrack.from_intervals(
+    track = AnnotationTrack(
         [AnnotationInterval(t0=0.0, t1=10.0, arm_force=2)]
     )
     assert len(track.intervals) == 1
     with pytest.raises(OverlappingIntervals):
-        AnnotationTrack.from_intervals([
+        AnnotationTrack([
             AnnotationInterval(t0=0.0, t1=5.0),
             AnnotationInterval(t0=4.0, t1=8.0),
         ])
@@ -177,7 +171,7 @@ def test_annotation_flags_refuse_booleans(flag):
 
 
 def test_annotation_flags_lookup():
-    track = AnnotationTrack.from_intervals([
+    track = AnnotationTrack([
         AnnotationInterval(t0=1.0, t1=2.0, arm_force=3, legs=2),
     ])
     assert track.flags_for([1.5]).arm_force.tolist() == [3]
@@ -187,7 +181,7 @@ def test_annotation_flags_lookup():
 
 
 def test_touching_intervals_allowed():
-    track = AnnotationTrack.from_intervals([
+    track = AnnotationTrack([
         AnnotationInterval(t0=5.0, t1=8.0, neck_force=1),
         AnnotationInterval(t0=0.0, t1=5.0, arm_force=1),
     ])
@@ -195,13 +189,19 @@ def test_touching_intervals_allowed():
     assert track.flags_for([5.0]).neck_force.tolist() == [1]
 
 
-def test_track_constructor_rejects_unsorted_or_overlapping():
-    # The lookup searches the interval starts, so every track must hold
-    # sorted, disjoint intervals, not just those built by from_intervals.
+def test_track_constructor_sorts_and_rejects_overlapping():
+    # The lookup searches the interval starts, so every track holds sorted,
+    # disjoint intervals, in whatever order they were given.
     early = AnnotationInterval(t0=0.0, t1=5.0, arm_force=1)
     late = AnnotationInterval(t0=5.0, t1=8.0, neck_force=1)
-    assert AnnotationTrack((early, late)).flags_for([5.0]).neck_force.tolist() == [1]
-    with pytest.raises(OverlappingIntervals):
-        AnnotationTrack((late, early))
-    with pytest.raises(OverlappingIntervals):
-        AnnotationTrack((early, AnnotationInterval(t0=4.0, t1=6.0)))
+    for given in ((early, late), (late, early), [late, early]):
+        track = AnnotationTrack(given)
+        assert track.intervals == (early, late)
+        assert track.flags_for([4.0, 5.0]).arm_force.tolist() == [1, 0]
+        assert track.flags_for([4.0, 5.0]).neck_force.tolist() == [0, 1]
+    disjoint = [AnnotationInterval(t0=5.0, t1=6.0), AnnotationInterval(t0=1.0, t1=2.0)]
+    assert [iv.t0 for iv in AnnotationTrack(disjoint).intervals] == [1.0, 5.0]
+    overlapping = AnnotationInterval(t0=4.0, t1=6.0)
+    for given in ((early, overlapping), (overlapping, early)):
+        with pytest.raises(OverlappingIntervals):
+            AnnotationTrack(given)

@@ -71,7 +71,7 @@ def _timeline_with_finals(finals, rate=10.0) -> RulaTimeline:
         sample_rate=rate, start_time=0.0,
         channels={ch: [presets[final][0][ch] for final in finals] for ch in JointChannel},
     )
-    track = AnnotationTrack.from_intervals(
+    track = AnnotationTrack(
         AnnotationInterval(t0=(i - 0.5) / rate, t1=(i + 0.5) / rate,
                            **vars(presets[final][1]))
         for i, final in enumerate(finals)

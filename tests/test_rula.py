@@ -292,7 +292,7 @@ def test_constant_series_constant_scores():
 
 def test_annotation_applies_to_samples_in_interval():
     series = _neutral_series(10, rate=1.0)  # samples at t = 0..9
-    track = AnnotationTrack.from_intervals(
+    track = AnnotationTrack(
         [AnnotationInterval(t0=0.0, t1=5.0, arm_force=3, neck_force=3)]
     )
     timeline = score_timeline(series, track)
@@ -327,7 +327,7 @@ def test_empty_series_rejected():
 
 def test_timeline_determinism():
     series = _neutral_series(20)
-    track = AnnotationTrack.from_intervals(
+    track = AnnotationTrack(
         [AnnotationInterval(t0=0.5, t1=1.2, arm_force=2)])
     _assert_same_timeline(score_timeline(series, track), score_timeline(series, track))
 
@@ -342,7 +342,7 @@ def test_risk_band_mapping():
 
 def test_band_percentages_constant():
     timeline = score_timeline(_neutral_series(10),
-                              AnnotationTrack.from_intervals(
+                              AnnotationTrack(
                                   [AnnotationInterval(t0=0.0, t1=99.0,
                                                       arm_force=3, neck_force=3)]))
     pcts = band_percentages(timeline)
@@ -509,7 +509,7 @@ def _random_series(rng, n: int) -> tuple[np.ndarray, JointAngleSeries]:
 
 
 def test_every_score_is_int8(rng):
-    track = AnnotationTrack.from_intervals([AnnotationInterval(1.0, 3.0, 1, 3, 1, 3, 2)])
+    track = AnnotationTrack([AnnotationInterval(1.0, 3.0, 1, 3, 1, 3, 2)])
     _, series = _random_series(rng, 50)
     for timeline in (score_timeline(series, track), score_one(zero_angles()),
                      score_one(zero_angles(), AnnotationFlags(1, 3, 1, 3, 2))):

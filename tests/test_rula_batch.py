@@ -96,7 +96,7 @@ def tracks(draw, n: int, start: float):
                 neck_muscle=draw(st.integers(0, 1)), neck_force=draw(st.integers(0, 3)),
                 legs=draw(st.integers(1, 2)),
             ))
-    return AnnotationTrack.from_intervals(intervals)
+    return AnnotationTrack(intervals)
 
 
 @st.composite
