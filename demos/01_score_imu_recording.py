@@ -44,7 +44,7 @@ annotations = parse_annotations(
 # --- 3. score every sample and aggregate risk bands --------------------------
 config = default_config()
 timeline = score_timeline(series, annotations, config)
-report = build_session_report(timeline, series, source_kind="imu-csv", config=config)
+report = build_session_report(timeline, series, source_kind="imu-csv")
 
 print(f"\nscored {report.samples} samples, {report.duration:.1f} s; "
       f"config {report.config_checksum}")

@@ -58,8 +58,7 @@ def _session_report(series, kind: str, annotations, config, strict=False, flags=
     """Score ``series`` and build its session report. When the caller keeps
     no reference to the series, it and the timeline are freed on return."""
     timeline = rula.score_timeline(series, annotations, config, strict=strict)
-    return reporting.build_session_report(timeline, series, source_kind=kind,
-                                          config=config, flags=flags)
+    return reporting.build_session_report(timeline, series, source_kind=kind, flags=flags)
 
 
 def cmd_score(args) -> int:

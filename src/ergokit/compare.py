@@ -38,7 +38,6 @@ import numpy as np
 from .errors import (
     ChannelSetMismatch,
     InsufficientOverlap,
-    LengthMismatch,
     NoValidPairs,
     ReferenceChannelMissing,
     SampleRateMismatch,
@@ -269,10 +268,10 @@ def compare_recordings(a: JointAngleSeries, b: JointAngleSeries,
 
     The global lag comes from ``align_min_rmse`` on ``reference_channel``.
     It builds that channel's masks, and the channel loop again (1 channel
-    of 20), so the search stays one call a wrapper can time. Each channel is
-    scored on ``_pairs`` at the lag, channels k, k + threads, ... in thread
-    k (``ingest._striped``), in its two rows of one scratch block allocated
-    first. The report and any error equal a serial loop's over ``CHANNEL_ORDER``.
+    of 20), so the search stays one call a wrapper can time. Each channel, of its
+    series' one length, is scored on ``_pairs`` at the lag, channels k, k + threads,
+    ... in thread k (``ingest._striped``), in its two rows of one scratch block
+    allocated first. The report and any error equal a serial loop's over ``CHANNEL_ORDER``.
     """
     if not math.isclose(a.sample_rate, b.sample_rate, rel_tol=1e-9):
         raise SampleRateMismatch(
@@ -303,8 +302,6 @@ def compare_recordings(a: JointAngleSeries, b: JointAngleSeries,
             note = f"missing in {'first' if ch not in a.channels else 'second'} recording"
         else:
             x, y = a.channels[ch], b.channels[ch]
-            if (len(x), len(y)) != (a.length, b.length):  # replaced after the series' check
-                raise LengthMismatch(f"lengths {x.shape} vs {y.shape}")
             xa, xb = _pairs(x, angle_mask(x), y, angle_mask(y), lag)
             fraction = xa.size / overlap
             if fraction < MIN_VALID_FRACTION:

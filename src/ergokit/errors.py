@@ -96,10 +96,6 @@ class ConfigError(ErgokitError):
 
 # --- comparison errors ------------------------------------------------------
 
-class LengthMismatch(ErgokitError):
-    pass
-
-
 class NoValidPairs(ErgokitError):
     pass
 

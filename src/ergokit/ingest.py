@@ -385,7 +385,7 @@ def format_imu_joint_csv(series: JointAngleSeries) -> str:
         kept = angle_mask(x)
         columns.append(map(repr, x.tolist()) if kept is None else
                        [repr(v) if ok else "" for v, ok in zip(x.tolist(), kept.tolist())])
-    lines += map(",".join, zip(*columns, strict=True))
+    lines += map(",".join, zip(*columns))
     return "\n".join(lines) + "\n"
 
 
@@ -596,19 +596,19 @@ def resample(series: JointAngleSeries, target_rate: float) -> JointAngleSeries:
     interpolation stencil is. At the series' own rate the input is returned
     as it is.
 
-    The stencil is computed once; ``_striped`` then interpolates channels k,
-    k + threads, ... in thread k of one per CPU the process may run on (its
-    affinity set, so ``taskset`` limits it), up to one per channel. Each
-    channel runs the same arithmetic whatever the thread count, so the output
-    is bit-identical to a one-thread run, with the channels in input order.
-    The output channels are the rows of one block allocated in the calling
-    thread and filled in place. Beside the block, resample holds the stencil
-    (lower indices, both weights, the grid hits' output and input indices)
-    and one scratch row per thread, into which the upper neighbours
-    ``x[1:][lo]`` are gathered, also allocated in the calling thread: this
-    scratch and compare_recordings', allocated in the workers instead, raised
-    validate's peak RSS by 1-2 MB. An output that no array could index
-    raises ``TooLong`` before anything is allocated.
+    The stencil is computed once, for the one length of every channel;
+    ``_striped`` then interpolates channels k, k + threads, ... in thread k of
+    one per CPU the process may run on (its affinity set, so ``taskset``
+    limits it), up to one per channel. Each channel runs the same arithmetic
+    whatever the thread count, so the output is bit-identical to a one-thread
+    run, with the channels in input order. The output channels are the rows of
+    one block allocated in the calling thread and filled in place. Beside the
+    block, resample holds the stencil (lower indices, both weights, the grid
+    hits' output and input indices) and one scratch row per thread, into which
+    the upper neighbours ``x[1:][lo]`` are gathered, also allocated in the
+    calling thread: this scratch and compare_recordings', allocated in the
+    workers instead, raised validate's peak RSS by 1-2 MB. An output that no
+    array could index raises ``TooLong`` before anything is allocated.
     """
     if not (target_rate > 0):
         raise ValueError("target_rate must be > 0")
@@ -640,10 +640,8 @@ def resample(series: JointAngleSeries, target_rate: float) -> JointAngleSeries:
     w_lo = 1.0 - w
 
     def blend(x: np.ndarray, row: np.ndarray, t: np.ndarray) -> None:
-        if x.shape != (n_in,):  # mode="clip" below must never clamp an index
-            raise IndexError(f"channel of shape {x.shape}, expected ({n_in},)")
         with np.errstate(invalid="ignore"):  # 0 * inf at a hit; the scatter overwrites it
-            np.take(x, lo, out=row, mode="clip")
+            np.take(x, lo, out=row, mode="clip")  # lo < n_in - 1: clip never clamps
             row *= w_lo
             np.take(x[1:], lo, out=t, mode="clip")  # the upper neighbours
             t *= w

@@ -8,13 +8,15 @@ Conventions used throughout the package:
   matters. A recording stacks them into one (N, L, 3) array.
 * Angle samples are degrees stored as float64; a missing sample is NaN.
   No operation silently zero-fills a gap or raises for one.
-* All containers are value data: construct once, never mutate.
+* All containers are frozen value data: construct once, never mutate.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
+from typing import Mapping
 import numpy as np
 
 from .errors import (
@@ -153,7 +155,7 @@ def uniform_grid(times) -> tuple[float, float]:
     return 1.0 / dt, float(t[0])
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class JointAngleSeries:
     """Multi-channel joint-angle time series on a uniform sample grid.
 
@@ -162,17 +164,25 @@ class JointAngleSeries:
     raises NonFiniteTimes.
     ``unparseable_cells`` counts the non-empty IMU CSV cells that became
     missing samples.
+
+    A series is frozen, so its one length holds for its life: ``channels`` is
+    a read-only mapping of read-only views of the arrays given (a float array
+    is not copied and keeps its own ``writeable`` flag). A changed channel is
+    a new series: ``dataclasses.replace(series, channels={**series.channels, ch: x})``.
     """
 
     sample_rate: float
     start_time: float
-    channels: dict[JointChannel, np.ndarray]
+    channels: Mapping[JointChannel, np.ndarray]
     unparseable_cells: int = 0
 
     def __post_init__(self):
         if not (self.sample_rate > 0):
             raise ValueError(f"sample_rate must be > 0, got {self.sample_rate}")
-        self.channels = {ch: np.asarray(v, dtype=float) for ch, v in self.channels.items()}
+        views = {ch: np.asarray(v, dtype=float).view() for ch, v in self.channels.items()}
+        for v in views.values():
+            v.flags.writeable = False
+        object.__setattr__(self, "channels", MappingProxyType(views))
         shapes = {v.shape for v in self.channels.values()}
         if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
             raise ValueError(f"channels must be 1-D of one length, got {sorted(shapes)}")
@@ -182,16 +192,17 @@ class JointAngleSeries:
             raise NonFiniteTimes(f"{self.length} samples at {self.sample_rate:g} Hz from "
                                  f"{self.start_time:g} s have no finite time axis")
 
+    def __reduce__(self):  # a mappingproxy does not pickle; the arrays do
+        return JointAngleSeries, (self.sample_rate, self.start_time, dict(self.channels),
+                                  self.unparseable_cells)
+
     @property
     def length(self) -> int:
-        if not self.channels:
-            return 0
-        return len(next(iter(self.channels.values())))
+        return len(next(iter(self.channels.values()), ()))
 
     @property
     def duration(self) -> float:
-        n = self.length
-        return 0.0 if n == 0 else (n - 1) / self.sample_rate
+        return max(self.length - 1, 0) / self.sample_rate
 
     @property
     def times(self) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyInput, EmptyTimeline
+from .errors import EmptyInput
 from .motion import (
     CHANNEL_ORDER,
     ChannelSummary,
@@ -30,7 +30,7 @@ from .motion import (
     channel_summary,
 )
 from .compare import ComparisonReport, _ordered_channels
-from .rula import RiskBand, RulaConfig, RulaTimeline, band_percentages
+from .rula import RiskBand, RulaTimeline, band_percentages
 
 
 def format_percent(value: float) -> str:
@@ -108,10 +108,8 @@ def _int_cells(values: np.ndarray) -> str:
 def build_session_report(timeline: RulaTimeline,
                          series: JointAngleSeries | None = None,
                          source_kind: str = "unknown",
-                         config: RulaConfig | None = None,
                          flags: dict | None = None) -> SessionReport:
-    if timeline.length == 0:
-        raise EmptyTimeline("cannot report an empty timeline")
+    """A timeline's report, with its scoring config's checksum and ``series``' summaries."""
     summaries = {ch: s for ch in CHANNEL_ORDER if series is not None
                  and (s := channel_summary(series, ch)) is not None}
     return SessionReport(
@@ -119,7 +117,7 @@ def build_session_report(timeline: RulaTimeline,
         sample_rate=timeline.sample_rate,
         duration=(timeline.length - 1) / timeline.sample_rate,
         samples=timeline.length,
-        config_checksum=config.checksum if config is not None else "",
+        config_checksum=timeline.config_checksum,
         degraded_frames=int(np.count_nonzero(timeline.degraded)),
         band_percentages=band_percentages(timeline),
         times=timeline.times,

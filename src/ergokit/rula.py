@@ -395,10 +395,10 @@ class SideTimeline:
 
 @dataclass(frozen=True, eq=False)
 class RulaTimeline:
-    """Scores of every sample as (N,) int8 arrays: per side in ``left`` and
-    ``right``, shared ones here. ``final`` is the combined score, ``band``
-    the index of its band in ``RiskBand`` order, ``degraded`` marks samples
-    that lacked a channel."""
+    """Scores of N >= 1 samples as (N,) int8 arrays: per side in ``left`` and
+    ``right``, shared ones here. ``final`` is the combined score, ``band`` the
+    index of its band in ``RiskBand`` order, ``degraded`` marks samples that
+    lacked a channel, ``config_checksum`` names the config that scored them."""
 
     sample_rate: float
     start_time: float
@@ -412,6 +412,11 @@ class RulaTimeline:
     final: np.ndarray
     band: np.ndarray
     degraded: np.ndarray
+    config_checksum: str
+
+    def __post_init__(self):
+        if self.length == 0:
+            raise EmptyTimeline("series has no samples")
 
     @property
     def length(self) -> int:
@@ -486,20 +491,16 @@ def score_timeline(series: JointAngleSeries,
                    annotations: AnnotationTrack = EMPTY_ANNOTATIONS,
                    config: RulaConfig | None = None,
                    strict: bool = False) -> RulaTimeline:
-    """Score every sample of a series; annotation flags apply to samples
-    whose timestamp falls inside an interval."""
+    """Score every sample of a series, under the config whose checksum the
+    timeline carries; annotation flags apply to samples in an interval."""
     config = config or default_config()
-    if series.length == 0:
-        raise EmptyTimeline("series has no samples")
     fields = _score(series.channels, series.length,
                     annotations.flags_for(series.times), config, strict)
-    return RulaTimeline(sample_rate=series.sample_rate,
-                        start_time=series.start_time, **fields)
+    return RulaTimeline(sample_rate=series.sample_rate, start_time=series.start_time,
+                        config_checksum=config.checksum, **fields)
 
 
 def band_percentages(timeline: RulaTimeline) -> dict[RiskBand, float]:
     """Percent of samples per risk band; sums to 100 within 1e-9."""
-    if timeline.length == 0:
-        raise EmptyTimeline("timeline has no frames")
     counts = np.bincount(timeline.band, minlength=len(_BANDS)).tolist()
     return {band: 100.0 * count / timeline.length for band, count in zip(_BANDS, counts)}

@@ -106,9 +106,9 @@ def score_any_flags(angles: dict, flags: AnnotationFlags, config: RulaConfig | N
     annotation ranges, as no input file's can (score C and D then leave
     1..9, legs 1..2); ``angles`` may be empty."""
     channels = {ch: np.array([v], dtype=float) for ch, v in angles.items()}
-    scores = _score(channels, 1, AnnotationFlags(*np.int8([astuple(flags)]).T),
-                    config or default_config(), strict)
-    return RulaTimeline(sample_rate=1.0, start_time=0.0, **scores)
+    config = config or default_config()
+    scores = _score(channels, 1, AnnotationFlags(*np.int8([astuple(flags)]).T), config, strict)
+    return RulaTimeline(sample_rate=1.0, start_time=0.0, config_checksum=config.checksum, **scores)
 
 
 def config_problems(raw) -> list[str]:

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ergokit.compare import MIN_VALID_FRACTION, ZERO_VARIANCE_STD
-from ergokit.errors import LengthMismatch, NoValidPairs, ZeroVariance
+from ergokit.errors import NoValidPairs, ZeroVariance
 from ergokit.motion import MAX_ABS_ANGLE
 
 
@@ -54,7 +54,7 @@ def rmse(a, b) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
-        raise LengthMismatch(f"lengths {a.shape} vs {b.shape}")
+        raise ValueError(f"lengths {a.shape} vs {b.shape}")
     valid = _angles(a) & _angles(b)
     if not np.any(valid):
         raise NoValidPairs("no pair has both samples valid")
@@ -68,7 +68,7 @@ def pearson_correlation(a, b) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
-        raise LengthMismatch(f"lengths {a.shape} vs {b.shape}")
+        raise ValueError(f"lengths {a.shape} vs {b.shape}")
     valid = _angles(a) & _angles(b)
     n = int(np.sum(valid))
     if n < 2:

@@ -297,7 +297,7 @@ def test_criterion_08_reporting_formatting():
     ok &= abs(sum(percentages.values()) - 100.0) < 1e-9
     ok &= format_band_shares(percentages) == "0.0 % / 78.7 % / 13.4 % / 7.9 %"
 
-    report = build_session_report(timeline, None, "imu-csv", default_config())
+    report = build_session_report(timeline, None, "imu-csv")
     for fmt in ("structured", "delimited"):
         first = emit_session_report(report, fmt)
         second = emit_session_report(report, fmt)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -286,6 +287,16 @@ def test_convert_empty_file(tmp_path, capsys):
     assert "ergokit: error: EmptyFile" in capsys.readouterr().err
 
 
+def test_score_header_only_csv_is_an_empty_timeline(tmp_path, capsys):
+    """A CSV of no rows scores no samples: the timeline refuses to be built."""
+    path = tmp_path / "header.csv"
+    path.write_text("arm_flex_r,elbow_flex_r\n")
+    out = tmp_path / "out"
+    assert main(["score", str(path), "--imu-rate", "100", "--out", str(out)]) == 1
+    assert _error_lines(capsys) == ["ergokit: error: EmptyTimeline: series has no samples"]
+    assert not out.exists()
+
+
 def test_compare_self_all_zero(tmp_path, capsys):
     path = tmp_path / "cycle.jsonl"
     path.write_text(format_keypoint_stream(work_cycle_recording(450)))
@@ -560,7 +571,8 @@ def _strict_json(text: str):
 
 def test_non_finite_cells_never_reach_the_reports(tmp_path):
     series = neutral_angle_series(400, 100.0)
-    series.channels[JointChannel.arm_flex_r] = np.sin(np.arange(400) * 0.05) * 30.0
+    series = replace(series, channels={
+        **series.channels, JointChannel.arm_flex_r: np.sin(np.arange(400) * 0.05) * 30.0})
     text = format_imu_joint_csv(series).splitlines()
     header = text[0].split(",")
     for row, cell in ((5, "inf"), (9, "-inf"), (12, "nan"), (20, "1e999")):

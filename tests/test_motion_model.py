@@ -1,5 +1,8 @@
+import dataclasses
 import math
+import pickle
 import warnings
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -142,6 +145,64 @@ def test_series_duration():
     assert series.duration == 2.99
     empty = JointAngleSeries(sample_rate=100.0, start_time=0.0, channels={})
     assert (empty.length, empty.duration, empty.times.tolist()) == (0, 0.0, [])
+
+
+def test_series_is_frozen():
+    """No channel, field or sample of a built series can change, so its one
+    length holds for its life."""
+    series = _series(np.linspace(-90.0, 90.0, 7))
+    with pytest.raises(TypeError):
+        series.channels[JointChannel.arm_flex_r] = np.zeros(3)
+    with pytest.raises(TypeError):
+        series.channels[JointChannel.arm_flex_l] = np.zeros(7)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        series.sample_rate = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        series.channels = {}
+    with pytest.raises(ValueError, match="read-only"):
+        series.channels[JointChannel.arm_flex_r][0] = 1.0
+    assert list(series.channels) == [JointChannel.arm_flex_r] and series.length == 7
+
+
+def test_series_channels_are_read_only_views_of_the_arrays_given():
+    """Nothing is copied, and the caller's arrays keep their own flags."""
+    mine, theirs = np.linspace(-90.0, 90.0, 7), np.arange(7.0)
+    theirs.flags.writeable = False
+    series = JointAngleSeries(sample_rate=100.0, start_time=0.0, channels={
+        JointChannel.arm_flex_r: mine, JointChannel.arm_flex_l: theirs})
+    assert mine.flags.writeable and not theirs.flags.writeable
+    for given, stored in zip((mine, theirs), series.channels.values()):
+        assert np.shares_memory(given, stored) and not stored.flags.writeable
+    mine[0] = 1.0  # the caller's array is still writable, and the series shows it
+    assert series.channels[JointChannel.arm_flex_r][0] == 1.0
+    assert isinstance(series.channels, MappingProxyType)
+
+
+def test_changed_channel_is_a_new_series():
+    series = _series(np.zeros(7))
+    x = np.ones(7)
+    changed = dataclasses.replace(series, channels={**series.channels, JointChannel.arm_flex_l: x})
+    assert list(changed.channels) == [JointChannel.arm_flex_r, JointChannel.arm_flex_l]
+    assert np.shares_memory(changed.channels[JointChannel.arm_flex_l], x)
+    assert list(series.channels) == [JointChannel.arm_flex_r]
+    with pytest.raises(ValueError, match="one length"):
+        dataclasses.replace(series, channels={**series.channels, JointChannel.arm_flex_l: x[:3]})
+
+
+def test_series_pickles_read_only():
+    """A pickle round trip, as a process pool returns a series, keeps the
+    rate, start, unparseable cells and channel order, the samples bit for
+    bit (NaN, -0.0 and inf included), and the read-only channels."""
+    values = np.array([-0.0, math.nan, math.inf, 1e200, 12.5, -7.25])
+    series = JointAngleSeries(sample_rate=29.97, start_time=-1.5, unparseable_cells=3, channels={
+        JointChannel.wrist_dev_r: values, JointChannel.T1_head_neck_FE: values[::-1]})
+    back = pickle.loads(pickle.dumps(series))
+    assert (back.sample_rate, back.start_time, back.unparseable_cells) == (29.97, -1.5, 3)
+    assert list(back.channels) == list(series.channels)
+    assert isinstance(back.channels, MappingProxyType)
+    for x, y in zip(series.channels.values(), back.channels.values()):
+        assert y.dtype == np.float64 and y.tobytes() == x.tobytes()
+        assert not y.flags.writeable
 
 
 def test_annotation_track_validation():

@@ -15,6 +15,7 @@ from ergokit.compare import (
     summarize_runs,
 )
 from ergokit.errors import EmptyInput, EmptyTimeline
+from ergokit.ingest import read_config_json
 from ergokit.motion import (
     AnnotationFlags,
     AnnotationInterval,
@@ -34,6 +35,7 @@ from ergokit.rula import (
     RiskBand,
     RulaTimeline,
     band_percentages,
+    config_from_dict,
     default_config,
     score_timeline,
 )
@@ -81,16 +83,6 @@ def _timeline_with_finals(finals, rate=10.0) -> RulaTimeline:
     return timeline
 
 
-def _empty_timeline() -> RulaTimeline:
-    """A one-sample timeline with every score array cut to length 0."""
-    def cut(obj):
-        return replace(obj, **{f.name: getattr(obj, f.name)[:0] for f in fields(obj)
-                               if isinstance(getattr(obj, f.name), np.ndarray)})
-
-    timeline = cut(score_timeline(_neutral_series(1)))
-    return replace(timeline, left=cut(timeline.left), right=cut(timeline.right))
-
-
 def test_format_percent():
     assert format_percent(78.7) == "78.7 %"
     assert format_percent(0.0) == "0.0 %"
@@ -100,12 +92,31 @@ def test_format_percent():
 def test_neutral_fixture_reports_negligible_100():
     series = _neutral_series(40)
     timeline = score_timeline(series)
-    report = build_session_report(timeline, series, "imu-csv", default_config())
+    report = build_session_report(timeline, series, "imu-csv")
     assert format_band_shares(report.band_percentages) == \
         "100.0 % / 0.0 % / 0.0 % / 0.0 %"
     doc = json.loads(emit_session_report(report, "structured"))
     assert doc["band_percentages"]["negligible"] == 100.0
     assert doc["config_checksum"] == default_config().checksum
+
+
+def test_report_checksum_comes_from_the_scoring_config():
+    """The timeline carries the checksum of the config that scored it, and
+    the report takes it from there: the shipped config's by default, and a
+    custom config's when it scored."""
+    series = _neutral_series(4)
+    assert build_session_report(score_timeline(series)).config_checksum == \
+        default_config().checksum
+    raw = read_config_json(None)
+    raw["table_c"][0][0] = 2
+    custom = config_from_dict(raw)
+    assert custom.checksum != default_config().checksum
+    timeline = score_timeline(series, config=custom)
+    assert timeline.config_checksum == custom.checksum
+    report = build_session_report(timeline, series, "imu-csv")
+    assert json.loads(emit_session_report(report, "structured"))["config_checksum"] == \
+        custom.checksum
+    assert f"config_checksum,{custom.checksum}" in emit_session_report(report, "delimited")
 
 
 def test_band_split_fixture_formatting():
@@ -120,7 +131,7 @@ def test_band_split_fixture_formatting():
 def test_session_emissions_deterministic():
     series = _neutral_series(25)
     timeline = score_timeline(series)
-    report = build_session_report(timeline, series, "imu-csv", default_config())
+    report = build_session_report(timeline, series, "imu-csv")
     for fmt in ("structured", "delimited"):
         assert emit_session_report(report, fmt) == emit_session_report(report, fmt)
 
@@ -128,7 +139,7 @@ def test_session_emissions_deterministic():
 def test_session_csv_sections():
     series = _neutral_series(5)
     timeline = score_timeline(series)
-    report = build_session_report(timeline, series, "imu-csv", default_config())
+    report = build_session_report(timeline, series, "imu-csv")
     doc = emit_session_report(report, "delimited")
     lines = doc.splitlines()
     assert lines[0] == "key,value"
@@ -143,7 +154,7 @@ def test_session_csv_sections():
 
 def test_structured_and_delimited_values_agree():
     timeline = _timeline_with_finals([3, 3, 6, 7])
-    report = build_session_report(timeline, None, "imu-csv", default_config())
+    report = build_session_report(timeline, None, "imu-csv")
     doc = json.loads(emit_session_report(report, "structured"))
     csv_doc = emit_session_report(report, "delimited")
     for band in RiskBand:
@@ -152,12 +163,17 @@ def test_structured_and_delimited_values_agree():
 
 
 def test_empty_timeline_rejected():
-    with pytest.raises(EmptyTimeline):
-        build_session_report(
-            _empty_timeline(),
-            None, "imu-csv", default_config())
-    with pytest.raises(EmptyTimeline):
-        band_percentages(_empty_timeline())
+    """An empty timeline cannot be built, so no report or band share is
+    ever taken of one: a one-sample timeline with every score array cut to
+    length 0 is refused."""
+    def cut(obj):
+        return {f.name: getattr(obj, f.name)[:0] for f in fields(obj)
+                if isinstance(getattr(obj, f.name), np.ndarray)}
+
+    timeline = score_timeline(_neutral_series(1))
+    left, right = (replace(side, **cut(side)) for side in (timeline.left, timeline.right))
+    with pytest.raises(EmptyTimeline, match="^series has no samples$"):
+        replace(timeline, left=left, right=right, **cut(timeline))
 
 
 def test_source_kind_is_one_csv_cell():
@@ -189,9 +205,11 @@ def test_channel_summaries_leave_out_infinite_samples():
     RuntimeWarning gate fails the test otherwise). A channel with no finite
     sample is skipped."""
     series = _neutral_series(6)
-    series.channels[JointChannel.arm_flex_r][:] = [10.0, np.inf, 20.0, math.nan, -np.inf, 30.0]
-    series.channels[JointChannel.elbow_flex_l][:] = [np.inf, math.nan, -np.inf] * 2
-    report = build_session_report(score_timeline(series), series, "imu-csv", default_config())
+    series = replace(series, channels={
+        **series.channels,
+        JointChannel.arm_flex_r: [10.0, np.inf, 20.0, math.nan, -np.inf, 30.0],
+        JointChannel.elbow_flex_l: [np.inf, math.nan, -np.inf] * 2})
+    report = build_session_report(score_timeline(series), series, "imu-csv")
     doc = json.loads(emit_session_report(report, "structured"), parse_constant=_not_json)
     assert doc["channel_summaries"]["arm_flex_r"] == {
         "mean": 20.0, "std_dev": 8.165, "min": 10.0, "max": 30.0}
@@ -207,8 +225,9 @@ def test_channel_summaries_leave_out_samples_beyond_max_abs_angle():
     deviation: such samples are left out, so session.json holds no Infinity
     and building it warns nothing."""
     series = _neutral_series(6)
-    series.channels[JointChannel.arm_flex_r][:] = [1e200, -1e200, 0.0, 10.0, 1e7, -1e7]
-    report = build_session_report(score_timeline(series), series, "imu-csv", default_config())
+    series = replace(series, channels={
+        **series.channels, JointChannel.arm_flex_r: [1e200, -1e200, 0.0, 10.0, 1e7, -1e7]})
+    report = build_session_report(score_timeline(series), series, "imu-csv")
     doc = json.loads(emit_session_report(report, "structured"), parse_constant=_not_json)
     assert doc["channel_summaries"]["arm_flex_r"] == {
         "mean": 5.0, "std_dev": 5.0, "min": 0.0, "max": 10.0}
@@ -363,9 +382,9 @@ def _session_doc(report) -> dict:
 def test_session_json_is_json_dumps_indent_2(finals, flags):
     timeline = _timeline_with_finals(finals, rate=30.0)
     series = _neutral_series(len(finals), rate=30.0)
-    series.channels[JointChannel.arm_flex_r] = np.linspace(-1.0 / 3, 7.0, len(finals))
-    report = build_session_report(timeline, series, source_kind="imu-csv",
-                                  config=default_config(), flags=flags)
+    series = replace(series, channels={
+        **series.channels, JointChannel.arm_flex_r: np.linspace(-1.0 / 3, 7.0, len(finals))})
+    report = build_session_report(timeline, series, source_kind="imu-csv", flags=flags)
     assert emit_session_report(report, "structured") == \
         json.dumps(_session_doc(report), indent=2) + "\n"
     # session.csv holds each flag as two cells: a string as itself, any

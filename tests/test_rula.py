@@ -495,7 +495,8 @@ def test_config_skips_byte_order_mark(tmp_path):
 def _score_dtypes(timeline: RulaTimeline) -> dict[str, np.dtype]:
     """The dtype of every score array of ``timeline`` and of its two sides."""
     dtypes = {f.name: getattr(timeline, f.name).dtype for f in fields(RulaTimeline)
-              if f.name not in ("sample_rate", "start_time", "left", "right", "degraded")}
+              if f.name not in ("sample_rate", "start_time", "left", "right", "degraded",
+                                "config_checksum")}
     for side in ("left", "right"):
         dtypes |= {f"{side}.{f.name}": getattr(getattr(timeline, side), f.name).dtype
                    for f in fields(SideTimeline)}

@@ -10,7 +10,7 @@ cut points).
 """
 import math
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -222,9 +222,12 @@ def test_no_angle_scores_as_nan(case, seed):
     position rule's."""
     config, series, track = case
     rng = np.random.default_rng(seed)
-    for x in series.channels.values():
-        lost = rng.random(len(x)) < 0.3
+    channels = {}
+    for ch, x in series.channels.items():
+        x, lost = x.copy(), rng.random(len(x)) < 0.3
         x[lost] = rng.choice(NO_ANGLE, np.count_nonzero(lost))
+        channels[ch] = x
+    series = replace(series, channels=channels)
     as_nan = JointAngleSeries(sample_rate=RATE, start_time=series.start_time, channels={
         ch: np.where(np.abs(x) <= MAX_ABS_ANGLE, x, math.nan) for ch, x in series.channels.items()})
     for score in (lambda s, **kw: score_timeline(s, track, config, **kw),

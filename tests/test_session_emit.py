@@ -54,7 +54,7 @@ def _timeline(n, rate, start, lo, hi, seed) -> RulaTimeline:
     return RulaTimeline(sample_rate=rate, start_time=start, left=sides[0], right=sides[1],
                         neck=combined, trunk=combined, legs=combined, table_b_score=combined,
                         score_d=combined, final=combined, band=rng.integers(0, 4, n),
-                        degraded=rng.random(n) < 0.3)
+                        degraded=rng.random(n) < 0.3, config_checksum=default_config().checksum)
 
 
 def _series(n, rate, start, seed) -> JointAngleSeries:
@@ -76,8 +76,7 @@ def _assert_same(actual: str, expected: str) -> None:
 
 
 def _assert_equals_oracle(timeline, series, flags):
-    report = build_session_report(timeline, series, source_kind="imu-csv",
-                                  config=default_config(), flags=flags)
+    report = build_session_report(timeline, series, source_kind="imu-csv", flags=flags)
     expected_plots = emit_oracle.emit_plot_series_oracle(timeline)
     # Plot files first, then both documents: the shared text may be
     # rendered by any emitter.
@@ -125,9 +124,10 @@ def test_shared_text_is_rendered_once():
 
 
 def test_plot_series_of_an_empty_timeline_is_rejected():
-    """Plot files come from a session report, and an empty timeline has none."""
+    """Plot files come from a session report, and an empty timeline, which
+    would have none, cannot be built."""
     with pytest.raises(EmptyTimeline):
-        emit_plot_series(build_session_report(_timeline(0, 30.0, 0.0, 1, 7, 6)))
+        _timeline(0, 30.0, 0.0, 1, 7, 6)
 
 
 # --- comparison reports -------------------------------------------------------------

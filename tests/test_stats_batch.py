@@ -21,7 +21,6 @@ import contextlib
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 import warnings
@@ -36,7 +35,7 @@ import align_oracle
 import ergokit
 import stats_oracle
 from ergokit import compare, ingest
-from ergokit.errors import ErgokitError, InsufficientOverlap, LengthMismatch
+from ergokit.errors import ErgokitError, InsufficientOverlap
 from ergokit.motion import (
     CHANNEL_ORDER, MAX_ABS_ANGLE, JointAngleSeries, JointChannel, angle_mask)
 from ergokit.reporting import emit_comparison_report
@@ -159,41 +158,25 @@ def test_channel_comparisons_equal_oracle(case):
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_first_failing_channel_in_order_raises(cpus):
-    """Of two channels that raise, the one earlier in ``CHANNEL_ORDER``
-    surfaces, as in a serial loop, wherever the pool put them."""
-    rng = np.random.default_rng(cpus)
-    n = 600
-    a = {ch: 30.0 * rng.normal(size=n) for ch in [REFERENCE] + OTHERS}
-    b = {ch: x + rng.normal(size=n) for ch, x in a.items()}
-    names = compare._ordered_channels(a)
-    failing = [i for i, ch in enumerate(names) if ch is not REFERENCE]
-    for first in failing:
-        for second in failing:
-            if first >= second:
-                continue
-            series = JointAngleSeries(sample_rate=1.0, start_time=0.0, channels=a)
-            # Shortened after the series checked its lengths; each fails
-            # with its own length in the message.
-            series.channels[names[first]] = a[names[first]][:5 + first]
-            series.channels[names[second]] = a[names[second]][:5 + second]
-            other = JointAngleSeries(sample_rate=1.0, start_time=0.0, channels=b)
-            with _cpus(cpus), pytest.raises(LengthMismatch,
-                                            match=re.escape(f"lengths ({5 + first},)")):
-                compare.compare_recordings(series, other, REFERENCE, 3.0, 100.0)
+    """Of two channels that raise in ``ingest._striped``, which both
+    ``compare_recordings`` and ``resample`` run their channels through, the
+    one earlier in ``CHANNEL_ORDER`` surfaces, as in a serial loop, wherever
+    the pool put them; every channel before it ran."""
+    n = len(CHANNEL_ORDER)
+    for first in range(n):
+        for second in range(first + 1, n):
+            ran = []
 
+            def work(k, j):
+                if j in (first, second):
+                    raise ValueError(CHANNEL_ORDER[j].value)
+                ran.append(j)
 
-def test_shortened_reference_channel_raises_length_mismatch():
-    """A reference channel shortened after the series checked its lengths
-    still aligns, and then fails as any other such channel does. It is not
-    the first channel, whose length is the series'."""
-    rng = np.random.default_rng(4)
-    a = {ch: 30.0 * rng.normal(size=600) for ch in OTHERS + [REFERENCE]}
-    b = {ch: x + rng.normal(size=600) for ch, x in a.items()}
-    series = JointAngleSeries(sample_rate=1.0, start_time=0.0, channels=a)
-    series.channels[REFERENCE] = a[REFERENCE][:300]
-    other = JointAngleSeries(sample_rate=1.0, start_time=0.0, channels=b)
-    with pytest.raises(LengthMismatch, match=re.escape("lengths (300,)")):
-        compare.compare_recordings(series, other, REFERENCE, 3.0, 100.0)
+            with _cpus(cpus) as pools, pytest.raises(ValueError) as raised:
+                ingest._striped(work, n, ingest._pool_size(n))
+            assert raised.value.args == (CHANNEL_ORDER[first].value,)
+            assert pools == [cpus]
+            assert set(range(first)) <= set(ran)
 
 
 def test_hour_long_run_equals_oracle():

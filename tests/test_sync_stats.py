@@ -180,9 +180,10 @@ def test_compare_channel_missing_in_one_is_flagged(rng):
 
 def test_compare_low_valid_fraction_unavailable(rng):
     a = _full_series(rng, n=300)
-    b = _series({ch: v.copy() for ch, v in a.channels.items()})
-    gap = b.channels[JointChannel.pro_sup_l]
+    channels = {ch: v.copy() for ch, v in a.channels.items()}
+    gap = channels[JointChannel.pro_sup_l]
     gap[: int(0.6 * len(gap))] = np.nan
+    b = _series(channels)
     report = compare_recordings(a, b, max_lag_seconds=1.0, min_overlap_seconds=2.0)
     result = report.channels[JointChannel.pro_sup_l]
     assert result.rmse == (None,)
