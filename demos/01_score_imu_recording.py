@@ -46,8 +46,8 @@ config = default_config()
 timeline = score_timeline(series, annotations, config)
 report = build_session_report(timeline, series, source_kind="imu-csv")
 
-print(f"\nscored {report.samples} samples, {report.duration:.1f} s; "
-      f"config {report.config_checksum}")
+print(f"\nscored {timeline.length} samples, {timeline.duration:.1f} s; "
+      f"config {timeline.config_checksum}")
 print("time in risk bands (negligible / low / medium / very high):")
 print(" ", format_band_shares(report.band_percentages))
 

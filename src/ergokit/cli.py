@@ -55,8 +55,8 @@ def _load_series(path: str, kind: str, args) -> "ingest.JointAngleSeries":
 
 
 def _session_report(series, kind: str, annotations, config, strict=False, flags=None):
-    """Score ``series`` and build its session report. When the caller keeps
-    no reference to the series, it and the timeline are freed on return."""
+    """Score ``series`` and build its session report, which holds the timeline.
+    When the caller keeps no reference to the series, it is freed on return."""
     timeline = rula.score_timeline(series, annotations, config, strict=strict)
     return reporting.build_session_report(timeline, series, source_kind=kind, flags=flags)
 
@@ -73,10 +73,11 @@ def cmd_score(args) -> int:
         "session", reporting.emit_session_report, report))
 
     shares = reporting.format_band_shares(report.band_percentages)
+    timeline = report.timeline
     # Past 1e9 s (only a tiny rate's), three digits keep the line short.
-    seconds = format(report.duration, ".2f" if report.duration < 1e9 else ".3g")
-    print(f"{PROG}: scored {report.samples} samples "
-          f"({seconds} s at {report.sample_rate:g} Hz); "
+    seconds = format(timeline.duration, ".2f" if timeline.duration < 1e9 else ".3g")
+    print(f"{PROG}: scored {timeline.length} samples "
+          f"({seconds} s at {timeline.sample_rate:g} Hz); "
           f"bands {shares}; reports in {out}")
     return 0
 

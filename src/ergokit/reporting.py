@@ -4,8 +4,9 @@ Emitters are deterministic: fixed orderings (risk bands in report order,
 channels in the declared channel order) and fixed float formatting
 (3 decimals for statistics, 1 for percentages, rendered as ``12.3 %``).
 The structured (JSON) and delimited (CSV) renderings of a report carry the
-same rounded numeric values. The per-sample part of a session report (times
-and scores) is rendered to text once per ``SessionReport``, on first use, and
+same rounded numeric values. A ``SessionReport`` holds its read-only
+``RulaTimeline`` and reads the session's facts from it; the per-sample part
+(times and scores) is rendered to text once per report, on first use, and
 shared by ``session.json``, ``session.csv`` and ``rula_scores.csv``.
 
 No images are rendered here; plot emitters produce delimited files any
@@ -65,35 +66,44 @@ def _fixed(value: float) -> str:
 
 @dataclass(frozen=True)
 class SessionReport:
-    source_kind: str
-    sample_rate: float
-    duration: float
-    samples: int
-    config_checksum: str
-    degraded_frames: int
-    band_percentages: dict[RiskBand, float]
-    times: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    combined: np.ndarray
+    """A timeline with its series' channel summaries. Every fact of the
+    session, the band shares and the scores are read from ``timeline``."""
+
+    timeline: RulaTimeline
     channel_summaries: dict[JointChannel, ChannelSummary]
+    source_kind: str
     flags: dict = field(default_factory=dict)
 
     @functools.cached_property
+    def band_percentages(self) -> dict[RiskBand, float]:
+        return band_percentages(self.timeline)
+
+    @functools.cached_property
     def _cells(self) -> list[str]:
-        """The text of the times (``_fixed``) and of the left, right and
-        combined scores, one string per column with a comma after each
-        cell: rendered once, on first use, and shared by every emitter."""
-        times = self.times.tolist()
-        return ["%.3f," * len(times) % tuple(times) if np.all(np.abs(self.times) < _FIXED_BELOW)
-                else "".join(_fixed(t) + "," for t in times)] + [
-            _int_cells(a) for a in (self.left, self.right, self.combined)]
+        """The text of the times (``_fixed``), of the left, right and
+        combined scores and of the times in JSON, one string per column with
+        a comma after each cell: rendered once, on first use, and shared by
+        every emitter. Below 1e12 s the JSON text of ``round(t, 3)`` is the
+        ``"%.3f"`` text, each pass stripping one trailing zero before a comma:
+        both round correctly to the same 3-decimal ``d`` of at most 15 digits
+        (``DBL_DIG``), and ``repr`` of the double nearest ``d`` is ``d``
+        stripped to one decimal (``-0.0`` too)."""
+        times = self.timeline.times
+        values = times.tolist()
+        if np.all(np.abs(times) < _FIXED_BELOW):
+            fixed = "%.3f," * len(values) % tuple(values)
+            as_json = fixed.replace("0,", ",").replace("0,", ",")
+        else:
+            fixed = "".join(_fixed(t) + "," for t in values)
+            as_json = "".join(json.dumps(round(t, 3)) + "," for t in values)
+        scores = (self.timeline.left.final, self.timeline.right.final, self.timeline.final)
+        return [fixed, *map(_int_cells, scores), as_json]
 
     @functools.cached_property
     def _rows(self) -> str:
         """The ``time,left,right,combined`` header and one line per sample,
         joined 4096 lines at a time, so only one block's lines are held."""
-        columns = [text.split(",")[:-1] for text in self._cells]
+        columns = [text.split(",")[:-1] for text in self._cells[:4]]
         return "\n".join(["time,left,right,combined"] + ["\n".join(map(",".join, zip(*(
             c[a:a + 4096] for c in columns)))) for a in range(0, len(columns[0]), 4096)])
 
@@ -109,24 +119,11 @@ def build_session_report(timeline: RulaTimeline,
                          series: JointAngleSeries | None = None,
                          source_kind: str = "unknown",
                          flags: dict | None = None) -> SessionReport:
-    """A timeline's report, with its scoring config's checksum and ``series``' summaries."""
+    """A timeline's report, with ``series``' channel summaries."""
     summaries = {ch: s for ch in CHANNEL_ORDER if series is not None
                  and (s := channel_summary(series, ch)) is not None}
-    return SessionReport(
-        source_kind=source_kind,
-        sample_rate=timeline.sample_rate,
-        duration=(timeline.length - 1) / timeline.sample_rate,
-        samples=timeline.length,
-        config_checksum=timeline.config_checksum,
-        degraded_frames=int(np.count_nonzero(timeline.degraded)),
-        band_percentages=band_percentages(timeline),
-        times=timeline.times,
-        left=timeline.left.final,
-        right=timeline.right.final,
-        combined=timeline.final,
-        channel_summaries=summaries,
-        flags=dict(flags or {}),
-    )
+    return SessionReport(timeline=timeline, channel_summaries=summaries,
+                         source_kind=source_kind, flags=dict(flags or {}))
 
 
 def emit_session_report(report: SessionReport, format: str = "structured") -> str:
@@ -143,31 +140,18 @@ def _json_list(cells: str, pad: str) -> str:
     return f"[{pad}  " + cells[:-1].replace(",", "," + pad + "  ") + f"{pad}]" if cells else "[]"
 
 
-def _json_times(report: SessionReport) -> str:
-    """The JSON text of ``round(t, 3)`` for every time, comma-terminated.
-
-    Below 1e12 s it is the ``"%.3f"`` text with trailing zeros stripped down
-    to one decimal: each pass drops one zero before a comma. ``"%.3f"`` and
-    ``round`` both round correctly to the same 3-decimal ``d``, which has at
-    most 15 significant digits (``DBL_DIG``), so ``repr`` of the double
-    nearest ``d`` prints exactly ``d`` stripped (``-0.0`` too).
-    """
-    if not np.all(np.abs(report.times) < _FIXED_BELOW):
-        return "".join(json.dumps(round(t, 3)) + "," for t in report.times.tolist())
-    return report._cells[0].replace("0,", ",").replace("0,", ",")
-
-
 def _session_json(report: SessionReport) -> str:
+    timeline = report.timeline
     scores = dict(zip(("time", "left", "right", "combined"),
-                      (_json_times(report), *report._cells[1:])))
+                      (report._cells[4], *report._cells[1:4])))
     doc = {
         "kind": "session",
         "source_kind": report.source_kind,
-        "sample_rate": round(report.sample_rate, 3),
-        "duration": round(report.duration, 3),
-        "samples": report.samples,
-        "config_checksum": report.config_checksum,
-        "degraded_frames": report.degraded_frames,
+        "sample_rate": round(timeline.sample_rate, 3),
+        "duration": round(timeline.duration, 3),
+        "samples": timeline.length,
+        "config_checksum": timeline.config_checksum,
+        "degraded_frames": int(np.count_nonzero(timeline.degraded)),
         "flags": report.flags,
         "band_percentages": {
             band.value: round(report.band_percentages[band], 1) for band in RiskBand
@@ -202,10 +186,12 @@ def _csv_cell(text: str) -> str:
 
 
 def _session_csv(report: SessionReport) -> str:
+    timeline = report.timeline
     lines = ["key,value", "kind,session", f"source_kind,{_csv_cell(report.source_kind)}",
-             f"sample_rate,{_fixed(report.sample_rate)}", f"duration,{_fixed(report.duration)}",
-             f"samples,{report.samples}", f"config_checksum,{report.config_checksum}",
-             f"degraded_frames,{report.degraded_frames}"]
+             f"sample_rate,{_fixed(timeline.sample_rate)}",
+             f"duration,{_fixed(timeline.duration)}", f"samples,{timeline.length}",
+             f"config_checksum,{timeline.config_checksum}",
+             f"degraded_frames,{np.count_nonzero(timeline.degraded)}"]
     for key, value in sorted(report.flags.items()):
         text = value if isinstance(value, str) else json.dumps(value)
         lines.append(f"{_csv_cell(f'flag:{key}')},{_csv_cell(text)}")

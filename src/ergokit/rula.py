@@ -42,7 +42,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from types import MappingProxyType
 from typing import Mapping
@@ -398,7 +398,9 @@ class RulaTimeline:
     """Scores of N >= 1 samples as (N,) int8 arrays: per side in ``left`` and
     ``right``, shared ones here. ``final`` is the combined score, ``band`` the
     index of its band in ``RiskBand`` order, ``degraded`` marks samples that
-    lacked a channel, ``config_checksum`` names the config that scored them."""
+    lacked a channel, ``config_checksum`` names the config that scored them.
+    As in a ``JointAngleSeries``, every array here and in both sides is a
+    read-only view, so no report that reads the timeline can rewrite it."""
 
     sample_rate: float
     start_time: float
@@ -415,12 +417,22 @@ class RulaTimeline:
     config_checksum: str
 
     def __post_init__(self):
+        for obj in (self, self.left, self.right):  # nothing is copied
+            for f in fields(obj):
+                if isinstance(array := getattr(obj, f.name), np.ndarray):
+                    view = array.view()
+                    view.flags.writeable = False
+                    object.__setattr__(obj, f.name, view)
         if self.length == 0:
             raise EmptyTimeline("series has no samples")
 
     @property
     def length(self) -> int:
         return len(self.final)
+
+    @property
+    def duration(self) -> float:
+        return max(self.length - 1, 0) / self.sample_rate
 
     @property
     def times(self) -> np.ndarray:

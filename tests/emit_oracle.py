@@ -65,19 +65,19 @@ def _number_list(values: list, pad: str) -> str:
 
 def _session_json(report: SessionReport) -> str:
     scores = {
-        "time": [round(t, 3) for t in report.times.tolist()],
-        "left": report.left.astype(int).tolist(),
-        "right": report.right.astype(int).tolist(),
-        "combined": report.combined.astype(int).tolist(),
+        "time": [round(t, 3) for t in report.timeline.times.tolist()],
+        "left": report.timeline.left.final.astype(int).tolist(),
+        "right": report.timeline.right.final.astype(int).tolist(),
+        "combined": report.timeline.final.astype(int).tolist(),
     }
     doc = {
         "kind": "session",
         "source_kind": report.source_kind,
-        "sample_rate": round(report.sample_rate, 3),
-        "duration": round(report.duration, 3),
-        "samples": report.samples,
-        "config_checksum": report.config_checksum,
-        "degraded_frames": report.degraded_frames,
+        "sample_rate": round(report.timeline.sample_rate, 3),
+        "duration": round(report.timeline.duration, 3),
+        "samples": report.timeline.length,
+        "config_checksum": report.timeline.config_checksum,
+        "degraded_frames": int(np.count_nonzero(report.timeline.degraded)),
         "flags": report.flags,
         "band_percentages": {
             band.value: round(report.band_percentages[band], 1) for band in RiskBand
@@ -107,11 +107,11 @@ def _session_csv(report: SessionReport) -> str:
     lines = ["key,value"]
     lines.append("kind,session")
     lines.append(f"source_kind,{report.source_kind}")
-    lines.append(f"sample_rate,{_csv_number(report.sample_rate)}")
-    lines.append(f"duration,{_csv_number(report.duration)}")
-    lines.append(f"samples,{report.samples}")
-    lines.append(f"config_checksum,{report.config_checksum}")
-    lines.append(f"degraded_frames,{report.degraded_frames}")
+    lines.append(f"sample_rate,{_csv_number(report.timeline.sample_rate)}")
+    lines.append(f"duration,{_csv_number(report.timeline.duration)}")
+    lines.append(f"samples,{report.timeline.length}")
+    lines.append(f"config_checksum,{report.timeline.config_checksum}")
+    lines.append(f"degraded_frames,{int(np.count_nonzero(report.timeline.degraded))}")
     for key in sorted(report.flags):
         value = report.flags[key]
         row = io.StringIO()
@@ -124,7 +124,8 @@ def _session_csv(report: SessionReport) -> str:
     for band in RiskBand:
         lines.append(f"{band.value},{format_percent(report.band_percentages[band])}")
     lines.append("")
-    lines.append(_score_rows(report.times, report.left, report.right, report.combined))
+    lines.append(_score_rows(report.timeline.times, report.timeline.left.final,
+                             report.timeline.right.final, report.timeline.final))
     if report.channel_summaries:
         lines.append("")
         lines.append("channel,mean,std_dev,min,max")

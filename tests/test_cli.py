@@ -325,6 +325,25 @@ def test_compare_batch_two_runs(tmp_path):
     assert header == "rmse,record_1,record_2,mean"
 
 
+def test_compare_session_reports_equal_score_of_the_same_csv(tmp_path):
+    """compare A A --session-reports scores each input as score A does:
+    session_run1_a.json and session_run1_b.json are score's session.json
+    byte for byte, but for the flags, which compare leaves empty."""
+    stream = tmp_path / "cycle.jsonl"
+    stream.write_text(format_keypoint_stream(work_cycle_recording(450)))
+    assert main(["convert", str(stream), "--out", str(tmp_path)]) == 0
+    csv = str(tmp_path / "joint_angles.csv")
+    assert main(["score", csv, "--out", str(tmp_path / "scored")]) == 0
+    assert main(["compare", csv, csv, "--session-reports", "--max-lag", "1",
+                 "--min-overlap", "2", "--out", str(tmp_path / "cmp")]) == 0
+    scored = (tmp_path / "scored" / "session.json").read_text()
+    flags = '"flags": {\n    "kind": "imu-csv",\n    "rate": null,\n    "strict": false\n  }'
+    assert scored.count(flags) == 1
+    for label in "ab":
+        assert (tmp_path / "cmp" / f"session_run1_{label}.json").read_text() == \
+            scored.replace(flags, '"flags": {}')
+
+
 def test_compare_odd_inputs_usage_error(tmp_path, neutral_csv, capsys):
     code = main(["compare", str(neutral_csv), "--out", str(tmp_path / "o")])
     assert code == 2

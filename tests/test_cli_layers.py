@@ -90,32 +90,35 @@ def test_each_command_reaches_its_traced_layers(monkeypatch, capsys, inputs, com
     (["score", "{stream}", "--kind", "keypoints", "--rate", "20"],
      (geometry, "compute_angle_series")),
 ], ids=["imu-csv", "keypoints-resampled"])
-def test_score_frees_series_and_timeline_before_writing(monkeypatch, inputs, argv, makes):
+def test_score_frees_series_and_keeps_timeline_in_report(monkeypatch, inputs, argv, makes):
     """While session.json is rendered, nothing holds the series that was
-    loaded (or resampled) nor the timeline scored from it."""
-    refs, alive = [], []
+    loaded (or resampled); the timeline scored from it is still alive, as
+    the report's own, which the report reads its facts from."""
+    refs, alive, timelines, held = [], [], [], []
 
-    def kept(module, attribute):
+    def kept(module, attribute, into):
         original = getattr(module, attribute)
 
         def wrapper(*args, **kwargs):
             result = original(*args, **kwargs)
-            refs.append(weakref.ref(result))
+            into.append(weakref.ref(result))
             return result
         monkeypatch.setattr(module, attribute, wrapper)
 
-    kept(*makes)
-    kept(ingest, "resample")
-    kept(rula, "score_timeline")
+    kept(*makes, refs)
+    kept(ingest, "resample", refs)
+    kept(rula, "score_timeline", timelines)
     emit = reporting.emit_session_report
 
     def emit_checked(report, fmt):
         if fmt == "structured":
             gc.collect()
             alive.extend(ref() is not None for ref in refs)
+            held.extend(ref() is report.timeline for ref in timelines)
         return emit(report, fmt)
 
     monkeypatch.setattr(reporting, "emit_session_report", emit_checked)
     assert cli.main([arg.format(**inputs) for arg in argv] + ["--out", inputs["out"]]) == 0
-    assert len(refs) == (3 if "--rate" in argv else 2)
+    assert len(refs) == (2 if "--rate" in argv else 1)
     assert alive == [False] * len(refs)
+    assert held == [True]

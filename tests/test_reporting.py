@@ -105,7 +105,7 @@ def test_report_checksum_comes_from_the_scoring_config():
     the report takes it from there: the shipped config's by default, and a
     custom config's when it scored."""
     series = _neutral_series(4)
-    assert build_session_report(score_timeline(series)).config_checksum == \
+    assert build_session_report(score_timeline(series)).timeline.config_checksum == \
         default_config().checksum
     raw = read_config_json(None)
     raw["table_c"][0][0] = 2
@@ -117,6 +117,25 @@ def test_report_checksum_comes_from_the_scoring_config():
     assert json.loads(emit_session_report(report, "structured"))["config_checksum"] == \
         custom.checksum
     assert f"config_checksum,{custom.checksum}" in emit_session_report(report, "delimited")
+
+
+def test_a_scored_timeline_and_its_report_cannot_be_rewritten():
+    """Every array of a timeline is read-only, so neither it nor a report
+    that holds it can be written; after such a write has failed, a report
+    built before it and a new count of the bands read the scored shares."""
+    series = _neutral_series(4)
+    timeline = score_timeline(series)
+    report = build_session_report(timeline, series, "imu-csv")
+    with pytest.raises(ValueError, match="read-only"):
+        timeline.band[:] = 3
+    with pytest.raises(ValueError, match="read-only"):
+        report.timeline.final[0] = 9
+    scored = {RiskBand.negligible: 100.0, RiskBand.low: 0.0, RiskBand.medium: 0.0,
+              RiskBand.very_high: 0.0}
+    assert band_percentages(timeline) == report.band_percentages == scored
+    doc = json.loads(emit_session_report(report, "structured"))
+    assert doc["scores"]["combined"] == [1, 1, 1, 1]
+    assert doc["band_percentages"]["negligible"] == 100.0
 
 
 def test_band_split_fixture_formatting():
@@ -350,21 +369,21 @@ def _session_doc(report) -> dict:
     return {
         "kind": "session",
         "source_kind": report.source_kind,
-        "sample_rate": round(report.sample_rate, 3),
-        "duration": round(report.duration, 3),
-        "samples": report.samples,
-        "config_checksum": report.config_checksum,
-        "degraded_frames": report.degraded_frames,
+        "sample_rate": round(report.timeline.sample_rate, 3),
+        "duration": round(report.timeline.duration, 3),
+        "samples": report.timeline.length,
+        "config_checksum": report.timeline.config_checksum,
+        "degraded_frames": int(np.count_nonzero(report.timeline.degraded)),
         "flags": report.flags,
         "band_percentages": {
             band.value: round(report.band_percentages[band], 1) for band in RiskBand
         },
         "band_shares": format_band_shares(report.band_percentages),
         "scores": {
-            "time": [round(float(t), 3) for t in report.times],
-            "left": [int(v) for v in report.left],
-            "right": [int(v) for v in report.right],
-            "combined": [int(v) for v in report.combined],
+            "time": [round(float(t), 3) for t in report.timeline.times],
+            "left": [int(v) for v in report.timeline.left.final],
+            "right": [int(v) for v in report.timeline.right.final],
+            "combined": [int(v) for v in report.timeline.final],
         },
         "channel_summaries": {
             ch.value: {key: round(getattr(s, key), 3)
@@ -426,5 +445,5 @@ def test_score_rows_peak_under_140_bytes_a_sample(rng):
     assert peak < 140 * n
     assert rows.split("\n") == ["time,left,right,combined"] + [
         f"{t:.3f},{l},{r},{c}" for t, l, r, c in zip(
-            report.times.tolist(), report.left.tolist(), report.right.tolist(),
-            report.combined.tolist())]
+            report.timeline.times.tolist(), report.timeline.left.final.tolist(),
+            report.timeline.right.final.tolist(), report.timeline.final.tolist())]

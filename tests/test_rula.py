@@ -493,14 +493,16 @@ def test_config_skips_byte_order_mark(tmp_path):
 
 
 def _score_dtypes(timeline: RulaTimeline) -> dict[str, np.dtype]:
-    """The dtype of every score array of ``timeline`` and of its two sides."""
-    dtypes = {f.name: getattr(timeline, f.name).dtype for f in fields(RulaTimeline)
-              if f.name not in ("sample_rate", "start_time", "left", "right", "degraded",
-                                "config_checksum")}
+    """The dtype of every score array of ``timeline`` and of its two sides.
+    Every array, ``degraded`` too, must be read-only."""
+    arrays = {f.name: getattr(timeline, f.name) for f in fields(RulaTimeline)
+              if f.name not in ("sample_rate", "start_time", "left", "right", "config_checksum")}
     for side in ("left", "right"):
-        dtypes |= {f"{side}.{f.name}": getattr(getattr(timeline, side), f.name).dtype
+        arrays |= {f"{side}.{f.name}": getattr(getattr(timeline, side), f.name)
                    for f in fields(SideTimeline)}
-    return dtypes
+    assert [name for name, array in arrays.items() if array.flags.writeable] == []
+    del arrays["degraded"]
+    return {name: array.dtype for name, array in arrays.items()}
 
 
 def _random_series(rng, n: int) -> tuple[np.ndarray, JointAngleSeries]:
@@ -516,6 +518,22 @@ def test_every_score_is_int8(rng):
                      score_one(zero_angles(), AnnotationFlags(1, 3, 1, 3, 2))):
         assert set(_score_dtypes(timeline).values()) == {np.dtype(np.int8)}
         assert timeline.degraded.dtype == bool
+
+
+def test_a_hand_built_timeline_leaves_the_callers_arrays_writable():
+    """A timeline keeps read-only views of the arrays it is given, as a
+    series does: one array shared by several fields, of any dtype, stays
+    the caller's to write, and the timeline shows the write."""
+    scores, degraded = np.arange(1, 5), np.zeros(4, bool)
+    side = SideTimeline(*[scores] * 7)
+    timeline = RulaTimeline(sample_rate=10.0, start_time=0.0, left=side, right=side,
+                            neck=scores, trunk=scores, legs=scores, table_b_score=scores,
+                            score_d=scores, final=scores, band=scores, degraded=degraded,
+                            config_checksum="")
+    assert scores.flags.writeable and degraded.flags.writeable
+    assert set(_score_dtypes(timeline).values()) == {scores.dtype}
+    scores[0] = 9
+    assert (timeline.final[0], timeline.left.arm[0], timeline.right.score_c[0]) == (9, 9, 9)
 
 
 @pytest.mark.parametrize("adjust, predicate", [(3, "above"), (-3, "below")])
